@@ -25,14 +25,12 @@ from .errors import (
     ValidationError,
 )
 from .estimation import (
+    FitOptions,
     FitProblem,
     FitResult,
-    NelderMeadOptions,
-    NelderMeadResult,
     disorder_report,
     fit_circuit_params,
     model_eigenfrequencies,
-    nelder_mead,
 )
 from .microwave import (
     BoxMode,

@@ -409,13 +409,7 @@ def _run_powersweep(config, out_dir, label, threads):
 
 def _run_fit(config, out_dir, label, threads):
     problem = est_mod.fit_problem_from_dict(_require(config, "fit", "fit"))
-    opts_cfg = config.get("options", {})
-    options = est_mod.NelderMeadOptions(
-        tol_f=float(opts_cfg.get("tol_f", 1e-7)),
-        tol_x=float(opts_cfg.get("tol_x", 1e-9)),
-        max_iter=int(opts_cfg.get("max_iter", 5000)),
-        step=float(opts_cfg.get("step", 0.02)),
-    )
+    options = est_mod.FitOptions(**config.get("options", {}))
     result = est_mod.fit_circuit_params(
         problem, options=options,
         max_restarts=int(config.get("max_restarts", 8)),

@@ -1,28 +1,27 @@
-"""Derivative-free estimation of circuit parameters from eigenfrequencies.
+"""Least-squares estimation of circuit parameters from eigenfrequencies.
 
-The fit minimizes the RMS difference between the sorted tight-binding
-eigenfrequencies of a candidate circuit and a supplied frequency list,
-using a Nelder-Mead simplex over the logarithms of the free parameters so
-positivity is structural and relative steps mean the same thing for
-nanohenries and femtofarads.
+The fit matches the sorted tight-binding eigenfrequencies of a candidate
+circuit to a supplied frequency list with scipy's bounded least-squares
+solver. It works on the logarithms of the free parameters, so positivity
+is structural and relative steps mean the same thing for nanohenries and
+femtofarads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from .chain import CircuitSpec, _assemble_hamiltonian, _map_arrays
 from .csvout import write_csv, write_json
 from .errors import ValidationError
 
 __all__ = [
-    "NelderMeadOptions",
-    "NelderMeadResult",
-    "nelder_mead",
+    "FitOptions",
     "FitProblem",
     "FitResult",
     "PARAM_FAMILIES",
@@ -35,20 +34,17 @@ __all__ = [
 
 PARAM_FAMILIES = ("c0", "l0", "cw", "lv")
 
-_REFLECT = 1.0
-_EXPAND = 2.0
-_CONTRACT = 0.5
-_SHRINK = 0.5
-
 
 @dataclass(frozen=True)
-class NelderMeadOptions:
-    """Termination and initialization knobs for the simplex search.
+class FitOptions:
+    """Solver tolerances and start-point jitter for one fit.
 
-    The search stops when the spread of vertex values drops below
-    ``tol_f``, when the simplex size (max distance from the best vertex)
-    drops below ``tol_x``, or after ``max_iter`` iterations. ``step``
-    sets the per-coordinate offset of the initial simplex.
+    ``tol_f`` and ``tol_x`` are the ``ftol`` and ``xtol`` stopping
+    tolerances of ``scipy.optimize.least_squares`` (relative change of the
+    cost and of the log-parameters), ``max_iter`` caps the residual
+    evaluations of each start (``max_nfev``), and ``step`` is the
+    half-width, in log-parameter units, of the uniform jitter applied to
+    the start point of every start after the first.
     """
 
     tol_f: float = 1e-7
@@ -56,106 +52,17 @@ class NelderMeadOptions:
     max_iter: int = 5000
     step: float = 0.02
 
-
-@dataclass(frozen=True)
-class NelderMeadResult:
-    x: np.ndarray
-    value: float
-    iterations: int
-    evaluations: int
-    converged: bool
-
-
-def nelder_mead(objective: Callable, start: Sequence[float],
-                options: Optional[NelderMeadOptions] = None,
-                on_iteration: Optional[Callable] = None) -> NelderMeadResult:
-    """Minimize ``objective`` with the standard simplex method.
-
-    Coefficients are reflection 1.0, expansion 2.0, contraction 0.5,
-    shrink 0.5. The objective must be finite at the start point; values
-    that come back non-finite during the run are treated as +inf, so the
-    corresponding vertex is simply never kept. Fully deterministic for a
-    given start and options.
-    """
-    opts = options or NelderMeadOptions()
-    x0 = np.array(start, dtype=float, copy=True).ravel()
-    if x0.size == 0:
-        raise ValidationError("start vector must not be empty")
-    ndim = x0.size
-    evaluations = 0
-
-    def f(x):
-        nonlocal evaluations
-        evaluations += 1
-        val = float(objective(x))
-        return val if math.isfinite(val) else math.inf
-
-    f0 = f(x0)
-    if not math.isfinite(f0):
-        raise ValidationError("objective is not finite at the start point")
-
-    steps = np.broadcast_to(np.asarray(opts.step, dtype=float), (ndim,))
-    simplex = np.tile(x0, (ndim + 1, 1))
-    values = np.empty(ndim + 1)
-    values[0] = f0
-    for i in range(ndim):
-        simplex[i + 1, i] += steps[i] if steps[i] != 0 else 1e-4
-        values[i + 1] = f(simplex[i + 1])
-
-    converged = False
-    iteration = 0
-    for iteration in range(1, opts.max_iter + 1):
-        order = np.argsort(values, kind="stable")
-        simplex = simplex[order]
-        values = values[order]
-
-        spread = values[-1] - values[0]
-        size = float(np.max(np.abs(simplex[1:] - simplex[0])))
-        if spread < opts.tol_f or size < opts.tol_x:
-            converged = True
-            break
-
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        reflected = centroid + _REFLECT * (centroid - worst)
-        f_r = f(reflected)
-        if f_r < values[0]:
-            expanded = centroid + _EXPAND * (centroid - worst)
-            f_e = f(expanded)
-            if f_e < f_r:
-                simplex[-1], values[-1] = expanded, f_e
-            else:
-                simplex[-1], values[-1] = reflected, f_r
-        elif f_r < values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
-        else:
-            if f_r < values[-1]:
-                contracted = centroid + _CONTRACT * (reflected - centroid)
-                f_c = f(contracted)
-                accept = f_c <= f_r
-            else:
-                contracted = centroid + _CONTRACT * (worst - centroid)
-                f_c = f(contracted)
-                accept = f_c < values[-1]
-            if accept:
-                simplex[-1], values[-1] = contracted, f_c
-            else:
-                for i in range(1, ndim + 1):
-                    simplex[i] = simplex[0] + _SHRINK * (simplex[i] - simplex[0])
-                    values[i] = f(simplex[i])
-
-        if on_iteration is not None:
-            best = int(np.argmin(values))
-            on_iteration(iteration, simplex[best].copy(), float(values[best]))
-
-    best = int(np.argmin(values))
-    return NelderMeadResult(
-        x=simplex[best].copy(),
-        value=float(values[best]),
-        iterations=iteration,
-        evaluations=evaluations,
-        converged=converged,
-    )
+    def __post_init__(self):
+        object.__setattr__(self, "tol_f", float(self.tol_f))
+        object.__setattr__(self, "tol_x", float(self.tol_x))
+        object.__setattr__(self, "max_iter", int(self.max_iter))
+        object.__setattr__(self, "step", float(self.step))
+        if self.max_iter < 1:
+            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
+        values = (self.tol_f, self.tol_x, self.step)
+        if not all(math.isfinite(x) and x >= 0 for x in values):
+            raise ValidationError(
+                f"tol_f, tol_x and step must be finite and >= 0, got {values}")
 
 
 def model_eigenfrequencies(circuit: CircuitSpec) -> np.ndarray:
@@ -199,6 +106,8 @@ def _normalize_bounds(bounds, spec: CircuitSpec, mask: dict) -> dict:
         sel = mask[name]
         if np.any(lo[sel] <= 0):
             raise ValidationError(f"{name} bounds must be positive")
+        if np.any(lo[sel] >= hi[sel]):
+            raise ValidationError(f"{name} bounds need lo < hi")
         if np.any((arr[sel] < lo[sel]) | (arr[sel] > hi[sel])):
             raise ValidationError(f"start {name} values fall outside their bounds")
         out[name] = (np.array(lo), np.array(hi))
@@ -266,22 +175,31 @@ def disorder_report(spec: CircuitSpec) -> dict:
 
 
 def fit_circuit_params(problem: FitProblem,
-                       options: Optional[NelderMeadOptions] = None,
+                       options: Optional[FitOptions] = None,
                        max_restarts: int = 8,
                        target_rms_GHz: float = 1e-7,
                        multi_start: int = 1) -> FitResult:
     """Fit the circuit's eigenfrequencies to the target list.
 
-    The optimizer walks the logs of the free parameters; vertices leaving
-    their bounds are clamped (and counted) before evaluation, and masked
-    parameters are carried over to the result bit-identically. When a
-    converged run is still above ``target_rms_GHz``, the simplex is
-    re-seeded around the best point with progressively smaller steps, up
-    to ``max_restarts`` times; ``multi_start`` > 1 additionally retries
-    from deterministically jittered copies of the start point and keeps
-    the best outcome, which escapes occasional secondary minima.
+    Each start runs ``scipy.optimize.least_squares`` (``method="dogbox"``,
+    finite-difference Jacobian) on the residuals between the model and
+    target eigenfrequencies, over the logs of the free parameters and
+    inside the problem's box bounds; masked parameters are carried over
+    to the result bit-identically. ``options`` sets the solver tolerances,
+    the per-start evaluation cap and the jitter width (see
+    :class:`FitOptions`). While the best RMS residual is above
+    ``target_rms_GHz``, up to ``multi_start - 1`` further starts are run
+    from deterministically jittered copies of the start point, and the
+    best outcome is kept; this escapes occasional secondary minima.
+    ``max_restarts`` is accepted for compatibility and has no effect.
+
+    In the result, ``evaluations`` counts residual evaluations including
+    those of the finite-difference Jacobians, ``iterations`` counts
+    Jacobian evaluations, ``restarts`` counts jittered starts run,
+    ``converged`` reports whether the kept run met a tolerance, and
+    ``clamped`` counts free parameters at a bound at the solution.
     """
-    opts = options or NelderMeadOptions()
+    opts = options or FitOptions()
     start = problem.start
     mask = _normalize_mask(problem.free, start)
     bounds = _normalize_bounds(problem.bounds, start, mask)
@@ -296,7 +214,8 @@ def fit_circuit_params(problem: FitProblem,
 
     targets = problem.target_freqs
     base = {name: np.array(arr) for name, arr in _family_arrays(start).items()}
-    clamped = 0
+    evaluations = 0
+    iterations = 0
 
     def assemble(x):
         arrays = {name: arr.copy() for name, arr in base.items()}
@@ -304,64 +223,46 @@ def fit_circuit_params(problem: FitProblem,
             arrays[name][i] = math.exp(value)
         return arrays
 
-    def objective(x):
-        nonlocal clamped
-        xc = np.clip(x, log_lo, log_hi)
-        if np.any(xc != x):
-            clamped += 1
-            x[:] = xc
-        arrays = assemble(xc)
-        try:
-            eps, v, w = _map_arrays(arrays["c0"], arrays["l0"],
-                                    arrays["lv"], arrays["cw"])
-        except ValidationError:
-            return math.inf
-        freqs = np.linalg.eigvalsh(_assemble_hamiltonian(eps, v, w))
-        return float(np.sqrt(np.mean((freqs - targets) ** 2)))
+    def residuals(x):
+        nonlocal evaluations
+        evaluations += 1
+        arrays = assemble(x)
+        eps, v, w = _map_arrays(arrays["c0"], arrays["l0"],
+                                arrays["lv"], arrays["cw"])
+        return np.linalg.eigvalsh(_assemble_hamiltonian(eps, v, w)) - targets
 
-    iterations = 0
-    evaluations = 0
+    def run(x_start):
+        nonlocal iterations
+        result = least_squares(residuals, x_start, bounds=(log_lo, log_hi),
+                               method="dogbox", ftol=opts.tol_f,
+                               xtol=opts.tol_x, max_nfev=opts.max_iter)
+        iterations += result.njev
+        return result, float(np.sqrt(np.mean(result.fun ** 2)))
+
+    result, rms = run(x0)
     restarts = 0
-
-    def run_from(x_start):
-        nonlocal iterations, evaluations, restarts
-        result = nelder_mead(objective, x_start, opts)
-        iterations += result.iterations
-        evaluations += result.evaluations
-        step = float(opts.step)
-        while result.value > target_rms_GHz and restarts < max_restarts:
-            restarts += 1
-            step *= 0.5
-            retry = NelderMeadOptions(tol_f=opts.tol_f, tol_x=opts.tol_x,
-                                      max_iter=opts.max_iter, step=step)
-            result = nelder_mead(objective, result.x, retry)
-            iterations += result.iterations
-            evaluations += result.evaluations
-        return result
-
-    result = run_from(x0)
     for attempt in range(1, max(int(multi_start), 1)):
-        if result.value <= target_rms_GHz:
+        if rms <= target_rms_GHz:
             break
-        restarts = 0
+        restarts += 1
         rng = np.random.default_rng([0x5517, attempt])
-        jittered = np.clip(x0 + 0.02 * rng.uniform(-1.0, 1.0, x0.size),
+        jittered = np.clip(x0 + opts.step * rng.uniform(-1.0, 1.0, x0.size),
                            log_lo, log_hi)
-        retry = run_from(jittered)
-        if retry.value < result.value:
-            result = retry
+        retry, retry_rms = run(jittered)
+        if retry_rms < rms:
+            result, rms = retry, retry_rms
 
-    arrays = assemble(np.clip(result.x, log_lo, log_hi))
+    arrays = assemble(result.x)
     best = CircuitSpec(start.n_cells, arrays["c0"], arrays["l0"],
                        arrays["lv"], arrays["cw"])
     return FitResult(
         best=best,
-        residual_rms_kHz=float(result.value * 1e6),
+        residual_rms_kHz=rms * 1e6,
         iterations=iterations,
         evaluations=evaluations,
         restarts=restarts,
-        converged=result.converged,
-        clamped=clamped,
+        converged=bool(result.status > 0),
+        clamped=int(np.count_nonzero(result.active_mask)),
         disorder_report_pct=disorder_report(best),
     )
 

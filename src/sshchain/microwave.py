@@ -22,7 +22,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import OptimizeWarning, curve_fit
 from scipy.signal import find_peaks, peak_widths
 
-from .chain import CircuitSpec
+from .chain import CircuitSpec, _site_array
 from .csvout import write_csv, write_json
 from .errors import ExtrapolationError, NumericalError, ValidationError
 from .spectral import Spectrum
@@ -58,21 +58,6 @@ _NH = 1e-9
 _FF = 1e-15
 
 
-def _gate_array(values, length, name, positive=False) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(length, float(arr))
-    if arr.shape != (length,):
-        raise ValidationError(f"{name} must have length {length}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} entries must be finite")
-    if positive and not np.all(arr > 0):
-        raise ValidationError(f"{name} entries must be > 0")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class GateModel:
     """Per-junction map from gate voltage and signal current to inductance.
@@ -98,10 +83,10 @@ class GateModel:
         if n < 1:
             raise ValidationError(f"n_junctions must be >= 1, got {self.n_junctions}")
         object.__setattr__(self, "n_junctions", n)
-        object.__setattr__(self, "v_p", _gate_array(self.v_p, n, "v_p"))
-        object.__setattr__(self, "v_o", _gate_array(self.v_o, n, "v_o"))
-        object.__setattr__(self, "l_min", _gate_array(self.l_min, n, "l_min", positive=True))
-        object.__setattr__(self, "i_star", _gate_array(self.i_star, n, "i_star", positive=True))
+        object.__setattr__(self, "v_p", _site_array(self.v_p, n, "v_p"))
+        object.__setattr__(self, "v_o", _site_array(self.v_o, n, "v_o"))
+        object.__setattr__(self, "l_min", _site_array(self.l_min, n, "l_min", positive=True))
+        object.__setattr__(self, "i_star", _site_array(self.i_star, n, "i_star", positive=True))
         if np.any(self.v_p >= self.v_o):
             raise ValidationError("each junction needs v_p < v_o")
         if self.mode not in ("parametric", "table"):

@@ -240,30 +240,24 @@ def _perturbed(values: np.ndarray, rng, delta: float) -> np.ndarray:
 
 
 def _draw_sample(base: ChainSpec, config: DisorderConfig, index: int):
-    """One disorder realization; returns (sample, rejection count).
+    """One disorder realization.
 
     The stream is keyed by (seed, index) and consumed in the fixed order
     eps, v, w for the targeted families, so samples are reproducible
-    regardless of evaluation order.
+    regardless of evaluation order. Strength < 1 and non-negative base
+    hops keep every drawn hop non-negative, so no draw is ever rejected.
     """
     rng = np.random.default_rng([config.seed & 0xFFFFFFFFFFFFFFFF, index])
-    rejections = 0
-    for _ in range(100):
-        eps = _perturbed(base.eps, rng, config.strength) if "eps" in config.targets else base.eps
-        v = _perturbed(base.v, rng, config.strength) if "v" in config.targets else base.v
-        w = _perturbed(base.w, rng, config.strength) if "w" in config.targets else base.w
-        if np.any(v < 0) or np.any(w < 0):
-            rejections += 1
-            continue
-        chain = ChainSpec(base.n_cells, eps, v, w)
-        eps_ref = float(np.mean(chain.eps))
-        h = build_tb_hamiltonian(chain)
-        nu = winding_number_real_space(h, eps_ref).nu
-        evals = np.linalg.eigvalsh(h)
-        min_gap = float(np.min(np.abs(evals - eps_ref)))
-        return DisorderSample(index=index, nu=nu, min_gap_GHz=min_gap), rejections
-    raise NumericalError(
-        f"sample {index}: 100 consecutive draws produced negative hops")
+    eps = _perturbed(base.eps, rng, config.strength) if "eps" in config.targets else base.eps
+    v = _perturbed(base.v, rng, config.strength) if "v" in config.targets else base.v
+    w = _perturbed(base.w, rng, config.strength) if "w" in config.targets else base.w
+    chain = ChainSpec(base.n_cells, eps, v, w)
+    eps_ref = float(np.mean(chain.eps))
+    h = build_tb_hamiltonian(chain)
+    nu = winding_number_real_space(h, eps_ref).nu
+    evals = np.linalg.eigvalsh(h)
+    min_gap = float(np.min(np.abs(evals - eps_ref)))
+    return DisorderSample(index=index, nu=nu, min_gap_GHz=min_gap)
 
 
 def disorder_ensemble(base: ChainSpec, config: DisorderConfig,
@@ -273,23 +267,22 @@ def disorder_ensemble(base: ChainSpec, config: DisorderConfig,
     Each sample perturbs the targeted parameter families by x(1 + delta*u)
     with u uniform in [-1, 1], then records the real-space winding number
     and the smallest distance of any eigenvalue to the sample's mean
-    on-site energy. Draws that would produce a negative hop are redrawn
-    and counted.
+    on-site energy. With delta < 1 no hop can turn negative, so
+    ``rejections`` is always 0; it stays in the result and its JSON as
+    part of the file format.
     """
     indices = range(config.samples)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            drawn = list(pool.map(lambda k: _draw_sample(base, config, k), indices))
+            samples = tuple(pool.map(lambda k: _draw_sample(base, config, k), indices))
     else:
-        drawn = [_draw_sample(base, config, k) for k in indices]
-    samples = tuple(s for s, _ in drawn)
-    rejections = int(sum(r for _, r in drawn))
+        samples = tuple(_draw_sample(base, config, k) for k in indices)
     nus = np.array([s.nu for s in samples])
     return EnsembleResult(
         samples=samples,
         mean_nu=float(np.mean(nus)),
         std_nu=float(np.std(nus)),
-        rejections=rejections,
+        rejections=0,
         seed=config.seed,
     )
 

@@ -234,3 +234,25 @@ class TestFitCommand:
         assert payload["disorder_report_pct"]["c0"] < 0.1
         assert (tmp_path / "fit_rt_sites.csv").exists()
         assert (tmp_path / "fit_rt_couplings.csv").exists()
+
+    def test_solver_options_through_set(self, capsys, tmp_path):
+        config = os.path.join(CONFIG_DIR, "fit_roundtrip.json")
+
+        def fit(label, *sets):
+            args = [a for expr in sets for a in ("--set", expr)]
+            return run(capsys, "fit", "--config", config, *args,
+                       "--out-dir", str(tmp_path), "--label", label)
+
+        code, _, _ = fit("tuned", "options.tol_f=1e-9", "options.tol_x=1e-10",
+                         "options.max_iter=400", "options.step=0.01")
+        assert code == 0
+        payload = json.loads((tmp_path / "fit_tuned.json").read_text())
+        assert payload["residual_rms_kHz"] < 1.0
+        # a one-evaluation cap stops every start before any tolerance is met
+        code, _, _ = fit("capped", "options.max_iter=1", "multi_start=1")
+        assert code == 0
+        payload = json.loads((tmp_path / "fit_capped.json").read_text())
+        assert payload["converged"] is False
+        code, _, err = fit("bad", "options.max_iter=0")
+        assert code == 1
+        assert "max_iter" in err
