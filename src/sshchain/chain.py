@@ -38,14 +38,33 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _float_array(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
+
+
+def _coerce(value, name: str, kind=float):
+    """``kind(value)``; a value ``kind`` cannot convert is a ValidationError.
+
+    Config documents arrive from outside the program, so a string or a
+    list where a number belongs must fail validation by name instead of
+    escaping as a bare TypeError or ValueError.
+    """
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "numeric"
+        raise ValidationError(f"{name} must be {what}, got {value!r}") from None
+
+
 def _site_array(values, length: int, name: str, allow_inf: bool = False,
                 positive: bool = False, nonnegative: bool = False) -> np.ndarray:
     """Coerce ``values`` to a read-only float array of ``length`` entries.
 
-    Scalars broadcast to the full length. Raises ValidationError on shape,
-    NaN, infinity (unless allowed) or sign violations.
+    Scalars broadcast to the full length. Raises ValidationError on
+    non-numeric entries, shape, NaN, infinity (unless allowed) or sign
+    violations.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = _coerce(values, name, _float_array)
     if arr.ndim == 0:
         arr = np.full(length, float(arr))
     if arr.shape != (length,):
@@ -63,7 +82,7 @@ def _site_array(values, length: int, name: str, allow_inf: bool = False,
 
 
 def _check_n_cells(n_cells) -> int:
-    n = int(n_cells)
+    n = _coerce(n_cells, "n_cells", int)
     if n < 1:
         raise ValidationError(f"n_cells must be >= 1, got {n_cells}")
     return n

@@ -3,8 +3,11 @@
 Each subcommand reads one JSON config document (optionally patched by
 dotted ``--set`` overrides), validates it against a strict key schema,
 dispatches into the library and writes ``<command>_<label>.*`` files into
-the output directory. Identical config and seed produce byte-identical
-CSVs regardless of ``--threads``.
+the output directory. Every run is serial: ``--threads`` and the config
+key ``threads`` are accepted and validated (>= 1) but have no effect, so
+identical config and seed produce byte-identical CSVs whatever they are
+set to. Config values that cannot be converted to the number they stand
+for fail validation by key, with exit code 1.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from . import estimation as est_mod
 from . import microwave as mw_mod
 from . import spectral as spec_mod
 from . import topology as topo_mod
+from .chain import _coerce, _float_array
 from .csvout import ensure_dir, fmt, write_csv, write_json
 from .errors import NumericalError, ValidationError
 
@@ -123,6 +127,10 @@ def _list_index(node, part, dotted):
     return idx
 
 
+def _float_list(values, name):
+    return _coerce(values, name, lambda seq: [float(x) for x in seq])
+
+
 def _require(config, key, command):
     if key not in config:
         raise ValidationError(f"'{command}' config needs '{key}'")
@@ -143,10 +151,11 @@ def _freq_grid(config) -> np.ndarray:
     for key in ("start_GHz", "stop_GHz", "points"):
         if key not in spec:
             raise ValidationError(f"freqs needs '{key}'")
-    points = int(spec["points"])
+    points = _coerce(spec["points"], "freqs.points", int)
     if points < 2:
         raise ValidationError("freqs.points must be >= 2")
-    return np.linspace(float(spec["start_GHz"]), float(spec["stop_GHz"]), points)
+    return np.linspace(_coerce(spec["start_GHz"], "freqs.start_GHz"),
+                       _coerce(spec["stop_GHz"], "freqs.stop_GHz"), points)
 
 
 def _box_from(config):
@@ -154,9 +163,9 @@ def _box_from(config):
         return None
     box = config["box"]
     return mw_mod.BoxMode(
-        f_box=float(box.get("f_box_GHz", 6.0)),
-        q_box=float(box.get("q_box", 10.0)),
-        coupling=float(box.get("coupling", 1.0)),
+        f_box=_coerce(box.get("f_box_GHz", 6.0), "box.f_box_GHz"),
+        q_box=_coerce(box.get("q_box", 10.0), "box.q_box"),
+        coupling=_coerce(box.get("coupling", 1.0), "box.coupling"),
     )
 
 
@@ -189,9 +198,9 @@ def _classify_circuit(circuit):
     return mapped, spectrum, spec_mod.classify_modes(spectrum, eps_ref)
 
 
-def _run_spectrum(config, out_dir, label, threads):
+def _run_spectrum(config, out_dir, label):
     chain = _chain_from(config, "spectrum")
-    eps_ref = float(config.get("eps_ref_GHz", np.mean(chain.eps)))
+    eps_ref = _coerce(config.get("eps_ref_GHz", np.mean(chain.eps)), "eps_ref_GHz")
     spectrum = spec_mod.eigendecompose(chain_mod.build_tb_hamiltonian(chain))
     cls = spec_mod.classify_modes(spectrum, eps_ref)
     rows = [(k, float(f), lab) for k, (f, lab)
@@ -208,20 +217,20 @@ def _run_spectrum(config, out_dir, label, threads):
             f"fsr_edge_edge_GHz={fmt(cls.fsr_edge_edge)}")
 
 
-def _run_sweep(config, out_dir, label, threads):
+def _run_sweep(config, out_dir, label):
     circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "sweep"))
     grid_cfg = _require(config, "lv_grid", "sweep")
     if "values_nH" in grid_cfg:
-        grid = [float(x) for x in grid_cfg["values_nH"]]
+        grid = _float_list(grid_cfg["values_nH"], "lv_grid.values_nH")
     else:
-        start = float(grid_cfg["start_nH"])
-        stop = float(grid_cfg["stop_nH"])
-        step = float(grid_cfg["step_nH"])
+        start = _coerce(grid_cfg["start_nH"], "lv_grid.start_nH")
+        stop = _coerce(grid_cfg["stop_nH"], "lv_grid.stop_nH")
+        step = _coerce(grid_cfg["step_nH"], "lv_grid.step_nH")
         if step <= 0 or stop < start:
             raise ValidationError("lv_grid needs step_nH > 0 and stop >= start")
         grid = list(np.arange(start, stop + step / 2, step))
     cells = config.get("cells")
-    sweep = spec_mod.sweep_coupling(circuit, grid, cells=cells, threads=threads)
+    sweep = spec_mod.sweep_coupling(circuit, grid, cells=cells)
     spec_mod.write_sweep_csv(
         sweep,
         os.path.join(out_dir, f"sweep_{label}.csv"),
@@ -232,17 +241,17 @@ def _run_sweep(config, out_dir, label, threads):
     return f"points={len(sweep)} crossing_lv_nH={fmt(crossing)}"
 
 
-def _run_winding(config, out_dir, label, threads):
+def _run_winding(config, out_dir, label):
     method = config.get("method", "k-space")
     if method == "k-space":
         for key in ("v_GHz", "w_GHz"):
             if key not in config:
                 raise ValidationError(f"k-space winding needs '{key}'")
         result = topo_mod.winding_number_k_space(
-            float(config["v_GHz"]), float(config["w_GHz"]))
+            _coerce(config["v_GHz"], "v_GHz"), _coerce(config["w_GHz"], "w_GHz"))
     elif method == "real-space":
         chain = _chain_from(config, "winding")
-        eps_ref = float(config.get("eps_ref_GHz", np.mean(chain.eps)))
+        eps_ref = _coerce(config.get("eps_ref_GHz", np.mean(chain.eps)), "eps_ref_GHz")
         result = topo_mod.winding_number_real_space(
             chain_mod.build_tb_hamiltonian(chain), eps_ref)
     else:
@@ -256,7 +265,7 @@ def _run_winding(config, out_dir, label, threads):
     return f"nu={fmt(result.nu)} method={result.method}"
 
 
-def _run_ipr(config, out_dir, label, threads):
+def _run_ipr(config, out_dir, label):
     chain = _chain_from(config, "ipr")
     spectrum = spec_mod.eigendecompose(chain_mod.build_tb_hamiltonian(chain))
     values = [topo_mod.ipr(spectrum.eigenvectors[:, k])
@@ -268,7 +277,7 @@ def _run_ipr(config, out_dir, label, threads):
     return f"modes={len(values)} ipr_min={fmt(min(values))} ipr_max={fmt(max(values))}"
 
 
-def _run_disorder(config, out_dir, label, threads):
+def _run_disorder(config, out_dir, label):
     chain = _chain_from(config, "disorder")
     cfg = _require(config, "disorder", "disorder")
     seed = cfg.get("seed", config.get("seed"))
@@ -276,11 +285,11 @@ def _run_disorder(config, out_dir, label, threads):
         raise ValidationError("disorder runs need a seed (config 'seed' or --seed)")
     dconf = topo_mod.DisorderConfig(
         strength=cfg.get("strength", 0.1),
-        targets=tuple(cfg.get("targets", ("v", "w"))),
+        targets=cfg.get("targets", ("v", "w")),
         samples=cfg.get("samples", 100),
-        seed=int(seed),
+        seed=seed,
     )
-    result = topo_mod.disorder_ensemble(chain, dconf, threads=threads)
+    result = topo_mod.disorder_ensemble(chain, dconf)
     topo_mod.write_ensemble_outputs(
         result,
         os.path.join(out_dir, f"disorder_{label}.csv"),
@@ -289,12 +298,12 @@ def _run_disorder(config, out_dir, label, threads):
             f"rejections={result.rejections}")
 
 
-def _run_s21(config, out_dir, label, threads):
+def _run_s21(config, out_dir, label):
     circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "s21"))
     freqs = _freq_grid(config)
     trace = mw_mod.s21_trace(
         circuit, freqs,
-        z0=float(config.get("z0_ohm", 50.0)),
+        z0=_coerce(config.get("z0_ohm", 50.0), "z0_ohm"),
         box=_box_from(config),
         power_dBm=config.get("power_dBm"),
     )
@@ -309,18 +318,20 @@ def _gate_settings_from(config, model):
     sweep = _require(config, "sweep", "gatesweep")
     kind = sweep.get("kind", "joint")
     if kind == "joint":
-        return mw_mod.joint_gate_settings(model, int(sweep.get("steps", 11)))
+        return mw_mod.joint_gate_settings(
+            model, _coerce(sweep.get("steps", 11), "sweep.steps", int))
     if kind == "single":
         if "junction" not in sweep:
             raise ValidationError("single gate sweep needs 'junction'")
-        voltages = np.linspace(float(sweep.get("start_V", model.v_p[int(sweep["junction"])])),
-                               float(sweep.get("stop_V", model.v_o[int(sweep["junction"])])),
-                               int(sweep.get("points", 11)))
-        return mw_mod.single_gate_settings(model, int(sweep["junction"]), voltages)
+        j = _coerce(sweep["junction"], "sweep.junction", int)
+        voltages = np.linspace(_coerce(sweep.get("start_V", model.v_p[j]), "sweep.start_V"),
+                               _coerce(sweep.get("stop_V", model.v_o[j]), "sweep.stop_V"),
+                               _coerce(sweep.get("points", 11), "sweep.points", int))
+        return mw_mod.single_gate_settings(model, j, voltages)
     if kind == "explicit":
         if "settings_V" not in sweep:
             raise ValidationError("explicit gate sweep needs 'settings_V'")
-        return np.asarray(sweep["settings_V"], dtype=float)
+        return _coerce(sweep["settings_V"], "sweep.settings_V", _float_array)
     raise ValidationError(
         f"sweep.kind must be joint, single or explicit, got {kind!r}")
 
@@ -331,16 +342,15 @@ def _classification_row(circuit, model, voltages, i_s):
     return gated, cls
 
 
-def _run_gatesweep(config, out_dir, label, threads):
+def _run_gatesweep(config, out_dir, label):
     circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "gatesweep"))
     model = _gate_from(config, circuit.n_cells)
     settings = _gate_settings_from(config, model)
-    i_s = float(config.get("i_s_uA", 0.0))
+    i_s = _coerce(config.get("i_s_uA", 0.0), "i_s_uA")
     freqs = _freq_grid(config)
     traces = mw_mod.gate_sweep_spectrum(
         circuit, model, settings, i_s, freqs,
-        box=_box_from(config), z0=float(config.get("z0_ohm", 50.0)),
-        threads=threads)
+        box=_box_from(config), z0=_coerce(config.get("z0_ohm", 50.0), "z0_ohm"))
     emit_traces = bool(config.get("emit_traces", True))
     n_written = 0
     if emit_traces:
@@ -362,7 +372,7 @@ def _run_gatesweep(config, out_dir, label, threads):
     return f"settings={settings.shape[0]} traces_written={n_written}"
 
 
-def _run_powersweep(config, out_dir, label, threads):
+def _run_powersweep(config, out_dir, label):
     circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "powersweep"))
     model = _gate_from(config, circuit.n_cells)
     setting = config.get("setting_V", "open")
@@ -375,14 +385,15 @@ def _run_powersweep(config, out_dir, label, threads):
             raise ValidationError(
                 f"setting_V must be 'open', 'pinch' or a voltage list, got {setting!r}")
     else:
-        voltages = np.asarray(setting, dtype=float)
+        voltages = _coerce(setting, "setting_V", _float_array)
     grid_cfg = _require(config, "i_s_grid", "powersweep")
     if "values_uA" in grid_cfg:
-        i_grid = [float(x) for x in grid_cfg["values_uA"]]
+        i_grid = _float_list(grid_cfg["values_uA"], "i_s_grid.values_uA")
     else:
-        i_grid = list(np.linspace(float(grid_cfg.get("start_uA", 0.0)),
-                                  float(grid_cfg["stop_uA"]),
-                                  int(grid_cfg.get("points", 9))))
+        i_grid = list(np.linspace(
+            _coerce(grid_cfg.get("start_uA", 0.0), "i_s_grid.start_uA"),
+            _coerce(grid_cfg["stop_uA"], "i_s_grid.stop_uA"),
+            _coerce(grid_cfg.get("points", 9), "i_s_grid.points", int)))
     emit_traces = bool(config.get("emit_traces", False))
     rows = []
     phases = []
@@ -393,7 +404,7 @@ def _run_powersweep(config, out_dir, label, threads):
                           + [cls.fsr_edge_bulk, cls.fsr_edge_edge, cls.phase_tag]))
         if emit_traces:
             trace = mw_mod.s21_trace(
-                gated, _freq_grid(config), z0=float(config.get("z0_ohm", 50.0)),
+                gated, _freq_grid(config), z0=_coerce(config.get("z0_ohm", 50.0), "z0_ohm"),
                 box=_box_from(config),
                 metadata={"i_s_uA": float(i_s),
                           "gate_setting_V": [float(v) for v in voltages]})
@@ -407,14 +418,14 @@ def _run_powersweep(config, out_dir, label, threads):
     return f"points={len(i_grid)} phase_first={phases[0]} phase_last={phases[-1]}"
 
 
-def _run_fit(config, out_dir, label, threads):
+def _run_fit(config, out_dir, label):
     problem = est_mod.fit_problem_from_dict(_require(config, "fit", "fit"))
     options = est_mod.FitOptions(**config.get("options", {}))
     result = est_mod.fit_circuit_params(
         problem, options=options,
-        max_restarts=int(config.get("max_restarts", 8)),
-        target_rms_GHz=float(config.get("target_rms_GHz", 1e-7)),
-        multi_start=int(config.get("multi_start", 1)),
+        max_restarts=_coerce(config.get("max_restarts", 8), "max_restarts", int),
+        target_rms_GHz=_coerce(config.get("target_rms_GHz", 1e-7), "target_rms_GHz"),
+        multi_start=_coerce(config.get("multi_start", 1), "multi_start", int),
     )
     est_mod.write_fit_outputs(
         result,
@@ -453,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--label", help="output file label (default: timestamp)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="parallelism cap for sweeps and ensembles")
+                       help="accepted for compatibility (>= 1); has no effect, "
+                            "every run is serial")
         p.add_argument("--dry-run", action="store_true",
                        help="validate the config and print the resolved "
                             "parameter set without computing")
@@ -501,10 +513,10 @@ def main(argv=None) -> int:
         label = args.label or config.get("label") \
             or time.strftime("%Y%m%dT%H%M%S")
         threads = args.threads if args.threads is not None \
-            else int(config.get("threads", 1))
+            else _coerce(config.get("threads", 1), "threads", int)
         if threads < 1:
             raise ValidationError(f"threads must be >= 1, got {threads}")
-        summary = RUNNERS[args.command](config, out_dir, label, threads)
+        summary = RUNNERS[args.command](config, out_dir, label)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

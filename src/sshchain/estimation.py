@@ -16,7 +16,13 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import least_squares
 
-from .chain import CircuitSpec, _assemble_hamiltonian, _map_arrays
+from .chain import (
+    CircuitSpec,
+    _assemble_hamiltonian,
+    _coerce,
+    _float_array,
+    _map_arrays,
+)
 from .csvout import write_csv, write_json
 from .errors import ValidationError
 
@@ -53,10 +59,10 @@ class FitOptions:
     step: float = 0.02
 
     def __post_init__(self):
-        object.__setattr__(self, "tol_f", float(self.tol_f))
-        object.__setattr__(self, "tol_x", float(self.tol_x))
-        object.__setattr__(self, "max_iter", int(self.max_iter))
-        object.__setattr__(self, "step", float(self.step))
+        object.__setattr__(self, "tol_f", _coerce(self.tol_f, "tol_f"))
+        object.__setattr__(self, "tol_x", _coerce(self.tol_x, "tol_x"))
+        object.__setattr__(self, "max_iter", _coerce(self.max_iter, "max_iter", int))
+        object.__setattr__(self, "step", _coerce(self.step, "step"))
         if self.max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
         values = (self.tol_f, self.tol_x, self.step)
@@ -97,8 +103,8 @@ def _normalize_bounds(bounds, spec: CircuitSpec, mask: dict) -> dict:
     for name, arr in families.items():
         if bounds is not None and name in bounds:
             lo, hi = bounds[name]
-            lo = np.broadcast_to(np.asarray(lo, dtype=float), arr.shape)
-            hi = np.broadcast_to(np.asarray(hi, dtype=float), arr.shape)
+            lo = np.broadcast_to(_coerce(lo, f"{name} bounds", _float_array), arr.shape)
+            hi = np.broadcast_to(_coerce(hi, f"{name} bounds", _float_array), arr.shape)
         else:
             finite = np.where(np.isfinite(arr), arr, 1.0)
             lo = finite / 10.0
@@ -134,7 +140,8 @@ class FitProblem:
     bounds: Optional[dict] = None
 
     def __post_init__(self):
-        targets = np.sort(np.asarray(self.target_freqs, dtype=float).ravel())
+        targets = np.sort(
+            _coerce(self.target_freqs, "target frequencies", _float_array).ravel())
         if targets.size != self.start.n_sites:
             raise ValidationError(
                 f"need {self.start.n_sites} target frequencies, got {targets.size}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -22,7 +21,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import OptimizeWarning, curve_fit
 from scipy.signal import find_peaks, peak_widths
 
-from .chain import CircuitSpec, _site_array
+from .chain import CircuitSpec, _coerce, _float_array, _site_array
 from .csvout import write_csv, write_json
 from .errors import ExtrapolationError, NumericalError, ValidationError
 from .spectral import Spectrum
@@ -103,7 +102,7 @@ class GateModel:
                     f"need one table per junction ({n}), got {len(tables)}")
             frozen = []
             for j, tab in enumerate(tables):
-                arr = np.asarray(tab, dtype=float)
+                arr = _coerce(tab, f"table {j}", _float_array)
                 if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
                     raise ValidationError(
                         f"table {j} must be (M, 2) samples with M >= 2")
@@ -146,12 +145,8 @@ class S21Trace:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        freqs = np.array(self.freqs, dtype=float, copy=True)
+        freqs = _increasing_grid(np.array(self.freqs, dtype=float, copy=True))
         s21 = np.array(self.s21, dtype=complex, copy=True)
-        if freqs.ndim != 1 or freqs.size == 0:
-            raise ValidationError("frequency grid must be a non-empty 1-D array")
-        if np.any(np.diff(freqs) <= 0):
-            raise ValidationError("frequency grid must be strictly increasing")
         if s21.shape != freqs.shape:
             raise ValidationError(
                 f"s21 shape {s21.shape} does not match grid {freqs.shape}")
@@ -246,15 +241,20 @@ def single_gate_settings(model: GateModel, junction: int,
     return settings
 
 
-def _validate_freqs(freqs) -> np.ndarray:
-    freqs = np.asarray(freqs, dtype=float)
+def _increasing_grid(freqs: np.ndarray) -> np.ndarray:
+    """Check that ``freqs`` is a non-empty, strictly increasing 1-D grid."""
     if freqs.ndim != 1 or freqs.size == 0:
         raise ValidationError("frequency grid must be a non-empty 1-D array")
+    if np.any(np.diff(freqs) <= 0):
+        raise ValidationError("frequency grid must be strictly increasing")
+    return freqs
+
+
+def _validate_freqs(freqs) -> np.ndarray:
+    freqs = _increasing_grid(np.asarray(freqs, dtype=float))
     if np.any(freqs <= 0):
         raise ValidationError(
             "frequency 0 (or below) makes reactive elements singular")
-    if np.any(np.diff(freqs) <= 0):
-        raise ValidationError("frequency grid must be strictly increasing")
     return freqs
 
 
@@ -521,7 +521,7 @@ def mode_linewidths(spectrum: Spectrum, kappa_port: float) -> np.ndarray:
 def gate_sweep_spectrum(circuit: CircuitSpec, model: GateModel,
                         settings: Sequence[Sequence[float]], i_s: float,
                         freqs: Sequence[float], box: Optional[BoxMode] = None,
-                        z0: float = 50.0, threads: int = 1) -> list:
+                        z0: float = 50.0) -> list:
     """One transmission trace per gate setting.
 
     Each setting lists one voltage per junction; the coupling inductances
@@ -532,19 +532,11 @@ def gate_sweep_spectrum(circuit: CircuitSpec, model: GateModel,
     if settings.ndim != 2 or settings.shape[1] != circuit.n_cells:
         raise ValidationError(
             f"settings must be (n_settings, {circuit.n_cells}), got {settings.shape}")
-
-    def one(k):
-        voltages = settings[k]
-        gated = apply_gate_setting(circuit, model, voltages, i_s)
-        return s21_trace(
-            gated, freqs, z0=z0, box=box,
-            metadata={"gate_setting_V": [float(v) for v in voltages],
-                      "i_s_uA": float(i_s), "setting_index": int(k)})
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(settings.shape[0])))
-    return [one(k) for k in range(settings.shape[0])]
+    return [s21_trace(apply_gate_setting(circuit, model, voltages, i_s),
+                      freqs, z0=z0, box=box,
+                      metadata={"gate_setting_V": [float(v) for v in voltages],
+                                "i_s_uA": float(i_s), "setting_index": k})
+            for k, voltages in enumerate(settings)]
 
 
 def read_gate_table_csv(path) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -185,14 +184,12 @@ def _sweep_point(circuit: CircuitSpec, lv_value: float, cells) -> SweepPoint:
 
 
 def sweep_coupling(circuit: CircuitSpec, lv_grid: Sequence[float],
-                   cells: Optional[Sequence[int]] = None,
-                   threads: int = 1) -> list:
+                   cells: Optional[Sequence[int]] = None) -> list:
     """Diagonalize the circuit for each coupling inductance on the grid.
 
     ``cells`` restricts which unit cells receive the swept value (all by
-    default); untouched cells keep the lv of the input circuit. Points are
-    independent, so they may be evaluated in parallel; the output is
-    always in grid order.
+    default); untouched cells keep the lv of the input circuit. The output
+    is in grid order.
     """
     grid = [float(x) for x in lv_grid]
     if not grid:
@@ -209,10 +206,6 @@ def sweep_coupling(circuit: CircuitSpec, lv_grid: Sequence[float],
         if np.any(cell_idx < 0) or np.any(cell_idx >= circuit.n_cells):
             raise ValidationError(
                 f"cell mask {cell_idx.tolist()} outside 0..{circuit.n_cells - 1}")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda x: _sweep_point(circuit, x, cell_idx), grid))
     return [_sweep_point(circuit, x, cell_idx) for x in grid]
 
 

@@ -2,19 +2,19 @@
 
 The real-space winding number follows the flatband construction: spectral
 projectors of the shifted Hamiltonian build Q = P+ - P-, the sublattice
-blocks Q_AB = P_A Q P_B enter a commutator with the cell-position operator,
-and the trace is normalized per unit cell.
+blocks Q_AB (A rows, B columns) and Q_BA enter a commutator with the
+cell-position operator, and the trace is normalized per unit cell
+(Mondragon-Shem, Hughes, Song and Prodan, PRL 113, 046802 (2014)).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, build_tb_hamiltonian, chiral_operator
+from .chain import ChainSpec, _coerce, build_tb_hamiltonian
 from .csvout import write_csv, write_json
 from .errors import (
     DegenerateMidgapError,
@@ -56,7 +56,7 @@ class DisorderConfig:
 
     ``targets`` is any subset of {"v", "w", "eps"}. Sample k draws from an
     independent PCG64 stream keyed by (seed, k), so results do not depend
-    on evaluation order or thread count.
+    on evaluation order.
     """
 
     strength: float
@@ -65,23 +65,27 @@ class DisorderConfig:
     seed: int
 
     def __post_init__(self):
-        strength = float(self.strength)
+        strength = _coerce(self.strength, "strength")
         if not (0.0 <= strength < 1.0):
             raise ValidationError(
                 f"multiplicative disorder strength must be in [0, 1), got {strength}")
-        targets = tuple(sorted(set(self.targets)))
+        try:
+            targets = tuple(sorted(set(self.targets)))
+        except TypeError:
+            raise ValidationError(
+                f"disorder targets must be a list of names, got {self.targets!r}") from None
         bad = [t for t in targets if t not in ("v", "w", "eps")]
         if bad:
             raise ValidationError(f"unknown disorder targets: {bad}")
         if not targets:
             raise ValidationError("disorder targets must not be empty")
-        samples = int(self.samples)
+        samples = _coerce(self.samples, "samples", int)
         if samples < 1:
             raise ValidationError(f"sample count must be >= 1, got {samples}")
         object.__setattr__(self, "strength", strength)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _coerce(self.seed, "seed", int))
 
 
 @dataclass(frozen=True)
@@ -124,9 +128,9 @@ def flatband(h: np.ndarray, eps_ref: float, zero_tol: float = ZERO_TOL) -> np.nd
     idx = np.flatnonzero(zero)
     if n_zero != 2:
         raise DegenerateMidgapError(idx)
-    gamma = chiral_operator(dim // 2).matrix
     sub = evecs[:, idx]
-    block = sub.T @ gamma @ sub
+    # chirality Gamma = diag(+1, -1, ...) restricted to the zero-mode pair
+    block = sub[0::2].T @ sub[0::2] - sub[1::2].T @ sub[1::2]
     bvals, bvecs = np.linalg.eigh(block)
     if not (bvals[0] < -0.5 and bvals[1] > 0.5):
         raise DegenerateMidgapError(
@@ -148,17 +152,13 @@ def winding_number_real_space(h: np.ndarray, eps_ref: float) -> WindingResult:
     to +1.
     """
     q = flatband(h, eps_ref)
-    dim = q.shape[0]
-    n_cells = dim // 2
-    gamma = chiral_operator(n_cells).matrix
-    p_a = 0.5 * (np.eye(dim) + gamma)
-    p_b = 0.5 * (np.eye(dim) - gamma)
-    x = np.repeat(np.arange(1, n_cells + 1, dtype=float), 2)
-    q_ab = p_a @ q @ p_b
-    q_ba = p_b @ q @ p_a
-    comm = (x[:, None] * q_ab) - (q_ab * x[None, :])
+    n_cells = q.shape[0] // 2
+    x = np.arange(1, n_cells + 1, dtype=float)
+    q_ab = q[0::2, 1::2]
+    q_ba = q[1::2, 0::2]
+    comm = (x[:, None] - x[None, :]) * q_ab
     diag = np.einsum("ij,ji->i", q_ba, comm)
-    bulk = slice(2, dim - 2) if n_cells > 2 else slice(0, dim)
+    bulk = slice(1, n_cells - 1) if n_cells > 2 else slice(0, n_cells)
     nu = float(np.sum(diag[bulk])) / n_cells
     return WindingResult(nu=nu, chain_length=n_cells, method="real-space")
 
@@ -260,8 +260,7 @@ def _draw_sample(base: ChainSpec, config: DisorderConfig, index: int):
     return DisorderSample(index=index, nu=nu, min_gap_GHz=min_gap)
 
 
-def disorder_ensemble(base: ChainSpec, config: DisorderConfig,
-                      threads: int = 1) -> EnsembleResult:
+def disorder_ensemble(base: ChainSpec, config: DisorderConfig) -> EnsembleResult:
     """Seeded multiplicative-disorder ensemble of winding numbers.
 
     Each sample perturbs the targeted parameter families by x(1 + delta*u)
@@ -271,12 +270,7 @@ def disorder_ensemble(base: ChainSpec, config: DisorderConfig,
     ``rejections`` is always 0; it stays in the result and its JSON as
     part of the file format.
     """
-    indices = range(config.samples)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = tuple(pool.map(lambda k: _draw_sample(base, config, k), indices))
-    else:
-        samples = tuple(_draw_sample(base, config, k) for k in indices)
+    samples = tuple(_draw_sample(base, config, k) for k in range(config.samples))
     nus = np.array([s.nu for s in samples])
     return EnsembleResult(
         samples=samples,

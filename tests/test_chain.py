@@ -31,6 +31,8 @@ class TestChainSpec:
             ChainSpec(5, 6.5, [0.25] * 4, 0.5)
         with pytest.raises(ValidationError):
             ChainSpec(5, 6.5, 0.25, [0.5] * 5)
+        with pytest.raises(ValidationError, match="n_cells"):
+            ChainSpec("five", 6.5, 0.25, 0.5)
 
     def test_negative_hops_rejected(self):
         with pytest.raises(ValidationError):
@@ -43,6 +45,8 @@ class TestChainSpec:
             ChainSpec(2, [6.5, np.nan, 6.5, 6.5], 0.25, 0.5)
         with pytest.raises(ValidationError):
             ChainSpec(2, [6.5, np.inf, 6.5, 6.5], 0.25, 0.5)
+        with pytest.raises(ValidationError, match="eps"):
+            ChainSpec(2, [6.5, "high", 6.5, 6.5], 0.25, 0.5)
 
     def test_arrays_are_read_only(self):
         spec = ChainSpec(3, 6.5, 0.2, 0.5)

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from sshchain import default_circuit
 from sshchain.cli import main
 
@@ -98,6 +100,30 @@ class TestConfigHandling:
                          "--label", "env")
         assert code == 0
         assert (tmp_path / "winding_env.json").exists()
+
+    @pytest.mark.parametrize("command,config,override", [
+        ("fit", "fit_roundtrip", "multi_start=abc"),
+        ("disorder", "disorder_topological", "threads=abc"),
+        ("sweep", "sweep_default", "lv_grid.step_nH=abc"),
+        ("s21", "s21_topological", "freqs.points=abc"),
+        ("disorder", "disorder_topological", "disorder.samples=abc"),
+    ])
+    def test_non_numeric_value_is_validation_error(self, capsys, tmp_path,
+                                                    command, config, override):
+        code, _, err = run(capsys, command,
+                           "--config", os.path.join(CONFIG_DIR, f"{config}.json"),
+                           "--set", override, "--out-dir", str(tmp_path))
+        assert code == 1
+        key = override.split("=")[0].split(".")[-1]
+        assert err.startswith("error: ") and key in err and "abc" in err
+
+    def test_threads_accepted_and_validated(self, capsys, tmp_path):
+        args = ("winding", "--set", "method=k-space", "--set", "v_GHz=0.25",
+                "--set", "w_GHz=0.5", "--out-dir", str(tmp_path))
+        assert run(capsys, *args, "--threads", "4")[0] == 0
+        code, _, err = run(capsys, *args, "--threads", "0")
+        assert code == 1
+        assert "threads must be >= 1" in err
 
     def test_every_subcommand_supports_dry_run(self, capsys, tmp_path):
         from sshchain.cli import RUNNERS
@@ -256,3 +282,6 @@ class TestFitCommand:
         code, _, err = fit("bad", "options.max_iter=0")
         assert code == 1
         assert "max_iter" in err
+        code, _, err = fit("bad", "options.tol_f=abc")
+        assert code == 1
+        assert "tol_f" in err

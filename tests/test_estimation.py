@@ -38,6 +38,8 @@ class TestFitProblem:
     def test_target_count_enforced(self):
         with pytest.raises(ValidationError):
             FitProblem(np.ones(7), default_circuit())
+        with pytest.raises(ValidationError, match="numeric"):
+            FitProblem(["a"] * 10, default_circuit())
 
     def test_bounds_must_contain_start(self):
         circuit = default_circuit(lv_nH=30.0)
@@ -46,6 +48,8 @@ class TestFitProblem:
             FitProblem(freqs, circuit, bounds={"c0": (100.0, 200.0)})
         with pytest.raises(ValidationError):  # an empty box
             FitProblem(freqs, circuit, bounds={"c0": (660.0, 660.0)})
+        with pytest.raises(ValidationError, match="c0 bounds"):
+            FitProblem(freqs, circuit, bounds={"c0": ("low", 1000.0)})
 
     def test_unknown_families_rejected(self):
         circuit = default_circuit(lv_nH=30.0)

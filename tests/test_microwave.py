@@ -60,6 +60,9 @@ class TestGateModel:
         with pytest.raises(ValidationError):
             GateModel(1, 0.4, 1.8, 9.0, 1.0, mode="table",
                       tables=[[1.0, 10.0], [0.5, 20.0]])
+        with pytest.raises(ValidationError, match="table 0"):
+            GateModel(1, 0.4, 1.8, 9.0, 1.0, mode="table",
+                      tables=[[1.0, 10.0], ["x", 20.0]])
 
 
 class TestNanowireInductance:

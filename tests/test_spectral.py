@@ -160,14 +160,6 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep_coupling(default_circuit(), [10.0], cells=[])
 
-    def test_threaded_sweep_matches_serial(self):
-        grid = np.linspace(8.0, 60.0, 27)
-        serial = sweep_coupling(default_circuit(), grid, threads=1)
-        parallel = sweep_coupling(default_circuit(), grid, threads=4)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.spectrum.eigenvalues, b.spectrum.eigenvalues)
-            assert a.classification == b.classification
-
     def test_mode_continuity_scales_with_grid_step(self):
         def max_jump(step):
             grid = np.arange(10.0, 40.0 + 1e-9, step)

@@ -17,7 +17,7 @@ from sshchain import (
     winding_number_k_space,
     winding_number_real_space,
 )
-from sshchain.topology import write_ensemble_outputs
+from sshchain.topology import _draw_sample, write_ensemble_outputs
 
 from oracles import flatband_sign, open_chain_ipr, rswn_from_q, winding_integral
 
@@ -103,8 +103,12 @@ class TestRealSpaceWinding:
             assert errs[1] < errs[0]
 
     def test_matches_loop_trace_oracle(self):
-        for n, v in ((8, 0.12), (11, 0.9)):
-            h = chain_h(n, v, 0.5)
+        rng = np.random.default_rng(12)
+        u = rng.uniform(-1.0, 1.0, size=(3, 24))
+        disordered = build_tb_hamiltonian(ChainSpec(
+            12, 6.5 + 0.02 * u[0], 0.2 * (1 + 0.3 * u[1, :12]),
+            0.5 * (1 + 0.3 * u[2, :11])))
+        for h in (chain_h(8, 0.12, 0.5), chain_h(11, 0.9, 0.5), disordered):
             nu = winding_number_real_space(h, 6.5).nu
             q = flatband_sign(h, 6.5)
             assert nu == pytest.approx(rswn_from_q(q), abs=1e-9)
@@ -251,15 +255,15 @@ class TestDisorderEnsemble:
         result = disorder_ensemble(base, config)
         assert result.mean_nu < 0.1
 
-    def test_bit_exact_reproducibility_across_threads(self):
+    def test_samples_independent_of_evaluation_order(self):
         base = ChainSpec(20, 6.5, 0.1, 0.5)
         config = DisorderConfig(strength=0.08, targets=("v", "w", "eps"),
                                 samples=16, seed=77)
-        runs = [disorder_ensemble(base, config, threads=t) for t in (1, 4, 1)]
-        for other in runs[1:]:
-            for a, b in zip(runs[0].samples, other.samples):
-                assert a.nu == b.nu
-                assert a.min_gap_GHz == b.min_gap_GHz
+        first = disorder_ensemble(base, config)
+        reverse = [_draw_sample(base, config, k)
+                   for k in reversed(range(config.samples))]
+        assert first.samples == tuple(reversed(reverse))
+        assert disorder_ensemble(base, config) == first
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -270,6 +274,12 @@ class TestDisorderEnsemble:
             DisorderConfig(strength=0.1, targets=(), samples=5, seed=1)
         with pytest.raises(ValidationError):
             DisorderConfig(strength=0.1, targets=("v",), samples=0, seed=1)
+        for bad in ({"strength": "x"}, {"targets": 5}, {"samples": "x"},
+                    {"seed": [1]}):
+            fields = {"strength": 0.1, "targets": ("v",), "samples": 5, "seed": 1,
+                      **bad}
+            with pytest.raises(ValidationError, match=next(iter(bad))):
+                DisorderConfig(**fields)
 
     def test_outputs_layout(self, tmp_path):
         base = ChainSpec(8, 6.5, 0.1, 0.5)
