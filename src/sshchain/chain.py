@@ -267,10 +267,16 @@ def default_circuit(n_cells: int = 5, c0_fF: float = 660.0, l0_nH: float = 1.0,
     return CircuitSpec(n_cells, c0_fF, l0_nH, lv_nH, cw_fF)
 
 
-def _assemble_hamiltonian(eps: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _hops(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """First off-diagonal of the chain Hamiltonian: v1, w1, v2, w2, ..., vN."""
     hop = np.empty(v.size + w.size)
     hop[0::2] = v
     hop[1::2] = w
+    return hop
+
+
+def _assemble_hamiltonian(eps: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    hop = _hops(v, w)
     return np.diag(eps) + np.diag(hop, 1) + np.diag(hop, -1)
 
 

@@ -67,21 +67,25 @@ SCHEMAS = {
 
 
 def _validate_keys(node, schema, path):
-    """Reject unknown keys anywhere in the config; no silent ignores."""
-    if not isinstance(node, dict):
-        return []
+    """Reject unknown keys anywhere in the config; no silent ignores.
+
+    A section the schema lists keys for must be an object; any other value
+    there raises ValidationError naming its dotted key.
+    """
     problems = []
     for key, value in node.items():
         if key not in schema:
             problems.append(f"{path}.{key}")
             continue
         sub = schema[key]
+        if sub is None:
+            continue
+        if not isinstance(value, dict):
+            raise ValidationError(f"{path}.{key} must be an object, got {value!r}")
         if isinstance(sub, dict):
             problems.extend(_validate_keys(value, sub, f"{path}.{key}"))
-        elif isinstance(sub, (set, frozenset)):
-            if isinstance(value, dict):
-                problems.extend(
-                    f"{path}.{key}.{k}" for k in value if k not in sub)
+        else:
+            problems.extend(f"{path}.{key}.{k}" for k in value if k not in sub)
     return problems
 
 
@@ -323,7 +327,8 @@ def _gate_settings_from(config, model):
     if kind == "single":
         if "junction" not in sweep:
             raise ValidationError("single gate sweep needs 'junction'")
-        j = _coerce(sweep["junction"], "sweep.junction", int)
+        j = mw_mod._junction_index(
+            model, _coerce(sweep["junction"], "sweep.junction", int))
         voltages = np.linspace(_coerce(sweep.get("start_V", model.v_p[j]), "sweep.start_V"),
                                _coerce(sweep.get("stop_V", model.v_o[j]), "sweep.stop_V"),
                                _coerce(sweep.get("points", 11), "sweep.points", int))

@@ -228,13 +228,18 @@ def joint_gate_settings(model: GateModel, steps: int) -> np.ndarray:
     return model.v_p[None, :] + u[:, None] * (model.v_o - model.v_p)[None, :]
 
 
-def single_gate_settings(model: GateModel, junction: int,
-                         voltages: Sequence[float]) -> np.ndarray:
-    """Per-junction sweep with all other gates held at pinch-off."""
+def _junction_index(model: GateModel, junction) -> int:
     j = int(junction)
     if not (0 <= j < model.n_junctions):
         raise ValidationError(
             f"junction index {junction} outside 0..{model.n_junctions - 1}")
+    return j
+
+
+def single_gate_settings(model: GateModel, junction: int,
+                         voltages: Sequence[float]) -> np.ndarray:
+    """Per-junction sweep with all other gates held at pinch-off."""
+    j = _junction_index(model, junction)
     voltages = np.asarray(voltages, dtype=float)
     settings = np.tile(model.v_p, (voltages.size, 1))
     settings[:, j] = voltages

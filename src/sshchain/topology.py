@@ -4,7 +4,9 @@ The real-space winding number follows the flatband construction: spectral
 projectors of the shifted Hamiltonian build Q = P+ - P-, the sublattice
 blocks Q_AB (A rows, B columns) and Q_BA enter a commutator with the
 cell-position operator, and the trace is normalized per unit cell
-(Mondragon-Shem, Hughes, Song and Prodan, PRL 113, 046802 (2014)).
+(Mondragon-Shem, Hughes, Song and Prodan, PRL 113, 046802 (2014)). The
+projectors come from one divide-and-conquer solve of the Hamiltonian's
+tridiagonal bands (Cuppen, Numer. Math. 36, 177 (1981); LAPACK dstevd).
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import dgemm
 
-from .chain import ChainSpec, _coerce, build_tb_hamiltonian
+from .chain import ChainSpec, _coerce, _hops
 from .csvout import write_csv, write_json
 from .errors import (
     DegenerateMidgapError,
@@ -23,6 +27,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
+from .spectral import _ORTHO_TOL
 
 __all__ = [
     "WindingResult",
@@ -105,26 +110,50 @@ class EnsembleResult:
     generator: str = RNG_NAME
 
 
-def flatband(h: np.ndarray, eps_ref: float, zero_tol: float = ZERO_TOL) -> np.ndarray:
-    """Flatband image Q = P+ - P- of the shifted Hamiltonian H - eps_ref*I.
-
-    Eigenvalues with |lambda| <= zero_tol cannot be assigned to a spectral
-    half by sign. A protected pair of such zeros is split by its chirality
-    eigenvalues (one state to each half, keeping Q involutory); anything
-    else raises DegenerateMidgapError naming the offending indices.
-    """
+def _tridiagonal_bands(h) -> tuple:
+    """Diagonal and first off-diagonal of a real symmetric tridiagonal H."""
+    if np.iscomplexobj(h):
+        raise ValidationError("H must be real")
     h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2 != 0:
-        raise ValidationError(f"H must be square with even dimension, got {h.shape}")
-    dim = h.shape[0]
-    shifted = h - float(eps_ref) * np.eye(dim)
-    evals, evecs = np.linalg.eigh(shifted)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0 or h.shape[0] % 2 != 0:
+        raise ValidationError(
+            f"H must be square with positive even dimension, got {h.shape}")
+    diag = np.diagonal(h)
+    off = np.diagonal(h, 1)
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise ValidationError("H must be finite")
+    # Equal bands, and no nonzero entry outside the three bands.
+    if not np.array_equal(off, np.diagonal(h, -1)) or np.count_nonzero(h) != \
+            np.count_nonzero(diag) + 2 * np.count_nonzero(off):
+        raise ValidationError("H must be real symmetric tridiagonal")
+    return diag, off
+
+
+def _flatband_bands(diag: np.ndarray, off: np.ndarray, zero_tol: float = ZERO_TOL):
+    """Flatband Q and eigenvalues of the tridiagonal matrix with bands diag, off.
+
+    One divide-and-conquer eigensolve (dstevd; the MRRR routine dstemr
+    stops with LAPACK info=22 on chains whose edge pair is degenerate far
+    below roundoff, e.g. v = 0.01, w = 0.5 at N = 50). Q and the
+    orthonormality guard are formed with scipy's BLAS, the library the
+    solver already runs on, so numpy's separate OpenBLAS thread pool is
+    not woken as well.
+    """
+    evals, evecs = eigh_tridiagonal(diag, off, check_finite=False,
+                                    lapack_driver="stevd")
+    gram = dgemm(1.0, evecs, evecs, trans_a=1)
+    gram[np.diag_indices_from(gram)] -= 1.0
+    ortho = float(np.max(np.abs(gram)))
+    if not ortho <= _ORTHO_TOL:
+        raise NumericalError(
+            f"tridiagonal eigenvectors not orthonormal: max |V^T V - I| = "
+            f"{ortho:.3e} exceeds {_ORTHO_TOL}")
 
     zero = np.abs(evals) <= zero_tol
     n_zero = int(np.count_nonzero(zero))
-    q = (evecs * np.sign(evals) * (~zero)) @ evecs.T
+    q = dgemm(1.0, evecs * (np.sign(evals) * ~zero), evecs, trans_b=1)
     if n_zero == 0:
-        return q
+        return q, evals
     idx = np.flatnonzero(zero)
     if n_zero != 2:
         raise DegenerateMidgapError(idx)
@@ -137,21 +166,29 @@ def flatband(h: np.ndarray, eps_ref: float, zero_tol: float = ZERO_TOL) -> np.nd
             idx, f"zero modes at indices {tuple(idx)} are not chiral partners")
     states = sub @ bvecs  # columns: chirality -1 then +1
     q = q + np.outer(states[:, 1], states[:, 1]) - np.outer(states[:, 0], states[:, 0])
-    return q
+    return q, evals
 
 
-def winding_number_real_space(h: np.ndarray, eps_ref: float) -> WindingResult:
-    """Trace-per-volume winding number of a finite chain Hamiltonian.
+def flatband(h: np.ndarray, eps_ref: float, zero_tol: float = ZERO_TOL) -> np.ndarray:
+    """Flatband image Q = P+ - P- of the shifted Hamiltonian H - eps_ref*I.
 
-    The position operator counts unit cells 1..N, constant within a cell,
-    and the trace runs over the bulk cells (the outermost cell on each end
-    is excluded: over the full open chain the boundary contribution cancels
-    the winding identically) while keeping the 1/N volume normalization.
-    Quantization is therefore only approached for large N; small chains
-    give intermediate values. The sign is fixed so the v < w phase winds
-    to +1.
+    H must be real symmetric tridiagonal with even dimension, as
+    ``build_tb_hamiltonian`` returns it; anything else raises
+    ValidationError. The eigensystem comes from one tridiagonal solve of
+    the shifted diagonal and the first off-diagonal (scipy's
+    ``eigh_tridiagonal``), and NumericalError is raised if its
+    eigenvectors are not orthonormal within 1e-9.
+
+    Eigenvalues with |lambda| <= zero_tol cannot be assigned to a spectral
+    half by sign. A protected pair of such zeros is split by its chirality
+    eigenvalues (one state to each half, keeping Q involutory); anything
+    else raises DegenerateMidgapError naming the offending indices.
     """
-    q = flatband(h, eps_ref)
+    diag, off = _tridiagonal_bands(h)
+    return _flatband_bands(diag - float(eps_ref), off, zero_tol)[0]
+
+
+def _winding_trace(q: np.ndarray) -> float:
     n_cells = q.shape[0] // 2
     x = np.arange(1, n_cells + 1, dtype=float)
     q_ab = q[0::2, 1::2]
@@ -159,8 +196,24 @@ def winding_number_real_space(h: np.ndarray, eps_ref: float) -> WindingResult:
     comm = (x[:, None] - x[None, :]) * q_ab
     diag = np.einsum("ij,ji->i", q_ba, comm)
     bulk = slice(1, n_cells - 1) if n_cells > 2 else slice(0, n_cells)
-    nu = float(np.sum(diag[bulk])) / n_cells
-    return WindingResult(nu=nu, chain_length=n_cells, method="real-space")
+    return float(np.sum(diag[bulk])) / n_cells
+
+
+def winding_number_real_space(h: np.ndarray, eps_ref: float) -> WindingResult:
+    """Trace-per-volume winding number of a finite chain Hamiltonian.
+
+    H must be real symmetric tridiagonal (see ``flatband``, which supplies
+    Q from one tridiagonal eigensolve). The position operator counts unit
+    cells 1..N, constant within a cell, and the trace runs over the bulk
+    cells (the outermost cell on each end is excluded: over the full open
+    chain the boundary contribution cancels the winding identically) while
+    keeping the 1/N volume normalization. Quantization is therefore only
+    approached for large N; small chains give intermediate values. The
+    sign is fixed so the v < w phase winds to +1.
+    """
+    q = flatband(h, eps_ref)
+    return WindingResult(nu=_winding_trace(q), chain_length=q.shape[0] // 2,
+                         method="real-space")
 
 
 def winding_number_k_space(v: float, w: float, min_points: int = 1024) -> WindingResult:
@@ -253,11 +306,9 @@ def _draw_sample(base: ChainSpec, config: DisorderConfig, index: int):
     w = _perturbed(base.w, rng, config.strength) if "w" in config.targets else base.w
     chain = ChainSpec(base.n_cells, eps, v, w)
     eps_ref = float(np.mean(chain.eps))
-    h = build_tb_hamiltonian(chain)
-    nu = winding_number_real_space(h, eps_ref).nu
-    evals = np.linalg.eigvalsh(h)
-    min_gap = float(np.min(np.abs(evals - eps_ref)))
-    return DisorderSample(index=index, nu=nu, min_gap_GHz=min_gap)
+    q, evals = _flatband_bands(chain.eps - eps_ref, _hops(chain.v, chain.w))
+    return DisorderSample(index=index, nu=_winding_trace(q),
+                          min_gap_GHz=float(np.min(np.abs(evals))))
 
 
 def disorder_ensemble(base: ChainSpec, config: DisorderConfig) -> EnsembleResult:
@@ -266,7 +317,10 @@ def disorder_ensemble(base: ChainSpec, config: DisorderConfig) -> EnsembleResult
     Each sample perturbs the targeted parameter families by x(1 + delta*u)
     with u uniform in [-1, 1], then records the real-space winding number
     and the smallest distance of any eigenvalue to the sample's mean
-    on-site energy. With delta < 1 no hop can turn negative, so
+    on-site energy. Both come from one tridiagonal eigensolve of the
+    sample's bands shifted by that mean (no 2N x 2N Hamiltonian is built):
+    the winding from its flatband Q, the gap as the smallest |eigenvalue|
+    of the shifted spectrum. With delta < 1 no hop can turn negative, so
     ``rejections`` is always 0; it stays in the result and its JSON as
     part of the file format.
     """

@@ -117,6 +117,19 @@ class TestConfigHandling:
         key = override.split("=")[0].split(".")[-1]
         assert err.startswith("error: ") and key in err and "abc" in err
 
+    @pytest.mark.parametrize("command,config,override", [
+        ("fit", "fit_roundtrip", "options=5"),
+        ("spectrum", None, "chain=5"),
+    ])
+    def test_scalar_section_is_validation_error(self, capsys, tmp_path,
+                                                command, config, override):
+        args = ["--config", os.path.join(CONFIG_DIR, f"{config}.json")] if config else []
+        code, _, err = run(capsys, command, *args, "--set", override,
+                           "--out-dir", str(tmp_path))
+        assert code == 1
+        key = override.split("=")[0]
+        assert err.startswith(f"error: {command}.{key} must be an object")
+
     def test_threads_accepted_and_validated(self, capsys, tmp_path):
         args = ("winding", "--set", "method=k-space", "--set", "v_GHz=0.25",
                 "--set", "w_GHz=0.5", "--out-dir", str(tmp_path))
@@ -234,6 +247,15 @@ class TestGateSweepCommand:
         assert len(summary) == 5
         assert summary[1].endswith("topological")  # all gates at pinch-off
         assert summary[-1].endswith("trivial")     # all gates open
+
+    def test_single_sweep_junction_out_of_range(self, capsys, tmp_path):
+        code, _, err = run(capsys, "gatesweep", *circuit_sets(),
+                           "--set", "gate.mode=parametric",
+                           "--set", "sweep.kind=single", "--set", "sweep.junction=9",
+                           "--set", "freqs.start_GHz=5.6", "--set", "freqs.stop_GHz=7.2",
+                           "--set", "freqs.points=11", "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "junction index 9 outside 0..4" in err
 
 
 class TestPowerSweepCommand:

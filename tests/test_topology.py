@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sshchain import (
     ChainSpec,
@@ -7,6 +8,7 @@ from sshchain import (
     DisorderConfig,
     FitUnsupportedError,
     GapClosingError,
+    NumericalError,
     ValidationError,
     build_tb_hamiltonian,
     disorder_ensemble,
@@ -19,7 +21,13 @@ from sshchain import (
 )
 from sshchain.topology import _draw_sample, write_ensemble_outputs
 
-from oracles import flatband_sign, open_chain_ipr, rswn_from_q, winding_integral
+from oracles import (
+    dense_eigvals,
+    flatband_sign,
+    open_chain_ipr,
+    rswn_from_q,
+    winding_integral,
+)
 
 
 def chain_h(n_cells, v, w, eps=6.5):
@@ -73,6 +81,38 @@ class TestFlatband:
         h = np.diag([6.5, 7.0, 6.0, 7.5])
         with pytest.raises(DegenerateMidgapError):
             flatband(h, 6.5)
+
+    @pytest.mark.parametrize("func", [flatband, winding_number_real_space])
+    @pytest.mark.parametrize("defect,message", [
+        ("next-nearest", "real symmetric tridiagonal"),
+        ("asymmetric", "real symmetric tridiagonal"),
+        ("complex", "real"),
+        ("nan", "finite"),
+        ("empty", "positive even dimension"),
+    ])
+    def test_non_tridiagonal_rejected(self, func, defect, message):
+        h = chain_h(4, 0.2, 0.5)
+        if defect == "next-nearest":
+            h[0, 2] = h[2, 0] = 0.01
+        elif defect == "asymmetric":
+            h[3, 2] += 1e-9
+        elif defect == "complex":
+            h = h + 1e-3j * (np.eye(8, k=1) - np.eye(8, k=-1))
+        elif defect == "nan":
+            h[3, 3] = np.nan
+        else:
+            h = np.zeros((0, 0))
+        with pytest.raises(ValidationError, match=message):
+            func(h, 6.5)
+
+    def test_non_orthonormal_eigenvectors_rejected(self, monkeypatch):
+        def skewed(diag, off, **kwargs):
+            evals, evecs = scipy.linalg.eigh_tridiagonal(diag, off, **kwargs)
+            return evals, evecs * (1.0 + 1e-6)
+
+        monkeypatch.setattr("sshchain.topology.eigh_tridiagonal", skewed)
+        with pytest.raises(NumericalError, match="orthonormal"):
+            flatband(chain_h(5, 0.1, 0.5), 6.5)
 
 
 class TestRealSpaceWinding:
@@ -264,6 +304,23 @@ class TestDisorderEnsemble:
                    for k in reversed(range(config.samples))]
         assert first.samples == tuple(reversed(reverse))
         assert disorder_ensemble(base, config) == first
+
+    def test_sample_matches_dense_oracles(self):
+        base = ChainSpec(50, 6.5, 0.25, 0.5)
+        config = DisorderConfig(strength=0.05, targets=("v", "w", "eps"),
+                                samples=1, seed=21)
+        sample = _draw_sample(base, config, 0)
+        rng = np.random.default_rng([config.seed, 0])
+        eps = base.eps * (1 + 0.05 * rng.uniform(-1, 1, 100))
+        v = base.v * (1 + 0.05 * rng.uniform(-1, 1, 50))
+        w = base.w * (1 + 0.05 * rng.uniform(-1, 1, 49))
+        h = build_tb_hamiltonian(ChainSpec(50, eps, v, w))
+        eps_ref = float(np.mean(eps))
+        gap = float(np.min(np.abs(dense_eigvals(h) - eps_ref)))
+        assert gap > 1e-3  # no zero modes: every state is split by sign
+        assert sample.min_gap_GHz == pytest.approx(gap, abs=1e-12)
+        assert sample.nu == pytest.approx(
+            rswn_from_q(flatband_sign(h, eps_ref)), abs=1e-9)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
