@@ -198,8 +198,7 @@ def _gate_from(config, n_junctions) -> mw_mod.GateModel:
 def _classify_circuit(circuit):
     mapped = chain_mod.map_circuit_to_tb(circuit)
     spectrum = spec_mod.eigendecompose(chain_mod.build_tb_hamiltonian(mapped))
-    eps_ref = float(np.mean(mapped.eps))
-    return mapped, spectrum, spec_mod.classify_modes(spectrum, eps_ref)
+    return spec_mod.classify_modes(spectrum, float(np.mean(mapped.eps)))
 
 
 def _run_spectrum(config, out_dir, label):
@@ -207,10 +206,9 @@ def _run_spectrum(config, out_dir, label):
     eps_ref = _coerce(config.get("eps_ref_GHz", np.mean(chain.eps)), "eps_ref_GHz")
     spectrum = spec_mod.eigendecompose(chain_mod.build_tb_hamiltonian(chain))
     cls = spec_mod.classify_modes(spectrum, eps_ref)
-    rows = [(k, float(f), lab) for k, (f, lab)
-            in enumerate(zip(spectrum.eigenvalues, cls.labels))]
     write_csv(os.path.join(out_dir, f"spectrum_{label}.csv"),
-              ["mode_index", "freq_GHz", "label"], rows)
+              ["mode_index", "freq_GHz", "label"],
+              [range(spectrum.n_sites), spectrum.eigenvalues, cls.labels])
     write_json(os.path.join(out_dir, f"spectrum_{label}.json"), {
         "eps_ref_GHz": eps_ref,
         "fsr_edge_bulk_GHz": cls.fsr_edge_bulk,
@@ -274,10 +272,9 @@ def _run_ipr(config, out_dir, label):
     spectrum = spec_mod.eigendecompose(chain_mod.build_tb_hamiltonian(chain))
     values = [topo_mod.ipr(spectrum.eigenvectors[:, k])
               for k in range(spectrum.n_sites)]
-    rows = [(k, float(spectrum.eigenvalues[k]), values[k])
-            for k in range(spectrum.n_sites)]
     write_csv(os.path.join(out_dir, f"ipr_{label}.csv"),
-              ["mode_index", "freq_GHz", "ipr"], rows)
+              ["mode_index", "freq_GHz", "ipr"],
+              [range(spectrum.n_sites), spectrum.eigenvalues, values])
     return f"modes={len(values)} ipr_min={fmt(min(values))} ipr_max={fmt(max(values))}"
 
 
@@ -341,10 +338,10 @@ def _gate_settings_from(config, model):
         f"sweep.kind must be joint, single or explicit, got {kind!r}")
 
 
-def _classification_row(circuit, model, voltages, i_s):
-    gated = mw_mod.apply_gate_setting(circuit, model, voltages, i_s)
-    _, _, cls = _classify_circuit(gated)
-    return gated, cls
+def _phase_columns(classes):
+    """The fsr_edge_bulk_GHz, fsr_edge_edge_GHz and phase_tag columns."""
+    return [[c.fsr_edge_bulk for c in classes], [c.fsr_edge_edge for c in classes],
+            [c.phase_tag for c in classes]]
 
 
 def _run_gatesweep(config, out_dir, label):
@@ -357,24 +354,20 @@ def _run_gatesweep(config, out_dir, label):
         circuit, model, settings, i_s, freqs,
         box=_box_from(config), z0=_coerce(config.get("z0_ohm", 50.0), "z0_ohm"))
     emit_traces = bool(config.get("emit_traces", True))
-    n_written = 0
     if emit_traces:
         for k, trace in enumerate(traces):
             mw_mod.write_trace_outputs(
                 trace,
                 os.path.join(out_dir, f"gatesweep_{label}_trace{k:03d}.csv"),
                 os.path.join(out_dir, f"gatesweep_{label}_trace{k:03d}.json"))
-            n_written += 1
-    rows = []
-    for k in range(settings.shape[0]):
-        gated, cls = _classification_row(circuit, model, settings[k], i_s)
-        rows.append(tuple([k] + [float(v) for v in settings[k]]
-                          + [cls.fsr_edge_bulk, cls.fsr_edge_edge, cls.phase_tag]))
+    # each trace carries the gated circuit it was computed from
+    classes = [_classify_circuit(trace.circuit) for trace in traces]
     header = (["setting_index"]
               + [f"v_g{j}_V" for j in range(circuit.n_cells)]
               + ["fsr_edge_bulk_GHz", "fsr_edge_edge_GHz", "phase_tag"])
-    write_csv(os.path.join(out_dir, f"gatesweep_{label}_summary.csv"), header, rows)
-    return f"settings={settings.shape[0]} traces_written={n_written}"
+    write_csv(os.path.join(out_dir, f"gatesweep_{label}_summary.csv"), header,
+              [range(len(traces))] + list(settings.T) + _phase_columns(classes))
+    return f"settings={len(traces)} traces_written={len(traces) if emit_traces else 0}"
 
 
 def _run_powersweep(config, out_dir, label):
@@ -395,23 +388,22 @@ def _run_powersweep(config, out_dir, label):
     if "values_uA" in grid_cfg:
         i_grid = _float_list(grid_cfg["values_uA"], "i_s_grid.values_uA")
     else:
-        i_grid = list(np.linspace(
+        i_grid = [float(x) for x in np.linspace(
             _coerce(grid_cfg.get("start_uA", 0.0), "i_s_grid.start_uA"),
             _coerce(grid_cfg["stop_uA"], "i_s_grid.stop_uA"),
-            _coerce(grid_cfg.get("points", 9), "i_s_grid.points", int)))
-    emit_traces = bool(config.get("emit_traces", False))
-    rows = []
-    phases = []
-    for k, i_s in enumerate(i_grid):
-        gated, cls = _classification_row(circuit, model, voltages, i_s)
-        phases.append(cls.phase_tag)
-        rows.append(tuple([float(i_s)] + [float(x) for x in gated.lv]
-                          + [cls.fsr_edge_bulk, cls.fsr_edge_edge, cls.phase_tag]))
-        if emit_traces:
+            _coerce(grid_cfg.get("points", 9), "i_s_grid.points", int))]
+    if not i_grid:
+        raise ValidationError("i_s_grid holds no signal current")
+    gated = [mw_mod.apply_gate_setting(circuit, model, voltages, i_s) for i_s in i_grid]
+    classes = [_classify_circuit(g) for g in gated]
+    if config.get("emit_traces", False):
+        freqs = _freq_grid(config)
+        z0 = _coerce(config.get("z0_ohm", 50.0), "z0_ohm")
+        box = _box_from(config)
+        for k, (i_s, g) in enumerate(zip(i_grid, gated)):
             trace = mw_mod.s21_trace(
-                gated, _freq_grid(config), z0=_coerce(config.get("z0_ohm", 50.0), "z0_ohm"),
-                box=_box_from(config),
-                metadata={"i_s_uA": float(i_s),
+                g, freqs, z0=z0, box=box,
+                metadata={"i_s_uA": i_s,
                           "gate_setting_V": [float(v) for v in voltages]})
             mw_mod.write_trace_outputs(
                 trace,
@@ -419,8 +411,11 @@ def _run_powersweep(config, out_dir, label):
                 os.path.join(out_dir, f"powersweep_{label}_trace{k:03d}.json"))
     header = (["i_s_uA"] + [f"lv{j}_nH" for j in range(circuit.n_cells)]
               + ["fsr_edge_bulk_GHz", "fsr_edge_edge_GHz", "phase_tag"])
-    write_csv(os.path.join(out_dir, f"powersweep_{label}.csv"), header, rows)
-    return f"points={len(i_grid)} phase_first={phases[0]} phase_last={phases[-1]}"
+    lv = np.array([g.lv for g in gated])
+    write_csv(os.path.join(out_dir, f"powersweep_{label}.csv"), header,
+              [i_grid] + list(lv.T) + _phase_columns(classes))
+    return (f"points={len(i_grid)} phase_first={classes[0].phase_tag} "
+            f"phase_last={classes[-1].phase_tag}")
 
 
 def _run_fit(config, out_dir, label):

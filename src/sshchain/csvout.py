@@ -10,25 +10,31 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 
 def fmt(value) -> str:
-    """Render a cell: floats at 12 significant digits, others via str."""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return format(value, ".12g")
-    return str(value)
+    """Render one value for a summary line the way ``write_csv`` renders it."""
+    return format(value, ".12g") if isinstance(value, float) else str(value)
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length columns under ``header``, one line per row.
+
+    A column is an array or a sequence of one kind of value. Float columns
+    are rendered with ``%.12g`` (``inf``, ``-inf``, ``nan``, ``-0``),
+    every other column (ints, bools, strings) with ``%s``.
+    """
+    arrays = [np.asarray(column) for column in columns]
+    if len({a.shape for a in arrays}) > 1:
+        raise ValueError(f"column lengths differ: {[a.shape for a in arrays]}")
+    template = ",".join("%.12g" if a.dtype.kind == "f" else "%s"
+                        for a in arrays) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(x) for x in row) + "\n")
+        fh.writelines(map(template.__mod__, zip(*(a.tolist() for a in arrays))))
 
 
 def write_json(path, payload: dict) -> None:

@@ -23,7 +23,7 @@ from .chain import (
     _float_array,
     _map_arrays,
 )
-from .csvout import write_csv, write_json
+from .csvout import fmt, write_csv, write_json
 from .errors import ValidationError
 
 __all__ = [
@@ -308,12 +308,9 @@ def write_fit_outputs(result: FitResult, json_path, sites_csv_path,
         "best": result.best.to_dict(),
     })
     best = result.best
-    site_rows = [(i, float(best.c0[i]), float(best.l0[i]))
-                 for i in range(best.n_sites)]
-    write_csv(sites_csv_path, ["site_index", "c0_fF", "l0_nH"], site_rows)
-    coupling_rows = []
-    for k in range(best.n_cells + 1):
-        lv = float(best.lv[k]) if k < best.n_cells else ""
-        coupling_rows.append((k, float(best.cw[k]), lv))
+    write_csv(sites_csv_path, ["site_index", "c0_fF", "l0_nH"],
+              [range(best.n_sites), best.c0, best.l0])
+    # the last coupling capacitor has no junction: its lv cell stays empty
     write_csv(couplings_csv_path, ["coupling_index", "cw_fF", "lv_nH"],
-              coupling_rows)
+              [range(best.n_cells + 1), best.cw,
+               [fmt(x) for x in best.lv.tolist()] + [""]])

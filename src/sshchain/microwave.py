@@ -137,12 +137,17 @@ class BoxMode:
 
 @dataclass(frozen=True)
 class S21Trace:
-    """Complex two-port transmission on a strictly increasing GHz grid."""
+    """Complex two-port transmission on a strictly increasing GHz grid.
+
+    ``circuit`` is the ladder the trace was computed from (None for a
+    trace built from data).
+    """
 
     freqs: np.ndarray
     s21: np.ndarray
     power_dBm: Optional[float] = None
     metadata: dict = field(default_factory=dict)
+    circuit: Optional[CircuitSpec] = None
 
     def __post_init__(self):
         freqs = _increasing_grid(np.array(self.freqs, dtype=float, copy=True))
@@ -416,7 +421,8 @@ def s21_trace(circuit: CircuitSpec, freqs: Sequence[float], z0: float = 50.0,
     }
     if metadata:
         meta.update(metadata)
-    return S21Trace(freqs=freqs, s21=s21, power_dBm=power_dBm, metadata=meta)
+    return S21Trace(freqs=freqs, s21=s21, power_dBm=power_dBm, metadata=meta,
+                    circuit=circuit)
 
 
 def background_normalize(trace: S21Trace,
@@ -446,7 +452,7 @@ def background_normalize(trace: S21Trace,
     meta["normalized"] = True
     meta["exclusion_windows_GHz"] = windows
     return S21Trace(freqs=freqs, s21=trace.s21 / background,
-                    power_dBm=trace.power_dBm, metadata=meta)
+                    power_dBm=trace.power_dBm, metadata=meta, circuit=trace.circuit)
 
 
 def _lorentzian(f, f0, hwhm, amp, base):
@@ -460,9 +466,11 @@ def extract_peaks(trace: S21Trace, prominence: float,
     Local maxima of |s21| above the prominence threshold are refined by a
     least-squares Lorentzian over a window of five linewidth estimates on
     each side; points inside other candidates' cores are excluded from
-    the fit. At most ``max_peaks`` peaks (largest prominence first) are
-    returned, sorted by frequency. No peak above threshold gives an empty
-    list.
+    the fit. A window left with fewer than four points, or a fit that does
+    not converge, keeps the estimates: the grid maximum, the half-maximum
+    width and the height above the window minimum. At most ``max_peaks``
+    peaks (largest prominence first) are returned, sorted by frequency. No
+    peak above threshold gives an empty list.
     """
     if max_peaks < 1:
         raise ValidationError(f"max_peaks must be >= 1, got {max_peaks}")
@@ -494,18 +502,20 @@ def extract_peaks(trace: S21Trace, prominence: float,
         m_fit = mag[window]
         base0 = float(np.min(m_fit))
         amp0 = float(mag[i] - base0)
-        p0 = [float(f0_est), float(fwhm_est[n] / 2), max(amp0, 1e-12), base0]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", OptimizeWarning)
-                popt, _ = curve_fit(
-                    _lorentzian, f_fit, m_fit, p0=p0,
-                    bounds=([f0_est - half, min_width / 10, 0.0, 0.0],
-                            [f0_est + half, 10.0 * half, np.inf, np.inf]),
-                    maxfev=2000)
-            f0, hwhm, amp, _ = popt
-        except RuntimeError:
-            f0, hwhm, amp = f0_est, fwhm_est[n] / 2, amp0
+        f0, hwhm, amp = f0_est, fwhm_est[n] / 2, amp0
+        if f_fit.size >= 4:  # the Lorentzian has four parameters
+            p0 = [float(f0_est), float(fwhm_est[n] / 2), max(amp0, 1e-12), base0]
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", OptimizeWarning)
+                    popt, _ = curve_fit(
+                        _lorentzian, f_fit, m_fit, p0=p0,
+                        bounds=([f0_est - half, min_width / 10, 0.0, 0.0],
+                                [f0_est + half, 10.0 * half, np.inf, np.inf]),
+                        maxfev=2000)
+                f0, hwhm, amp, _ = popt
+            except RuntimeError:
+                pass
         peaks.append(Peak(f0_GHz=float(f0), linewidth_GHz=float(2 * hwhm),
                           amplitude=float(amp)))
     peaks.sort(key=lambda p: p.f0_GHz)
@@ -563,9 +573,10 @@ def read_gate_table_csv(path) -> np.ndarray:
 
 def write_trace_outputs(trace: S21Trace, csv_path, json_path) -> None:
     """Emit the trace CSV and its JSON metadata sidecar."""
-    rows = [(float(f), float(s.real), float(s.imag), float(abs(s)))
-            for f, s in zip(trace.freqs, trace.s21)]
-    write_csv(csv_path, ["freq_GHz", "re_s21", "im_s21", "abs_s21"], rows)
+    re, im = trace.s21.real, trace.s21.imag
+    # hypot equals abs() of each complex value bit for bit; np.abs does not
+    write_csv(csv_path, ["freq_GHz", "re_s21", "im_s21", "abs_s21"],
+              [trace.freqs, re, im, np.hypot(re, im)])
     payload = dict(trace.metadata)
     payload["power_dBm"] = trace.power_dBm
     payload["n_points"] = int(trace.freqs.size)

@@ -245,16 +245,15 @@ def find_fsr_crossing(sweep: Sequence[SweepPoint]) -> Optional[float]:
 
 def write_sweep_csv(sweep: Sequence[SweepPoint], modes_path, summary_path) -> None:
     """Emit the per-mode and summary CSV files for a coupling sweep."""
-    mode_rows = []
-    summary_rows = []
-    for point in sweep:
-        for k, (freq, label) in enumerate(
-                zip(point.spectrum.eigenvalues, point.classification.labels)):
-            mode_rows.append((point.lv_nH, k, float(freq), label))
-        cls = point.classification
-        summary_rows.append((point.lv_nH, cls.fsr_edge_bulk,
-                             cls.fsr_edge_edge, cls.phase_tag))
-    write_csv(modes_path, ["lv_nH", "mode_index", "freq_GHz", "label"], mode_rows)
+    lv = [p.lv_nH for p in sweep]
+    classes = [p.classification for p in sweep]
+    n_modes = [len(c.labels) for c in classes]
+    write_csv(modes_path, ["lv_nH", "mode_index", "freq_GHz", "label"],
+              [np.repeat(lv, n_modes),
+               [k for n in n_modes for k in range(n)],
+               [f for p in sweep for f in p.spectrum.eigenvalues.tolist()],
+               [label for c in classes for label in c.labels]])
     write_csv(summary_path,
               ["lv_nH", "fsr_edge_bulk_GHz", "fsr_edge_edge_GHz", "phase_tag"],
-              summary_rows)
+              [lv, [c.fsr_edge_bulk for c in classes],
+               [c.fsr_edge_edge for c in classes], [c.phase_tag for c in classes]])

@@ -337,8 +337,10 @@ def disorder_ensemble(base: ChainSpec, config: DisorderConfig) -> EnsembleResult
 
 def write_ensemble_outputs(result: EnsembleResult, csv_path, json_path) -> None:
     """Emit the per-sample CSV and the JSON summary for an ensemble."""
-    rows = [(s.index, s.nu, s.min_gap_GHz) for s in result.samples]
-    write_csv(csv_path, ["sample_index", "nu", "min_gap_GHz"], rows)
+    samples = result.samples
+    write_csv(csv_path, ["sample_index", "nu", "min_gap_GHz"],
+              [[s.index for s in samples], [s.nu for s in samples],
+               [s.min_gap_GHz for s in samples]])
     write_json(json_path, {
         "mean_nu": result.mean_nu,
         "std_nu": result.std_nu,

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from sshchain import default_circuit
+from sshchain import microwave as mw_mod
 from sshchain.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -248,6 +249,24 @@ class TestGateSweepCommand:
         assert summary[1].endswith("topological")  # all gates at pinch-off
         assert summary[-1].endswith("trivial")     # all gates open
 
+    def test_one_gated_circuit_per_setting(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        apply = mw_mod.apply_gate_setting
+
+        def counting_apply(*args, **kwargs):
+            calls.append(args[2])
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(mw_mod, "apply_gate_setting", counting_apply)
+        code, out, _ = run(capsys, "gatesweep", *circuit_sets(),
+                           "--set", "gate.v_p_V=0.4", "--set", "gate.v_o_V=1.8",
+                           "--set", "sweep.kind=joint", "--set", "sweep.steps=3",
+                           "--set", "freqs.start_GHz=5.6", "--set", "freqs.stop_GHz=7.2",
+                           "--set", "freqs.points=11", "--set", "emit_traces=false",
+                           "--out-dir", str(tmp_path), "--label", "n")
+        assert code == 0 and "settings=3" in out
+        assert len(calls) == 3
+
     def test_single_sweep_junction_out_of_range(self, capsys, tmp_path):
         code, _, err = run(capsys, "gatesweep", *circuit_sets(),
                            "--set", "gate.mode=parametric",
@@ -269,6 +288,14 @@ class TestPowerSweepCommand:
         rows = (tmp_path / "powersweep_p.csv").read_text().splitlines()[1:]
         lv_first = [float(r.split(",")[1]) for r in rows]
         assert all(b > a for a, b in zip(lv_first, lv_first[1:]))
+
+    def test_empty_current_grid_is_validation_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "powersweep",
+                           "--config", os.path.join(CONFIG_DIR, "powersweep_trivial.json"),
+                           "--set", 'i_s_grid={"values_uA": []}',
+                           "--out-dir", str(tmp_path), "--label", "e")
+        assert code == 1
+        assert "i_s_grid holds no signal current" in err
 
 
 class TestFitCommand:

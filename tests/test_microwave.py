@@ -28,6 +28,7 @@ from sshchain import (
     s21_trace,
     single_gate_settings,
 )
+from sshchain import microwave as mw_mod
 from sshchain.microwave import read_gate_table_csv, write_trace_outputs
 from sshchain.spectral import PHASE_TOPOLOGICAL, PHASE_TRIVIAL
 
@@ -268,6 +269,29 @@ class TestExtractPeaks:
         assert abs(peaks[0].f0_GHz - 6.0) < 1e-3
 
 
+    def test_window_too_small_to_fit_keeps_estimate(self, monkeypatch):
+        # The narrow peak sits inside the broad peak's core, so its window
+        # keeps only its own grid point: one point for four parameters.
+        fitted = []
+        curve_fit = mw_mod.curve_fit
+
+        def counting_fit(f, xdata, ydata, **kwargs):
+            fitted.append(xdata.size)
+            return curve_fit(f, xdata, ydata, **kwargs)
+
+        monkeypatch.setattr(mw_mod, "curve_fit", counting_fit)
+        freqs = np.linspace(5.9, 6.1, 2001)
+        mag = (lorentzian_mag(freqs, 6.0, 0.02, 1.0, baseline=0.01)
+               + lorentzian_mag(freqs, 6.025, 3e-4, 0.5))
+        trace = S21Trace(freqs, mag.astype(complex), metadata={"normalized": True})
+        broad, narrow = extract_peaks(trace, prominence=0.05, max_peaks=5)
+        assert fitted and min(fitted) >= 4
+        assert broad.amplitude == pytest.approx(1.0, rel=0.01)
+        assert narrow.f0_GHz in freqs  # the grid maximum, not a fit
+        assert narrow.f0_GHz == pytest.approx(6.025, abs=1e-4)
+        assert narrow.amplitude == 0.0  # height above the one-point window
+
+
 class TestModeLinewidths:
     def test_uniform_state(self):
         hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1],
@@ -297,6 +321,16 @@ class TestModeLinewidths:
 
 
 class TestGateSweep:
+    def test_traces_carry_their_gated_circuit(self):
+        circuit = default_circuit()
+        settings = joint_gate_settings(GATE, 3)
+        traces = gate_sweep_spectrum(circuit, GATE, settings, 0.5, [5.8, 6.0, 6.2])
+        for voltages, trace in zip(settings, traces):
+            gated = apply_gate_setting(circuit, GATE, voltages, 0.5)
+            assert np.array_equal(trace.circuit.lv, gated.lv)
+        assert background_normalize(traces[0], [(5.9, 6.1)]).circuit is traces[0].circuit
+        assert S21Trace([1.0, 2.0], [0j, 0j]).circuit is None
+
     def test_all_pinched_keeps_midgap_peak(self):
         circuit = default_circuit()
         settings = np.array([GATE.v_p])
