@@ -1,0 +1,59 @@
+"""Frozen outputs of the shipped configs.
+
+Every ``configs/*.json`` is run through ``cli.main`` with the label
+``golden``; the sha256 of each file it writes and its stdout line must
+match ``golden/shipped_configs.json``. A change that alters one of these
+outputs on purpose rewrites the digests with
+
+    PYTHONPATH=src python tests/test_shipped_configs.py
+
+and names the changed files in CHANGES.md.
+"""
+
+import contextlib
+import glob
+import hashlib
+import io
+import json
+import os
+import tempfile
+
+from sshchain.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+CONFIG_DIR = os.path.join(HERE, os.pardir, "configs")
+DIGESTS = os.path.join(HERE, "golden", "shipped_configs.json")
+
+
+def run_shipped_configs(out_dir):
+    """Run every shipped config into ``out_dir``; return digests and stdout."""
+    stdout = {}
+    for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))):
+        name = os.path.splitext(os.path.basename(path))[0]
+        command = name.split("_")[0]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main([command, "--config", path, "--out-dir", out_dir,
+                         "--label", "golden"])
+        assert code == 0, name
+        stdout[name] = buf.getvalue()
+    files = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            files[name] = hashlib.sha256(fh.read()).hexdigest()
+    return {"files": files, "stdout": stdout}
+
+
+def test_shipped_config_outputs_are_frozen(tmp_path):
+    with open(DIGESTS) as fh:
+        expected = json.load(fh)
+    assert run_shipped_configs(str(tmp_path)) == expected
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        record = run_shipped_configs(tmp)
+    with open(DIGESTS, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"{len(record['files'])} files, {len(record['stdout'])} configs")
