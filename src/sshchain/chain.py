@@ -106,8 +106,54 @@ def _from_json_values(values):
     return [one(v) for v in values]
 
 
+class _JsonSpec:
+    """JSON form shared by the spec dataclasses.
+
+    ``_JSON_KEYS`` pairs each per-site array field with its JSON key (which
+    carries the unit); ``n_cells`` is stored under its own name. The one
+    table drives ``to_dict``, ``from_dict``, ``to_json`` and ``from_json``.
+    """
+
+    _JSON_KEYS = ()
+
+    @property
+    def n_sites(self) -> int:
+        return 2 * self.n_cells
+
+    @classmethod
+    def _json_keys(cls) -> set:
+        """Every key of the JSON form; all are required."""
+        return {"n_cells"} | {key for _, key in cls._JSON_KEYS}
+
+    def to_dict(self) -> dict:
+        out = {"n_cells": self.n_cells}
+        out.update((key, _json_list(getattr(self, name)))
+                   for name, key in self._JSON_KEYS)
+        return out
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        allowed = cls._json_keys()
+        unknown = sorted(set(data) - allowed)
+        if unknown:
+            raise ValidationError(f"unknown {cls.__name__} keys: {unknown}")
+        missing = sorted(allowed - set(data))
+        if missing:
+            raise ValidationError(f"missing {cls.__name__} keys: {missing}")
+        return cls(n_cells=data["n_cells"],
+                   **{name: _from_json_values(data[key])
+                      for name, key in cls._JSON_KEYS})
+
+    def to_json(self, indent: int = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
+
 @dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(_JsonSpec):
     """Tight-binding description of a finite chain with two sites per cell.
 
     Parameters
@@ -122,6 +168,8 @@ class ChainSpec:
         N-1 inter-cell hopping strengths in GHz, >= 0.
     """
 
+    _JSON_KEYS = (("eps", "eps_GHz"), ("v", "v_GHz"), ("w", "w_GHz"))
+
     n_cells: int
     eps: np.ndarray
     v: np.ndarray
@@ -134,44 +182,9 @@ class ChainSpec:
         object.__setattr__(self, "v", _site_array(self.v, n, "v", nonnegative=True))
         object.__setattr__(self, "w", _site_array(self.w, max(n - 1, 0), "w", nonnegative=True))
 
-    @property
-    def n_sites(self) -> int:
-        return 2 * self.n_cells
-
-    def to_dict(self) -> dict:
-        return {
-            "n_cells": self.n_cells,
-            "eps_GHz": _json_list(self.eps),
-            "v_GHz": _json_list(self.v),
-            "w_GHz": _json_list(self.w),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChainSpec":
-        allowed = {"n_cells", "eps_GHz", "v_GHz", "w_GHz"}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise ValidationError(f"unknown ChainSpec keys: {unknown}")
-        missing = sorted(allowed - set(data))
-        if missing:
-            raise ValidationError(f"missing ChainSpec keys: {missing}")
-        return cls(
-            n_cells=data["n_cells"],
-            eps=_from_json_values(data["eps_GHz"]),
-            v=_from_json_values(data["v_GHz"]),
-            w=_from_json_values(data["w_GHz"]),
-        )
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChainSpec":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
-class CircuitSpec:
+class CircuitSpec(_JsonSpec):
     """Lumped-element description of the resonator chain.
 
     Parameters
@@ -190,6 +203,8 @@ class CircuitSpec:
         terminating coupling sites.
     """
 
+    _JSON_KEYS = (("c0", "c0_fF"), ("l0", "l0_nH"), ("lv", "lv_nH"), ("cw", "cw_fF"))
+
     n_cells: int
     c0: np.ndarray
     l0: np.ndarray
@@ -204,46 +219,9 @@ class CircuitSpec:
         object.__setattr__(self, "lv", _site_array(self.lv, n, "lv", allow_inf=True, positive=True))
         object.__setattr__(self, "cw", _site_array(self.cw, n + 1, "cw", positive=True))
 
-    @property
-    def n_sites(self) -> int:
-        return 2 * self.n_cells
-
     def with_lv(self, lv) -> "CircuitSpec":
         """Copy with the coupling-inductance list replaced."""
         return CircuitSpec(self.n_cells, self.c0, self.l0, lv, self.cw)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_cells": self.n_cells,
-            "c0_fF": _json_list(self.c0),
-            "l0_nH": _json_list(self.l0),
-            "lv_nH": _json_list(self.lv),
-            "cw_fF": _json_list(self.cw),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CircuitSpec":
-        allowed = {"n_cells", "c0_fF", "l0_nH", "lv_nH", "cw_fF"}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise ValidationError(f"unknown CircuitSpec keys: {unknown}")
-        missing = sorted(allowed - set(data))
-        if missing:
-            raise ValidationError(f"missing CircuitSpec keys: {missing}")
-        return cls(
-            n_cells=data["n_cells"],
-            c0=_from_json_values(data["c0_fF"]),
-            l0=_from_json_values(data["l0_nH"]),
-            lv=_from_json_values(data["lv_nH"]),
-            cw=_from_json_values(data["cw_fF"]),
-        )
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CircuitSpec":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

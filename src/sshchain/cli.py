@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,16 +27,18 @@ from . import microwave as mw_mod
 from . import spectral as spec_mod
 from . import topology as topo_mod
 from .chain import _coerce, _float_array
-from .csvout import ensure_dir, fmt, write_csv, write_json
+from .csvout import fmt, write_csv, write_json
 from .errors import NumericalError, ValidationError
 
 OUT_DIR_ENV = "SSHCHAIN_OUT_DIR"
 
-_CIRCUIT_KEYS = {"n_cells", "c0_fF", "l0_nH", "lv_nH", "cw_fF"}
-_CHAIN_KEYS = {"n_cells", "eps_GHz", "v_GHz", "w_GHz"}
+_CIRCUIT_KEYS = chain_mod.CircuitSpec._json_keys()
+_CHAIN_KEYS = chain_mod.ChainSpec._json_keys()
 _GATE_KEYS = {"mode", "v_p_V", "v_o_V", "l_min_nH", "i_star_uA", "table_csv", "table"}
-_BOX_KEYS = {"f_box_GHz", "q_box", "coupling"}
-_FREQ_KEYS = {"start_GHz", "stop_GHz", "points"}
+# (BoxMode field, config key) pairs; the defaults are BoxMode's own
+_BOX_FIELDS = (("f_box", "f_box_GHz"), ("q_box", "q_box"), ("coupling", "coupling"))
+_BOX_KEYS = {key for _, key in _BOX_FIELDS}
+_FREQ_KEYS = ("start_GHz", "stop_GHz", "points")  # all required
 _COMMON_KEYS = {"label", "out_dir", "seed", "threads"}
 
 SCHEMAS = {
@@ -60,14 +63,14 @@ SCHEMAS = {
                    "i_s_grid": {"start_uA", "stop_uA", "points", "values_uA"},
                    "freqs": _FREQ_KEYS, "z0_ohm": None, "box": _BOX_KEYS,
                    "emit_traces": None},
-    "fit": {"fit": {"targets_GHz", "start", "free", "bounds"},
-            "options": {"tol_f", "tol_x", "max_iter", "step"},
+    "fit": {"fit": set(est_mod._FIT_PROBLEM_KEYS),
+            "options": {f.name for f in fields(est_mod.FitOptions)},
             "max_restarts": None, "target_rms_GHz": None, "multi_start": None},
 }
 
 
 def _validate_keys(node, schema, path):
-    """Reject unknown keys anywhere in the config; no silent ignores.
+    """Reject unknown keys at the top level and in sections; no silent ignores.
 
     A section the schema lists keys for must be an object; any other value
     there raises ValidationError naming its dotted key.
@@ -76,16 +79,10 @@ def _validate_keys(node, schema, path):
     for key, value in node.items():
         if key not in schema:
             problems.append(f"{path}.{key}")
-            continue
-        sub = schema[key]
-        if sub is None:
-            continue
-        if not isinstance(value, dict):
-            raise ValidationError(f"{path}.{key} must be an object, got {value!r}")
-        if isinstance(sub, dict):
-            problems.extend(_validate_keys(value, sub, f"{path}.{key}"))
-        else:
-            problems.extend(f"{path}.{key}.{k}" for k in value if k not in sub)
+        elif schema[key] is not None:
+            if not isinstance(value, dict):
+                raise ValidationError(f"{path}.{key} must be an object, got {value!r}")
+            problems.extend(f"{path}.{key}.{k}" for k in value if k not in schema[key])
     return problems
 
 
@@ -150,27 +147,22 @@ def _chain_from(config, command) -> chain_mod.ChainSpec:
     raise ValidationError(f"'{command}' config needs 'chain' or 'circuit'")
 
 
-def _freq_grid(config) -> np.ndarray:
-    spec = _require(config, "freqs", "this")
-    for key in ("start_GHz", "stop_GHz", "points"):
-        if key not in spec:
+def _trace_inputs(config) -> dict:
+    """The ``freqs``, ``z0`` and ``box`` arguments of a transmission trace."""
+    freqs = _require(config, "freqs", "this")
+    for key in _FREQ_KEYS:
+        if key not in freqs:
             raise ValidationError(f"freqs needs '{key}'")
-    points = _coerce(spec["points"], "freqs.points", int)
+    points = _coerce(freqs["points"], "freqs.points", int)
     if points < 2:
         raise ValidationError("freqs.points must be >= 2")
-    return np.linspace(_coerce(spec["start_GHz"], "freqs.start_GHz"),
-                       _coerce(spec["stop_GHz"], "freqs.stop_GHz"), points)
-
-
-def _box_from(config):
-    if config.get("box") is None:
-        return None
-    box = config["box"]
-    return mw_mod.BoxMode(
-        f_box=_coerce(box.get("f_box_GHz", 6.0), "box.f_box_GHz"),
-        q_box=_coerce(box.get("q_box", 10.0), "box.q_box"),
-        coupling=_coerce(box.get("coupling", 1.0), "box.coupling"),
-    )
+    box = config.get("box")
+    if box is not None:
+        box = mw_mod.BoxMode(**{name: _coerce(box[key], f"box.{key}")
+                                for name, key in _BOX_FIELDS if key in box})
+    return {"freqs": np.linspace(_coerce(freqs["start_GHz"], "freqs.start_GHz"),
+                                 _coerce(freqs["stop_GHz"], "freqs.stop_GHz"), points),
+            "box": box, "z0": _coerce(config.get("z0_ohm", 50.0), "z0_ohm")}
 
 
 def _gate_from(config, n_junctions) -> mw_mod.GateModel:
@@ -195,21 +187,14 @@ def _gate_from(config, n_junctions) -> mw_mod.GateModel:
     )
 
 
-def _classify_circuit(circuit):
-    mapped = chain_mod.map_circuit_to_tb(circuit)
-    spectrum = spec_mod.eigendecompose(chain_mod.build_tb_hamiltonian(mapped))
-    return spec_mod.classify_modes(spectrum, float(np.mean(mapped.eps)))
-
-
-def _run_spectrum(config, out_dir, label):
+def _run_spectrum(config, stem):
     chain = _chain_from(config, "spectrum")
     eps_ref = _coerce(config.get("eps_ref_GHz", np.mean(chain.eps)), "eps_ref_GHz")
     spectrum = spec_mod.eigendecompose(chain_mod.build_tb_hamiltonian(chain))
     cls = spec_mod.classify_modes(spectrum, eps_ref)
-    write_csv(os.path.join(out_dir, f"spectrum_{label}.csv"),
-              ["mode_index", "freq_GHz", "label"],
+    write_csv(f"{stem}.csv", ["mode_index", "freq_GHz", "label"],
               [range(spectrum.n_sites), spectrum.eigenvalues, cls.labels])
-    write_json(os.path.join(out_dir, f"spectrum_{label}.json"), {
+    write_json(f"{stem}.json", {
         "eps_ref_GHz": eps_ref,
         "fsr_edge_bulk_GHz": cls.fsr_edge_bulk,
         "fsr_edge_edge_GHz": cls.fsr_edge_edge,
@@ -219,7 +204,7 @@ def _run_spectrum(config, out_dir, label):
             f"fsr_edge_edge_GHz={fmt(cls.fsr_edge_edge)}")
 
 
-def _run_sweep(config, out_dir, label):
+def _run_sweep(config, stem):
     circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "sweep"))
     grid_cfg = _require(config, "lv_grid", "sweep")
     if "values_nH" in grid_cfg:
@@ -233,17 +218,14 @@ def _run_sweep(config, out_dir, label):
         grid = list(np.arange(start, stop + step / 2, step))
     cells = config.get("cells")
     sweep = spec_mod.sweep_coupling(circuit, grid, cells=cells)
-    spec_mod.write_sweep_csv(
-        sweep,
-        os.path.join(out_dir, f"sweep_{label}.csv"),
-        os.path.join(out_dir, f"sweep_{label}_summary.csv"))
+    spec_mod.write_sweep_csv(sweep, f"{stem}.csv", f"{stem}_summary.csv")
     crossing = spec_mod.find_fsr_crossing(sweep)
     if crossing is None:
         return f"points={len(sweep)} crossing=none"
     return f"points={len(sweep)} crossing_lv_nH={fmt(crossing)}"
 
 
-def _run_winding(config, out_dir, label):
+def _run_winding(config, stem):
     method = config.get("method", "k-space")
     if method == "k-space":
         for key in ("v_GHz", "w_GHz"):
@@ -259,7 +241,7 @@ def _run_winding(config, out_dir, label):
     else:
         raise ValidationError(
             f"winding method must be 'k-space' or 'real-space', got {method!r}")
-    write_json(os.path.join(out_dir, f"winding_{label}.json"), {
+    write_json(f"{stem}.json", {
         "nu": result.nu,
         "method": result.method,
         "chain_length": result.chain_length,
@@ -267,18 +249,17 @@ def _run_winding(config, out_dir, label):
     return f"nu={fmt(result.nu)} method={result.method}"
 
 
-def _run_ipr(config, out_dir, label):
+def _run_ipr(config, stem):
     chain = _chain_from(config, "ipr")
     spectrum = spec_mod.eigendecompose(chain_mod.build_tb_hamiltonian(chain))
     values = [topo_mod.ipr(spectrum.eigenvectors[:, k])
               for k in range(spectrum.n_sites)]
-    write_csv(os.path.join(out_dir, f"ipr_{label}.csv"),
-              ["mode_index", "freq_GHz", "ipr"],
+    write_csv(f"{stem}.csv", ["mode_index", "freq_GHz", "ipr"],
               [range(spectrum.n_sites), spectrum.eigenvalues, values])
     return f"modes={len(values)} ipr_min={fmt(min(values))} ipr_max={fmt(max(values))}"
 
 
-def _run_disorder(config, out_dir, label):
+def _run_disorder(config, stem):
     chain = _chain_from(config, "disorder")
     cfg = _require(config, "disorder", "disorder")
     seed = cfg.get("seed", config.get("seed"))
@@ -291,27 +272,16 @@ def _run_disorder(config, out_dir, label):
         seed=seed,
     )
     result = topo_mod.disorder_ensemble(chain, dconf)
-    topo_mod.write_ensemble_outputs(
-        result,
-        os.path.join(out_dir, f"disorder_{label}.csv"),
-        os.path.join(out_dir, f"disorder_{label}.json"))
+    topo_mod.write_ensemble_outputs(result, f"{stem}.csv", f"{stem}.json")
     return (f"mean_nu={fmt(result.mean_nu)} std_nu={fmt(result.std_nu)} "
             f"rejections={result.rejections}")
 
 
-def _run_s21(config, out_dir, label):
+def _run_s21(config, stem):
     circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "s21"))
-    freqs = _freq_grid(config)
-    trace = mw_mod.s21_trace(
-        circuit, freqs,
-        z0=_coerce(config.get("z0_ohm", 50.0), "z0_ohm"),
-        box=_box_from(config),
-        power_dBm=config.get("power_dBm"),
-    )
-    mw_mod.write_trace_outputs(
-        trace,
-        os.path.join(out_dir, f"s21_{label}.csv"),
-        os.path.join(out_dir, f"s21_{label}.json"))
+    trace = mw_mod.s21_trace(circuit, **_trace_inputs(config),
+                             power_dBm=config.get("power_dBm"))
+    mw_mod.write_trace_outputs(trace, f"{stem}.csv", f"{stem}.json")
     return f"points={trace.freqs.size} abs_s21_max={fmt(float(np.max(np.abs(trace.s21))))}"
 
 
@@ -338,39 +308,28 @@ def _gate_settings_from(config, model):
         f"sweep.kind must be joint, single or explicit, got {kind!r}")
 
 
-def _phase_columns(classes):
-    """The fsr_edge_bulk_GHz, fsr_edge_edge_GHz and phase_tag columns."""
-    return [[c.fsr_edge_bulk for c in classes], [c.fsr_edge_edge for c in classes],
-            [c.phase_tag for c in classes]]
-
-
-def _run_gatesweep(config, out_dir, label):
+def _run_gatesweep(config, stem):
     circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "gatesweep"))
     model = _gate_from(config, circuit.n_cells)
     settings = _gate_settings_from(config, model)
     i_s = _coerce(config.get("i_s_uA", 0.0), "i_s_uA")
-    freqs = _freq_grid(config)
-    traces = mw_mod.gate_sweep_spectrum(
-        circuit, model, settings, i_s, freqs,
-        box=_box_from(config), z0=_coerce(config.get("z0_ohm", 50.0), "z0_ohm"))
+    traces = mw_mod.gate_sweep_spectrum(circuit, model, settings, i_s,
+                                        **_trace_inputs(config))
     emit_traces = bool(config.get("emit_traces", True))
     if emit_traces:
         for k, trace in enumerate(traces):
             mw_mod.write_trace_outputs(
-                trace,
-                os.path.join(out_dir, f"gatesweep_{label}_trace{k:03d}.csv"),
-                os.path.join(out_dir, f"gatesweep_{label}_trace{k:03d}.json"))
+                trace, f"{stem}_trace{k:03d}.csv", f"{stem}_trace{k:03d}.json")
     # each trace carries the gated circuit it was computed from
-    classes = [_classify_circuit(trace.circuit) for trace in traces]
-    header = (["setting_index"]
-              + [f"v_g{j}_V" for j in range(circuit.n_cells)]
-              + ["fsr_edge_bulk_GHz", "fsr_edge_edge_GHz", "phase_tag"])
-    write_csv(os.path.join(out_dir, f"gatesweep_{label}_summary.csv"), header,
-              [range(len(traces))] + list(settings.T) + _phase_columns(classes))
+    classes = [spec_mod._classify_circuit(trace.circuit)[2] for trace in traces]
+    header = (["setting_index"] + [f"v_g{j}_V" for j in range(circuit.n_cells)]
+              + spec_mod._PHASE_HEADER)
+    write_csv(f"{stem}_summary.csv", header, [range(len(traces))] + list(settings.T)
+              + spec_mod._phase_columns(classes))
     return f"settings={len(traces)} traces_written={len(traces) if emit_traces else 0}"
 
 
-def _run_powersweep(config, out_dir, label):
+def _run_powersweep(config, stem):
     circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "powersweep"))
     model = _gate_from(config, circuit.n_cells)
     setting = config.get("setting_V", "open")
@@ -395,30 +354,25 @@ def _run_powersweep(config, out_dir, label):
     if not i_grid:
         raise ValidationError("i_s_grid holds no signal current")
     gated = [mw_mod.apply_gate_setting(circuit, model, voltages, i_s) for i_s in i_grid]
-    classes = [_classify_circuit(g) for g in gated]
+    classes = [spec_mod._classify_circuit(g)[2] for g in gated]
     if config.get("emit_traces", False):
-        freqs = _freq_grid(config)
-        z0 = _coerce(config.get("z0_ohm", 50.0), "z0_ohm")
-        box = _box_from(config)
+        inputs = _trace_inputs(config)
         for k, (i_s, g) in enumerate(zip(i_grid, gated)):
             trace = mw_mod.s21_trace(
-                g, freqs, z0=z0, box=box,
-                metadata={"i_s_uA": i_s,
-                          "gate_setting_V": [float(v) for v in voltages]})
+                g, **inputs, metadata={"i_s_uA": i_s,
+                                       "gate_setting_V": [float(v) for v in voltages]})
             mw_mod.write_trace_outputs(
-                trace,
-                os.path.join(out_dir, f"powersweep_{label}_trace{k:03d}.csv"),
-                os.path.join(out_dir, f"powersweep_{label}_trace{k:03d}.json"))
+                trace, f"{stem}_trace{k:03d}.csv", f"{stem}_trace{k:03d}.json")
     header = (["i_s_uA"] + [f"lv{j}_nH" for j in range(circuit.n_cells)]
-              + ["fsr_edge_bulk_GHz", "fsr_edge_edge_GHz", "phase_tag"])
+              + spec_mod._PHASE_HEADER)
     lv = np.array([g.lv for g in gated])
-    write_csv(os.path.join(out_dir, f"powersweep_{label}.csv"), header,
-              [i_grid] + list(lv.T) + _phase_columns(classes))
+    write_csv(f"{stem}.csv", header,
+              [i_grid] + list(lv.T) + spec_mod._phase_columns(classes))
     return (f"points={len(i_grid)} phase_first={classes[0].phase_tag} "
             f"phase_last={classes[-1].phase_tag}")
 
 
-def _run_fit(config, out_dir, label):
+def _run_fit(config, stem):
     problem = est_mod.fit_problem_from_dict(_require(config, "fit", "fit"))
     options = est_mod.FitOptions(**config.get("options", {}))
     result = est_mod.fit_circuit_params(
@@ -427,11 +381,8 @@ def _run_fit(config, out_dir, label):
         target_rms_GHz=_coerce(config.get("target_rms_GHz", 1e-7), "target_rms_GHz"),
         multi_start=_coerce(config.get("multi_start", 1), "multi_start", int),
     )
-    est_mod.write_fit_outputs(
-        result,
-        os.path.join(out_dir, f"fit_{label}.json"),
-        os.path.join(out_dir, f"fit_{label}_sites.csv"),
-        os.path.join(out_dir, f"fit_{label}_couplings.csv"))
+    est_mod.write_fit_outputs(result, f"{stem}.json", f"{stem}_sites.csv",
+                              f"{stem}_couplings.csv")
     return (f"residual_rms_kHz={fmt(result.residual_rms_kHz)} "
             f"converged={result.converged} restarts={result.restarts}")
 
@@ -507,7 +458,7 @@ def main(argv=None) -> int:
         out_dir = args.out_dir or config.get("out_dir") \
             or os.environ.get(OUT_DIR_ENV) or "."
         try:
-            ensure_dir(out_dir)
+            os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise ValidationError(f"output directory not writable: {exc}") from None
         label = args.label or config.get("label") \
@@ -516,7 +467,8 @@ def main(argv=None) -> int:
             else _coerce(config.get("threads", 1), "threads", int)
         if threads < 1:
             raise ValidationError(f"threads must be >= 1, got {threads}")
-        summary = RUNNERS[args.command](config, out_dir, label)
+        summary = RUNNERS[args.command](
+            config, os.path.join(out_dir, f"{args.command}_{label}"))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from typing import Sequence
 
 import numpy as np
@@ -54,8 +53,3 @@ def _sanitize(obj):
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     return obj
-
-
-def ensure_dir(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path

@@ -40,6 +40,9 @@ __all__ = [
 
 PARAM_FAMILIES = ("c0", "l0", "cw", "lv")
 
+# keys of the fit problem's JSON form; the first two are required
+_FIT_PROBLEM_KEYS = ("targets_GHz", "start", "free", "bounds")
+
 
 @dataclass(frozen=True)
 class FitOptions:
@@ -276,11 +279,10 @@ def fit_circuit_params(problem: FitProblem,
 
 def fit_problem_from_dict(data: dict) -> FitProblem:
     """Build a FitProblem from its JSON document form."""
-    allowed = {"targets_GHz", "start", "free", "bounds"}
-    unknown = sorted(set(data) - allowed)
+    unknown = sorted(set(data) - set(_FIT_PROBLEM_KEYS))
     if unknown:
         raise ValidationError(f"unknown fit-problem keys: {unknown}")
-    for key in ("targets_GHz", "start"):
+    for key in _FIT_PROBLEM_KEYS[:2]:
         if key not in data:
             raise ValidationError(f"fit problem needs '{key}'")
     bounds = None

@@ -177,6 +177,14 @@ def _smoothstep(u: float) -> float:
     return u * u * (3.0 - 2.0 * u)
 
 
+def _junction_index(model: GateModel, junction) -> int:
+    j = int(junction)
+    if not (0 <= j < model.n_junctions):
+        raise ValidationError(
+            f"junction index {junction} outside 0..{model.n_junctions - 1}")
+    return j
+
+
 def nanowire_inductance(model: GateModel, junction: int, v_g: float,
                         i_s: float = 0.0) -> float:
     """Junction inductance in nH at gate voltage v_g and signal current i_s.
@@ -185,10 +193,7 @@ def nanowire_inductance(model: GateModel, junction: int, v_g: float,
     mode queries outside the sampled voltage range raise
     ExtrapolationError.
     """
-    j = int(junction)
-    if not (0 <= j < model.n_junctions):
-        raise ValidationError(
-            f"junction index {junction} outside 0..{model.n_junctions - 1}")
+    j = _junction_index(model, junction)
     i_s = float(i_s)
     if i_s < 0:
         raise ValidationError(f"signal current must be >= 0, got {i_s}")
@@ -233,14 +238,6 @@ def joint_gate_settings(model: GateModel, steps: int) -> np.ndarray:
     return model.v_p[None, :] + u[:, None] * (model.v_o - model.v_p)[None, :]
 
 
-def _junction_index(model: GateModel, junction) -> int:
-    j = int(junction)
-    if not (0 <= j < model.n_junctions):
-        raise ValidationError(
-            f"junction index {junction} outside 0..{model.n_junctions - 1}")
-    return j
-
-
 def single_gate_settings(model: GateModel, junction: int,
                          voltages: Sequence[float]) -> np.ndarray:
     """Per-junction sweep with all other gates held at pinch-off."""
@@ -268,8 +265,7 @@ def _validate_freqs(freqs) -> np.ndarray:
     return freqs
 
 
-def ladder_abcd(circuit: CircuitSpec, freqs: Sequence[float],
-                pinched_lv_nH: float = PINCHED_LV_NH) -> np.ndarray:
+def ladder_abcd(circuit: CircuitSpec, freqs: Sequence[float]) -> np.ndarray:
     """ABCD matrices of the bare chain ladder, shape (n_freq, 2, 2)."""
     freqs = _validate_freqs(freqs)
     omega = 2.0 * np.pi * freqs * _GHZ
@@ -289,7 +285,7 @@ def ladder_abcd(circuit: CircuitSpec, freqs: Sequence[float],
         d = d + c * z
 
     n = circuit.n_cells
-    lv = np.where(np.isfinite(circuit.lv), circuit.lv, pinched_lv_nH)
+    lv = np.where(np.isfinite(circuit.lv), circuit.lv, PINCHED_LV_NH)
     shunt(1j * omega * circuit.c0[0] * _FF)          # left terminating site
     series(1.0 / (1j * omega * circuit.cw[0] * _FF))
     for cell in range(n):
@@ -314,8 +310,7 @@ def abcd_to_s21(abcd: np.ndarray, z0: float = 50.0) -> np.ndarray:
     return 2.0 / (a + b / z0 + c * z0 + d)
 
 
-def circuit_mode_frequencies(circuit: CircuitSpec,
-                             pinched_lv_nH: float = PINCHED_LV_NH) -> np.ndarray:
+def circuit_mode_frequencies(circuit: CircuitSpec) -> np.ndarray:
     """Exact normal-mode frequencies of the unloaded ladder, in GHz.
 
     Solves the generalized eigenproblem of the network's inverse-inductance
@@ -329,7 +324,7 @@ def circuit_mode_frequencies(circuit: CircuitSpec,
     nn = 2 * n + 2
     c0 = circuit.c0 * _FF
     l0 = circuit.l0 * _NH
-    lv = np.where(np.isfinite(circuit.lv), circuit.lv, pinched_lv_nH) * _NH
+    lv = np.where(np.isfinite(circuit.lv), circuit.lv, PINCHED_LV_NH) * _NH
     cw = circuit.cw * _FF
 
     m = np.zeros((nn, nn))
@@ -377,19 +372,18 @@ def _box_bridge_admittance(box: BoxMode, omega: np.ndarray, z0: float) -> np.nda
 
 def s21_trace(circuit: CircuitSpec, freqs: Sequence[float], z0: float = 50.0,
               box: Optional[BoxMode] = None, power_dBm: Optional[float] = None,
-              pinched_lv_nH: float = PINCHED_LV_NH,
               metadata: Optional[dict] = None) -> S21Trace:
     """Two-port transmission of the chain ladder, optionally with a box mode.
 
     The ladder is cascaded in ABCD form and converted to S21 at z0. A box
     mode is combined in parallel by adding Y parameters before the
     conversion. Pinched-off (infinite) coupling inductances are rendered
-    as ``pinched_lv_nH``, recorded in the metadata.
+    as ``PINCHED_LV_NH``, recorded in the metadata.
     """
     if not (z0 > 0):
         raise ValidationError(f"port impedance must be > 0, got {z0}")
     freqs = _validate_freqs(freqs)
-    abcd = ladder_abcd(circuit, freqs, pinched_lv_nH)
+    abcd = ladder_abcd(circuit, freqs)
     if box is None:
         s21 = abcd_to_s21(abcd, z0)
     else:
@@ -416,7 +410,7 @@ def s21_trace(circuit: CircuitSpec, freqs: Sequence[float], z0: float = 50.0,
         "box": None if box is None else {
             "f_box_GHz": box.f_box, "q_box": box.q_box, "coupling": box.coupling},
         "pinched_cells": pinched,
-        "pinched_lv_nH": float(pinched_lv_nH) if pinched else None,
+        "pinched_lv_nH": PINCHED_LV_NH if pinched else None,
         "normalized": False,
     }
     if metadata:

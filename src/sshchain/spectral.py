@@ -44,6 +44,9 @@ _SYMMETRY_TOL = 1e-10
 _ORTHO_TOL = 1e-9
 _RECON_TOL = 1e-8
 
+# the columns every phase summary CSV ends with; see _phase_columns
+_PHASE_HEADER = ["fsr_edge_bulk_GHz", "fsr_edge_edge_GHz", "phase_tag"]
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -172,15 +175,26 @@ def classify_modes(spectrum: Spectrum, eps_ref: float) -> ModeClassification:
     )
 
 
+def _classify_circuit(circuit: CircuitSpec) -> tuple:
+    """Map, diagonalize and classify ``circuit`` about its mean site energy.
+
+    Returns the mapped chain, its spectrum and the classification.
+    """
+    chain = map_circuit_to_tb(circuit)
+    spectrum = eigendecompose(build_tb_hamiltonian(chain))
+    return chain, spectrum, classify_modes(spectrum, float(np.mean(chain.eps)))
+
+
+def _phase_columns(classes: Sequence[ModeClassification]) -> list:
+    """The ``_PHASE_HEADER`` columns of a run of classifications."""
+    return [[c.fsr_edge_bulk for c in classes], [c.fsr_edge_edge for c in classes],
+            [c.phase_tag for c in classes]]
+
+
 def _sweep_point(circuit: CircuitSpec, lv_value: float, cells) -> SweepPoint:
     lv = np.array(circuit.lv, copy=True)
     lv[cells] = lv_value
-    updated = circuit.with_lv(lv)
-    chain = map_circuit_to_tb(updated)
-    spectrum = eigendecompose(build_tb_hamiltonian(chain))
-    classification = classify_modes(spectrum, float(np.mean(chain.eps)))
-    return SweepPoint(lv_nH=float(lv_value), chain=chain,
-                      spectrum=spectrum, classification=classification)
+    return SweepPoint(float(lv_value), *_classify_circuit(circuit.with_lv(lv)))
 
 
 def sweep_coupling(circuit: CircuitSpec, lv_grid: Sequence[float],
@@ -253,7 +267,4 @@ def write_sweep_csv(sweep: Sequence[SweepPoint], modes_path, summary_path) -> No
                [k for n in n_modes for k in range(n)],
                [f for p in sweep for f in p.spectrum.eigenvalues.tolist()],
                [label for c in classes for label in c.labels]])
-    write_csv(summary_path,
-              ["lv_nH", "fsr_edge_bulk_GHz", "fsr_edge_edge_GHz", "phase_tag"],
-              [lv, [c.fsr_edge_bulk for c in classes],
-               [c.fsr_edge_edge for c in classes], [c.phase_tag for c in classes]])
+    write_csv(summary_path, ["lv_nH"] + _PHASE_HEADER, [lv] + _phase_columns(classes))

@@ -45,6 +45,7 @@ __all__ = [
 
 ZERO_TOL = 1e-12          # GHz; eigenvalues closer to zero need chiral splitting
 AMPLITUDE_FLOOR = 1e-12   # |psi| below this is ignored by localization fits
+K_POINTS_MIN = 1024       # fewest Brillouin-zone points of the k-space winding
 RNG_NAME = "PCG64"
 
 
@@ -129,7 +130,7 @@ def _tridiagonal_bands(h) -> tuple:
     return diag, off
 
 
-def _flatband_bands(diag: np.ndarray, off: np.ndarray, zero_tol: float = ZERO_TOL):
+def _flatband_bands(diag: np.ndarray, off: np.ndarray):
     """Flatband Q and eigenvalues of the tridiagonal matrix with bands diag, off.
 
     One divide-and-conquer eigensolve (dstevd; the MRRR routine dstemr
@@ -149,7 +150,7 @@ def _flatband_bands(diag: np.ndarray, off: np.ndarray, zero_tol: float = ZERO_TO
             f"tridiagonal eigenvectors not orthonormal: max |V^T V - I| = "
             f"{ortho:.3e} exceeds {_ORTHO_TOL}")
 
-    zero = np.abs(evals) <= zero_tol
+    zero = np.abs(evals) <= ZERO_TOL
     n_zero = int(np.count_nonzero(zero))
     q = dgemm(1.0, evecs * (np.sign(evals) * ~zero), evecs, trans_b=1)
     if n_zero == 0:
@@ -169,7 +170,7 @@ def _flatband_bands(diag: np.ndarray, off: np.ndarray, zero_tol: float = ZERO_TO
     return q, evals
 
 
-def flatband(h: np.ndarray, eps_ref: float, zero_tol: float = ZERO_TOL) -> np.ndarray:
+def flatband(h: np.ndarray, eps_ref: float) -> np.ndarray:
     """Flatband image Q = P+ - P- of the shifted Hamiltonian H - eps_ref*I.
 
     H must be real symmetric tridiagonal with even dimension, as
@@ -179,13 +180,13 @@ def flatband(h: np.ndarray, eps_ref: float, zero_tol: float = ZERO_TOL) -> np.nd
     ``eigh_tridiagonal``), and NumericalError is raised if its
     eigenvectors are not orthonormal within 1e-9.
 
-    Eigenvalues with |lambda| <= zero_tol cannot be assigned to a spectral
+    Eigenvalues with |lambda| <= ZERO_TOL cannot be assigned to a spectral
     half by sign. A protected pair of such zeros is split by its chirality
     eigenvalues (one state to each half, keeping Q involutory); anything
     else raises DegenerateMidgapError naming the offending indices.
     """
     diag, off = _tridiagonal_bands(h)
-    return _flatband_bands(diag - float(eps_ref), off, zero_tol)[0]
+    return _flatband_bands(diag - float(eps_ref), off)[0]
 
 
 def _winding_trace(q: np.ndarray) -> float:
@@ -216,12 +217,12 @@ def winding_number_real_space(h: np.ndarray, eps_ref: float) -> WindingResult:
                          method="real-space")
 
 
-def winding_number_k_space(v: float, w: float, min_points: int = 1024) -> WindingResult:
+def winding_number_k_space(v: float, w: float) -> WindingResult:
     """Winding of h(k) = v + w e^{ik} around the Brillouin zone.
 
-    Midpoint quadrature of (1/2 pi i) Tr[h^-1 dh/dk] over at least 1024
-    points, refined near the gap closing so the raw value is always within
-    1e-6 of an integer; v = w raises GapClosingError.
+    Midpoint quadrature of (1/2 pi i) Tr[h^-1 dh/dk] over at least
+    ``K_POINTS_MIN`` points, refined near the gap closing so the raw value
+    is always within 1e-6 of an integer; v = w raises GapClosingError.
     """
     v = float(v)
     w = float(w)
@@ -236,9 +237,9 @@ def winding_number_k_space(v: float, w: float, min_points: int = 1024) -> Windin
     # accordingly when the gap is small.
     if v > 0 and w > 0:
         decay = abs(np.log(v / w))
-        points = max(min_points, int(np.ceil(40.0 / decay)))
+        points = max(K_POINTS_MIN, int(np.ceil(40.0 / decay)))
     else:
-        points = min_points
+        points = K_POINTS_MIN
     points = min(points, 1 << 22)
     k = 2.0 * np.pi * (np.arange(points) + 0.5) / points
     hk = v + w * np.exp(1j * k)
