@@ -160,9 +160,11 @@ def _trace_inputs(config) -> dict:
     if box is not None:
         box = mw_mod.BoxMode(**{name: _coerce(box[key], f"box.{key}")
                                 for name, key in _BOX_FIELDS if key in box})
-    return {"freqs": np.linspace(_coerce(freqs["start_GHz"], "freqs.start_GHz"),
-                                 _coerce(freqs["stop_GHz"], "freqs.stop_GHz"), points),
-            "box": box, "z0": _coerce(config.get("z0_ohm", 50.0), "z0_ohm")}
+    with np.errstate(invalid="ignore"):  # s21_trace rejects a non-finite grid
+        grid = np.linspace(_coerce(freqs["start_GHz"], "freqs.start_GHz"),
+                           _coerce(freqs["stop_GHz"], "freqs.stop_GHz"), points)
+    return {"freqs": grid, "box": box,
+            "z0": _coerce(config.get("z0_ohm", 50.0), "z0_ohm")}
 
 
 def _gate_from(config, n_junctions) -> mw_mod.GateModel:

@@ -127,12 +127,10 @@ class BoxMode:
     coupling: float = 1.0
 
     def __post_init__(self):
-        if not (self.f_box > 0):
-            raise ValidationError(f"f_box must be > 0, got {self.f_box}")
-        if not (self.q_box > 0):
-            raise ValidationError(f"q_box must be > 0, got {self.q_box}")
-        if not (self.coupling > 0):
-            raise ValidationError(f"coupling must be > 0, got {self.coupling}")
+        for name in ("f_box", "q_box", "coupling"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -249,9 +247,11 @@ def single_gate_settings(model: GateModel, junction: int,
 
 
 def _increasing_grid(freqs: np.ndarray) -> np.ndarray:
-    """Check that ``freqs`` is a non-empty, strictly increasing 1-D grid."""
+    """Check that ``freqs`` is a non-empty, finite, strictly increasing 1-D grid."""
     if freqs.ndim != 1 or freqs.size == 0:
         raise ValidationError("frequency grid must be a non-empty 1-D array")
+    if not np.all(np.isfinite(freqs)):
+        raise ValidationError("frequency grid must be finite")
     if np.any(np.diff(freqs) <= 0):
         raise ValidationError("frequency grid must be strictly increasing")
     return freqs
@@ -378,10 +378,11 @@ def s21_trace(circuit: CircuitSpec, freqs: Sequence[float], z0: float = 50.0,
     The ladder is cascaded in ABCD form and converted to S21 at z0. A box
     mode is combined in parallel by adding Y parameters before the
     conversion. Pinched-off (infinite) coupling inductances are rendered
-    as ``PINCHED_LV_NH``, recorded in the metadata.
+    as ``PINCHED_LV_NH``, recorded in the metadata. A peak |s21| above 1
+    (or NaN) raises NumericalError.
     """
-    if not (z0 > 0):
-        raise ValidationError(f"port impedance must be > 0, got {z0}")
+    if not 0 < z0 < math.inf:
+        raise ValidationError(f"port impedance must be finite and > 0, got {z0}")
     freqs = _validate_freqs(freqs)
     abcd = ladder_abcd(circuit, freqs)
     if box is None:
@@ -401,7 +402,7 @@ def s21_trace(circuit: CircuitSpec, freqs: Sequence[float], z0: float = 50.0,
         denom = (1.0 + y11 * z0) * (1.0 + y22 * z0) - y12 * y21 * z0 * z0
         s21 = -2.0 * y21 * z0 / denom
     peak = float(np.max(np.abs(s21)))
-    if peak > 1.0 + 1e-6:
+    if not peak <= 1.0 + 1e-6:
         raise NumericalError(
             f"lossless network produced |s21| = {peak:.6f} > 1")
     pinched = [int(i) for i in np.flatnonzero(~np.isfinite(circuit.lv))]

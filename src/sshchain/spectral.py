@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -132,13 +133,16 @@ def classify_modes(spectrum: Spectrum, eps_ref: float) -> ModeClassification:
 
     Proximity to the reference energy (not localization) identifies the
     edge pair so the labels stay meaningful in the trivial phase, where
-    the pair degenerates into ordinary band-edge modes.
+    the pair degenerates into ordinary band-edge modes. A non-finite
+    ``eps_ref`` raises ValidationError.
     """
     evals = spectrum.eigenvalues
     if evals.size < 4:
         raise ValidationError(
             f"classification needs at least 4 modes, got {evals.size}")
     eps_ref = float(eps_ref)
+    if not math.isfinite(eps_ref):
+        raise ValidationError(f"eps_ref must be finite, got {eps_ref}")
     order = np.argsort(np.abs(evals - eps_ref), kind="stable")
     edge_idx = np.sort(order[:2])
     labels = []

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import math
+
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dgemm
@@ -175,7 +177,8 @@ def flatband(h: np.ndarray, eps_ref: float) -> np.ndarray:
 
     H must be real symmetric tridiagonal with even dimension, as
     ``build_tb_hamiltonian`` returns it; anything else raises
-    ValidationError. The eigensystem comes from one tridiagonal solve of
+    ValidationError, as does a non-finite ``eps_ref``. The eigensystem
+    comes from one tridiagonal solve of
     the shifted diagonal and the first off-diagonal (scipy's
     ``eigh_tridiagonal``), and NumericalError is raised if its
     eigenvectors are not orthonormal within 1e-9.
@@ -186,7 +189,10 @@ def flatband(h: np.ndarray, eps_ref: float) -> np.ndarray:
     else raises DegenerateMidgapError naming the offending indices.
     """
     diag, off = _tridiagonal_bands(h)
-    return _flatband_bands(diag - float(eps_ref), off)[0]
+    eps_ref = float(eps_ref)
+    if not math.isfinite(eps_ref):
+        raise ValidationError(f"eps_ref must be finite, got {eps_ref}")
+    return _flatband_bands(diag - eps_ref, off)[0]
 
 
 def _winding_trace(q: np.ndarray) -> float:
@@ -222,12 +228,13 @@ def winding_number_k_space(v: float, w: float) -> WindingResult:
 
     Midpoint quadrature of (1/2 pi i) Tr[h^-1 dh/dk] over at least
     ``K_POINTS_MIN`` points, refined near the gap closing so the raw value
-    is always within 1e-6 of an integer; v = w raises GapClosingError.
+    is always within 1e-6 of an integer; v = w raises GapClosingError and
+    a negative or non-finite hop raises ValidationError.
     """
     v = float(v)
     w = float(w)
-    if v < 0 or w < 0:
-        raise ValidationError(f"hops must be >= 0, got v={v}, w={w}")
+    if not (0 <= v < math.inf and 0 <= w < math.inf):
+        raise ValidationError(f"hops must be finite and >= 0, got v={v}, w={w}")
     if v == 0 and w == 0:
         raise ValidationError("v and w cannot both be zero")
     if v == w:

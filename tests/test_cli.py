@@ -1,9 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from sshchain import default_circuit
+from sshchain import CircuitSpec, apply_gate_setting, default_circuit, map_circuit_to_tb
 from sshchain import microwave as mw_mod
 from sshchain.cli import main
 
@@ -16,12 +17,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def circuit_sets(**overrides):
-    spec = default_circuit(**overrides).to_dict()
+def section_sets(section, spec):
     args = []
-    for key, value in spec.items():
-        args += ["--set", f"circuit.{key}={json.dumps(value)}"]
+    for key, value in spec.to_dict().items():
+        args += ["--set", f"{section}.{key}={json.dumps(value)}"]
     return args
+
+
+def circuit_sets(**overrides):
+    return section_sets("circuit", default_circuit(**overrides))
 
 
 class TestWindingCommand:
@@ -131,6 +135,30 @@ class TestConfigHandling:
         key = override.split("=")[0]
         assert err.startswith(f"error: {command}.{key} must be an object")
 
+    @pytest.mark.parametrize("command,config,overrides", [
+        ("s21", "s21_topological", ["z0_ohm=Infinity"]),
+        ("s21", "s21_topological", ["box.q_box=Infinity"]),
+        ("s21", "s21_topological", ["box.f_box_GHz=Infinity"]),
+        ("s21", "s21_topological", ["freqs.stop_GHz=Infinity"]),
+        ("s21", "s21_topological", ["freqs.start_GHz=NaN"]),
+        ("spectrum", None, ["chain.n_cells=5", "chain.eps_GHz=6.5", "chain.v_GHz=0.1",
+                            "chain.w_GHz=0.5", "eps_ref_GHz=NaN"]),
+        ("spectrum", None, ["chain.n_cells=5", "chain.eps_GHz=6.5", "chain.v_GHz=0.1",
+                            "chain.w_GHz=0.5", "eps_ref_GHz=Infinity"]),
+        ("winding", None, ["method=real-space", "chain.n_cells=5", "chain.eps_GHz=6.5",
+                           "chain.v_GHz=0.1", "chain.w_GHz=0.5", "eps_ref_GHz=NaN"]),
+        ("winding", None, ["method=k-space", "v_GHz=NaN", "w_GHz=0.5"]),
+    ])
+    def test_non_finite_value_is_validation_error(self, capsys, tmp_path,
+                                                  command, config, overrides):
+        args = ["--config", os.path.join(CONFIG_DIR, f"{config}.json")] if config else []
+        for expr in overrides:
+            args += ["--set", expr]
+        code, out, err = run(capsys, command, *args, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert out == "" and err.startswith("error: ") and "finite" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_threads_accepted_and_validated(self, capsys, tmp_path):
         args = ("winding", "--set", "method=k-space", "--set", "v_GHz=0.25",
                 "--set", "w_GHz=0.5", "--out-dir", str(tmp_path))
@@ -174,6 +202,18 @@ class TestSpectrumCommand:
         assert "phase=topological" in out
         rows = (tmp_path / "spectrum_topo.csv").read_text().splitlines()
         assert len(rows) == 11
+
+
+    def test_circuit_section_matches_its_mapped_chain(self, capsys, tmp_path):
+        circuit = default_circuit(lv_nH=30.0)
+        for label, sets in (("circ", section_sets("circuit", circuit)),
+                            ("chain", section_sets("chain", map_circuit_to_tb(circuit)))):
+            code, _, _ = run(capsys, "spectrum", *sets,
+                             "--out-dir", str(tmp_path), "--label", label)
+            assert code == 0
+        for suffix in ("csv", "json"):
+            assert (tmp_path / f"spectrum_circ.{suffix}").read_bytes() == \
+                (tmp_path / f"spectrum_chain.{suffix}").read_bytes()
 
 
 class TestDisorderCommand:
@@ -288,6 +328,31 @@ class TestPowerSweepCommand:
         rows = (tmp_path / "powersweep_p.csv").read_text().splitlines()[1:]
         lv_first = [float(r.split(",")[1]) for r in rows]
         assert all(b > a for a, b in zip(lv_first, lv_first[1:]))
+
+    def test_emitted_traces_match_the_library(self, capsys, tmp_path):
+        config = os.path.join(CONFIG_DIR, "powersweep_trivial.json")
+        code, _, _ = run(capsys, "powersweep", "--config", config,
+                         "--set", "emit_traces=true", "--set", "freqs.points=201",
+                         "--out-dir", str(tmp_path), "--label", "t")
+        assert code == 0
+        with open(config) as fh:
+            document = json.load(fh)
+        circuit = CircuitSpec.from_dict(document["circuit"])
+        gate = document["gate"]
+        model = mw_mod.GateModel(circuit.n_cells, gate["v_p_V"], gate["v_o_V"],
+                                 gate["l_min_nH"], gate["i_star_uA"])
+        freqs = np.linspace(5.5, 7.2, 201)
+        currents = np.linspace(0.0, 2.0, 9)
+        assert sorted(p.name for p in tmp_path.glob("powersweep_t_trace*")) == \
+            [f"powersweep_t_trace{k:03d}.{ext}" for k in range(9) for ext in ("csv", "json")]
+        for k, i_s in enumerate(currents):
+            rows = np.loadtxt(tmp_path / f"powersweep_t_trace{k:03d}.csv",
+                              delimiter=",", skiprows=1)
+            expected = mw_mod.s21_trace(
+                apply_gate_setting(circuit, model, model.v_o, i_s), freqs)
+            assert np.max(np.abs(rows[:, 3] - np.abs(expected.s21))) <= 1e-12
+            meta = json.loads((tmp_path / f"powersweep_t_trace{k:03d}.json").read_text())
+            assert meta["i_s_uA"] == i_s
 
     def test_empty_current_grid_is_validation_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "powersweep",

@@ -9,6 +9,7 @@ from sshchain import (
     CircuitSpec,
     ExtrapolationError,
     GateModel,
+    NumericalError,
     S21Trace,
     ValidationError,
     abcd_to_s21,
@@ -126,6 +127,27 @@ class TestLadder:
     def test_zero_frequency_rejected(self):
         with pytest.raises(ValidationError):
             s21_trace(default_circuit(lv_nH=30.0), [0.0, 1.0])
+
+    @pytest.mark.parametrize("freqs", [[5.0, math.inf], [math.nan, 6.0],
+                                       [math.nan, math.nan]])
+    def test_non_finite_grid_rejected(self, freqs):
+        with pytest.raises(ValidationError, match="finite"):
+            s21_trace(default_circuit(lv_nH=30.0), freqs)
+        with pytest.raises(ValidationError, match="finite"):
+            S21Trace(freqs=freqs, s21=[0.5, 0.5])
+
+    @pytest.mark.parametrize("z0", [math.inf, math.nan, 0.0])
+    def test_non_finite_port_impedance_rejected(self, z0):
+        with pytest.raises(ValidationError, match="port impedance"):
+            s21_trace(default_circuit(lv_nH=30.0), [5.0, 6.0], z0=z0)
+
+    def test_nan_transmission_fails_the_passivity_guard(self, monkeypatch):
+        def nan_ladder(circuit, freqs):
+            return np.full((len(freqs), 2, 2), np.nan, dtype=complex)
+
+        monkeypatch.setattr(mw_mod, "ladder_abcd", nan_ladder)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="nan"):
+            s21_trace(default_circuit(lv_nH=30.0), [5.0, 6.0])
 
     def test_passivity(self):
         rng = np.random.default_rng(17)
@@ -400,6 +422,12 @@ class TestBoxMode:
             BoxMode(f_box=0.0)
         with pytest.raises(ValidationError):
             BoxMode(q_box=-1.0)
+
+    @pytest.mark.parametrize("field", ["f_box", "q_box", "coupling"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            BoxMode(**{field: value})
 
     def test_bandpass_away_from_chain(self):
         # pinched chain transmits almost nothing; the box passes its band

@@ -5,6 +5,7 @@ import pytest
 
 from sshchain import (
     ChainSpec,
+    NumericalError,
     ValidationError,
     build_tb_hamiltonian,
     classify_modes,
@@ -63,6 +64,17 @@ class TestEigendecompose:
         with pytest.raises(ValidationError):
             eigendecompose(h)
 
+    def test_non_orthonormal_eigenvectors_rejected(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def skewed(h):
+            evals, evecs = eigh(h)
+            return evals, evecs * (1.0 + 1e-6)
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        with pytest.raises(NumericalError, match="invariants"):
+            eigendecompose(build_tb_hamiltonian(ChainSpec(5, 6.5, 0.1, 0.5)))
+
     def test_deterministic_signs_in_degenerate_subspace(self):
         h = build_tb_hamiltonian(ChainSpec(5, 6.5, 0.0, 0.5))
         a = eigendecompose(h).eigenvectors
@@ -98,6 +110,12 @@ class TestClassifyModes:
         spectrum = eigendecompose(np.array([[6.5, 0.5], [0.5, 6.5]]))
         with pytest.raises(ValidationError):
             classify_modes(spectrum, 6.5)
+
+    @pytest.mark.parametrize("eps_ref", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reference_rejected(self, eps_ref):
+        spectrum = eigendecompose(build_tb_hamiltonian(ChainSpec(5, 6.5, 0.1, 0.5)))
+        with pytest.raises(ValidationError, match="eps_ref must be finite"):
+            classify_modes(spectrum, eps_ref)
 
     def test_invariant_under_common_shift(self):
         spectrum = eigendecompose(build_tb_hamiltonian(ChainSpec(5, 6.5, 0.3, 0.5)))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -105,6 +107,12 @@ class TestFlatband:
         with pytest.raises(ValidationError, match=message):
             func(h, 6.5)
 
+    @pytest.mark.parametrize("func", [flatband, winding_number_real_space])
+    @pytest.mark.parametrize("eps_ref", [math.nan, math.inf])
+    def test_non_finite_reference_rejected(self, func, eps_ref):
+        with pytest.raises(ValidationError, match="eps_ref must be finite"):
+            func(chain_h(4, 0.2, 0.5), eps_ref)
+
     def test_non_orthonormal_eigenvectors_rejected(self, monkeypatch):
         def skewed(diag, off, **kwargs):
             evals, evecs = scipy.linalg.eigh_tridiagonal(diag, off, **kwargs)
@@ -175,6 +183,9 @@ class TestKSpaceWinding:
             winding_number_k_space(-0.1, 0.5)
         with pytest.raises(ValidationError):
             winding_number_k_space(0.0, 0.0)
+        for v, w in ((math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.1, math.inf)):
+            with pytest.raises(ValidationError, match="finite"):
+                winding_number_k_space(v, w)
 
     def test_agrees_with_sign_rule_for_random_pairs(self):
         rng = np.random.default_rng(2024)
