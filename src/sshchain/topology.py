@@ -11,10 +11,9 @@ tridiagonal bands (Cuppen, Numer. Math. 36, 177 (1981); LAPACK dstevd).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import math
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -178,10 +177,9 @@ def flatband(h: np.ndarray, eps_ref: float) -> np.ndarray:
     H must be real symmetric tridiagonal with even dimension, as
     ``build_tb_hamiltonian`` returns it; anything else raises
     ValidationError, as does a non-finite ``eps_ref``. The eigensystem
-    comes from one tridiagonal solve of
-    the shifted diagonal and the first off-diagonal (scipy's
-    ``eigh_tridiagonal``), and NumericalError is raised if its
-    eigenvectors are not orthonormal within 1e-9.
+    comes from one tridiagonal solve of the shifted diagonal and the first
+    off-diagonal (scipy's ``eigh_tridiagonal``), and NumericalError is
+    raised if its eigenvectors are not orthonormal within 1e-9.
 
     Eigenvalues with |lambda| <= ZERO_TOL cannot be assigned to a spectral
     half by sign. A protected pair of such zeros is split by its chirality
