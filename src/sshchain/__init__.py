@@ -42,7 +42,6 @@ from .microwave import (
     background_normalize,
     circuit_mode_frequencies,
     extract_peaks,
-    gate_sweep_spectrum,
     joint_gate_settings,
     ladder_abcd,
     mode_linewidths,

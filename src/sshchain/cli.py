@@ -305,9 +305,34 @@ def _gate_settings_from(config, model):
     if kind == "explicit":
         if "settings_V" not in sweep:
             raise ValidationError("explicit gate sweep needs 'settings_V'")
-        return _coerce(sweep["settings_V"], "sweep.settings_V", _float_array)
+        settings = _coerce(sweep["settings_V"], "sweep.settings_V", _float_array)
+        if settings.ndim != 2 or settings.shape[1] != model.n_junctions:
+            raise ValidationError(f"settings must be (n_settings, {model.n_junctions}), "
+                                  f"got {settings.shape}")
+        return settings
     raise ValidationError(
         f"sweep.kind must be joint, single or explicit, got {kind!r}")
+
+
+def _gated_sweep(config, stem, circuit, model, points, emit_traces):
+    """Gate ``circuit`` once per ``(voltages, i_s, metadata)`` point and classify it.
+
+    The trace inputs are parsed whether or not traces are emitted. With
+    ``emit_traces`` every S21 trace is computed before the first is
+    written, so a numerical failure leaves no partial trace files.
+    Returns the gated circuits and their classifications.
+    """
+    inputs = _trace_inputs(config)
+    gated = [mw_mod.apply_gate_setting(circuit, model, v, i_s) for v, i_s, _ in points]
+    classes = [spec_mod._classify_circuit(g)[2] for g in gated]
+    if emit_traces:
+        traces = [mw_mod.s21_trace(g, **inputs, metadata={
+            "gate_setting_V": [float(v) for v in voltages], "i_s_uA": float(i_s), **meta})
+            for g, (voltages, i_s, meta) in zip(gated, points)]
+        for k, trace in enumerate(traces):
+            mw_mod.write_trace_outputs(
+                trace, f"{stem}_trace{k:03d}.csv", f"{stem}_trace{k:03d}.json")
+    return gated, classes
 
 
 def _run_gatesweep(config, stem):
@@ -315,20 +340,15 @@ def _run_gatesweep(config, stem):
     model = _gate_from(config, circuit.n_cells)
     settings = _gate_settings_from(config, model)
     i_s = _coerce(config.get("i_s_uA", 0.0), "i_s_uA")
-    traces = mw_mod.gate_sweep_spectrum(circuit, model, settings, i_s,
-                                        **_trace_inputs(config))
     emit_traces = bool(config.get("emit_traces", True))
-    if emit_traces:
-        for k, trace in enumerate(traces):
-            mw_mod.write_trace_outputs(
-                trace, f"{stem}_trace{k:03d}.csv", f"{stem}_trace{k:03d}.json")
-    # each trace carries the gated circuit it was computed from
-    classes = [spec_mod._classify_circuit(trace.circuit)[2] for trace in traces]
+    _, classes = _gated_sweep(
+        config, stem, circuit, model,
+        [(v, i_s, {"setting_index": k}) for k, v in enumerate(settings)], emit_traces)
     header = (["setting_index"] + [f"v_g{j}_V" for j in range(circuit.n_cells)]
               + spec_mod._PHASE_HEADER)
-    write_csv(f"{stem}_summary.csv", header, [range(len(traces))] + list(settings.T)
+    write_csv(f"{stem}_summary.csv", header, [range(len(settings))] + list(settings.T)
               + spec_mod._phase_columns(classes))
-    return f"settings={len(traces)} traces_written={len(traces) if emit_traces else 0}"
+    return f"settings={len(settings)} traces_written={len(settings) if emit_traces else 0}"
 
 
 def _run_powersweep(config, stem):
@@ -355,16 +375,9 @@ def _run_powersweep(config, stem):
             _coerce(grid_cfg.get("points", 9), "i_s_grid.points", int))]
     if not i_grid:
         raise ValidationError("i_s_grid holds no signal current")
-    gated = [mw_mod.apply_gate_setting(circuit, model, voltages, i_s) for i_s in i_grid]
-    classes = [spec_mod._classify_circuit(g)[2] for g in gated]
-    if config.get("emit_traces", False):
-        inputs = _trace_inputs(config)
-        for k, (i_s, g) in enumerate(zip(i_grid, gated)):
-            trace = mw_mod.s21_trace(
-                g, **inputs, metadata={"i_s_uA": i_s,
-                                       "gate_setting_V": [float(v) for v in voltages]})
-            mw_mod.write_trace_outputs(
-                trace, f"{stem}_trace{k:03d}.csv", f"{stem}_trace{k:03d}.json")
+    gated, classes = _gated_sweep(config, stem, circuit, model,
+                                  [(voltages, i_s, {}) for i_s in i_grid],
+                                  config.get("emit_traces", False))
     header = (["i_s_uA"] + [f"lv{j}_nH" for j in range(circuit.n_cells)]
               + spec_mod._PHASE_HEADER)
     lv = np.array([g.lv for g in gated])

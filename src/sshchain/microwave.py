@@ -40,7 +40,6 @@ __all__ = [
     "background_normalize",
     "extract_peaks",
     "mode_linewidths",
-    "gate_sweep_spectrum",
     "joint_gate_settings",
     "single_gate_settings",
     "read_gate_table_csv",
@@ -135,17 +134,12 @@ class BoxMode:
 
 @dataclass(frozen=True)
 class S21Trace:
-    """Complex two-port transmission on a strictly increasing GHz grid.
-
-    ``circuit`` is the ladder the trace was computed from (None for a
-    trace built from data).
-    """
+    """Complex two-port transmission on a strictly increasing GHz grid."""
 
     freqs: np.ndarray
     s21: np.ndarray
     power_dBm: Optional[float] = None
     metadata: dict = field(default_factory=dict)
-    circuit: Optional[CircuitSpec] = None
 
     def __post_init__(self):
         freqs = _increasing_grid(np.array(self.freqs, dtype=float, copy=True))
@@ -416,8 +410,7 @@ def s21_trace(circuit: CircuitSpec, freqs: Sequence[float], z0: float = 50.0,
     }
     if metadata:
         meta.update(metadata)
-    return S21Trace(freqs=freqs, s21=s21, power_dBm=power_dBm, metadata=meta,
-                    circuit=circuit)
+    return S21Trace(freqs=freqs, s21=s21, power_dBm=power_dBm, metadata=meta)
 
 
 def background_normalize(trace: S21Trace,
@@ -447,7 +440,7 @@ def background_normalize(trace: S21Trace,
     meta["normalized"] = True
     meta["exclusion_windows_GHz"] = windows
     return S21Trace(freqs=freqs, s21=trace.s21 / background,
-                    power_dBm=trace.power_dBm, metadata=meta, circuit=trace.circuit)
+                    power_dBm=trace.power_dBm, metadata=meta)
 
 
 def _lorentzian(f, f0, hwhm, amp, base):
@@ -526,27 +519,6 @@ def mode_linewidths(spectrum: Spectrum, kappa_port: float) -> np.ndarray:
     vec = spectrum.eigenvectors
     weight = vec[0, :] ** 2 + vec[-1, :] ** 2
     return float(kappa_port) * weight
-
-
-def gate_sweep_spectrum(circuit: CircuitSpec, model: GateModel,
-                        settings: Sequence[Sequence[float]], i_s: float,
-                        freqs: Sequence[float], box: Optional[BoxMode] = None,
-                        z0: float = 50.0) -> list:
-    """One transmission trace per gate setting.
-
-    Each setting lists one voltage per junction; the coupling inductances
-    are replaced through the gate model (including the power factor at
-    signal current ``i_s``) before the ladder is evaluated.
-    """
-    settings = np.asarray(settings, dtype=float)
-    if settings.ndim != 2 or settings.shape[1] != circuit.n_cells:
-        raise ValidationError(
-            f"settings must be (n_settings, {circuit.n_cells}), got {settings.shape}")
-    return [s21_trace(apply_gate_setting(circuit, model, voltages, i_s),
-                      freqs, z0=z0, box=box,
-                      metadata={"gate_setting_V": [float(v) for v in voltages],
-                                "i_s_uA": float(i_s), "setting_index": k})
-            for k, voltages in enumerate(settings)]
 
 
 def read_gate_table_csv(path) -> np.ndarray:

@@ -289,23 +289,38 @@ class TestGateSweepCommand:
         assert summary[1].endswith("topological")  # all gates at pinch-off
         assert summary[-1].endswith("trivial")     # all gates open
 
-    def test_one_gated_circuit_per_setting(self, capsys, tmp_path, monkeypatch):
-        calls = []
-        apply = mw_mod.apply_gate_setting
+    @pytest.mark.parametrize("command,config,points", [
+        ("gatesweep", "gatesweep_joint", 5), ("powersweep", "powersweep_trivial", 9)])
+    @pytest.mark.parametrize("emit_traces", [False, True])
+    def test_one_gated_circuit_per_setting(self, capsys, tmp_path, monkeypatch,
+                                           command, config, points, emit_traces):
+        calls = {"apply_gate_setting": 0, "s21_trace": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(mw_mod, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mw_mod, name, counting)
+        code, _, _ = run(capsys, command,
+                         "--config", os.path.join(CONFIG_DIR, f"{config}.json"),
+                         "--set", "freqs.points=11",
+                         "--set", f"emit_traces={json.dumps(emit_traces)}",
+                         "--out-dir", str(tmp_path), "--label", "n")
+        assert code == 0
+        assert calls == {"apply_gate_setting": points,
+                         "s21_trace": points if emit_traces else 0}
+        assert len(list(tmp_path.glob("*_trace*"))) == (2 * points if emit_traces else 0)
 
-        def counting_apply(*args, **kwargs):
-            calls.append(args[2])
-            return apply(*args, **kwargs)
-
-        monkeypatch.setattr(mw_mod, "apply_gate_setting", counting_apply)
-        code, out, _ = run(capsys, "gatesweep", *circuit_sets(),
-                           "--set", "gate.v_p_V=0.4", "--set", "gate.v_o_V=1.8",
-                           "--set", "sweep.kind=joint", "--set", "sweep.steps=3",
-                           "--set", "freqs.start_GHz=5.6", "--set", "freqs.stop_GHz=7.2",
-                           "--set", "freqs.points=11", "--set", "emit_traces=false",
-                           "--out-dir", str(tmp_path), "--label", "n")
-        assert code == 0 and "settings=3" in out
-        assert len(calls) == 3
+    @pytest.mark.parametrize("settings,shape", [
+        ([], "(0,)"), ([0.4, 0.4, 1.8, 0.4, 0.4], "(5,)"), ([[0.4] * 3] * 2, "(2, 3)")])
+    def test_explicit_settings_shape_validated(self, capsys, tmp_path, settings, shape):
+        code, out, err = run(capsys, "gatesweep",
+                             "--config", os.path.join(CONFIG_DIR, "gatesweep_joint.json"),
+                             "--set", "sweep.kind=explicit",
+                             "--set", f"sweep.settings_V={json.dumps(settings)}",
+                             "--out-dir", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err == f"error: settings must be (n_settings, 5), got {shape}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_single_sweep_junction_out_of_range(self, capsys, tmp_path):
         code, _, err = run(capsys, "gatesweep", *circuit_sets(),

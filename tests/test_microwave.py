@@ -21,7 +21,6 @@ from sshchain import (
     default_circuit,
     eigendecompose,
     extract_peaks,
-    gate_sweep_spectrum,
     joint_gate_settings,
     map_circuit_to_tb,
     mode_linewidths,
@@ -343,23 +342,11 @@ class TestModeLinewidths:
 
 
 class TestGateSweep:
-    def test_traces_carry_their_gated_circuit(self):
-        circuit = default_circuit()
-        settings = joint_gate_settings(GATE, 3)
-        traces = gate_sweep_spectrum(circuit, GATE, settings, 0.5, [5.8, 6.0, 6.2])
-        for voltages, trace in zip(settings, traces):
-            gated = apply_gate_setting(circuit, GATE, voltages, 0.5)
-            assert np.array_equal(trace.circuit.lv, gated.lv)
-        assert background_normalize(traces[0], [(5.9, 6.1)]).circuit is traces[0].circuit
-        assert S21Trace([1.0, 2.0], [0j, 0j]).circuit is None
-
     def test_all_pinched_keeps_midgap_peak(self):
-        circuit = default_circuit()
-        settings = np.array([GATE.v_p])
-        chain = map_circuit_to_tb(apply_gate_setting(circuit, GATE, GATE.v_p, 0.0))
-        eps_ref = float(np.mean(chain.eps))
+        gated = apply_gate_setting(default_circuit(), GATE, GATE.v_p, 0.0)
+        eps_ref = float(np.mean(map_circuit_to_tb(gated).eps))
         freqs = np.linspace(eps_ref - 0.45, eps_ref + 0.45, 30001)
-        trace = gate_sweep_spectrum(circuit, GATE, settings, 0.0, freqs)[0]
+        trace = s21_trace(gated, freqs)
         normalized = background_normalize(
             trace, [(eps_ref - 0.3, eps_ref + 0.3)])
         peaks = extract_peaks(normalized, prominence=0.05, max_peaks=12)
@@ -368,12 +355,10 @@ class TestGateSweep:
         assert abs(widest.f0_GHz - eps_ref) < 0.02
 
     def test_all_open_gives_two_bands_of_five(self):
-        circuit = default_circuit()
-        gated = apply_gate_setting(circuit, GATE, GATE.v_o, 0.02)
+        gated = apply_gate_setting(default_circuit(), GATE, GATE.v_o, 0.02)
         modes = circuit_mode_frequencies(gated)
         freqs = np.linspace(modes[0] - 0.2, modes[-1] + 0.2, 40001)
-        trace = gate_sweep_spectrum(circuit, GATE, np.array([GATE.v_o]),
-                                    0.02, freqs)[0]
+        trace = s21_trace(gated, freqs)
         normalized = background_normalize(
             trace, [(modes[0] - 0.05, modes[-1] + 0.05)])
         peaks = extract_peaks(normalized, prominence=0.02, max_peaks=12)
@@ -399,11 +384,6 @@ class TestGateSweep:
         assert all(b < a for a, b in zip(splittings, splittings[1:]))
         assert tags[0] == PHASE_TRIVIAL
         assert tags[-1] == PHASE_TOPOLOGICAL
-
-    def test_settings_shape_validated(self):
-        with pytest.raises(ValidationError):
-            gate_sweep_spectrum(default_circuit(), GATE,
-                                np.zeros((2, 3)), 0.0, [5.0, 6.0])
 
     def test_joint_and_single_setting_builders(self):
         joint = joint_gate_settings(GATE, 5)
