@@ -47,9 +47,13 @@ def _coerce(value, name: str, kind=float):
 
     Config documents arrive from outside the program, so a string or a
     list where a number belongs must fail validation by name instead of
-    escaping as a bare TypeError or ValueError.
+    escaping as a bare TypeError or ValueError. An integer is never read
+    from a boolean or a non-integral float, which ``int`` would truncate.
     """
     try:
+        if kind is int and (isinstance(value, bool) or
+                            isinstance(value, float) and not value.is_integer()):
+            raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "numeric"

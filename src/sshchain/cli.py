@@ -40,16 +40,17 @@ _BOX_FIELDS = (("f_box", "f_box_GHz"), ("q_box", "q_box"), ("coupling", "couplin
 _BOX_KEYS = {key for _, key in _BOX_FIELDS}
 _FREQ_KEYS = ("start_GHz", "stop_GHz", "points")  # all required
 _COMMON_KEYS = {"label", "out_dir", "seed", "threads"}
+_CHAIN_OR_CIRCUIT = {"chain": _CHAIN_KEYS, "circuit": _CIRCUIT_KEYS}  # see _chain_from
 
 SCHEMAS = {
-    "spectrum": {"chain": _CHAIN_KEYS, "circuit": _CIRCUIT_KEYS, "eps_ref_GHz": None},
+    "spectrum": {**_CHAIN_OR_CIRCUIT, "eps_ref_GHz": None},
     "sweep": {"circuit": _CIRCUIT_KEYS,
               "lv_grid": {"start_nH", "stop_nH", "step_nH", "values_nH"},
               "cells": None},
     "winding": {"method": None, "v_GHz": None, "w_GHz": None,
-                "chain": _CHAIN_KEYS, "eps_ref_GHz": None},
-    "ipr": {"chain": _CHAIN_KEYS},
-    "disorder": {"chain": _CHAIN_KEYS,
+                **_CHAIN_OR_CIRCUIT, "eps_ref_GHz": None},
+    "ipr": _CHAIN_OR_CIRCUIT,
+    "disorder": {**_CHAIN_OR_CIRCUIT,
                  "disorder": {"strength", "targets", "samples", "seed"}},
     "s21": {"circuit": _CIRCUIT_KEYS, "freqs": _FREQ_KEYS, "z0_ohm": None,
             "box": _BOX_KEYS, "power_dBm": None},
@@ -132,6 +133,14 @@ def _float_list(values, name):
     return _coerce(values, name, lambda seq: [float(x) for x in seq])
 
 
+def _flag(config, key, default):
+    """A boolean config value; a string such as ``"no"`` is not one."""
+    value = config.get(key, default)
+    if not isinstance(value, bool):
+        raise ValidationError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _require(config, key, command):
     if key not in config:
         raise ValidationError(f"'{command}' config needs '{key}'")
@@ -147,9 +156,9 @@ def _chain_from(config, command) -> chain_mod.ChainSpec:
     raise ValidationError(f"'{command}' config needs 'chain' or 'circuit'")
 
 
-def _trace_inputs(config) -> dict:
+def _trace_inputs(config, command) -> dict:
     """The ``freqs``, ``z0`` and ``box`` arguments of a transmission trace."""
-    freqs = _require(config, "freqs", "this")
+    freqs = _require(config, "freqs", command)
     for key in _FREQ_KEYS:
         if key not in freqs:
             raise ValidationError(f"freqs needs '{key}'")
@@ -167,8 +176,8 @@ def _trace_inputs(config) -> dict:
             "z0": _coerce(config.get("z0_ohm", 50.0), "z0_ohm")}
 
 
-def _gate_from(config, n_junctions) -> mw_mod.GateModel:
-    gate = _require(config, "gate", "this")
+def _gate_from(config, command, n_junctions) -> mw_mod.GateModel:
+    gate = _require(config, "gate", command)
     mode = gate.get("mode", "parametric")
     tables = None
     if "table_csv" in gate:
@@ -281,7 +290,7 @@ def _run_disorder(config, stem):
 
 def _run_s21(config, stem):
     circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "s21"))
-    trace = mw_mod.s21_trace(circuit, **_trace_inputs(config),
+    trace = mw_mod.s21_trace(circuit, **_trace_inputs(config, "s21"),
                              power_dBm=config.get("power_dBm"))
     mw_mod.write_trace_outputs(trace, f"{stem}.csv", f"{stem}.json")
     return f"points={trace.freqs.size} abs_s21_max={fmt(float(np.max(np.abs(trace.s21))))}"
@@ -314,15 +323,16 @@ def _gate_settings_from(config, model):
         f"sweep.kind must be joint, single or explicit, got {kind!r}")
 
 
-def _gated_sweep(config, stem, circuit, model, points, emit_traces):
+def _gated_sweep(config, stem, command, circuit, model, points, emit_traces):
     """Gate ``circuit`` once per ``(voltages, i_s, metadata)`` point and classify it.
 
-    The trace inputs are parsed whether or not traces are emitted. With
-    ``emit_traces`` every S21 trace is computed before the first is
-    written, so a numerical failure leaves no partial trace files.
-    Returns the gated circuits and their classifications.
+    Each trace records its gate setting and signal current and the point's
+    ``metadata``. The trace inputs are parsed whether or not traces are
+    emitted. With ``emit_traces`` every S21 trace is computed before the
+    first is written, so a numerical failure leaves no partial trace
+    files. Returns the gated circuits and their classifications.
     """
-    inputs = _trace_inputs(config)
+    inputs = _trace_inputs(config, command)
     gated = [mw_mod.apply_gate_setting(circuit, model, v, i_s) for v, i_s, _ in points]
     classes = [spec_mod._classify_circuit(g)[2] for g in gated]
     if emit_traces:
@@ -337,12 +347,12 @@ def _gated_sweep(config, stem, circuit, model, points, emit_traces):
 
 def _run_gatesweep(config, stem):
     circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "gatesweep"))
-    model = _gate_from(config, circuit.n_cells)
+    model = _gate_from(config, "gatesweep", circuit.n_cells)
     settings = _gate_settings_from(config, model)
     i_s = _coerce(config.get("i_s_uA", 0.0), "i_s_uA")
-    emit_traces = bool(config.get("emit_traces", True))
+    emit_traces = _flag(config, "emit_traces", True)
     _, classes = _gated_sweep(
-        config, stem, circuit, model,
+        config, stem, "gatesweep", circuit, model,
         [(v, i_s, {"setting_index": k}) for k, v in enumerate(settings)], emit_traces)
     header = (["setting_index"] + [f"v_g{j}_V" for j in range(circuit.n_cells)]
               + spec_mod._PHASE_HEADER)
@@ -353,7 +363,7 @@ def _run_gatesweep(config, stem):
 
 def _run_powersweep(config, stem):
     circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "powersweep"))
-    model = _gate_from(config, circuit.n_cells)
+    model = _gate_from(config, "powersweep", circuit.n_cells)
     setting = config.get("setting_V", "open")
     if isinstance(setting, str):
         if setting == "open":
@@ -375,9 +385,9 @@ def _run_powersweep(config, stem):
             _coerce(grid_cfg.get("points", 9), "i_s_grid.points", int))]
     if not i_grid:
         raise ValidationError("i_s_grid holds no signal current")
-    gated, classes = _gated_sweep(config, stem, circuit, model,
+    gated, classes = _gated_sweep(config, stem, "powersweep", circuit, model,
                                   [(voltages, i_s, {}) for i_s in i_grid],
-                                  config.get("emit_traces", False))
+                                  _flag(config, "emit_traces", False))
     header = (["i_s_uA"] + [f"lv{j}_nH" for j in range(circuit.n_cells)]
               + spec_mod._PHASE_HEADER)
     lv = np.array([g.lv for g in gated])

@@ -86,10 +86,16 @@ def _family_arrays(spec: CircuitSpec) -> dict:
 
 def _normalize_mask(free, spec: CircuitSpec) -> dict:
     families = _family_arrays(spec)
+    if not isinstance(free, (dict, type(None))):
+        raise ValidationError(f"free must map parameter families to flags, got {free!r}")
     mask = {}
     for name, arr in families.items():
         requested = True if free is None else free.get(name, True)
-        flags = np.broadcast_to(np.asarray(requested, dtype=bool), arr.shape).copy()
+        flags = np.asarray(requested)
+        if flags.dtype != bool or flags.shape not in ((), arr.shape):
+            raise ValidationError(f"free.{name} must be true, false or one boolean "
+                                  f"per entry ({arr.size}), got {requested!r}")
+        flags = np.broadcast_to(flags, arr.shape).copy()
         if name == "lv":
             flags &= np.isfinite(arr)  # pinched junctions stay pinned
         mask[name] = flags
@@ -102,20 +108,26 @@ def _normalize_mask(free, spec: CircuitSpec) -> dict:
 
 def _normalize_bounds(bounds, spec: CircuitSpec, mask: dict) -> dict:
     families = _family_arrays(spec)
+    if not isinstance(bounds, (dict, type(None))):
+        raise ValidationError(f"bounds must map parameter families to (lo, hi), got {bounds!r}")
     out = {}
     for name, arr in families.items():
         if bounds is not None and name in bounds:
-            lo, hi = bounds[name]
-            lo = np.broadcast_to(_coerce(lo, f"{name} bounds", _float_array), arr.shape)
-            hi = np.broadcast_to(_coerce(hi, f"{name} bounds", _float_array), arr.shape)
+            try:
+                lo, hi = (np.broadcast_to(_coerce(x, f"{name} bounds", _float_array), arr.shape)
+                          for x in bounds[name])
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"{name} bounds must be a (lo, hi) pair of scalars or of one value "
+                    f"per entry ({arr.size}), got {bounds[name]!r}") from None
         else:
             finite = np.where(np.isfinite(arr), arr, 1.0)
             lo = finite / 10.0
             hi = finite * 10.0
         sel = mask[name]
-        if np.any(lo[sel] <= 0):
+        if not np.all(lo[sel] > 0):  # NaN bounds fail here too
             raise ValidationError(f"{name} bounds must be positive")
-        if np.any(lo[sel] >= hi[sel]):
+        if not np.all(lo[sel] < hi[sel]):
             raise ValidationError(f"{name} bounds need lo < hi")
         if np.any((arr[sel] < lo[sel]) | (arr[sel] > hi[sel])):
             raise ValidationError(f"start {name} values fall outside their bounds")
@@ -285,14 +297,11 @@ def fit_problem_from_dict(data: dict) -> FitProblem:
     for key in _FIT_PROBLEM_KEYS[:2]:
         if key not in data:
             raise ValidationError(f"fit problem needs '{key}'")
-    bounds = None
-    if data.get("bounds") is not None:
-        bounds = {name: (pair[0], pair[1]) for name, pair in data["bounds"].items()}
     return FitProblem(
         target_freqs=data["targets_GHz"],
         start=CircuitSpec.from_dict(data["start"]),
         free=data.get("free"),
-        bounds=bounds,
+        bounds=data.get("bounds"),
     )
 
 

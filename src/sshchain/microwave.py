@@ -142,6 +142,11 @@ class S21Trace:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.power_dBm is not None:
+            power = _coerce(self.power_dBm, "power_dBm")
+            if not math.isfinite(power):
+                raise ValidationError(f"power_dBm must be finite, got {power}")
+            object.__setattr__(self, "power_dBm", power)
         freqs = _increasing_grid(np.array(self.freqs, dtype=float, copy=True))
         s21 = np.array(self.s21, dtype=complex, copy=True)
         if s21.shape != freqs.shape:
@@ -187,9 +192,11 @@ def nanowire_inductance(model: GateModel, junction: int, v_g: float,
     """
     j = _junction_index(model, junction)
     i_s = float(i_s)
-    if i_s < 0:
-        raise ValidationError(f"signal current must be >= 0, got {i_s}")
+    if not 0 <= i_s < math.inf:
+        raise ValidationError(f"signal current must be finite and >= 0, got {i_s}")
     v_g = float(v_g)
+    if not math.isfinite(v_g):
+        raise ValidationError(f"gate voltage must be finite, got {v_g}")
     power_factor = 1.0 + (i_s / model.i_star[j]) ** 2
     if model.mode == "parametric":
         u = (v_g - model.v_p[j]) / (model.v_o[j] - model.v_p[j])

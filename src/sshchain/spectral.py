@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, CircuitSpec, build_tb_hamiltonian, map_circuit_to_tb
+from .chain import ChainSpec, CircuitSpec, _coerce, build_tb_hamiltonian, map_circuit_to_tb
 from .csvout import write_csv
 from .errors import NumericalError, ValidationError
 
@@ -218,7 +218,13 @@ def sweep_coupling(circuit: CircuitSpec, lv_grid: Sequence[float],
     if cells is None:
         cell_idx = np.arange(circuit.n_cells)
     else:
-        cell_idx = np.asarray(list(cells), dtype=int)
+        try:
+            if isinstance(cells, str):
+                raise TypeError(cells)
+            cell_idx = np.array([_coerce(c, "cells", int) for c in cells], dtype=int)
+        except TypeError:
+            raise ValidationError(
+                f"cells must be a list of cell indices, got {cells!r}") from None
         if cell_idx.size == 0:
             raise ValidationError("cell mask must not be empty")
         if np.any(cell_idx < 0) or np.any(cell_idx >= circuit.n_cells):

@@ -77,6 +77,8 @@ class DisorderConfig:
             raise ValidationError(
                 f"multiplicative disorder strength must be in [0, 1), got {strength}")
         try:
+            if isinstance(self.targets, str):  # not a list of one-letter names
+                raise TypeError(self.targets)
             targets = tuple(sorted(set(self.targets)))
         except TypeError:
             raise ValidationError(

@@ -4,11 +4,20 @@ import os
 import numpy as np
 import pytest
 
-from sshchain import CircuitSpec, apply_gate_setting, default_circuit, map_circuit_to_tb
+from sshchain import (
+    CircuitSpec,
+    apply_gate_setting,
+    build_tb_hamiltonian,
+    default_circuit,
+    map_circuit_to_tb,
+)
 from sshchain import microwave as mw_mod
+from sshchain import spectral as spec_mod
 from sshchain.cli import main
+from sshchain.errors import NumericalError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+GATE_TABLE = [[0.0, 60.0], [1.0, 20.0], [2.0, 8.0]]
 
 
 def run(capsys, *argv):
@@ -26,6 +35,48 @@ def section_sets(section, spec):
 
 def circuit_sets(**overrides):
     return section_sets("circuit", default_circuit(**overrides))
+
+
+def shipped(config):
+    """A shipped config's circuit, its parametric gate model (if any) and its path."""
+    path = os.path.join(CONFIG_DIR, f"{config}.json")
+    with open(path) as fh:
+        document = json.load(fh)
+    circuit = CircuitSpec.from_dict(document["circuit"])
+    gate = document.get("gate")
+    model = None if gate is None else mw_mod.GateModel(
+        circuit.n_cells, gate["v_p_V"], gate["v_o_V"], gate["l_min_nH"], gate["i_star_uA"])
+    return circuit, model, path
+
+
+def assert_same_files(dir_a, dir_b):
+    names = sorted(p.name for p in dir_a.iterdir())
+    assert names and names == sorted(p.name for p in dir_b.iterdir())
+    for name in names:
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+
+def summary_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def check_gatesweep(out_dir, label, model, settings, emit_traces):
+    """The summary and traces of a ``gatesweep_joint`` run at 41 points."""
+    circuit, _, _ = shipped("gatesweep_joint")
+    rows = summary_rows(out_dir / f"gatesweep_{label}_summary.csv")
+    assert len(rows) == len(settings)
+    for k, (row, voltages) in enumerate(zip(rows, settings)):
+        assert int(row[0]) == k
+        assert [float(x) for x in row[1:6]] == pytest.approx(voltages, rel=1e-11)
+        gated = apply_gate_setting(circuit, model, voltages)
+        assert row[-1] == spec_mod._classify_circuit(gated)[2].phase_tag
+        trace = out_dir / f"gatesweep_{label}_trace{k:03d}.csv"
+        assert trace.exists() == emit_traces
+        if emit_traces:
+            expected = mw_mod.s21_trace(gated, np.linspace(5.5, 7.2, 41),
+                                        box=mw_mod.BoxMode(6.0, 10.0, 0.2))
+            values = np.loadtxt(trace, delimiter=",", skiprows=1)
+            assert np.max(np.abs(values[:, 3] - np.abs(expected.s21))) <= 1e-12
 
 
 class TestWindingCommand:
@@ -112,6 +163,7 @@ class TestConfigHandling:
         ("sweep", "sweep_default", "lv_grid.step_nH=abc"),
         ("s21", "s21_topological", "freqs.points=abc"),
         ("disorder", "disorder_topological", "disorder.samples=abc"),
+        ("s21", "s21_topological", "power_dBm=abc"),
     ])
     def test_non_numeric_value_is_validation_error(self, capsys, tmp_path,
                                                     command, config, override):
@@ -148,6 +200,12 @@ class TestConfigHandling:
         ("winding", None, ["method=real-space", "chain.n_cells=5", "chain.eps_GHz=6.5",
                            "chain.v_GHz=0.1", "chain.w_GHz=0.5", "eps_ref_GHz=NaN"]),
         ("winding", None, ["method=k-space", "v_GHz=NaN", "w_GHz=0.5"]),
+        ("s21", "s21_topological", ["power_dBm=NaN", "freqs.points=11"]),
+        ("gatesweep", "gatesweep_joint", ["i_s_uA=Infinity"]),
+        ("gatesweep", "gatesweep_joint", ["sweep.kind=explicit",
+                                          "sweep.settings_V=[[Infinity, 1, 1, 1, 1]]"]),
+        ("powersweep", "powersweep_trivial", ['i_s_grid={"values_uA": [0, Infinity]}']),
+        ("powersweep", "powersweep_trivial", ["setting_V=[1, 1, -Infinity, 1, 1]"]),
     ])
     def test_non_finite_value_is_validation_error(self, capsys, tmp_path,
                                                   command, config, overrides):
@@ -158,6 +216,119 @@ class TestConfigHandling:
         assert code == 1
         assert out == "" and err.startswith("error: ") and "finite" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,config,override,key", [
+        ("fit", "fit_roundtrip", "fit.free.c0=[true,false]", "free.c0"),
+        ("fit", "fit_roundtrip", 'fit.bounds={"c0":5}', "c0 bounds"),
+        ("fit", "fit_roundtrip", 'fit.bounds={"c0":[[1,2],[3,4]]}', "c0 bounds"),
+        ("fit", "fit_roundtrip", 'fit.bounds={"c0":[1,2,3]}', "c0 bounds"),
+        ("fit", "fit_roundtrip", 'fit.bounds={"c0":[NaN,1000]}', "c0 bounds"),
+        ("fit", "fit_roundtrip", 'fit.bounds={"c0":[1,NaN]}', "c0 bounds"),
+        ("fit", "fit_roundtrip", "fit.free=5", "free"),
+        ("fit", "fit_roundtrip", "fit.bounds=5", "bounds"),
+        ("sweep", "sweep_default", 'cells=["a"]', "cells"),
+        ("sweep", "sweep_default", "cells=5", "cells"),
+        # values the runs used to coerce into something else
+        ("gatesweep", "gatesweep_joint", 'emit_traces="no"', "emit_traces"),
+        ("powersweep", "powersweep_trivial", 'emit_traces="no"', "emit_traces"),
+        ("fit", "fit_roundtrip", 'fit.free.cw="false"', "free.cw"),
+        ("disorder", "disorder_topological", "disorder.seed=1.7", "seed"),
+        ("disorder", "disorder_topological", "disorder.samples=true", "samples"),
+        ("s21", "s21_topological", "freqs.points=11.5", "freqs.points"),
+        ("sweep", "sweep_default", "cells=[1.5]", "cells"),
+        ("sweep", "sweep_default", 'cells="12"', "cells"),
+        ("disorder", "disorder_topological", 'disorder.targets="vw"', "list of names"),
+        ("disorder", "disorder_topological", 'disorder.targets="eps"', "list of names"),
+    ])
+    def test_malformed_value_is_validation_error(self, capsys, tmp_path,
+                                                 command, config, override, key):
+        code, out, err = run(capsys, command,
+                             "--config", os.path.join(CONFIG_DIR, f"{config}.json"),
+                             "--set", override, "--out-dir", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and key in err and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,config,section", [
+        ("gatesweep", "gatesweep_joint", "gate"),
+        ("gatesweep", "gatesweep_joint", "freqs"),
+        ("powersweep", "powersweep_trivial", "gate"),
+        ("powersweep", "powersweep_trivial", "freqs"),
+        ("s21", "s21_topological", "freqs"),
+    ])
+    def test_missing_section_names_the_command(self, capsys, tmp_path,
+                                               command, config, section):
+        with open(os.path.join(CONFIG_DIR, f"{config}.json")) as fh:
+            document = json.load(fh)
+        del document[section]
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run(capsys, command, "--config", str(path),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == f"error: '{command}' config needs '{section}'\n"
+        assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("command,sets", [
+        ("spectrum", []),
+        ("winding", ["method=real-space"]),
+        ("ipr", []),
+        ("disorder", ["disorder.samples=5", "seed=7"]),
+    ])
+    def test_circuit_section_matches_its_mapped_chain(self, capsys, tmp_path,
+                                                      command, sets):
+        circuit = default_circuit(lv_nH=30.0)
+        extra = [a for expr in sets for a in ("--set", expr)]
+        for label, section in (("circ", section_sets("circuit", circuit)),
+                               ("chain", section_sets("chain", map_circuit_to_tb(circuit)))):
+            code, _, _ = run(capsys, command, *section, *extra,
+                             "--out-dir", str(tmp_path / label), "--label", "x")
+            assert code == 0
+        assert_same_files(tmp_path / "circ", tmp_path / "chain")
+
+    def test_set_list_index_runs_the_indexed_value(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "spectrum", *circuit_sets(lv_nH=50.0),
+                         "--set", "circuit.lv_nH.2=15",
+                         "--out-dir", str(tmp_path), "--label", "i")
+        assert code == 0
+        circuit = default_circuit(lv_nH=[50.0, 50.0, 15.0, 50.0, 50.0])
+        spectrum = spec_mod.eigendecompose(build_tb_hamiltonian(map_circuit_to_tb(circuit)))
+        freqs = [float(row[1]) for row in summary_rows(tmp_path / "spectrum_i.csv")]
+        assert freqs == pytest.approx(spectrum.eigenvalues, rel=1e-11)
+
+    def test_set_descends_through_list_indices(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "gatesweep", "--set", "sweep.kind=explicit",
+                           "--set", "sweep.settings_V=[[0.4, 0.5], [0.6, 0.7]]",
+                           "--set", "sweep.settings_V.1.0=0.9", "--dry-run")
+        assert code == 0
+        assert json.loads(out)["sweep"]["settings_V"] == [[0.4, 0.5], [0.9, 0.7]]
+
+    @pytest.mark.parametrize("override,message", [
+        ("circuit.lv_nH.x=15", "'x' is not a list index"),
+        ("circuit.lv_nH.7=15", "index 7 out of range"),
+        ("circuit.lv_nH.-1=15", "index -1 out of range"),
+        ("circuit.lv_nH.2.0=15", "target is not settable"),
+        ("circuit.lv_nH.2.0.1=15", "cannot descend into scalar at circuit.lv_nH.2"),
+    ])
+    def test_bad_set_path_is_validation_error(self, capsys, tmp_path, override, message):
+        code, _, err = run(capsys, "sweep",
+                           "--config", os.path.join(CONFIG_DIR, "sweep_default.json"),
+                           "--set", override, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err == f"error: --set {override.split('=')[0]}: {message}\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"chain": ', "config is not valid JSON"),
+        ("[1, 2]", "config document must be a JSON object"),
+    ])
+    def test_malformed_config_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "conf.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "spectrum", "--config", str(path),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
 
     def test_threads_accepted_and_validated(self, capsys, tmp_path):
         args = ("winding", "--set", "method=k-space", "--set", "v_GHz=0.25",
@@ -190,6 +361,42 @@ class TestSweepCommand:
         assert summary[0] == "lv_nH,fsr_edge_bulk_GHz,fsr_edge_edge_GHz,phase_tag"
 
 
+    def _library_sweep(self, tmp_path, grid):
+        sweep = spec_mod.sweep_coupling(shipped("sweep_default")[0], grid)
+        spec_mod.write_sweep_csv(sweep, tmp_path / "lib.csv", tmp_path / "lib_summary.csv")
+        return sweep
+
+    def test_values_grid_matches_the_library(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "sweep",
+                           "--config", os.path.join(CONFIG_DIR, "sweep_default.json"),
+                           "--set", 'lv_grid={"values_nH": [10, 30, 60]}',
+                           "--out-dir", str(tmp_path), "--label", "v")
+        assert code == 0
+        sweep = self._library_sweep(tmp_path, [10.0, 30.0, 60.0])
+        crossing = spec_mod.find_fsr_crossing(sweep)
+        assert out == f"points=3 crossing_lv_nH={crossing:.12g}\n"
+        assert (tmp_path / "sweep_v.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+        assert (tmp_path / "sweep_v_summary.csv").read_bytes() == \
+            (tmp_path / "lib_summary.csv").read_bytes()
+
+    def test_grid_without_crossing(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "sweep",
+                           "--config", os.path.join(CONFIG_DIR, "sweep_default.json"),
+                           "--set", 'lv_grid={"values_nH": [5, 6, 7]}',
+                           "--out-dir", str(tmp_path), "--label", "n")
+        assert code == 0
+        assert out == "points=3 crossing=none\n"
+        assert spec_mod.find_fsr_crossing(self._library_sweep(tmp_path, [5, 6, 7])) is None
+
+    @pytest.mark.parametrize("step", [0, -0.5])
+    def test_non_positive_step_is_validation_error(self, capsys, tmp_path, step):
+        code, _, err = run(capsys, "sweep",
+                           "--config", os.path.join(CONFIG_DIR, "sweep_default.json"),
+                           "--set", f"lv_grid.step_nH={step}", "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err == "error: lv_grid needs step_nH > 0 and stop >= start\n"
+
+
 class TestSpectrumCommand:
     def test_topological_chain(self, capsys, tmp_path):
         code, out, _ = run(capsys, "spectrum",
@@ -202,18 +409,6 @@ class TestSpectrumCommand:
         assert "phase=topological" in out
         rows = (tmp_path / "spectrum_topo.csv").read_text().splitlines()
         assert len(rows) == 11
-
-
-    def test_circuit_section_matches_its_mapped_chain(self, capsys, tmp_path):
-        circuit = default_circuit(lv_nH=30.0)
-        for label, sets in (("circ", section_sets("circuit", circuit)),
-                            ("chain", section_sets("chain", map_circuit_to_tb(circuit)))):
-            code, _, _ = run(capsys, "spectrum", *sets,
-                             "--out-dir", str(tmp_path), "--label", label)
-            assert code == 0
-        for suffix in ("csv", "json"):
-            assert (tmp_path / f"spectrum_circ.{suffix}").read_bytes() == \
-                (tmp_path / f"spectrum_chain.{suffix}").read_bytes()
 
 
 class TestDisorderCommand:
@@ -260,6 +455,14 @@ class TestS21Command:
         assert meta["box"]["f_box_GHz"] == 6.0
         rows = (tmp_path / "s21_s.csv").read_text().splitlines()
         assert rows[0] == "freq_GHz,re_s21,im_s21,abs_s21"
+
+    def test_power_is_recorded_as_a_float(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "s21",
+                         "--config", os.path.join(CONFIG_DIR, "s21_topological.json"),
+                         "--set", "freqs.points=11", "--set", "power_dBm=-30",
+                         "--out-dir", str(tmp_path), "--label", "p")
+        assert code == 0
+        assert '"power_dBm": -30.0,' in (tmp_path / "s21_p.json").read_text()
 
     def test_zero_frequency_is_validation_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "s21", *circuit_sets(lv_nH=40.0),
@@ -310,6 +513,28 @@ class TestGateSweepCommand:
                          "s21_trace": points if emit_traces else 0}
         assert len(list(tmp_path.glob("*_trace*"))) == (2 * points if emit_traces else 0)
 
+    @pytest.mark.parametrize("command,config", [
+        ("gatesweep", "gatesweep_joint"), ("powersweep", "powersweep_trivial")])
+    def test_failed_trace_leaves_no_outputs(self, capsys, tmp_path, monkeypatch,
+                                            command, config):
+        traced = []
+        s21_trace = mw_mod.s21_trace
+
+        def failing_third(*args, **kwargs):
+            traced.append(1)
+            if len(traced) == 3:
+                raise NumericalError("injected trace failure")
+            return s21_trace(*args, **kwargs)
+
+        monkeypatch.setattr(mw_mod, "s21_trace", failing_third)
+        code, out, err = run(capsys, command,
+                             "--config", os.path.join(CONFIG_DIR, f"{config}.json"),
+                             "--set", "freqs.points=11", "--set", "emit_traces=true",
+                             "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == "numerical failure: injected trace failure\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("settings,shape", [
         ([], "(0,)"), ([0.4, 0.4, 1.8, 0.4, 0.4], "(5,)"), ([[0.4] * 3] * 2, "(2, 3)")])
     def test_explicit_settings_shape_validated(self, capsys, tmp_path, settings, shape):
@@ -321,6 +546,56 @@ class TestGateSweepCommand:
         assert code == 1 and out == ""
         assert err == f"error: settings must be (n_settings, 5), got {shape}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_single_sweep_matches_the_library(self, capsys, tmp_path):
+        _, model, config = shipped("gatesweep_joint")
+        code, out, _ = run(capsys, "gatesweep", "--config", config,
+                           "--set", "sweep.kind=single", "--set", "sweep.junction=2",
+                           "--set", "sweep.start_V=0.6", "--set", "sweep.points=3",
+                           "--set", "freqs.points=41",
+                           "--out-dir", str(tmp_path), "--label", "s")
+        assert code == 0 and out == "settings=3 traces_written=3\n"
+        settings = mw_mod.single_gate_settings(model, 2, np.linspace(0.6, 1.8, 3))
+        check_gatesweep(tmp_path, "s", model, settings, emit_traces=True)
+
+    def test_explicit_sweep_matches_the_library(self, capsys, tmp_path):
+        _, model, config = shipped("gatesweep_joint")
+        settings = [[0.4, 0.4, 1.8, 0.4, 0.4], [1.8, 1.8, 1.8, 1.8, 1.8]]
+        code, out, _ = run(capsys, "gatesweep", "--config", config,
+                           "--set", "sweep.kind=explicit",
+                           "--set", f"sweep.settings_V={json.dumps(settings)}",
+                           "--set", "freqs.points=41", "--set", "emit_traces=false",
+                           "--out-dir", str(tmp_path), "--label", "e")
+        assert code == 0 and out == "settings=2 traces_written=0\n"
+        check_gatesweep(tmp_path, "e", model, settings, emit_traces=False)
+
+    def test_gate_tables_match_the_library(self, capsys, tmp_path):
+        _, parametric, config = shipped("gatesweep_joint")
+        settings = [[0.5, 1.0, 1.5, 2.0, 0.0], [1.0] * 5]
+        table_csv = tmp_path / "table.csv"
+        table_csv.write_text("v_gate_V,l_nH\n" + "".join(f"{v},{l}\n" for v, l in GATE_TABLE))
+        for label, table in (("inline", f"gate.table={json.dumps(GATE_TABLE)}"),
+                             ("file", f"gate.table_csv={table_csv}")):
+            code, _, _ = run(capsys, "gatesweep", "--config", config,
+                             "--set", "gate.mode=table", "--set", table,
+                             "--set", "sweep.kind=explicit",
+                             "--set", f"sweep.settings_V={json.dumps(settings)}",
+                             "--set", "freqs.points=41",
+                             "--out-dir", str(tmp_path / label), "--label", "t")
+            assert code == 0
+        model = mw_mod.GateModel(5, parametric.v_p, parametric.v_o, parametric.l_min,
+                                 parametric.i_star, mode="table", tables=np.array(GATE_TABLE))
+        check_gatesweep(tmp_path / "inline", "t", model, settings, emit_traces=True)
+        assert_same_files(tmp_path / "inline", tmp_path / "file")
+
+    def test_missing_gate_table_file(self, capsys, tmp_path):
+        missing = tmp_path / "nope.csv"
+        code, _, err = run(capsys, "gatesweep",
+                           "--config", os.path.join(CONFIG_DIR, "gatesweep_joint.json"),
+                           "--set", "gate.mode=table", "--set", f"gate.table_csv={missing}",
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == f"error: gate table file not found: {missing}\n"
 
     def test_single_sweep_junction_out_of_range(self, capsys, tmp_path):
         code, _, err = run(capsys, "gatesweep", *circuit_sets(),
@@ -350,12 +625,7 @@ class TestPowerSweepCommand:
                          "--set", "emit_traces=true", "--set", "freqs.points=201",
                          "--out-dir", str(tmp_path), "--label", "t")
         assert code == 0
-        with open(config) as fh:
-            document = json.load(fh)
-        circuit = CircuitSpec.from_dict(document["circuit"])
-        gate = document["gate"]
-        model = mw_mod.GateModel(circuit.n_cells, gate["v_p_V"], gate["v_o_V"],
-                                 gate["l_min_nH"], gate["i_star_uA"])
+        circuit, model, _ = shipped("powersweep_trivial")
         freqs = np.linspace(5.5, 7.2, 201)
         currents = np.linspace(0.0, 2.0, 9)
         assert sorted(p.name for p in tmp_path.glob("powersweep_t_trace*")) == \
@@ -368,6 +638,30 @@ class TestPowerSweepCommand:
             assert np.max(np.abs(rows[:, 3] - np.abs(expected.s21))) <= 1e-12
             meta = json.loads((tmp_path / f"powersweep_t_trace{k:03d}.json").read_text())
             assert meta["i_s_uA"] == i_s
+
+    @pytest.mark.parametrize("setting", ["pinch", [1.8, 0.4, 1.8, 0.4, 1.8]])
+    def test_gate_setting_matches_the_library(self, capsys, tmp_path, setting):
+        circuit, model, config = shipped("powersweep_trivial")
+        code, _, _ = run(capsys, "powersweep", "--config", config,
+                         "--set", f"setting_V={json.dumps(setting)}",
+                         "--set", 'i_s_grid={"values_uA": [0.0, 0.9, 1.7]}',
+                         "--out-dir", str(tmp_path), "--label", "g")
+        assert code == 0
+        voltages = model.v_p if setting == "pinch" else setting
+        rows = summary_rows(tmp_path / "powersweep_g.csv")
+        assert [float(row[0]) for row in rows] == [0.0, 0.9, 1.7]
+        for row in rows:
+            gated = apply_gate_setting(circuit, model, voltages, float(row[0]))
+            np.testing.assert_allclose([float(x) for x in row[1:6]], gated.lv, rtol=1e-11)
+            assert row[-1] == spec_mod._classify_circuit(gated)[2].phase_tag
+
+    def test_unknown_setting_name_is_validation_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "powersweep",
+                           "--config", os.path.join(CONFIG_DIR, "powersweep_trivial.json"),
+                           "--set", "setting_V=half", "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err == ("error: setting_V must be 'open', 'pinch' or a voltage list, "
+                       "got 'half'\n")
 
     def test_empty_current_grid_is_validation_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "powersweep",
