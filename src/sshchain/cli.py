@@ -307,9 +307,12 @@ def _gate_settings_from(config, model):
             raise ValidationError("single gate sweep needs 'junction'")
         j = mw_mod._junction_index(
             model, _coerce(sweep["junction"], "sweep.junction", int))
+        points = _coerce(sweep.get("points", 11), "sweep.points", int)
+        if points < 1:
+            raise ValidationError("sweep.points must be >= 1")
         voltages = np.linspace(_coerce(sweep.get("start_V", model.v_p[j]), "sweep.start_V"),
                                _coerce(sweep.get("stop_V", model.v_o[j]), "sweep.stop_V"),
-                               _coerce(sweep.get("points", 11), "sweep.points", int))
+                               points)
         return mw_mod.single_gate_settings(model, j, voltages)
     if kind == "explicit":
         if "settings_V" not in sweep:
@@ -379,10 +382,12 @@ def _run_powersweep(config, stem):
     if "values_uA" in grid_cfg:
         i_grid = _float_list(grid_cfg["values_uA"], "i_s_grid.values_uA")
     else:
+        points = _coerce(grid_cfg.get("points", 9), "i_s_grid.points", int)
+        if points < 1:
+            raise ValidationError("i_s_grid.points must be >= 1")
         i_grid = [float(x) for x in np.linspace(
             _coerce(grid_cfg.get("start_uA", 0.0), "i_s_grid.start_uA"),
-            _coerce(grid_cfg["stop_uA"], "i_s_grid.stop_uA"),
-            _coerce(grid_cfg.get("points", 9), "i_s_grid.points", int))]
+            _coerce(grid_cfg["stop_uA"], "i_s_grid.stop_uA"), points)]
     if not i_grid:
         raise ValidationError("i_s_grid holds no signal current")
     gated, classes = _gated_sweep(config, stem, "powersweep", circuit, model,

@@ -19,7 +19,6 @@ import numpy as np
 import scipy.linalg
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import OptimizeWarning, curve_fit
-from scipy.signal import find_peaks, peak_widths
 
 from .chain import CircuitSpec, _coerce, _float_array, _site_array
 from .csvout import write_csv, write_json
@@ -77,7 +76,7 @@ class GateModel:
     tables: Optional[tuple] = None
 
     def __post_init__(self):
-        n = int(self.n_junctions)
+        n = _coerce(self.n_junctions, "n_junctions", int)
         if n < 1:
             raise ValidationError(f"n_junctions must be >= 1, got {self.n_junctions}")
         object.__setattr__(self, "n_junctions", n)
@@ -175,7 +174,7 @@ def _smoothstep(u: float) -> float:
 
 
 def _junction_index(model: GateModel, junction) -> int:
-    j = int(junction)
+    j = _coerce(junction, "junction index", int)
     if not (0 <= j < model.n_junctions):
         raise ValidationError(
             f"junction index {junction} outside 0..{model.n_junctions - 1}")
@@ -231,6 +230,7 @@ def apply_gate_setting(circuit: CircuitSpec, model: GateModel,
 
 def joint_gate_settings(model: GateModel, steps: int) -> np.ndarray:
     """Synchronous sweep: every junction interpolates v_p -> v_o together."""
+    steps = _coerce(steps, "steps", int)
     if steps < 2:
         raise ValidationError(f"joint sweep needs >= 2 steps, got {steps}")
     u = np.linspace(0.0, 1.0, steps)
@@ -242,6 +242,8 @@ def single_gate_settings(model: GateModel, junction: int,
     """Per-junction sweep with all other gates held at pinch-off."""
     j = _junction_index(model, junction)
     voltages = np.asarray(voltages, dtype=float)
+    if voltages.size == 0:
+        raise ValidationError("single gate sweep holds no voltage")
     settings = np.tile(model.v_p, (voltages.size, 1))
     settings[:, j] = voltages
     return settings
@@ -458,17 +460,29 @@ def extract_peaks(trace: S21Trace, prominence: float,
                   max_peaks: int) -> list:
     """Locate and refine transmission peaks on a (normalized) trace.
 
-    Local maxima of |s21| above the prominence threshold are refined by a
-    least-squares Lorentzian over a window of five linewidth estimates on
-    each side; points inside other candidates' cores are excluded from
-    the fit. A window left with fewer than four points, or a fit that does
-    not converge, keeps the estimates: the grid maximum, the half-maximum
-    width and the height above the window minimum. At most ``max_peaks``
-    peaks (largest prominence first) are returned, sorted by frequency. No
-    peak above threshold gives an empty list.
+    Local maxima of |s21| at least ``prominence`` (a finite number >= 0)
+    above their surroundings are refined by an unbounded Levenberg–Marquardt
+    Lorentzian fit, capped at 200 evaluations, over a window of five
+    linewidth estimates on each side; points inside other candidates' cores
+    are excluded from the fit. The fit is kept only inside its box: the
+    centre within the window, the half width between a tenth of the grid
+    step and ten half-windows, and a non-negative amplitude and baseline.
+    A window left with fewer than four points, a fit that reaches the cap,
+    or one outside its box keeps the estimates: the grid maximum, the
+    half-maximum width and the height above the window minimum. At most
+    ``max_peaks`` (an integer >= 1) peaks, largest prominence first, are
+    returned, sorted by frequency. No peak above threshold gives an empty
+    list.
     """
+    # scipy.signal imports scipy.stats (~0.5 s); no CLI subcommand finds peaks
+    from scipy.signal import find_peaks, peak_widths
+
+    max_peaks = _coerce(max_peaks, "max_peaks", int)
     if max_peaks < 1:
         raise ValidationError(f"max_peaks must be >= 1, got {max_peaks}")
+    prominence = _coerce(prominence, "prominence")
+    if not 0 <= prominence < math.inf:
+        raise ValidationError(f"prominence must be finite and >= 0, got {prominence}")
     freqs = trace.freqs
     mag = np.abs(trace.s21)
     idx, props = find_peaks(mag, prominence=prominence)
@@ -503,14 +517,16 @@ def extract_peaks(trace: S21Trace, prominence: float,
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", OptimizeWarning)
-                    popt, _ = curve_fit(
-                        _lorentzian, f_fit, m_fit, p0=p0,
-                        bounds=([f0_est - half, min_width / 10, 0.0, 0.0],
-                                [f0_est + half, 10.0 * half, np.inf, np.inf]),
-                        maxfev=2000)
-                f0, hwhm, amp, _ = popt
-            except RuntimeError:
+                    popt, _ = curve_fit(_lorentzian, f_fit, m_fit, p0=p0,
+                                        method="lm", maxfev=200)
+            except RuntimeError:  # the evaluation cap was reached
                 pass
+            else:
+                fit_f0, fit_hwhm, fit_amp, fit_base = popt
+                if (abs(fit_f0 - f0_est) <= half
+                        and min_width / 10 <= fit_hwhm <= 10.0 * half
+                        and fit_amp >= 0 and fit_base >= 0):
+                    f0, hwhm, amp = fit_f0, fit_hwhm, fit_amp
         peaks.append(Peak(f0_GHz=float(f0), linewidth_GHz=float(2 * hwhm),
                           amplitude=float(amp)))
     peaks.sort(key=lambda p: p.f0_GHz)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -606,6 +608,16 @@ class TestGateSweepCommand:
         assert code == 1
         assert "junction index 9 outside 0..4" in err
 
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_empty_single_sweep_is_validation_error(self, capsys, tmp_path, points):
+        code, out, err = run(capsys, "gatesweep",
+                             "--config", os.path.join(CONFIG_DIR, "gatesweep_joint.json"),
+                             "--set", "sweep.kind=single", "--set", "sweep.junction=1",
+                             "--set", f"sweep.points={points}", "--out-dir", str(tmp_path))
+        assert code == 1
+        assert (out, err) == ("", "error: sweep.points must be >= 1\n")
+        assert not any(tmp_path.iterdir())
+
 
 class TestPowerSweepCommand:
     def test_power_drive_reverts_phase(self, capsys, tmp_path):
@@ -671,6 +683,17 @@ class TestPowerSweepCommand:
         assert code == 1
         assert "i_s_grid holds no signal current" in err
 
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_non_positive_current_points_is_validation_error(self, capsys, tmp_path,
+                                                              points):
+        code, _, err = run(capsys, "powersweep",
+                           "--config", os.path.join(CONFIG_DIR, "powersweep_trivial.json"),
+                           "--set", f'i_s_grid={{"stop_uA": 2.0, "points": {points}}}',
+                           "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err == "error: i_s_grid.points must be >= 1\n"
+        assert not any(tmp_path.iterdir())
+
 
 class TestFitCommand:
     def test_roundtrip_fixture(self, capsys, tmp_path):
@@ -708,3 +731,16 @@ class TestFitCommand:
         code, _, err = fit("bad", "options.tol_f=abc")
         assert code == 1
         assert "tol_f" in err
+
+
+def test_cli_import_leaves_peak_finding_unloaded():
+    # scipy.signal pulls in scipy.stats; no subcommand finds peaks
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, sshchain.cli; "
+             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -35,6 +36,23 @@ from sshchain.spectral import PHASE_TOPOLOGICAL, PHASE_TRIVIAL
 from oracles import lorentzian_mag, shunt_lc_s21
 
 GATE = GateModel(5, v_p=0.4, v_o=1.8, l_min=9.0, i_star=1.0)
+GOLDEN_PEAKS = os.path.join(os.path.dirname(__file__), "golden",
+                            "criterion8_peaks_golden.csv")
+
+
+def criterion8_trace(lv_nH, box=None):
+    """The normalized 40001-point trace that criterion 8 extracts peaks from."""
+    circuit = default_circuit(lv_nH=lv_nH)
+    modes = circuit_mode_frequencies(circuit)
+    freqs = np.linspace(modes[0] - 0.15, modes[-1] + 0.15, 40001)
+    return background_normalize(s21_trace(circuit, freqs, box=box),
+                                [(modes[0] - 0.05, modes[-1] + 0.05)])
+
+
+def single_peak_trace():
+    freqs = np.linspace(6.0, 6.08, 1601)
+    mag = lorentzian_mag(freqs, 6.04, 0.002, 0.9, baseline=1.0)
+    return S21Trace(freqs, mag.astype(complex), metadata={"normalized": True})
 
 
 class TestGateModel:
@@ -101,6 +119,30 @@ class TestNanowireInductance:
             nanowire_inductance(GATE, 9, 1.0)
         with pytest.raises(ValidationError):
             nanowire_inductance(GATE, 0, 1.0, i_s=-0.5)
+
+    @pytest.mark.parametrize("count", [5.7, True, "five"])
+    def test_junction_count_is_an_integer(self, count):
+        with pytest.raises(ValidationError, match="n_junctions must be an integer"):
+            GateModel(count, 0.4, 1.8, 9.0, 1.0)
+
+    @pytest.mark.parametrize("junction", [2.5, True])
+    def test_junction_index_is_an_integer(self, junction):
+        with pytest.raises(ValidationError, match="junction index must be an integer"):
+            single_gate_settings(GATE, junction, [1.0])
+        with pytest.raises(ValidationError, match="junction index must be an integer"):
+            nanowire_inductance(GATE, junction, 1.0)
+
+    def test_integral_counts_are_accepted(self):
+        assert GateModel(5.0, 0.4, 1.8, 9.0, 1.0).n_junctions == 5
+        settings = single_gate_settings(GATE, np.int64(2), [1.0])
+        assert settings[0, 2] == 1.0
+        assert joint_gate_settings(GATE, np.int64(3)).shape == (3, 5)
+
+    def test_sweeps_need_points(self):
+        with pytest.raises(ValidationError, match="holds no voltage"):
+            single_gate_settings(GATE, 2, [])
+        with pytest.raises(ValidationError, match="steps must be an integer"):
+            joint_gate_settings(GATE, 2.5)
 
 
 class TestLadder:
@@ -255,10 +297,7 @@ class TestBackgroundNormalize:
 
 class TestExtractPeaks:
     def test_single_lorentzian_recovery(self):
-        freqs = np.linspace(6.0, 6.08, 1601)
-        mag = lorentzian_mag(freqs, 6.04, 0.002, 0.9, baseline=1.0)
-        trace = S21Trace(freqs, mag.astype(complex), metadata={"normalized": True})
-        peaks = extract_peaks(trace, prominence=0.1, max_peaks=3)
+        peaks = extract_peaks(single_peak_trace(), prominence=0.1, max_peaks=3)
         assert len(peaks) == 1
         assert abs(peaks[0].f0_GHz - 6.04) < 1e-4
         assert peaks[0].linewidth_GHz == pytest.approx(0.002, rel=0.05)
@@ -311,6 +350,100 @@ class TestExtractPeaks:
         assert narrow.f0_GHz in freqs  # the grid maximum, not a fit
         assert narrow.f0_GHz == pytest.approx(6.025, abs=1e-4)
         assert narrow.amplitude == 0.0  # height above the one-point window
+
+
+    @pytest.mark.parametrize("max_peaks", [2.5, True, 0, "three", None])
+    def test_max_peaks_is_a_positive_integer(self, max_peaks):
+        with pytest.raises(ValidationError, match="max_peaks must be"):
+            extract_peaks(single_peak_trace(), prominence=0.1, max_peaks=max_peaks)
+
+    @pytest.mark.parametrize("prominence", [math.nan, math.inf, -0.1, "high", None])
+    def test_prominence_is_finite_and_non_negative(self, prominence):
+        with pytest.raises(ValidationError, match="prominence must be"):
+            extract_peaks(single_peak_trace(), prominence=prominence, max_peaks=3)
+
+
+class TestPeakRefinement:
+    """Capped Levenberg–Marquardt refinement, kept only inside its box."""
+
+    @pytest.fixture(scope="class")
+    def boxed(self):
+        return criterion8_trace(60.0, box=BoxMode(6.0, 10.0, 0.2))
+
+    def test_criterion8_peaks_match_the_golden_values(self):
+        # Written by the bounded trust-region refinement this one replaced.
+        golden = np.loadtxt(GOLDEN_PEAKS, delimiter=",", skiprows=1)
+        assert golden[:, 4].sum() == 1
+        for lv_nH in (60.0, 8.0):
+            rows = golden[golden[:, 0] == lv_nH]
+            peaks = extract_peaks(criterion8_trace(lv_nH), prominence=0.05, max_peaks=12)
+            assert len(peaks) == len(rows)
+            for peak, (_, f0, width, amp, merged) in zip(peaks, rows):
+                if merged:
+                    # two modes under one line: only its centre is pinned
+                    assert abs(peak.f0_GHz - f0) <= 0.01 * width
+                    continue
+                assert abs(peak.f0_GHz - f0) <= 1e-8
+                assert peak.linewidth_GHz == pytest.approx(width, rel=1e-3)
+                assert peak.amplitude == pytest.approx(amp, rel=1e-3)
+
+    def test_every_window_stops_at_the_evaluation_cap(self, monkeypatch, boxed):
+        calls = []
+        lorentzian, curve_fit = mw_mod._lorentzian, mw_mod.curve_fit
+
+        def counting_lorentzian(f, *params):
+            calls[-1] += 1
+            return lorentzian(f, *params)
+
+        def counting_fit(*args, **kwargs):
+            calls.append(0)
+            return curve_fit(*args, **kwargs)
+
+        monkeypatch.setattr(mw_mod, "_lorentzian", counting_lorentzian)
+        monkeypatch.setattr(mw_mod, "curve_fit", counting_fit)
+        extract_peaks(boxed, prominence=0.05, max_peaks=12)
+        assert calls and max(calls) <= 210
+
+    def test_capped_window_keeps_its_candidate(self, boxed):
+        # This window's fit wanders to a 5.988 GHz Lorentzian if left uncapped.
+        peaks = extract_peaks(boxed, prominence=0.05, max_peaks=12)
+        nearest = min(peaks, key=lambda p: abs(p.f0_GHz - 6.0125))
+        assert abs(nearest.f0_GHz - 6.0125) <= 1e-3
+        assert nearest.f0_GHz in boxed.freqs
+
+    @pytest.mark.parametrize("param, value", [
+        (0, 7.0),      # centre outside the window
+        (1, 1e-7),     # narrower than a tenth of the grid step
+        (1, 1.0),      # wider than ten half-windows
+        (1, -0.001),   # the model is even in hwhm; a negative one is outside too
+        (2, -0.5),     # a dip, not a peak
+        (3, -0.1),     # negative baseline
+    ])
+    def test_fit_outside_its_box_keeps_the_estimate(self, monkeypatch, param, value):
+        trace = single_peak_trace()
+
+        def capped(f, xdata, ydata, p0, **kwargs):
+            raise RuntimeError("evaluation cap reached")
+
+        monkeypatch.setattr(mw_mod, "curve_fit", capped)
+        estimate = extract_peaks(trace, prominence=0.1, max_peaks=3)
+        assert estimate[0].f0_GHz == trace.freqs[np.argmax(np.abs(trace.s21))]
+
+        def escaping(f, xdata, ydata, p0, **kwargs):
+            popt = np.array(p0) + [1.25e-5, 0.0, 0.0, 0.0]  # kept if in its box
+            popt[param] = value
+            return popt, None
+
+        monkeypatch.setattr(mw_mod, "curve_fit", escaping)
+        assert extract_peaks(trace, prominence=0.1, max_peaks=3) == estimate
+
+    def test_fit_inside_its_box_is_kept(self, monkeypatch):
+        def shifted(f, xdata, ydata, p0, **kwargs):
+            return np.array(p0) + [1.25e-5, 0.0, 0.0, 0.0], None
+
+        monkeypatch.setattr(mw_mod, "curve_fit", shifted)
+        (peak,) = extract_peaks(single_peak_trace(), prominence=0.1, max_peaks=3)
+        assert peak.f0_GHz == pytest.approx(6.04 + 1.25e-5, abs=1e-12)
 
 
 class TestModeLinewidths:
