@@ -268,40 +268,69 @@ def _validate_freqs(freqs) -> np.ndarray:
     return freqs
 
 
+def _cascade(circuit: CircuitSpec, omega: np.ndarray):
+    """A, Im B, Im C and D of the bare chain ladder at angular frequencies omega.
+
+    Every shunt admittance jY and series impedance jX of the ladder is
+    purely imaginary, so A and D stay real and B and C purely imaginary
+    (a lossless two-port). The four float64 arrays are updated in place:
+    a shunt jY maps (A, B, C, D) to (A - B Y, B, C + D Y, D), a series jX
+    to (A, B + A X, C, D - C X). Every element value and product is
+    rounded exactly as in the complex cascade, so A + jB etc. equal it bit
+    for bit; no temporary array is allocated per element.
+    """
+    a = np.ones_like(omega)
+    b = np.zeros_like(omega)
+    c = np.zeros_like(omega)
+    d = np.ones_like(omega)
+    x = np.empty_like(omega)        # Y or X of the current element
+    tmp = np.empty_like(omega)
+
+    def omega_times(value, unit, out):
+        np.multiply(omega, value, out=out)
+        return np.multiply(out, unit, out=out)
+
+    def shunt(c_fF, l_nH=None):
+        omega_times(c_fF, _FF, x)
+        if l_nH is not None:
+            np.subtract(x, np.divide(1.0, omega_times(l_nH, _NH, tmp), out=tmp), out=x)
+        np.multiply(b, x, out=tmp)
+        np.subtract(a, tmp, out=a)
+        np.multiply(d, x, out=tmp)
+        np.add(c, tmp, out=c)
+
+    def series(l_nH=None, c_fF=None):
+        if l_nH is not None:
+            omega_times(l_nH, _NH, x)
+        else:
+            np.divide(-1.0, omega_times(c_fF, _FF, x), out=x)
+        np.multiply(a, x, out=tmp)
+        np.add(b, tmp, out=b)
+        np.multiply(c, x, out=tmp)
+        np.subtract(d, tmp, out=d)
+
+    lv = np.where(np.isfinite(circuit.lv), circuit.lv, PINCHED_LV_NH)
+    shunt(circuit.c0[0])                             # left terminating site
+    series(c_fF=circuit.cw[0])
+    for cell in range(circuit.n_cells):
+        shunt(circuit.c0[2 * cell], circuit.l0[2 * cell])
+        series(l_nH=lv[cell])
+        shunt(circuit.c0[2 * cell + 1], circuit.l0[2 * cell + 1])
+        series(c_fF=circuit.cw[cell + 1])
+    shunt(circuit.c0[-1])                            # right terminating site
+    return a, b, c, d
+
+
 def ladder_abcd(circuit: CircuitSpec, freqs: Sequence[float]) -> np.ndarray:
     """ABCD matrices of the bare chain ladder, shape (n_freq, 2, 2)."""
-    freqs = _validate_freqs(freqs)
-    omega = 2.0 * np.pi * freqs * _GHZ
-    a = np.ones_like(omega, dtype=complex)
-    b = np.zeros_like(a)
-    c = np.zeros_like(a)
-    d = np.ones_like(a)
-
-    def shunt(y):
-        nonlocal a, c
-        a = a + b * y
-        c = c + d * y
-
-    def series(z):
-        nonlocal b, d
-        b = b + a * z
-        d = d + c * z
-
-    n = circuit.n_cells
-    lv = np.where(np.isfinite(circuit.lv), circuit.lv, PINCHED_LV_NH)
-    shunt(1j * omega * circuit.c0[0] * _FF)          # left terminating site
-    series(1.0 / (1j * omega * circuit.cw[0] * _FF))
-    for cell in range(n):
-        for site, nxt in ((2 * cell, None), (2 * cell + 1, cell + 1)):
-            shunt(1j * omega * circuit.c0[site] * _FF
-                  + 1.0 / (1j * omega * circuit.l0[site] * _NH))
-            if nxt is None:
-                series(1j * omega * lv[cell] * _NH)
-            else:
-                series(1.0 / (1j * omega * circuit.cw[nxt] * _FF))
-    shunt(1j * omega * circuit.c0[-1] * _FF)         # right terminating site
-    return np.stack([np.stack([a, b], axis=-1),
-                     np.stack([c, d], axis=-1)], axis=-2)
+    omega = 2.0 * np.pi * _validate_freqs(freqs) * _GHZ
+    a, b, c, d = _cascade(circuit, omega)
+    abcd = np.zeros((a.size, 2, 2), dtype=complex)
+    abcd.real[:, 0, 0] = a
+    abcd.imag[:, 0, 1] = b
+    abcd.imag[:, 1, 0] = c
+    abcd.real[:, 1, 1] = d
+    return abcd
 
 
 def abcd_to_s21(abcd: np.ndarray, z0: float = 50.0) -> np.ndarray:
@@ -387,15 +416,21 @@ def s21_trace(circuit: CircuitSpec, freqs: Sequence[float], z0: float = 50.0,
     if not 0 < z0 < math.inf:
         raise ValidationError(f"port impedance must be finite and > 0, got {z0}")
     freqs = _validate_freqs(freqs)
-    abcd = ladder_abcd(circuit, freqs)
+    omega = 2.0 * np.pi * freqs * _GHZ
+    a, b, c, d = _cascade(circuit, omega)
     if box is None:
-        s21 = abcd_to_s21(abcd, z0)
+        # 2 / ((A + D) + j(B/z0 + C z0)), built in place; numpy divides a
+        # complex array by a real z0 as b * (1/z0), and so does this
+        s21 = np.empty(omega.shape, dtype=complex)
+        np.add(a, d, out=s21.real)
+        imag = np.multiply(b, 1.0 / z0, out=s21.imag)
+        imag += c * z0
+        np.divide(2.0, s21, out=s21)
     else:
-        omega = 2.0 * np.pi * freqs * _GHZ
-        a = abcd[:, 0, 0]
-        b = abcd[:, 0, 1]
-        c = abcd[:, 1, 0]
-        d = abcd[:, 1, 1]
+        a = a + 0j
+        b = 1j * b
+        c = 1j * c
+        d = d + 0j
         det = a * d - b * c
         y_box = _box_bridge_admittance(box, omega, z0)
         y11 = d / b + y_box

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own algorithms: general
 (non-symmetric) eigensolvers instead of eigh, the Newton-iteration matrix
 sign function instead of spectral projectors, adaptive quadrature instead
-of midpoint sums, and closed forms where they exist.
+of midpoint sums, complex ABCD matrices instead of their four real parts,
+and closed forms where they exist.
 """
 
 import numpy as np
@@ -74,6 +75,56 @@ def shunt_lc_s21(freqs_GHz, l_nH, c_fF, z0=50.0):
     omega = 2.0 * np.pi * np.asarray(freqs_GHz) * 1e9
     y = 1j * omega * c_fF * 1e-15 + 1.0 / (1j * omega * l_nH * 1e-9)
     return 1.0 / (1.0 + z0 * y / 2.0)
+
+
+def complex_ladder_abcd(circuit, freqs):
+    """ABCD matrices of the chain ladder, cascaded in complex arithmetic.
+
+    The element-by-element complex cascade the package ran before it
+    carried the lossless ladder as four real arrays; pinched (infinite)
+    coupling inductances enter as 1000 nH.
+    """
+    omega = 2.0 * np.pi * np.asarray(freqs, dtype=float) * 1e9
+    a = np.ones_like(omega, dtype=complex)
+    b = np.zeros_like(a)
+    c = np.zeros_like(a)
+    d = np.ones_like(a)
+
+    def shunt(y):
+        nonlocal a, c
+        a = a + b * y
+        c = c + d * y
+
+    def series(z):
+        nonlocal b, d
+        b = b + a * z
+        d = d + c * z
+
+    n = circuit.n_cells
+    lv = np.where(np.isfinite(circuit.lv), circuit.lv, 1000.0)
+    shunt(1j * omega * circuit.c0[0] * 1e-15)        # left terminating site
+    series(1.0 / (1j * omega * circuit.cw[0] * 1e-15))
+    for cell in range(n):
+        for site, nxt in ((2 * cell, None), (2 * cell + 1, cell + 1)):
+            shunt(1j * omega * circuit.c0[site] * 1e-15
+                  + 1.0 / (1j * omega * circuit.l0[site] * 1e-9))
+            if nxt is None:
+                series(1j * omega * lv[cell] * 1e-9)
+            else:
+                series(1.0 / (1j * omega * circuit.cw[nxt] * 1e-15))
+    shunt(1j * omega * circuit.c0[-1] * 1e-15)       # right terminating site
+    return np.stack([np.stack([a, b], axis=-1),
+                     np.stack([c, d], axis=-1)], axis=-2)
+
+
+def complex_ladder_s21(circuit, freqs, z0=50.0):
+    """S21 of the bare ladder from ``complex_ladder_abcd`` at port impedance z0."""
+    abcd = complex_ladder_abcd(circuit, freqs)
+    a = abcd[..., 0, 0]
+    b = abcd[..., 0, 1]
+    c = abcd[..., 1, 0]
+    d = abcd[..., 1, 1]
+    return 2.0 / (a + b / z0 + c * z0 + d)
 
 
 def lorentzian_mag(freqs, f0, fwhm, amplitude, baseline=0.0):

@@ -23,6 +23,7 @@ from sshchain import (
     eigendecompose,
     extract_peaks,
     joint_gate_settings,
+    ladder_abcd,
     map_circuit_to_tb,
     mode_linewidths,
     nanowire_inductance,
@@ -33,7 +34,8 @@ from sshchain import microwave as mw_mod
 from sshchain.microwave import read_gate_table_csv, write_trace_outputs
 from sshchain.spectral import PHASE_TOPOLOGICAL, PHASE_TRIVIAL
 
-from oracles import lorentzian_mag, shunt_lc_s21
+from oracles import (complex_ladder_abcd, complex_ladder_s21, lorentzian_mag,
+                     shunt_lc_s21)
 
 GATE = GateModel(5, v_p=0.4, v_o=1.8, l_min=9.0, i_star=1.0)
 GOLDEN_PEAKS = os.path.join(os.path.dirname(__file__), "golden",
@@ -47,6 +49,22 @@ def criterion8_trace(lv_nH, box=None):
     freqs = np.linspace(modes[0] - 0.15, modes[-1] + 0.15, 40001)
     return background_normalize(s21_trace(circuit, freqs, box=box),
                                 [(modes[0] - 0.05, modes[-1] + 0.05)])
+
+
+def disordered_circuit(rng, n_cells):
+    """Every element drawn around the reference circuit; lv spans both phases."""
+    return CircuitSpec(
+        n_cells,
+        660.0 * (1 + 0.1 * rng.uniform(-1, 1, 2 * n_cells)),
+        1.0 * (1 + 0.1 * rng.uniform(-1, 1, 2 * n_cells)),
+        rng.uniform(1.0, 100.0, n_cells),
+        30.0 * (1 + 0.1 * rng.uniform(-1, 1, n_cells + 1)),
+    )
+
+
+def bits(values):
+    """The raw bit patterns of a float or complex array, sign of zero included."""
+    return np.ascontiguousarray(values).view(np.uint64)
 
 
 def single_peak_trace():
@@ -183,12 +201,33 @@ class TestLadder:
             s21_trace(default_circuit(lv_nH=30.0), [5.0, 6.0], z0=z0)
 
     def test_nan_transmission_fails_the_passivity_guard(self, monkeypatch):
-        def nan_ladder(circuit, freqs):
-            return np.full((len(freqs), 2, 2), np.nan, dtype=complex)
+        def nan_cascade(circuit, omega):
+            return tuple(np.full(omega.shape, np.nan) for _ in range(4))
 
-        monkeypatch.setattr(mw_mod, "ladder_abcd", nan_ladder)
+        monkeypatch.setattr(mw_mod, "_cascade", nan_cascade)
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="nan"):
             s21_trace(default_circuit(lv_nH=30.0), [5.0, 6.0])
+
+    @pytest.mark.parametrize("lv_nH", [8.0, 22.0, 60.0, math.inf, 1e-3])
+    def test_real_cascade_equals_the_complex_one_bit_for_bit(self, lv_nH):
+        circuit = default_circuit(lv_nH=lv_nH)
+        freqs = np.linspace(5.5, 7.2, 4001)
+        assert np.array_equal(bits(s21_trace(circuit, freqs).s21),
+                              bits(complex_ladder_s21(circuit, freqs)))
+        assert np.array_equal(bits(ladder_abcd(circuit, freqs)),
+                              bits(complex_ladder_abcd(circuit, freqs)))
+
+    def test_real_cascade_of_disordered_ladders_is_bit_identical(self):
+        rng = np.random.default_rng(5)
+        freqs = np.linspace(4.0, 9.0, 2001)
+        for _ in range(40):
+            circuit = disordered_circuit(rng, int(rng.integers(1, 11)))
+            for z0 in (50.0, 37.5):
+                assert np.array_equal(
+                    bits(s21_trace(circuit, freqs, z0=z0).s21),
+                    bits(complex_ladder_s21(circuit, freqs, z0)))
+            assert np.array_equal(bits(ladder_abcd(circuit, freqs)),
+                                  bits(complex_ladder_abcd(circuit, freqs)))
 
     def test_passivity(self):
         rng = np.random.default_rng(17)
