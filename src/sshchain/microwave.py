@@ -389,8 +389,8 @@ def circuit_mode_frequencies(circuit: CircuitSpec) -> np.ndarray:
     return np.sqrt(omega_sq) / (2.0 * np.pi) / _GHZ
 
 
-def _box_bridge_admittance(box: BoxMode, omega: np.ndarray, z0: float) -> np.ndarray:
-    """Series-LC bridge between the ports; lossless, resonant at f_box."""
+def _box_bridge_susceptance(box: BoxMode, omega: np.ndarray, z0: float) -> np.ndarray:
+    """Im of the series-LC bridge admittance between the ports; lossless, resonant at f_box."""
     omega_b = 2.0 * np.pi * box.f_box * _GHZ
     z_char = 2.0 * z0 * box.q_box
     l_b = z_char / omega_b
@@ -399,7 +399,7 @@ def _box_bridge_admittance(box: BoxMode, omega: np.ndarray, z0: float) -> np.nda
     # regularize the measure-zero exact-resonance grid point
     tiny = 1e-12 * z_char
     react = np.where(np.abs(react) < tiny, tiny, react)
-    return box.coupling / (1j * react)
+    return -box.coupling / react
 
 
 def s21_trace(circuit: CircuitSpec, freqs: Sequence[float], z0: float = 50.0,
@@ -409,36 +409,37 @@ def s21_trace(circuit: CircuitSpec, freqs: Sequence[float], z0: float = 50.0,
 
     The ladder is cascaded in ABCD form and converted to S21 at z0. A box
     mode is combined in parallel by adding Y parameters before the
-    conversion. Pinched-off (infinite) coupling inductances are rendered
-    as ``PINCHED_LV_NH``, recorded in the metadata. A peak |s21| above 1
-    (or NaN) raises NumericalError.
+    conversion, in closed form from the four real ABCD parts. Pinched-off
+    (infinite) coupling inductances are rendered as ``PINCHED_LV_NH``,
+    recorded in the metadata. A peak |s21| above 1 (or NaN) raises
+    NumericalError.
     """
     if not 0 < z0 < math.inf:
         raise ValidationError(f"port impedance must be finite and > 0, got {z0}")
     freqs = _validate_freqs(freqs)
     omega = 2.0 * np.pi * freqs * _GHZ
     a, b, c, d = _cascade(circuit, omega)
+    # 2 / ((A + D) + j(B/z0 + C z0)), built in place; numpy divides a
+    # complex array by a real z0 as b * (1/z0), and so does this
+    s21 = np.empty(omega.shape, dtype=complex)
+    real, imag = s21.real, s21.imag
+    np.add(a, d, out=real)
+    np.multiply(b, 1.0 / z0, out=imag)
+    imag += c * z0
     if box is None:
-        # 2 / ((A + D) + j(B/z0 + C z0)), built in place; numpy divides a
-        # complex array by a real z0 as b * (1/z0), and so does this
-        s21 = np.empty(omega.shape, dtype=complex)
-        np.add(a, d, out=s21.real)
-        imag = np.multiply(b, 1.0 / z0, out=s21.imag)
-        imag += c * z0
         np.divide(2.0, s21, out=s21)
     else:
-        a = a + 0j
-        b = 1j * b
-        c = 1j * c
-        d = d + 0j
-        det = a * d - b * c
-        y_box = _box_bridge_admittance(box, omega, z0)
-        y11 = d / b + y_box
-        y22 = a / b + y_box
-        y12 = -det / b - y_box
-        y21 = -1.0 / b - y_box
-        denom = (1.0 + y11 * z0) * (1.0 + y22 * z0) - y12 * y21 * z0 * z0
-        s21 = -2.0 * y21 * z0 / denom
+        # The ladder's Y parameters are y11 = -jD/B, y22 = -jA/B and
+        # y12 = y21 = j/B, using AD + BC = 1, which holds exactly for a
+        # reciprocal network (forming AD + BC numerically cancels to noise
+        # where |AD| is large). Adding the bridge jY to y11 and y22 and
+        # subtracting it from y12 and y21 gives
+        # 2(1 - YB) / ((A + D - 2YB) + j(B/z0 + C z0 + z0 Y (A + D - 2))).
+        y = _box_bridge_susceptance(box, omega, z0)
+        imag += z0 * y * (real - 2.0)
+        yb = y * b
+        real -= 2.0 * yb
+        np.divide(2.0 * (1.0 - yb), s21, out=s21)
     peak = float(np.max(np.abs(s21)))
     if not peak <= 1.0 + 1e-6:
         raise NumericalError(

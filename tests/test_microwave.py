@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sshchain import (
     BoxMode,
@@ -243,6 +245,23 @@ class TestLadder:
             box = None if k % 2 else BoxMode(6.0, 10.0, 0.5)
             trace = s21_trace(circuit, freqs, box=box)
             assert np.max(np.abs(trace.s21)) <= 1.0 + 1e-6
+
+    def test_ten_cell_boxed_stop_band_stays_passive(self):
+        # deep in the stop band |A D| reaches 1e20-1e70; a numerically
+        # formed det = AD + BC is then pure cancellation error
+        trace = s21_trace(default_circuit(n_cells=10), np.linspace(5.5, 7.2, 4001),
+                          box=BoxMode(6.0, 10.0, 0.2))
+        assert np.max(np.abs(trace.s21)) <= 1.0
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_cells=st.integers(1, 10),
+           box=st.none() | st.tuples(st.floats(5.0, 8.0), st.floats(2.0, 50.0),
+                                     st.floats(0.05, 1.0)))
+    def test_random_lossless_ladders_stay_passive(self, seed, n_cells, box):
+        circuit = disordered_circuit(np.random.default_rng(seed), n_cells)
+        box = None if box is None else BoxMode(*box)
+        trace = s21_trace(circuit, np.linspace(4.0, 9.0, 2001), box=box)
+        assert np.max(np.abs(trace.s21)) <= 1.0 + 1e-6
 
     def test_reciprocity_of_disordered_ladder(self):
         rng = np.random.default_rng(23)
