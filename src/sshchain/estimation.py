@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .chain import (
     CircuitSpec,
@@ -221,6 +220,9 @@ def fit_circuit_params(problem: FitProblem,
     ``converged`` reports whether the kept run met a tolerance, and
     ``clamped`` counts free parameters at a bound at the solution.
     """
+    # scipy.optimize costs ~0.3 s to import; only the fit subcommand needs it
+    from scipy.optimize import least_squares
+
     opts = options or FitOptions()
     start = problem.start
     mask = _normalize_mask(problem.free, start)

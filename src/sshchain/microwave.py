@@ -17,8 +17,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .chain import CircuitSpec, _coerce, _float_array, _site_array
 from .csvout import write_csv, write_json
@@ -203,6 +201,8 @@ def nanowire_inductance(model: GateModel, junction: int, v_g: float,
         if ramp == 0.0:
             return math.inf
         return float(model.l_min[j] / ramp * power_factor)
+    from scipy.interpolate import PchipInterpolator  # ~0.1 s; table mode only
+
     table = model.tables[j]
     if v_g < table[0, 0] or v_g > table[-1, 0]:
         raise ExtrapolationError(
@@ -510,7 +510,9 @@ def extract_peaks(trace: S21Trace, prominence: float,
     returned, sorted by frequency. No peak above threshold gives an empty
     list.
     """
-    # scipy.signal imports scipy.stats (~0.5 s); no CLI subcommand finds peaks
+    # scipy.signal imports scipy.stats (~0.5 s), scipy.optimize ~0.3 s; no
+    # CLI subcommand finds peaks
+    from scipy.optimize import OptimizeWarning, curve_fit
     from scipy.signal import find_peaks, peak_widths
 
     max_peaks = _coerce(max_peaks, "max_peaks", int)

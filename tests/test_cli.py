@@ -734,12 +734,14 @@ class TestFitCommand:
 
 
 def test_cli_import_leaves_peak_finding_unloaded():
-    # scipy.signal pulls in scipy.stats; no subcommand finds peaks
+    # scipy.signal pulls in scipy.stats; no subcommand finds peaks, only fit
+    # needs scipy.optimize and only table-mode gates scipy.interpolate
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = ("import sys, sshchain.cli; "
-             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+             "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.optimize', "
+             "'scipy.interpolate') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr

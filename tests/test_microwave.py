@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -391,13 +392,13 @@ class TestExtractPeaks:
         # The narrow peak sits inside the broad peak's core, so its window
         # keeps only its own grid point: one point for four parameters.
         fitted = []
-        curve_fit = mw_mod.curve_fit
+        curve_fit = scipy.optimize.curve_fit
 
         def counting_fit(f, xdata, ydata, **kwargs):
             fitted.append(xdata.size)
             return curve_fit(f, xdata, ydata, **kwargs)
 
-        monkeypatch.setattr(mw_mod, "curve_fit", counting_fit)
+        monkeypatch.setattr(scipy.optimize, "curve_fit", counting_fit)
         freqs = np.linspace(5.9, 6.1, 2001)
         mag = (lorentzian_mag(freqs, 6.0, 0.02, 1.0, baseline=0.01)
                + lorentzian_mag(freqs, 6.025, 3e-4, 0.5))
@@ -447,7 +448,7 @@ class TestPeakRefinement:
 
     def test_every_window_stops_at_the_evaluation_cap(self, monkeypatch, boxed):
         calls = []
-        lorentzian, curve_fit = mw_mod._lorentzian, mw_mod.curve_fit
+        lorentzian, curve_fit = mw_mod._lorentzian, scipy.optimize.curve_fit
 
         def counting_lorentzian(f, *params):
             calls[-1] += 1
@@ -458,7 +459,7 @@ class TestPeakRefinement:
             return curve_fit(*args, **kwargs)
 
         monkeypatch.setattr(mw_mod, "_lorentzian", counting_lorentzian)
-        monkeypatch.setattr(mw_mod, "curve_fit", counting_fit)
+        monkeypatch.setattr(scipy.optimize, "curve_fit", counting_fit)
         extract_peaks(boxed, prominence=0.05, max_peaks=12)
         assert calls and max(calls) <= 210
 
@@ -483,7 +484,7 @@ class TestPeakRefinement:
         def capped(f, xdata, ydata, p0, **kwargs):
             raise RuntimeError("evaluation cap reached")
 
-        monkeypatch.setattr(mw_mod, "curve_fit", capped)
+        monkeypatch.setattr(scipy.optimize, "curve_fit", capped)
         estimate = extract_peaks(trace, prominence=0.1, max_peaks=3)
         assert estimate[0].f0_GHz == trace.freqs[np.argmax(np.abs(trace.s21))]
 
@@ -492,14 +493,14 @@ class TestPeakRefinement:
             popt[param] = value
             return popt, None
 
-        monkeypatch.setattr(mw_mod, "curve_fit", escaping)
+        monkeypatch.setattr(scipy.optimize, "curve_fit", escaping)
         assert extract_peaks(trace, prominence=0.1, max_peaks=3) == estimate
 
     def test_fit_inside_its_box_is_kept(self, monkeypatch):
         def shifted(f, xdata, ydata, p0, **kwargs):
             return np.array(p0) + [1.25e-5, 0.0, 0.0, 0.0], None
 
-        monkeypatch.setattr(mw_mod, "curve_fit", shifted)
+        monkeypatch.setattr(scipy.optimize, "curve_fit", shifted)
         (peak,) = extract_peaks(single_peak_trace(), prominence=0.1, max_peaks=3)
         assert peak.f0_GHz == pytest.approx(6.04 + 1.25e-5, abs=1e-12)
 
