@@ -538,15 +538,19 @@ def extract_peaks(trace: S21Trace, prominence: float,
     for n, i in enumerate(chosen):
         f0_est = freqs[i]
         half = 5.0 * fwhm_est[n]
-        window = (freqs >= f0_est - half) & (freqs <= f0_est + half)
+        # the grid points with f0_est - half <= f <= f0_est + half
+        lo = np.searchsorted(freqs, f0_est - half, side="left")
+        hi = np.searchsorted(freqs, f0_est + half, side="right")
+        f_win = freqs[lo:hi]
+        window = np.ones(f_win.size, dtype=bool)
         for m, j in enumerate(chosen):
             if j == i:
                 continue
             core = 1.5 * fwhm_est[m]
-            window &= ~(np.abs(freqs - freqs[j]) <= core)
-        window[i] = True
-        f_fit = freqs[window]
-        m_fit = mag[window]
+            window &= ~(np.abs(f_win - freqs[j]) <= core)
+        window[i - lo] = True
+        f_fit = f_win[window]
+        m_fit = mag[lo:hi][window]
         base0 = float(np.min(m_fit))
         amp0 = float(mag[i] - base0)
         f0, hwhm, amp = f0_est, fwhm_est[n] / 2, amp0
