@@ -39,7 +39,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _float_array(values) -> np.ndarray:
-    return np.asarray(values, dtype=float)
+    """``values`` as a float array; text is refused even where it parses."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "SU" or arr.dtype.kind == "O" and any(
+            isinstance(x, (str, bytes)) for x in arr.flat):
+        raise TypeError(f"text where numbers belong: {values!r}")
+    return np.asarray(arr, dtype=float)
 
 
 def _coerce(value, name: str, kind=float):
@@ -47,12 +52,15 @@ def _coerce(value, name: str, kind=float):
 
     Config documents arrive from outside the program, so a string or a
     list where a number belongs must fail validation by name instead of
-    escaping as a bare TypeError or ValueError. An integer is never read
-    from a boolean or a non-integral float, which ``int`` would truncate.
+    escaping as a bare TypeError or ValueError. A string is never read as
+    a number, even one such as ``"401"`` that ``int`` would parse, and an
+    integer is never read from a boolean or a non-integral float, which
+    ``int`` would truncate.
     """
     try:
-        if kind is int and (isinstance(value, bool) or
-                            isinstance(value, float) and not value.is_integer()):
+        if isinstance(value, (str, bytes)) or kind is int and (
+                isinstance(value, bool) or
+                isinstance(value, float) and not value.is_integer()):
             raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -101,6 +109,8 @@ def _from_json_values(values):
         if v == "inf":
             return math.inf
         try:
+            if isinstance(v, str):
+                raise ValueError(v)
             return float(v)
         except (TypeError, ValueError):
             raise ValidationError(

@@ -130,7 +130,7 @@ def _list_index(node, part, dotted):
 
 
 def _float_list(values, name):
-    return _coerce(values, name, lambda seq: [float(x) for x in seq])
+    return _coerce(values, name, lambda seq: [_coerce(x, name) for x in seq])
 
 
 def _flag(config, key, default):

@@ -188,10 +188,10 @@ def nanowire_inductance(model: GateModel, junction: int, v_g: float,
     ExtrapolationError.
     """
     j = _junction_index(model, junction)
-    i_s = float(i_s)
+    i_s = _coerce(i_s, "signal current")
     if not 0 <= i_s < math.inf:
         raise ValidationError(f"signal current must be finite and >= 0, got {i_s}")
-    v_g = float(v_g)
+    v_g = _coerce(v_g, "gate voltage")
     if not math.isfinite(v_g):
         raise ValidationError(f"gate voltage must be finite, got {v_g}")
     power_factor = 1.0 + (i_s / model.i_star[j]) ** 2
@@ -219,7 +219,7 @@ def apply_gate_setting(circuit: CircuitSpec, model: GateModel,
         raise ValidationError(
             f"gate model has {model.n_junctions} junctions for "
             f"{circuit.n_cells} cells")
-    voltages = np.asarray(voltages, dtype=float)
+    voltages = _coerce(voltages, "gate voltages", _float_array)
     if voltages.shape != (circuit.n_cells,):
         raise ValidationError(
             f"need one voltage per junction ({circuit.n_cells}), got {voltages.shape}")
@@ -241,7 +241,7 @@ def single_gate_settings(model: GateModel, junction: int,
                          voltages: Sequence[float]) -> np.ndarray:
     """Per-junction sweep with all other gates held at pinch-off."""
     j = _junction_index(model, junction)
-    voltages = np.asarray(voltages, dtype=float)
+    voltages = _coerce(voltages, "gate voltages", _float_array)
     if voltages.size == 0:
         raise ValidationError("single gate sweep holds no voltage")
     settings = np.tile(model.v_p, (voltages.size, 1))

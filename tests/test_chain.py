@@ -33,6 +33,8 @@ class TestChainSpec:
             ChainSpec(5, 6.5, 0.25, [0.5] * 5)
         with pytest.raises(ValidationError, match="n_cells"):
             ChainSpec("five", 6.5, 0.25, 0.5)
+        with pytest.raises(ValidationError, match="n_cells must be an integer"):
+            ChainSpec("5", 6.5, 0.25, 0.5)
 
     def test_negative_hops_rejected(self):
         with pytest.raises(ValidationError):
@@ -47,6 +49,12 @@ class TestChainSpec:
             ChainSpec(2, [6.5, np.inf, 6.5, 6.5], 0.25, 0.5)
         with pytest.raises(ValidationError, match="eps"):
             ChainSpec(2, [6.5, "high", 6.5, 6.5], 0.25, 0.5)
+        with pytest.raises(ValidationError, match="eps must be numeric"):
+            ChainSpec(2, [6.5, "6.5", 6.5, 6.5], 0.25, 0.5)
+        with pytest.raises(ValidationError, match="v must be numeric"):
+            ChainSpec(2, 6.5, np.array([0.2, "0.3"], dtype=object), 0.5)
+        with pytest.raises(ValidationError, match="w must be numeric"):
+            ChainSpec(2, 6.5, 0.2, "0.5")
 
     def test_arrays_are_read_only(self):
         spec = ChainSpec(3, 6.5, 0.2, 0.5)
@@ -85,6 +93,14 @@ class TestCircuitSpec:
         assert spec.cw.size == spec.n_cells + 1
         with pytest.raises(ValidationError):
             CircuitSpec(5, 660.0, 1.0, 30.0, [30.0] * 5)
+
+    @pytest.mark.parametrize("lv", [["inf", "8"], ["inf", "Infinity"], "8"])
+    def test_from_dict_reads_only_inf_as_text(self, lv):
+        data = CircuitSpec(2, 660.0, 1.0, [math.inf, 25.0], 30.0).to_dict()
+        assert CircuitSpec.from_dict(data).lv[0] == math.inf
+        data["lv_nH"] = lv
+        with pytest.raises(ValidationError, match="expected a number or 'inf'"):
+            CircuitSpec.from_dict(data)
 
     def test_json_round_trip_with_inf(self):
         spec = CircuitSpec(2, 660.0, 1.0, [math.inf, 25.0], 30.0)

@@ -177,6 +177,23 @@ class TestConfigHandling:
         assert err.startswith("error: ") and key in err and "abc" in err
 
     @pytest.mark.parametrize("command,config,override", [
+        ("s21", "s21_topological", 'freqs.points="401"'),
+        ("s21", "s21_topological", 'z0_ohm="50"'),
+        ("s21", "s21_topological", 'circuit.lv_nH.0="8"'),
+        ("sweep", "sweep_default", 'lv_grid={"values_nH": [8, "12"]}'),
+        ("powersweep", "powersweep_trivial", 'setting_V=[1.8, 1.8, "1.8", 1.8, 1.8]'),
+        ("disorder", "disorder_topological", 'disorder.samples="20"'),
+    ])
+    def test_numeric_string_is_validation_error(self, capsys, tmp_path,
+                                                command, config, override):
+        code, _, err = run(capsys, command,
+                           "--config", os.path.join(CONFIG_DIR, f"{config}.json"),
+                           "--set", override, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ") and "'" in err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("command,config,override", [
         ("fit", "fit_roundtrip", "options=5"),
         ("spectrum", None, "chain=5"),
     ])

@@ -141,17 +141,32 @@ class TestNanowireInductance:
         with pytest.raises(ValidationError):
             nanowire_inductance(GATE, 0, 1.0, i_s=-0.5)
 
-    @pytest.mark.parametrize("count", [5.7, True, "five"])
+    @pytest.mark.parametrize("count", [5.7, True, "five", "5"])
     def test_junction_count_is_an_integer(self, count):
         with pytest.raises(ValidationError, match="n_junctions must be an integer"):
             GateModel(count, 0.4, 1.8, 9.0, 1.0)
 
-    @pytest.mark.parametrize("junction", [2.5, True])
+    @pytest.mark.parametrize("junction", [2.5, True, "2"])
     def test_junction_index_is_an_integer(self, junction):
         with pytest.raises(ValidationError, match="junction index must be an integer"):
             single_gate_settings(GATE, junction, [1.0])
         with pytest.raises(ValidationError, match="junction index must be an integer"):
             nanowire_inductance(GATE, junction, 1.0)
+
+    def test_numeric_strings_are_not_numbers(self):
+        with pytest.raises(ValidationError, match="v_p must be numeric"):
+            GateModel(5, [0.4, 0.4, "0.4", 0.4, 0.4], 1.8, 9.0, 1.0)
+        with pytest.raises(ValidationError, match="table 0 must be numeric"):
+            GateModel(5, 0.4, 1.8, 9.0, 1.0, mode="table",
+                      tables=np.array([["0.4", "20.0"], ["1.8", "9.0"]]))
+        with pytest.raises(ValidationError, match="gate voltage must be numeric"):
+            nanowire_inductance(GATE, 0, "1.0")
+        with pytest.raises(ValidationError, match="signal current must be numeric"):
+            nanowire_inductance(GATE, 0, 1.0, i_s="0.5")
+        with pytest.raises(ValidationError, match="gate voltages must be numeric"):
+            single_gate_settings(GATE, 2, ["1.0"])
+        with pytest.raises(ValidationError, match="gate voltages must be numeric"):
+            apply_gate_setting(default_circuit(), GATE, [1.0, 1.0, 1.0, 1.0, "1.0"])
 
     def test_integral_counts_are_accepted(self):
         assert GateModel(5.0, 0.4, 1.8, 9.0, 1.0).n_junctions == 5
@@ -411,12 +426,12 @@ class TestExtractPeaks:
         assert narrow.amplitude == 0.0  # height above the one-point window
 
 
-    @pytest.mark.parametrize("max_peaks", [2.5, True, 0, "three", None])
+    @pytest.mark.parametrize("max_peaks", [2.5, True, 0, "three", "3", None])
     def test_max_peaks_is_a_positive_integer(self, max_peaks):
         with pytest.raises(ValidationError, match="max_peaks must be"):
             extract_peaks(single_peak_trace(), prominence=0.1, max_peaks=max_peaks)
 
-    @pytest.mark.parametrize("prominence", [math.nan, math.inf, -0.1, "high", None])
+    @pytest.mark.parametrize("prominence", [math.nan, math.inf, -0.1, "high", "0.1", None])
     def test_prominence_is_finite_and_non_negative(self, prominence):
         with pytest.raises(ValidationError, match="prominence must be"):
             extract_peaks(single_peak_trace(), prominence=prominence, max_peaks=3)
