@@ -390,7 +390,7 @@ def circuit_mode_frequencies(circuit: CircuitSpec) -> np.ndarray:
 
 
 def _box_bridge_susceptance(box: BoxMode, omega: np.ndarray, z0: float) -> np.ndarray:
-    """Im of the series-LC bridge admittance between the ports; lossless, resonant at f_box."""
+    """Y of the lossless series-LC bridge jY between the ports, resonant at f_box."""
     omega_b = 2.0 * np.pi * box.f_box * _GHZ
     z_char = 2.0 * z0 * box.q_box
     l_b = z_char / omega_b
