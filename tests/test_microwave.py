@@ -269,7 +269,7 @@ class TestLadder:
                           box=BoxMode(6.0, 10.0, 0.2))
         assert np.max(np.abs(trace.s21)) <= 1.0
 
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_cells=st.integers(1, 10),
            box=st.none() | st.tuples(st.floats(5.0, 8.0), st.floats(2.0, 50.0),
                                      st.floats(0.05, 1.0)))
