@@ -37,7 +37,6 @@ from .microwave import (
     GateModel,
     Peak,
     S21Trace,
-    abcd_to_s21,
     apply_gate_setting,
     background_normalize,
     circuit_mode_frequencies,

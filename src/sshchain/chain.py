@@ -32,69 +32,84 @@ __all__ = [
 ]
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float, copy=True)
-    arr.flags.writeable = False
-    return arr
+# values that float() or int() would read but that are not numbers
+_NOT_NUMBERS = (str, bytes, bool, np.bool_, complex, np.complexfloating)
 
 
-def _float_array(values) -> np.ndarray:
-    """``values`` as a float array; text is refused even where it parses."""
-    arr = np.asarray(values)
-    if arr.dtype.kind in "SU" or arr.dtype.kind == "O" and any(
-            isinstance(x, (str, bytes)) for x in arr.flat):
-        raise TypeError(f"text where numbers belong: {values!r}")
-    return np.asarray(arr, dtype=float)
+def _number(value, name: str, integer: bool = False, allow_inf: bool = False):
+    """``value`` as a float (an int if ``integer``), else a ValidationError.
 
-
-def _coerce(value, name: str, kind=float):
-    """``kind(value)``; a value ``kind`` cannot convert is a ValidationError.
-
-    Config documents arrive from outside the program, so a string or a
-    list where a number belongs must fail validation by name instead of
-    escaping as a bare TypeError or ValueError. A string is never read as
-    a number, even one such as ``"401"`` that ``int`` would parse, and an
-    integer is never read from a boolean or a non-integral float, which
-    ``int`` would truncate.
+    The one reader of the scalars that enter the package from outside, as
+    config values or library arguments; every error names ``name``. Text
+    is never a number, even ``"401"``, and neither is a boolean
+    (``np.bool_`` included); NaN is refused, and so is infinity unless
+    ``allow_inf``; an integer is read only from an integral value, never
+    truncated. numpy integer and float scalars are numbers.
     """
+    if isinstance(value, np.ndarray):
+        value = value[()]  # a 0-d array as its scalar, np.bool_ included
     try:
-        if isinstance(value, (str, bytes)) or kind is int and (
-                isinstance(value, bool) or
-                isinstance(value, float) and not value.is_integer()):
+        if isinstance(value, _NOT_NUMBERS):
+            raise TypeError(value)
+        if integer and isinstance(value, (int, np.integer)):
+            return int(value)
+        number = float(value)
+        if integer and not number.is_integer():
             raise ValueError(value)
-        return kind(value)
     except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "numeric"
+        what = "an integer" if integer else "numeric"
         raise ValidationError(f"{name} must be {what}, got {value!r}") from None
+    if integer:
+        return int(number)
+    if not (math.isfinite(number) or allow_inf and number == math.inf):
+        bound = "finite or inf" if allow_inf else "finite"
+        raise ValidationError(f"{name} must be {bound}, got {number}")
+    return number
+
+
+def _numbers(values, name: str, allow_inf: bool = False) -> np.ndarray:
+    """``values`` as a new float array, each entry read as ``_number`` reads it.
+
+    A numeric ndarray costs one copy and one vectorized finiteness pass;
+    anything else is read entry by entry, so ``[8, True]`` and ``["8"]``
+    fail by name instead of turning into 1.0 and 8.0.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        arr = np.array(values, dtype=float)
+        ok = np.isfinite(arr)
+        if allow_inf:
+            ok |= arr == math.inf
+        if not ok.all():
+            _number(arr[~ok][0], name, allow_inf=allow_inf)  # raises
+        return arr
+    items = np.asarray(values, dtype=object)
+    return np.array([_number(x, name, allow_inf=allow_inf) for x in items.flat],
+                    dtype=float).reshape(items.shape)
 
 
 def _site_array(values, length: int, name: str, allow_inf: bool = False,
                 positive: bool = False, nonnegative: bool = False) -> np.ndarray:
-    """Coerce ``values`` to a read-only float array of ``length`` entries.
+    """``values`` (see ``_numbers``) as a read-only array of ``length`` entries.
 
     Scalars broadcast to the full length. Raises ValidationError on
-    non-numeric entries, shape, NaN, infinity (unless allowed) or sign
-    violations.
+    non-numeric or non-finite entries, shape or sign violations.
     """
-    arr = _coerce(values, name, _float_array)
+    arr = _numbers(values, name, allow_inf)
     if arr.ndim == 0:
-        arr = np.full(length, float(arr))
+        arr = np.full(length, arr)
     if arr.shape != (length,):
         raise ValidationError(
             f"{name} must have length {length}, got shape {arr.shape}")
-    if np.any(np.isnan(arr)):
-        raise ValidationError(f"{name} contains NaN")
-    if not allow_inf and not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} entries must be finite")
     if positive and not np.all(arr > 0):
         raise ValidationError(f"{name} entries must be > 0")
     if nonnegative and np.any(arr < 0):
         raise ValidationError(f"{name} entries must be >= 0")
-    return _freeze(arr)
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_n_cells(n_cells) -> int:
-    n = _coerce(n_cells, "n_cells", int)
+    n = _number(n_cells, "n_cells", integer=True)
     if n < 1:
         raise ValidationError(f"n_cells must be >= 1, got {n_cells}")
     return n
@@ -105,19 +120,14 @@ def _json_list(arr: np.ndarray) -> list:
 
 
 def _from_json_values(values):
+    """Read the JSON form's one string, ``"inf"``, as infinity; refuse other text."""
     def one(v):
-        if v == "inf":
+        if isinstance(v, str):
+            if v != "inf":
+                raise ValidationError(f"expected a number or 'inf', got {v!r}")
             return math.inf
-        try:
-            if isinstance(v, str):
-                raise ValueError(v)
-            return float(v)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"expected a number or 'inf', got {v!r}") from None
-    if isinstance(values, (int, float, str)):
-        return one(values)
-    return [one(v) for v in values]
+        return v
+    return [one(v) for v in values] if isinstance(values, list) else one(values)
 
 
 class _JsonSpec:
@@ -246,7 +256,9 @@ class ChiralOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
+        matrix = np.array(self.matrix, dtype=float)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
 
 
 def default_circuit(n_cells: int = 5, c0_fF: float = 660.0, l0_nH: float = 1.0,
@@ -341,6 +353,6 @@ def chiral_defect(h: np.ndarray, eps_ref: float) -> float:
     if dim % 2 != 0:
         raise ValidationError(f"H must have even dimension, got {dim}")
     gamma = chiral_operator(dim // 2).matrix
-    shifted = h - float(eps_ref) * np.eye(dim)
+    shifted = h - _number(eps_ref, "eps_ref") * np.eye(dim)
     anti = gamma @ shifted + shifted @ gamma
     return float(np.max(np.abs(anti)))

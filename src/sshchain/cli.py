@@ -26,7 +26,7 @@ from . import estimation as est_mod
 from . import microwave as mw_mod
 from . import spectral as spec_mod
 from . import topology as topo_mod
-from .chain import _coerce, _float_array
+from .chain import _number, _numbers
 from .csvout import fmt, write_csv, write_json
 from .errors import NumericalError, ValidationError
 
@@ -129,10 +129,6 @@ def _list_index(node, part, dotted):
     return idx
 
 
-def _float_list(values, name):
-    return _coerce(values, name, lambda seq: [_coerce(x, name) for x in seq])
-
-
 def _flag(config, key, default):
     """A boolean config value; a string such as ``"no"`` is not one."""
     value = config.get(key, default)
@@ -162,18 +158,15 @@ def _trace_inputs(config, command) -> dict:
     for key in _FREQ_KEYS:
         if key not in freqs:
             raise ValidationError(f"freqs needs '{key}'")
-    points = _coerce(freqs["points"], "freqs.points", int)
+    points = _number(freqs["points"], "freqs.points", integer=True)
     if points < 2:
         raise ValidationError("freqs.points must be >= 2")
     box = config.get("box")
     if box is not None:
-        box = mw_mod.BoxMode(**{name: _coerce(box[key], f"box.{key}")
-                                for name, key in _BOX_FIELDS if key in box})
-    with np.errstate(invalid="ignore"):  # s21_trace rejects a non-finite grid
-        grid = np.linspace(_coerce(freqs["start_GHz"], "freqs.start_GHz"),
-                           _coerce(freqs["stop_GHz"], "freqs.stop_GHz"), points)
-    return {"freqs": grid, "box": box,
-            "z0": _coerce(config.get("z0_ohm", 50.0), "z0_ohm")}
+        box = mw_mod.BoxMode(**{name: box[key] for name, key in _BOX_FIELDS if key in box})
+    grid = np.linspace(_number(freqs["start_GHz"], "freqs.start_GHz"),
+                       _number(freqs["stop_GHz"], "freqs.stop_GHz"), points)
+    return {"freqs": grid, "box": box, "z0": _number(config.get("z0_ohm", 50.0), "z0_ohm")}
 
 
 def _gate_from(config, command, n_junctions) -> mw_mod.GateModel:
@@ -200,7 +193,7 @@ def _gate_from(config, command, n_junctions) -> mw_mod.GateModel:
 
 def _run_spectrum(config, stem):
     chain = _chain_from(config, "spectrum")
-    eps_ref = _coerce(config.get("eps_ref_GHz", np.mean(chain.eps)), "eps_ref_GHz")
+    eps_ref = _number(config.get("eps_ref_GHz", np.mean(chain.eps)), "eps_ref_GHz")
     spectrum = spec_mod.eigendecompose(chain_mod.build_tb_hamiltonian(chain))
     cls = spec_mod.classify_modes(spectrum, eps_ref)
     write_csv(f"{stem}.csv", ["mode_index", "freq_GHz", "label"],
@@ -219,14 +212,13 @@ def _run_sweep(config, stem):
     circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "sweep"))
     grid_cfg = _require(config, "lv_grid", "sweep")
     if "values_nH" in grid_cfg:
-        grid = _float_list(grid_cfg["values_nH"], "lv_grid.values_nH")
+        grid = _numbers(grid_cfg["values_nH"], "lv_grid.values_nH", allow_inf=True)
     else:
-        start = _coerce(grid_cfg["start_nH"], "lv_grid.start_nH")
-        stop = _coerce(grid_cfg["stop_nH"], "lv_grid.stop_nH")
-        step = _coerce(grid_cfg["step_nH"], "lv_grid.step_nH")
+        start, stop, step = (_number(_require(grid_cfg, key, "lv_grid"), f"lv_grid.{key}")
+                             for key in ("start_nH", "stop_nH", "step_nH"))
         if step <= 0 or stop < start:
             raise ValidationError("lv_grid needs step_nH > 0 and stop >= start")
-        grid = list(np.arange(start, stop + step / 2, step))
+        grid = np.arange(start, stop + step / 2, step)
     cells = config.get("cells")
     sweep = spec_mod.sweep_coupling(circuit, grid, cells=cells)
     spec_mod.write_sweep_csv(sweep, f"{stem}.csv", f"{stem}_summary.csv")
@@ -239,14 +231,11 @@ def _run_sweep(config, stem):
 def _run_winding(config, stem):
     method = config.get("method", "k-space")
     if method == "k-space":
-        for key in ("v_GHz", "w_GHz"):
-            if key not in config:
-                raise ValidationError(f"k-space winding needs '{key}'")
         result = topo_mod.winding_number_k_space(
-            _coerce(config["v_GHz"], "v_GHz"), _coerce(config["w_GHz"], "w_GHz"))
+            *(_number(_require(config, key, "winding"), key) for key in ("v_GHz", "w_GHz")))
     elif method == "real-space":
         chain = _chain_from(config, "winding")
-        eps_ref = _coerce(config.get("eps_ref_GHz", np.mean(chain.eps)), "eps_ref_GHz")
+        eps_ref = _number(config.get("eps_ref_GHz", np.mean(chain.eps)), "eps_ref_GHz")
         result = topo_mod.winding_number_real_space(
             chain_mod.build_tb_hamiltonian(chain), eps_ref)
     else:
@@ -300,24 +289,22 @@ def _gate_settings_from(config, model):
     sweep = _require(config, "sweep", "gatesweep")
     kind = sweep.get("kind", "joint")
     if kind == "joint":
-        return mw_mod.joint_gate_settings(
-            model, _coerce(sweep.get("steps", 11), "sweep.steps", int))
+        return mw_mod.joint_gate_settings(model, sweep.get("steps", 11))
     if kind == "single":
         if "junction" not in sweep:
             raise ValidationError("single gate sweep needs 'junction'")
-        j = mw_mod._junction_index(
-            model, _coerce(sweep["junction"], "sweep.junction", int))
-        points = _coerce(sweep.get("points", 11), "sweep.points", int)
+        j = mw_mod._junction_index(model, sweep["junction"])
+        points = _number(sweep.get("points", 11), "sweep.points", integer=True)
         if points < 1:
             raise ValidationError("sweep.points must be >= 1")
-        voltages = np.linspace(_coerce(sweep.get("start_V", model.v_p[j]), "sweep.start_V"),
-                               _coerce(sweep.get("stop_V", model.v_o[j]), "sweep.stop_V"),
+        voltages = np.linspace(_number(sweep.get("start_V", model.v_p[j]), "sweep.start_V"),
+                               _number(sweep.get("stop_V", model.v_o[j]), "sweep.stop_V"),
                                points)
         return mw_mod.single_gate_settings(model, j, voltages)
     if kind == "explicit":
         if "settings_V" not in sweep:
             raise ValidationError("explicit gate sweep needs 'settings_V'")
-        settings = _coerce(sweep["settings_V"], "sweep.settings_V", _float_array)
+        settings = _numbers(sweep["settings_V"], "sweep.settings_V")
         if settings.ndim != 2 or settings.shape[1] != model.n_junctions:
             raise ValidationError(f"settings must be (n_settings, {model.n_junctions}), "
                                   f"got {settings.shape}")
@@ -352,7 +339,7 @@ def _run_gatesweep(config, stem):
     circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "gatesweep"))
     model = _gate_from(config, "gatesweep", circuit.n_cells)
     settings = _gate_settings_from(config, model)
-    i_s = _coerce(config.get("i_s_uA", 0.0), "i_s_uA")
+    i_s = _number(config.get("i_s_uA", 0.0), "i_s_uA")
     emit_traces = _flag(config, "emit_traces", True)
     _, classes = _gated_sweep(
         config, stem, "gatesweep", circuit, model,
@@ -377,19 +364,19 @@ def _run_powersweep(config, stem):
             raise ValidationError(
                 f"setting_V must be 'open', 'pinch' or a voltage list, got {setting!r}")
     else:
-        voltages = _coerce(setting, "setting_V", _float_array)
+        voltages = _numbers(setting, "setting_V")
     grid_cfg = _require(config, "i_s_grid", "powersweep")
     if "values_uA" in grid_cfg:
-        i_grid = _float_list(grid_cfg["values_uA"], "i_s_grid.values_uA")
+        i_grid = _numbers(grid_cfg["values_uA"], "i_s_grid.values_uA")
     else:
-        points = _coerce(grid_cfg.get("points", 9), "i_s_grid.points", int)
+        points = _number(grid_cfg.get("points", 9), "i_s_grid.points", integer=True)
         if points < 1:
             raise ValidationError("i_s_grid.points must be >= 1")
-        i_grid = [float(x) for x in np.linspace(
-            _coerce(grid_cfg.get("start_uA", 0.0), "i_s_grid.start_uA"),
-            _coerce(grid_cfg["stop_uA"], "i_s_grid.stop_uA"), points)]
-    if not i_grid:
-        raise ValidationError("i_s_grid holds no signal current")
+        i_grid = np.linspace(_number(grid_cfg.get("start_uA", 0.0), "i_s_grid.start_uA"),
+                             _number(_require(grid_cfg, "stop_uA", "i_s_grid"),
+                                     "i_s_grid.stop_uA"), points)
+    if i_grid.ndim != 1 or i_grid.size == 0:
+        raise ValidationError("i_s_grid holds no signal current (need a non-empty list)")
     gated, classes = _gated_sweep(config, stem, "powersweep", circuit, model,
                                   [(voltages, i_s, {}) for i_s in i_grid],
                                   _flag(config, "emit_traces", False))
@@ -407,10 +394,8 @@ def _run_fit(config, stem):
     options = est_mod.FitOptions(**config.get("options", {}))
     result = est_mod.fit_circuit_params(
         problem, options=options,
-        max_restarts=_coerce(config.get("max_restarts", 8), "max_restarts", int),
-        target_rms_GHz=_coerce(config.get("target_rms_GHz", 1e-7), "target_rms_GHz"),
-        multi_start=_coerce(config.get("multi_start", 1), "multi_start", int),
-    )
+        **{key: config[key] for key in ("max_restarts", "target_rms_GHz", "multi_start")
+           if key in config})
     est_mod.write_fit_outputs(result, f"{stem}.json", f"{stem}_sites.csv",
                               f"{stem}_couplings.csv")
     return (f"residual_rms_kHz={fmt(result.residual_rms_kHz)} "
@@ -494,7 +479,7 @@ def main(argv=None) -> int:
         label = args.label or config.get("label") \
             or time.strftime("%Y%m%dT%H%M%S")
         threads = args.threads if args.threads is not None \
-            else _coerce(config.get("threads", 1), "threads", int)
+            else _number(config.get("threads", 1), "threads", integer=True)
         if threads < 1:
             raise ValidationError(f"threads must be >= 1, got {threads}")
         summary = RUNNERS[args.command](

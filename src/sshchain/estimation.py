@@ -15,13 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import (
-    CircuitSpec,
-    _assemble_hamiltonian,
-    _coerce,
-    _float_array,
-    _map_arrays,
-)
+from .chain import CircuitSpec, _assemble_hamiltonian, _map_arrays, _number, _numbers
 from .csvout import fmt, write_csv, write_json
 from .errors import ValidationError
 
@@ -61,16 +55,14 @@ class FitOptions:
     step: float = 0.02
 
     def __post_init__(self):
-        object.__setattr__(self, "tol_f", _coerce(self.tol_f, "tol_f"))
-        object.__setattr__(self, "tol_x", _coerce(self.tol_x, "tol_x"))
-        object.__setattr__(self, "max_iter", _coerce(self.max_iter, "max_iter", int))
-        object.__setattr__(self, "step", _coerce(self.step, "step"))
+        for name in ("tol_f", "tol_x", "step"):
+            value = _number(getattr(self, name), name)
+            if value < 0:
+                raise ValidationError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "max_iter", _number(self.max_iter, "max_iter", integer=True))
         if self.max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
-        values = (self.tol_f, self.tol_x, self.step)
-        if not all(math.isfinite(x) and x >= 0 for x in values):
-            raise ValidationError(
-                f"tol_f, tol_x and step must be finite and >= 0, got {values}")
 
 
 def model_eigenfrequencies(circuit: CircuitSpec) -> np.ndarray:
@@ -113,8 +105,10 @@ def _normalize_bounds(bounds, spec: CircuitSpec, mask: dict) -> dict:
     for name, arr in families.items():
         if bounds is not None and name in bounds:
             try:
-                lo, hi = (np.broadcast_to(_coerce(x, f"{name} bounds", _float_array), arr.shape)
+                lo, hi = (np.broadcast_to(_numbers(x, f"{name} bounds"), arr.shape)
                           for x in bounds[name])
+            except ValidationError:
+                raise
             except (TypeError, ValueError):
                 raise ValidationError(
                     f"{name} bounds must be a (lo, hi) pair of scalars or of one value "
@@ -124,7 +118,7 @@ def _normalize_bounds(bounds, spec: CircuitSpec, mask: dict) -> dict:
             lo = finite / 10.0
             hi = finite * 10.0
         sel = mask[name]
-        if not np.all(lo[sel] > 0):  # NaN bounds fail here too
+        if not np.all(lo[sel] > 0):
             raise ValidationError(f"{name} bounds must be positive")
         if not np.all(lo[sel] < hi[sel]):
             raise ValidationError(f"{name} bounds need lo < hi")
@@ -154,13 +148,11 @@ class FitProblem:
     bounds: Optional[dict] = None
 
     def __post_init__(self):
-        targets = np.sort(
-            _coerce(self.target_freqs, "target frequencies", _float_array).ravel())
+        targets = _numbers(self.target_freqs, "target frequencies").ravel()
         if targets.size != self.start.n_sites:
             raise ValidationError(
                 f"need {self.start.n_sites} target frequencies, got {targets.size}")
-        if not np.all(np.isfinite(targets)):
-            raise ValidationError("target frequencies must be finite")
+        targets.sort()
         targets.flags.writeable = False
         object.__setattr__(self, "target_freqs", targets)
         # validate eagerly so a bad problem fails before the optimizer runs
@@ -212,7 +204,8 @@ def fit_circuit_params(problem: FitProblem,
     ``target_rms_GHz``, up to ``multi_start - 1`` further starts are run
     from deterministically jittered copies of the start point, and the
     best outcome is kept; this escapes occasional secondary minima.
-    ``max_restarts`` is accepted for compatibility and has no effect.
+    ``max_restarts`` is accepted for compatibility (an integer) and has
+    no effect.
 
     In the result, ``evaluations`` counts residual evaluations including
     those of the finite-difference Jacobians, ``iterations`` counts
@@ -223,6 +216,9 @@ def fit_circuit_params(problem: FitProblem,
     # scipy.optimize costs ~0.3 s to import; only the fit subcommand needs it
     from scipy.optimize import least_squares
 
+    _number(max_restarts, "max_restarts", integer=True)
+    target_rms_GHz = _number(target_rms_GHz, "target_rms_GHz")
+    multi_start = _number(multi_start, "multi_start", integer=True)
     opts = options or FitOptions()
     start = problem.start
     mask = _normalize_mask(problem.free, start)
@@ -265,7 +261,7 @@ def fit_circuit_params(problem: FitProblem,
 
     result, rms = run(x0)
     restarts = 0
-    for attempt in range(1, max(int(multi_start), 1)):
+    for attempt in range(1, max(multi_start, 1)):
         if rms <= target_rms_GHz:
             break
         restarts += 1

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .chain import CircuitSpec, _coerce, _float_array, _site_array
+from .chain import CircuitSpec, _number, _numbers, _site_array
 from .csvout import write_csv, write_json
 from .errors import ExtrapolationError, NumericalError, ValidationError
 from .spectral import Spectrum
@@ -32,7 +31,6 @@ __all__ = [
     "apply_gate_setting",
     "s21_trace",
     "ladder_abcd",
-    "abcd_to_s21",
     "circuit_mode_frequencies",
     "background_normalize",
     "extract_peaks",
@@ -74,7 +72,7 @@ class GateModel:
     tables: Optional[tuple] = None
 
     def __post_init__(self):
-        n = _coerce(self.n_junctions, "n_junctions", int)
+        n = _number(self.n_junctions, "n_junctions", integer=True)
         if n < 1:
             raise ValidationError(f"n_junctions must be >= 1, got {self.n_junctions}")
         object.__setattr__(self, "n_junctions", n)
@@ -98,7 +96,7 @@ class GateModel:
                     f"need one table per junction ({n}), got {len(tables)}")
             frozen = []
             for j, tab in enumerate(tables):
-                arr = _coerce(tab, f"table {j}", _float_array)
+                arr = _numbers(tab, f"table {j}")
                 if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
                     raise ValidationError(
                         f"table {j} must be (M, 2) samples with M >= 2")
@@ -106,7 +104,6 @@ class GateModel:
                     raise ValidationError(f"table {j} voltages must be strictly increasing")
                 if np.any(arr[:, 1] <= 0):
                     raise ValidationError(f"table {j} inductances must be > 0")
-                arr = arr.copy()
                 arr.flags.writeable = False
                 frozen.append(arr)
             object.__setattr__(self, "tables", tuple(frozen))
@@ -124,14 +121,15 @@ class BoxMode:
 
     def __post_init__(self):
         for name in ("f_box", "q_box", "coupling"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValidationError(f"{name} must be finite and > 0, got {value}")
+            value = _number(getattr(self, name), name)
+            if value <= 0:
+                raise ValidationError(f"{name} must be > 0, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class S21Trace:
-    """Complex two-port transmission on a strictly increasing GHz grid."""
+    """Complex two-port transmission on a strictly increasing GHz grid (read-only copies)."""
 
     freqs: np.ndarray
     s21: np.ndarray
@@ -139,21 +137,25 @@ class S21Trace:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.power_dBm is not None:
-            power = _coerce(self.power_dBm, "power_dBm")
-            if not math.isfinite(power):
-                raise ValidationError(f"power_dBm must be finite, got {power}")
-            object.__setattr__(self, "power_dBm", power)
-        freqs = _increasing_grid(np.array(self.freqs, dtype=float, copy=True))
-        s21 = np.array(self.s21, dtype=complex, copy=True)
+        freqs = _increasing_grid(self.freqs)
+        s21 = np.array(self.s21, dtype=complex)
         if s21.shape != freqs.shape:
             raise ValidationError(
                 f"s21 shape {s21.shape} does not match grid {freqs.shape}")
-        freqs.flags.writeable = False
-        s21.flags.writeable = False
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "s21", s21)
-        object.__setattr__(self, "metadata", dict(self.metadata))
+        _fill_trace(self, freqs, s21, self.power_dBm, self.metadata)
+
+
+def _fill_trace(trace, freqs: np.ndarray, s21: np.ndarray, power_dBm,
+                metadata: dict) -> S21Trace:
+    """Set ``trace``'s fields to a grid ``_increasing_grid`` returned and an
+    ``s21`` no caller holds, neither checked nor copied again; ``s21_trace``
+    and ``background_normalize`` pass a bare ``object.__new__(S21Trace)``."""
+    s21.flags.writeable = False
+    power = None if power_dBm is None else _number(power_dBm, "power_dBm")
+    for name, value in zip(("freqs", "s21", "power_dBm", "metadata"),
+                           (freqs, s21, power, dict(metadata))):
+        object.__setattr__(trace, name, value)
+    return trace
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def _smoothstep(u: float) -> float:
 
 
 def _junction_index(model: GateModel, junction) -> int:
-    j = _coerce(junction, "junction index", int)
+    j = _number(junction, "junction index", integer=True)
     if not (0 <= j < model.n_junctions):
         raise ValidationError(
             f"junction index {junction} outside 0..{model.n_junctions - 1}")
@@ -188,12 +190,10 @@ def nanowire_inductance(model: GateModel, junction: int, v_g: float,
     ExtrapolationError.
     """
     j = _junction_index(model, junction)
-    i_s = _coerce(i_s, "signal current")
-    if not 0 <= i_s < math.inf:
-        raise ValidationError(f"signal current must be finite and >= 0, got {i_s}")
-    v_g = _coerce(v_g, "gate voltage")
-    if not math.isfinite(v_g):
-        raise ValidationError(f"gate voltage must be finite, got {v_g}")
+    i_s = _number(i_s, "signal current")
+    if i_s < 0:
+        raise ValidationError(f"signal current must be >= 0, got {i_s}")
+    v_g = _number(v_g, "gate voltage")
     power_factor = 1.0 + (i_s / model.i_star[j]) ** 2
     if model.mode == "parametric":
         u = (v_g - model.v_p[j]) / (model.v_o[j] - model.v_p[j])
@@ -219,7 +219,7 @@ def apply_gate_setting(circuit: CircuitSpec, model: GateModel,
         raise ValidationError(
             f"gate model has {model.n_junctions} junctions for "
             f"{circuit.n_cells} cells")
-    voltages = _coerce(voltages, "gate voltages", _float_array)
+    voltages = _numbers(voltages, "gate voltages")
     if voltages.shape != (circuit.n_cells,):
         raise ValidationError(
             f"need one voltage per junction ({circuit.n_cells}), got {voltages.shape}")
@@ -230,7 +230,7 @@ def apply_gate_setting(circuit: CircuitSpec, model: GateModel,
 
 def joint_gate_settings(model: GateModel, steps: int) -> np.ndarray:
     """Synchronous sweep: every junction interpolates v_p -> v_o together."""
-    steps = _coerce(steps, "steps", int)
+    steps = _number(steps, "steps", integer=True)
     if steps < 2:
         raise ValidationError(f"joint sweep needs >= 2 steps, got {steps}")
     u = np.linspace(0.0, 1.0, steps)
@@ -241,7 +241,7 @@ def single_gate_settings(model: GateModel, junction: int,
                          voltages: Sequence[float]) -> np.ndarray:
     """Per-junction sweep with all other gates held at pinch-off."""
     j = _junction_index(model, junction)
-    voltages = _coerce(voltages, "gate voltages", _float_array)
+    voltages = _numbers(voltages, "gate voltages")
     if voltages.size == 0:
         raise ValidationError("single gate sweep holds no voltage")
     settings = np.tile(model.v_p, (voltages.size, 1))
@@ -249,20 +249,21 @@ def single_gate_settings(model: GateModel, junction: int,
     return settings
 
 
-def _increasing_grid(freqs: np.ndarray) -> np.ndarray:
-    """Check that ``freqs`` is a non-empty, finite, strictly increasing 1-D grid."""
-    if freqs.ndim != 1 or freqs.size == 0:
+def _increasing_grid(freqs) -> np.ndarray:
+    """``freqs`` as a new read-only array, checked to be a non-empty, finite,
+    strictly increasing 1-D grid; the one check of every trace's grid."""
+    grid = _numbers(freqs, "frequency grid")
+    if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("frequency grid must be a non-empty 1-D array")
-    if not np.all(np.isfinite(freqs)):
-        raise ValidationError("frequency grid must be finite")
-    if np.any(np.diff(freqs) <= 0):
+    if np.any(np.diff(grid) <= 0):
         raise ValidationError("frequency grid must be strictly increasing")
-    return freqs
+    grid.flags.writeable = False
+    return grid
 
 
 def _validate_freqs(freqs) -> np.ndarray:
-    freqs = _increasing_grid(np.asarray(freqs, dtype=float))
-    if np.any(freqs <= 0):
+    freqs = _increasing_grid(freqs)
+    if freqs[0] <= 0:  # the grid increases, so this is its minimum
         raise ValidationError(
             "frequency 0 (or below) makes reactive elements singular")
     return freqs
@@ -333,15 +334,6 @@ def ladder_abcd(circuit: CircuitSpec, freqs: Sequence[float]) -> np.ndarray:
     return abcd
 
 
-def abcd_to_s21(abcd: np.ndarray, z0: float = 50.0) -> np.ndarray:
-    """Convert a stack of ABCD matrices to S21 at reference impedance z0."""
-    a = abcd[..., 0, 0]
-    b = abcd[..., 0, 1]
-    c = abcd[..., 1, 0]
-    d = abcd[..., 1, 1]
-    return 2.0 / (a + b / z0 + c * z0 + d)
-
-
 def circuit_mode_frequencies(circuit: CircuitSpec) -> np.ndarray:
     """Exact normal-mode frequencies of the unloaded ladder, in GHz.
 
@@ -352,6 +344,8 @@ def circuit_mode_frequencies(circuit: CircuitSpec) -> np.ndarray:
     route keeps the full coupling structure, so it pins down where the
     transmission peaks of the same ladder must sit.
     """
+    import scipy.linalg  # ~0.3 s; no CLI subcommand needs it
+
     n = circuit.n_cells
     nn = 2 * n + 2
     c0 = circuit.c0 * _FF
@@ -414,8 +408,9 @@ def s21_trace(circuit: CircuitSpec, freqs: Sequence[float], z0: float = 50.0,
     recorded in the metadata. A peak |s21| above 1 (or NaN) raises
     NumericalError.
     """
-    if not 0 < z0 < math.inf:
-        raise ValidationError(f"port impedance must be finite and > 0, got {z0}")
+    z0 = _number(z0, "port impedance")
+    if z0 <= 0:
+        raise ValidationError(f"port impedance must be > 0, got {z0}")
     freqs = _validate_freqs(freqs)
     omega = 2.0 * np.pi * freqs * _GHZ
     a, b, c, d = _cascade(circuit, omega)
@@ -446,7 +441,7 @@ def s21_trace(circuit: CircuitSpec, freqs: Sequence[float], z0: float = 50.0,
             f"lossless network produced |s21| = {peak:.6f} > 1")
     pinched = [int(i) for i in np.flatnonzero(~np.isfinite(circuit.lv))]
     meta = {
-        "z0_ohm": float(z0),
+        "z0_ohm": z0,
         "box": None if box is None else {
             "f_box_GHz": box.f_box, "q_box": box.q_box, "coupling": box.coupling},
         "pinched_cells": pinched,
@@ -455,7 +450,7 @@ def s21_trace(circuit: CircuitSpec, freqs: Sequence[float], z0: float = 50.0,
     }
     if metadata:
         meta.update(metadata)
-    return S21Trace(freqs=freqs, s21=s21, power_dBm=power_dBm, metadata=meta)
+    return _fill_trace(object.__new__(S21Trace), freqs, s21, power_dBm, meta)
 
 
 def background_normalize(trace: S21Trace,
@@ -466,9 +461,13 @@ def background_normalize(trace: S21Trace,
     outside every exclusion window (the chain modes are expected inside
     them); at least two points must survive.
     """
-    windows = [(float(lo), float(hi)) for lo, hi in exclusion_windows]
+    windows = _numbers(exclusion_windows, "exclusion windows")
+    if windows.size and (windows.ndim != 2 or windows.shape[1] != 2):
+        raise ValidationError(
+            f"exclusion windows must be (lo, hi) pairs, got {exclusion_windows!r}")
+    windows = windows.reshape(-1, 2).tolist()
     for lo, hi in windows:
-        if not (lo < hi):
+        if not lo < hi:
             raise ValidationError(f"bad exclusion window ({lo}, {hi})")
     freqs = trace.freqs
     outside = np.ones(freqs.size, dtype=bool)
@@ -484,8 +483,8 @@ def background_normalize(trace: S21Trace,
     meta = dict(trace.metadata)
     meta["normalized"] = True
     meta["exclusion_windows_GHz"] = windows
-    return S21Trace(freqs=freqs, s21=trace.s21 / background,
-                    power_dBm=trace.power_dBm, metadata=meta)
+    return _fill_trace(object.__new__(S21Trace), freqs, trace.s21 / background,
+                       trace.power_dBm, meta)
 
 
 def _lorentzian(f, f0, hwhm, amp, base):
@@ -515,12 +514,12 @@ def extract_peaks(trace: S21Trace, prominence: float,
     from scipy.optimize import OptimizeWarning, curve_fit
     from scipy.signal import find_peaks, peak_widths
 
-    max_peaks = _coerce(max_peaks, "max_peaks", int)
+    max_peaks = _number(max_peaks, "max_peaks", integer=True)
     if max_peaks < 1:
         raise ValidationError(f"max_peaks must be >= 1, got {max_peaks}")
-    prominence = _coerce(prominence, "prominence")
-    if not 0 <= prominence < math.inf:
-        raise ValidationError(f"prominence must be finite and >= 0, got {prominence}")
+    prominence = _number(prominence, "prominence")
+    if prominence < 0:
+        raise ValidationError(f"prominence must be >= 0, got {prominence}")
     freqs = trace.freqs
     mag = np.abs(trace.s21)
     idx, props = find_peaks(mag, prominence=prominence)
@@ -583,7 +582,7 @@ def mode_linewidths(spectrum: Spectrum, kappa_port: float) -> np.ndarray:
     """
     vec = spectrum.eigenvectors
     weight = vec[0, :] ** 2 + vec[-1, :] ** 2
-    return float(kappa_port) * weight
+    return _number(kappa_port, "kappa_port") * weight
 
 
 def read_gate_table_csv(path) -> np.ndarray:

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, CircuitSpec, _coerce, build_tb_hamiltonian, map_circuit_to_tb
+from .chain import (
+    ChainSpec,
+    CircuitSpec,
+    _number,
+    _numbers,
+    build_tb_hamiltonian,
+    map_circuit_to_tb,
+)
 from .csvout import write_csv
 from .errors import NumericalError, ValidationError
 
@@ -140,9 +146,7 @@ def classify_modes(spectrum: Spectrum, eps_ref: float) -> ModeClassification:
     if evals.size < 4:
         raise ValidationError(
             f"classification needs at least 4 modes, got {evals.size}")
-    eps_ref = float(eps_ref)
-    if not math.isfinite(eps_ref):
-        raise ValidationError(f"eps_ref must be finite, got {eps_ref}")
+    eps_ref = _number(eps_ref, "eps_ref")
     order = np.argsort(np.abs(evals - eps_ref), kind="stable")
     edge_idx = np.sort(order[:2])
     labels = []
@@ -206,31 +210,28 @@ def sweep_coupling(circuit: CircuitSpec, lv_grid: Sequence[float],
     """Diagonalize the circuit for each coupling inductance on the grid.
 
     ``cells`` restricts which unit cells receive the swept value (all by
-    default); untouched cells keep the lv of the input circuit. The output
-    is in grid order.
+    default); untouched cells keep the lv of the input circuit. The grid
+    is a non-empty list of values > 0, infinity included. The output is in
+    grid order.
     """
-    grid = [float(x) for x in lv_grid]
-    if not grid:
-        raise ValidationError("lv grid must not be empty")
-    for x in grid:
-        if not (x > 0):
-            raise ValidationError(f"lv grid values must be > 0, got {x}")
+    grid = _numbers(lv_grid, "lv grid", allow_inf=True)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValidationError(f"lv grid must be a non-empty list, got {lv_grid!r}")
+    if not np.all(grid > 0):
+        raise ValidationError(f"lv grid values must be > 0, got {grid[grid <= 0][0]}")
     if cells is None:
         cell_idx = np.arange(circuit.n_cells)
     else:
-        try:
-            if isinstance(cells, str):
-                raise TypeError(cells)
-            cell_idx = np.array([_coerce(c, "cells", int) for c in cells], dtype=int)
-        except TypeError:
-            raise ValidationError(
-                f"cells must be a list of cell indices, got {cells!r}") from None
+        items = np.asarray(cells, dtype=object)
+        if items.ndim != 1:
+            raise ValidationError(f"cells must be a list of cell indices, got {cells!r}")
+        cell_idx = np.array([_number(c, "cells", integer=True) for c in items], dtype=int)
         if cell_idx.size == 0:
             raise ValidationError("cell mask must not be empty")
         if np.any(cell_idx < 0) or np.any(cell_idx >= circuit.n_cells):
             raise ValidationError(
                 f"cell mask {cell_idx.tolist()} outside 0..{circuit.n_cells - 1}")
-    return [_sweep_point(circuit, x, cell_idx) for x in grid]
+    return [_sweep_point(circuit, x, cell_idx) for x in grid.tolist()]
 
 
 def normalized_spectrum(sweep: Sequence[SweepPoint]) -> list:

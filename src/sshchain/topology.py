@@ -11,15 +11,12 @@ tridiagonal bands (Cuppen, Numer. Math. 36, 177 (1981); LAPACK dstevd).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import dgemm
 
-from .chain import ChainSpec, _coerce, _hops
+from .chain import ChainSpec, _hops, _number
 from .csvout import write_csv, write_json
 from .errors import (
     DegenerateMidgapError,
@@ -72,7 +69,7 @@ class DisorderConfig:
     seed: int
 
     def __post_init__(self):
-        strength = _coerce(self.strength, "strength")
+        strength = _number(self.strength, "strength")
         if not (0.0 <= strength < 1.0):
             raise ValidationError(
                 f"multiplicative disorder strength must be in [0, 1), got {strength}")
@@ -88,13 +85,13 @@ class DisorderConfig:
             raise ValidationError(f"unknown disorder targets: {bad}")
         if not targets:
             raise ValidationError("disorder targets must not be empty")
-        samples = _coerce(self.samples, "samples", int)
+        samples = _number(self.samples, "samples", integer=True)
         if samples < 1:
             raise ValidationError(f"sample count must be >= 1, got {samples}")
         object.__setattr__(self, "strength", strength)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", _coerce(self.seed, "seed", int))
+        object.__setattr__(self, "seed", _number(self.seed, "seed", integer=True))
 
 
 @dataclass(frozen=True)
@@ -143,6 +140,10 @@ def _flatband_bands(diag: np.ndarray, off: np.ndarray):
     solver already runs on, so numpy's separate OpenBLAS thread pool is
     not woken as well.
     """
+    # imported here, so that importing the package loads no scipy (~0.3 s)
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.blas import dgemm
+
     evals, evecs = eigh_tridiagonal(diag, off, check_finite=False,
                                     lapack_driver="stevd")
     gram = dgemm(1.0, evecs, evecs, trans_a=1)
@@ -189,10 +190,7 @@ def flatband(h: np.ndarray, eps_ref: float) -> np.ndarray:
     else raises DegenerateMidgapError naming the offending indices.
     """
     diag, off = _tridiagonal_bands(h)
-    eps_ref = float(eps_ref)
-    if not math.isfinite(eps_ref):
-        raise ValidationError(f"eps_ref must be finite, got {eps_ref}")
-    return _flatband_bands(diag - eps_ref, off)[0]
+    return _flatband_bands(diag - _number(eps_ref, "eps_ref"), off)[0]
 
 
 def _winding_trace(q: np.ndarray) -> float:
@@ -231,10 +229,10 @@ def winding_number_k_space(v: float, w: float) -> WindingResult:
     is always within 1e-6 of an integer; v = w raises GapClosingError and
     a negative or non-finite hop raises ValidationError.
     """
-    v = float(v)
-    w = float(w)
-    if not (0 <= v < math.inf and 0 <= w < math.inf):
-        raise ValidationError(f"hops must be finite and >= 0, got v={v}, w={w}")
+    v = _number(v, "v")
+    w = _number(w, "w")
+    if v < 0 or w < 0:
+        raise ValidationError(f"hops must be >= 0, got v={v}, w={w}")
     if v == 0 and w == 0:
         raise ValidationError("v and w cannot both be zero")
     if v == w:

@@ -77,6 +77,15 @@ def shunt_lc_s21(freqs_GHz, l_nH, c_fF, z0=50.0):
     return 1.0 / (1.0 + z0 * y / 2.0)
 
 
+def abcd_to_s21(abcd, z0=50.0):
+    """S21 of a stack of ABCD matrices at reference impedance z0."""
+    a = abcd[..., 0, 0]
+    b = abcd[..., 0, 1]
+    c = abcd[..., 1, 0]
+    d = abcd[..., 1, 1]
+    return 2.0 / (a + b / z0 + c * z0 + d)
+
+
 def complex_ladder_abcd(circuit, freqs):
     """ABCD matrices of the chain ladder, cascaded in complex arithmetic.
 
@@ -119,12 +128,7 @@ def complex_ladder_abcd(circuit, freqs):
 
 def complex_ladder_s21(circuit, freqs, z0=50.0):
     """S21 of the bare ladder from ``complex_ladder_abcd`` at port impedance z0."""
-    abcd = complex_ladder_abcd(circuit, freqs)
-    a = abcd[..., 0, 0]
-    b = abcd[..., 0, 1]
-    c = abcd[..., 1, 0]
-    d = abcd[..., 1, 1]
-    return 2.0 / (a + b / z0 + c * z0 + d)
+    return abcd_to_s21(complex_ladder_abcd(circuit, freqs), z0)
 
 
 def lorentzian_mag(freqs, f0, fwhm, amplitude, baseline=0.0):

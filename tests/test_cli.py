@@ -258,12 +258,28 @@ class TestConfigHandling:
         ("sweep", "sweep_default", 'cells="12"', "cells"),
         ("disorder", "disorder_topological", 'disorder.targets="vw"', "list of names"),
         ("disorder", "disorder_topological", 'disorder.targets="eps"', "list of names"),
+        # a boolean is not a number
+        ("s21", "s21_topological", "z0_ohm=true", "z0_ohm"),
+        ("s21", "s21_topological", "circuit.lv_nH.0=true", "lv must be numeric"),
+        ("s21", "s21_topological", "box.q_box=true", "q_box"),
+        ("s21", "s21_topological", "freqs.start_GHz=true", "freqs.start_GHz"),
+        ("s21", "s21_topological", "power_dBm=true", "power_dBm"),
+        ("sweep", "sweep_default", 'lv_grid={"values_nH":[8,true]}', "values_nH"),
+        ("powersweep", "powersweep_trivial", "setting_V=[true,1.8,1.8,1.8,1.8]",
+         "setting_V"),
+        ("fit", "fit_roundtrip", "options.tol_f=true", "tol_f"),
+        ("spectrum", None, ["chain.n_cells=5", "chain.eps_GHz=6.5", "chain.v_GHz=0.1",
+                            "chain.w_GHz=0.5", "eps_ref_GHz=true"], "eps_ref_GHz"),
+        # a missing grid bound
+        ("sweep", "sweep_default", 'lv_grid={"stop_nH":30,"step_nH":1}', "start_nH"),
+        ("powersweep", "powersweep_trivial", 'i_s_grid={"points":3}', "stop_uA"),
     ])
     def test_malformed_value_is_validation_error(self, capsys, tmp_path,
                                                  command, config, override, key):
-        code, out, err = run(capsys, command,
-                             "--config", os.path.join(CONFIG_DIR, f"{config}.json"),
-                             "--set", override, "--out-dir", str(tmp_path))
+        args = ["--config", os.path.join(CONFIG_DIR, f"{config}.json")] if config else []
+        for expr in [override] if isinstance(override, str) else override:
+            args += ["--set", expr]
+        code, out, err = run(capsys, command, *args, "--out-dir", str(tmp_path))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and key in err and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
@@ -751,14 +767,12 @@ class TestFitCommand:
 
 
 def test_cli_import_leaves_peak_finding_unloaded():
-    # scipy.signal pulls in scipy.stats; no subcommand finds peaks, only fit
-    # needs scipy.optimize and only table-mode gates scipy.interpolate
+    # no scipy module at all: the solvers that need one import it when called
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = ("import sys, sshchain.cli; "
-             "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.optimize', "
-             "'scipy.interpolate') if m in sys.modules))")
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr

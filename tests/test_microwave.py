@@ -16,7 +16,6 @@ from sshchain import (
     NumericalError,
     S21Trace,
     ValidationError,
-    abcd_to_s21,
     apply_gate_setting,
     background_normalize,
     build_tb_hamiltonian,
@@ -37,8 +36,8 @@ from sshchain import microwave as mw_mod
 from sshchain.microwave import read_gate_table_csv, write_trace_outputs
 from sshchain.spectral import PHASE_TOPOLOGICAL, PHASE_TRIVIAL
 
-from oracles import (complex_ladder_abcd, complex_ladder_s21, lorentzian_mag,
-                     shunt_lc_s21)
+from oracles import (abcd_to_s21, complex_ladder_abcd, complex_ladder_s21,
+                     lorentzian_mag, shunt_lc_s21)
 
 GATE = GateModel(5, v_p=0.4, v_o=1.8, l_min=9.0, i_star=1.0)
 GOLDEN_PEAKS = os.path.join(os.path.dirname(__file__), "golden",
@@ -213,6 +212,16 @@ class TestLadder:
         with pytest.raises(ValidationError, match="finite"):
             S21Trace(freqs=freqs, s21=[0.5, 0.5])
 
+    def test_traces_hold_read_only_copies(self):
+        freqs = np.linspace(5.5, 7.2, 101)
+        s21 = np.full(101, 0.5 + 0j)
+        for trace in (s21_trace(default_circuit(lv_nH=30.0), freqs), S21Trace(freqs, s21),
+                      background_normalize(S21Trace(freqs, s21), [(6.0, 6.2)])):
+            for ours, theirs in ((trace.freqs, freqs), (trace.s21, s21)):
+                assert not np.shares_memory(ours, theirs)
+                with pytest.raises(ValueError, match="read-only"):
+                    ours[0] = 1.0
+
     @pytest.mark.parametrize("z0", [math.inf, math.nan, 0.0])
     def test_non_finite_port_impedance_rejected(self, z0):
         with pytest.raises(ValidationError, match="port impedance"):
@@ -269,7 +278,7 @@ class TestLadder:
                           box=BoxMode(6.0, 10.0, 0.2))
         assert np.max(np.abs(trace.s21)) <= 1.0
 
-    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(seed=st.integers(0, 2**32 - 1), n_cells=st.integers(1, 10),
            box=st.none() | st.tuples(st.floats(5.0, 8.0), st.floats(2.0, 50.0),
                                      st.floats(0.05, 1.0)))
