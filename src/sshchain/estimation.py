@@ -10,7 +10,7 @@ femtofarads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -71,65 +71,53 @@ def model_eigenfrequencies(circuit: CircuitSpec) -> np.ndarray:
     return np.linalg.eigvalsh(_assemble_hamiltonian(eps, v, w))
 
 
-def _family_arrays(spec: CircuitSpec) -> dict:
-    return {"c0": spec.c0, "l0": spec.l0, "cw": spec.cw, "lv": spec.lv}
+def _parameter_layout(start: CircuitSpec, free, bounds):
+    """The fit's flat parameter vectors: start values, free mask, lo and hi.
 
-
-def _normalize_mask(free, spec: CircuitSpec) -> dict:
-    families = _family_arrays(spec)
-    if not isinstance(free, (dict, type(None))):
-        raise ValidationError(f"free must map parameter families to flags, got {free!r}")
-    mask = {}
-    for name, arr in families.items():
-        requested = True if free is None else free.get(name, True)
-        flags = np.asarray(requested)
-        if flags.dtype != bool or flags.shape not in ((), arr.shape):
-            raise ValidationError(f"free.{name} must be true, false or one boolean "
-                                  f"per entry ({arr.size}), got {requested!r}")
-        flags = np.broadcast_to(flags, arr.shape).copy()
-        if name == "lv":
-            flags &= np.isfinite(arr)  # pinched junctions stay pinned
-        mask[name] = flags
-    if free is not None:
-        unknown = sorted(set(free) - set(families))
+    One entry per circuit parameter, families in ``PARAM_FAMILIES`` order
+    (c0 | l0 | cw | lv), ascending index within each. A pinched (infinite)
+    lv entry is never free. Bounds are checked on free entries only.
+    """
+    for what, given, kind in (("free", free, "flags"), ("bounds", bounds, "(lo, hi)")):
+        if not isinstance(given, (dict, type(None))):
+            raise ValidationError(f"{what} must map parameter families to {kind}, got {given!r}")
+        unknown = sorted(set(given or {}) - set(PARAM_FAMILIES))
         if unknown:
-            raise ValidationError(f"unknown free-mask families: {unknown}")
-    return mask
-
-
-def _normalize_bounds(bounds, spec: CircuitSpec, mask: dict) -> dict:
-    families = _family_arrays(spec)
-    if not isinstance(bounds, (dict, type(None))):
-        raise ValidationError(f"bounds must map parameter families to (lo, hi), got {bounds!r}")
-    out = {}
-    for name, arr in families.items():
-        if bounds is not None and name in bounds:
+            raise ValidationError(f"unknown {what} families: {unknown}")
+    free, bounds = free or {}, bounds or {}
+    values = np.concatenate([getattr(start, name) for name in PARAM_FAMILIES])
+    mask = np.isfinite(values)  # pinched junctions stay pinned
+    lo = np.where(mask, values, 1.0) / 10.0
+    hi = np.where(mask, values, 1.0) * 10.0
+    offset = 0
+    for name in PARAM_FAMILIES:
+        size = getattr(start, name).size
+        part = slice(offset, offset + size)
+        offset += size
+        flags = np.asarray(free.get(name, True))
+        if flags.dtype != bool or flags.shape not in ((), (size,)):
+            raise ValidationError(f"free.{name} must be true, false or one boolean "
+                                  f"per entry ({size}), got {free.get(name)!r}")
+        mask[part] &= flags
+        if name in bounds:
             try:
-                lo, hi = (np.broadcast_to(_numbers(x, f"{name} bounds"), arr.shape)
-                          for x in bounds[name])
+                lo[part], hi[part] = (np.broadcast_to(_numbers(b, f"{name} bounds"), size)
+                                      for b in bounds[name])
             except ValidationError:
                 raise
             except (TypeError, ValueError):
                 raise ValidationError(
                     f"{name} bounds must be a (lo, hi) pair of scalars or of one value "
-                    f"per entry ({arr.size}), got {bounds[name]!r}") from None
-        else:
-            finite = np.where(np.isfinite(arr), arr, 1.0)
-            lo = finite / 10.0
-            hi = finite * 10.0
-        sel = mask[name]
-        if not np.all(lo[sel] > 0):
+                    f"per entry ({size}), got {bounds[name]!r}") from None
+        sel = mask[part]
+        x, x_lo, x_hi = values[part][sel], lo[part][sel], hi[part][sel]
+        if not np.all(x_lo > 0):
             raise ValidationError(f"{name} bounds must be positive")
-        if not np.all(lo[sel] < hi[sel]):
+        if not np.all(x_lo < x_hi):
             raise ValidationError(f"{name} bounds need lo < hi")
-        if np.any((arr[sel] < lo[sel]) | (arr[sel] > hi[sel])):
+        if np.any((x < x_lo) | (x > x_hi)):
             raise ValidationError(f"start {name} values fall outside their bounds")
-        out[name] = (np.array(lo), np.array(hi))
-    if bounds is not None:
-        unknown = sorted(set(bounds) - set(families))
-        if unknown:
-            raise ValidationError(f"unknown bounds families: {unknown}")
-    return out
+    return values, mask, lo, hi
 
 
 @dataclass(frozen=True)
@@ -146,6 +134,7 @@ class FitProblem:
     start: CircuitSpec
     free: Optional[dict] = None
     bounds: Optional[dict] = None
+    _layout: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         targets = _numbers(self.target_freqs, "target frequencies").ravel()
@@ -155,9 +144,8 @@ class FitProblem:
         targets.sort()
         targets.flags.writeable = False
         object.__setattr__(self, "target_freqs", targets)
-        # validate eagerly so a bad problem fails before the optimizer runs
-        mask = _normalize_mask(self.free, self.start)
-        _normalize_bounds(self.bounds, self.start, mask)
+        # resolved here, so a bad problem fails before the optimizer runs
+        object.__setattr__(self, "_layout", _parameter_layout(self.start, self.free, self.bounds))
 
 
 @dataclass(frozen=True)
@@ -179,7 +167,8 @@ def disorder_report(spec: CircuitSpec) -> dict:
     finite entries are omitted from the report.
     """
     report = {}
-    for name, arr in _family_arrays(spec).items():
+    for name in PARAM_FAMILIES:
+        arr = getattr(spec, name)
         finite = arr[np.isfinite(arr)]
         if finite.size < 2:
             continue
@@ -220,36 +209,27 @@ def fit_circuit_params(problem: FitProblem,
     target_rms_GHz = _number(target_rms_GHz, "target_rms_GHz")
     multi_start = _number(multi_start, "multi_start", integer=True)
     opts = options or FitOptions()
-    start = problem.start
-    mask = _normalize_mask(problem.free, start)
-    bounds = _normalize_bounds(problem.bounds, start, mask)
-    coords = [(name, int(i)) for name in PARAM_FAMILIES
-              for i in np.flatnonzero(mask[name])]
-    if not coords:
+    values, mask, lo, hi = problem._layout
+    free = np.flatnonzero(mask)
+    if free.size == 0:
         raise ValidationError("free mask selects no parameters to fit")
-
-    log_lo = np.array([math.log(bounds[name][0][i]) for name, i in coords])
-    log_hi = np.array([math.log(bounds[name][1][i]) for name, i in coords])
-    x0 = np.array([math.log(_family_arrays(start)[name][i]) for name, i in coords])
-
-    targets = problem.target_freqs
-    base = {name: np.array(arr) for name, arr in _family_arrays(start).items()}
+    # math.log/exp per scalar: np.exp differs from math.exp in the last bit
+    log_lo, log_hi, x0 = (np.array([math.log(b) for b in arr[free]]) for arr in (lo, hi, values))
+    n = problem.start.n_cells
     evaluations = 0
     iterations = 0
 
-    def assemble(x):
-        arrays = {name: arr.copy() for name, arr in base.items()}
-        for (name, i), value in zip(coords, x):
-            arrays[name][i] = math.exp(value)
-        return arrays
+    def circuit_arrays(x):
+        """c0, l0, lv, cw at exp(x): views of one copy of the start vector."""
+        flat = values.copy()
+        flat[free] = [math.exp(value) for value in x]
+        return flat[:2 * n], flat[2 * n:4 * n], flat[5 * n + 1:], flat[4 * n:5 * n + 1]
 
     def residuals(x):
         nonlocal evaluations
         evaluations += 1
-        arrays = assemble(x)
-        eps, v, w = _map_arrays(arrays["c0"], arrays["l0"],
-                                arrays["lv"], arrays["cw"])
-        return np.linalg.eigvalsh(_assemble_hamiltonian(eps, v, w)) - targets
+        eps, v, w = _map_arrays(*circuit_arrays(x))
+        return np.linalg.eigvalsh(_assemble_hamiltonian(eps, v, w)) - problem.target_freqs
 
     def run(x_start):
         nonlocal iterations
@@ -272,9 +252,7 @@ def fit_circuit_params(problem: FitProblem,
         if retry_rms < rms:
             result, rms = retry, retry_rms
 
-    arrays = assemble(result.x)
-    best = CircuitSpec(start.n_cells, arrays["c0"], arrays["l0"],
-                       arrays["lv"], arrays["cw"])
+    best = CircuitSpec(n, *circuit_arrays(result.x))
     return FitResult(
         best=best,
         residual_rms_kHz=rms * 1e6,
