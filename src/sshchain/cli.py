@@ -262,7 +262,7 @@ def _run_ipr(config, stem):
 def _run_disorder(config, stem):
     chain = _chain_from(config, "disorder")
     cfg = _require(config, "disorder", "disorder")
-    seed = cfg.get("seed", config.get("seed"))
+    seed = cfg.get("seed", config.get("seed"))  # _resolve_config put --seed in both
     if seed is None:
         raise ValidationError("disorder runs need a seed (config 'seed' or --seed)")
     dconf = topo_mod.DisorderConfig(
@@ -460,6 +460,11 @@ def _resolve_config(args) -> dict:
     problems = _validate_keys(config, schema, args.command)
     if problems:
         raise ValidationError(f"unknown config keys: {', '.join(sorted(problems))}")
+    if args.seed is not None and "seed" in config.get("disorder", {}):
+        config["disorder"]["seed"] = args.seed  # the flag wins over the config
+    for key in ("out_dir", "label"):
+        if key in config and not (isinstance(config[key], str) and config[key]):
+            raise ValidationError(f"{key} must be a non-empty string, got {config[key]!r}")
     return config
 
 

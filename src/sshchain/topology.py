@@ -310,9 +310,8 @@ def _draw_sample(base: ChainSpec, config: DisorderConfig, index: int):
     eps = _perturbed(base.eps, rng, config.strength) if "eps" in config.targets else base.eps
     v = _perturbed(base.v, rng, config.strength) if "v" in config.targets else base.v
     w = _perturbed(base.w, rng, config.strength) if "w" in config.targets else base.w
-    chain = ChainSpec(base.n_cells, eps, v, w)
-    eps_ref = float(np.mean(chain.eps))
-    q, evals = _flatband_bands(chain.eps - eps_ref, _hops(chain.v, chain.w))
+    eps_ref = float(np.mean(eps))
+    q, evals = _flatband_bands(eps - eps_ref, _hops(v, w))
     return DisorderSample(index=index, nu=_winding_trace(q),
                           min_gap_GHz=float(np.min(np.abs(evals))))
 

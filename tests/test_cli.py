@@ -273,6 +273,13 @@ class TestConfigHandling:
         # a missing grid bound
         ("sweep", "sweep_default", 'lv_grid={"stop_nH":30,"step_nH":1}', "start_nH"),
         ("powersweep", "powersweep_trivial", 'i_s_grid={"points":3}', "stop_uA"),
+        # output names must be non-empty strings
+        ("winding", None, ["method=k-space", "v_GHz=0.1", "w_GHz=0.5", "out_dir=5"],
+         "out_dir"),
+        ("winding", None, ["method=k-space", "v_GHz=0.1", "w_GHz=0.5", "label=true"],
+         "label"),
+        ("winding", None, ["method=k-space", "v_GHz=0.1", "w_GHz=0.5", 'label=""'],
+         "label"),
     ])
     def test_malformed_value_is_validation_error(self, capsys, tmp_path,
                                                  command, config, override, key):
@@ -476,6 +483,26 @@ class TestDisorderCommand:
             assert code == 0
             outputs[threads] = (sub / "disorder_det.csv").read_bytes()
         assert outputs[1] == outputs[2]
+
+    def test_seed_flag_wins_over_config_seeds(self, capsys, tmp_path):
+        base = ["--set", "chain.n_cells=10", "--set", "chain.eps_GHz=6.5",
+                "--set", "chain.v_GHz=0.05", "--set", "chain.w_GHz=0.5",
+                "--set", "disorder.samples=20", "--set", "seed=7",
+                "--out-dir", str(tmp_path)]
+        code, out, _ = run(capsys, "disorder", *base, "--set", "disorder.seed=99",
+                           "--seed", "1", "--dry-run")
+        assert code == 0
+        resolved = json.loads(out)
+        assert resolved["seed"] == resolved["disorder"]["seed"] == 1
+        csvs = {}
+        for label, args in (("flag1", ["--set", "disorder.seed=99", "--seed", "1"]),
+                            ("flag2", ["--set", "disorder.seed=99", "--seed", "2"]),
+                            ("config1", ["--set", "disorder.seed=1"])):
+            code, _, _ = run(capsys, "disorder", *base, *args, "--label", label)
+            assert code == 0
+            csvs[label] = (tmp_path / f"disorder_{label}.csv").read_bytes()
+        assert csvs["flag1"] != csvs["flag2"]
+        assert csvs["flag1"] == csvs["config1"]
 
 
 class TestS21Command:

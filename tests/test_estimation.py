@@ -51,6 +51,17 @@ class TestFitProblem:
         with pytest.raises(ValidationError, match="c0 bounds"):
             FitProblem(freqs, circuit, bounds={"c0": ("low", 1000.0)})
 
+    def test_bounds_on_fixed_entries_not_checked(self):
+        circuit = default_circuit(lv_nH=30.0)
+        freqs = model_eigenfrequencies(circuit)
+        lo = np.where(np.arange(10) % 2 == 0, 600.0, 700.0)  # odd entries start below lo
+        FitProblem(freqs, circuit, free={"c0": [True, False] * 5},
+                   bounds={"c0": (lo, np.full(10, 720.0))})
+        FitProblem(freqs, circuit, free={"c0": False}, bounds={"c0": (800.0, 700.0)})
+        with pytest.raises(ValidationError, match="start c0"):
+            FitProblem(freqs, circuit, free={"c0": [False, True] * 5},
+                       bounds={"c0": (lo, np.full(10, 720.0))})
+
     def test_unknown_families_rejected(self):
         circuit = default_circuit(lv_nH=30.0)
         freqs = model_eigenfrequencies(circuit)
@@ -140,6 +151,29 @@ class TestFit:
         assert np.array_equal(result.best.l0, start.l0)
         assert np.array_equal(result.best.cw, start.cw)
         assert np.array_equal(result.best.lv, start.lv)
+
+    def test_per_entry_masks_keep_their_offsets(self):
+        # alternate c0 entries and every finite lv entry free, one junction
+        # pinched: an offset slip in the flat vector moves a fixed entry
+        truth = default_circuit(lv_nH=30.0).with_lv([30.0, math.inf, 25.0, 30.0, 35.0])
+        rng = np.random.default_rng(9)
+        start = CircuitSpec(5, truth.c0 * (1 + 0.04 * rng.uniform(-1, 1, 10)), truth.l0,
+                            truth.lv * (1 + 0.1 * rng.uniform(-1, 1, 5)), truth.cw)
+        c0_lo, c0_hi = start.c0 * 0.97, start.c0 * 1.03
+        problem = FitProblem(model_eigenfrequencies(truth), start,
+                             free={"c0": [True, False] * 5, "l0": False,
+                                   "cw": False, "lv": True},
+                             bounds={"c0": (c0_lo, c0_hi), "lv": (20.0, 40.0)})
+        best = fit_circuit_params(problem).best
+        assert np.array_equal(best.c0[1::2], start.c0[1::2])
+        assert np.array_equal(best.l0, start.l0)
+        assert np.array_equal(best.cw, start.cw)
+        assert best.lv[1] == math.inf
+        assert np.all((c0_lo[0::2] <= best.c0[0::2]) & (best.c0[0::2] <= c0_hi[0::2]))
+        finite_lv = best.lv[[0, 2, 3, 4]]
+        assert np.all((20.0 <= finite_lv) & (finite_lv <= 40.0))
+        assert not np.array_equal(best.c0[0::2], start.c0[0::2])
+        assert not np.array_equal(finite_lv, start.lv[[0, 2, 3, 4]])
 
     def test_pinched_lv_never_optimized(self):
         truth = default_circuit()  # lv all infinite
