@@ -262,7 +262,7 @@ def _run_ipr(config, stem):
 def _run_disorder(config, stem):
     chain = _chain_from(config, "disorder")
     cfg = _require(config, "disorder", "disorder")
-    seed = cfg.get("seed", config.get("seed"))  # _resolve_config put --seed in both
+    seed = cfg.get("seed", config.get("seed"))  # --seed has overwritten both
     if seed is None:
         raise ValidationError("disorder runs need a seed (config 'seed' or --seed)")
     dconf = topo_mod.DisorderConfig(

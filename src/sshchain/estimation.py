@@ -220,7 +220,7 @@ def fit_circuit_params(problem: FitProblem,
     iterations = 0
 
     def circuit_arrays(x):
-        """c0, l0, lv, cw at exp(x): views of one copy of the start vector."""
+        """c0, l0, lv, cw (``_map_arrays`` order): views of a start copy holding exp(x)."""
         flat = values.copy()
         flat[free] = [math.exp(value) for value in x]
         return flat[:2 * n], flat[2 * n:4 * n], flat[5 * n + 1:], flat[4 * n:5 * n + 1]
