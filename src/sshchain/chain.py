@@ -87,6 +87,18 @@ def _numbers(values, name: str, allow_inf: bool = False) -> np.ndarray:
                     dtype=float).reshape(items.shape)
 
 
+def _matrix(h, even: bool = False) -> np.ndarray:
+    """``h`` as a new real, finite, square float array (read by ``_numbers``) of
+    positive dimension, even if ``even``; the one reader of an outside Hamiltonian."""
+    if np.iscomplexobj(h):
+        raise ValidationError("H must be real")
+    h = _numbers(h, "H")
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0 or even and h.shape[0] % 2:
+        what = "positive even" if even else "positive"
+        raise ValidationError(f"H must be square with {what} dimension, got shape {h.shape}")
+    return h
+
+
 def _site_array(values, length: int, name: str, allow_inf: bool = False,
                 positive: bool = False, nonnegative: bool = False) -> np.ndarray:
     """``values`` (see ``_numbers``) as a read-only array of ``length`` entries.
@@ -346,12 +358,8 @@ def chiral_defect(h: np.ndarray, eps_ref: float) -> float:
     couplings (e.g. a second-nearest-neighbor bond of strength g) show up
     as 2g.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValidationError(f"H must be square, got shape {h.shape}")
+    h = _matrix(h, even=True)
     dim = h.shape[0]
-    if dim % 2 != 0:
-        raise ValidationError(f"H must have even dimension, got {dim}")
     gamma = chiral_operator(dim // 2).matrix
     shifted = h - _number(eps_ref, "eps_ref") * np.eye(dim)
     anti = gamma @ shifted + shifted @ gamma

@@ -143,6 +143,20 @@ def _require(config, key, command):
     return config[key]
 
 
+def _linspace(section, name, keys, defaults, min_points) -> np.ndarray:
+    """The evenly spaced grid of config section ``name``; ``keys`` are its start,
+    stop and point count, each from ``section``, else ``defaults``, else an error."""
+    for key in keys:
+        if key not in section and key not in defaults:
+            raise ValidationError(f"{name} needs '{key}'")
+    start, stop, points = (section.get(key, defaults.get(key)) for key in keys)
+    points = _number(points, f"{name}.{keys[2]}", integer=True)
+    if points < min_points:
+        raise ValidationError(f"{name}.{keys[2]} must be >= {min_points}")
+    return np.linspace(_number(start, f"{name}.{keys[0]}"),
+                       _number(stop, f"{name}.{keys[1]}"), points)
+
+
 def _chain_from(config, command) -> chain_mod.ChainSpec:
     if "chain" in config:
         return chain_mod.ChainSpec.from_dict(config["chain"])
@@ -154,18 +168,10 @@ def _chain_from(config, command) -> chain_mod.ChainSpec:
 
 def _trace_inputs(config, command) -> dict:
     """The ``freqs``, ``z0`` and ``box`` arguments of a transmission trace."""
-    freqs = _require(config, "freqs", command)
-    for key in _FREQ_KEYS:
-        if key not in freqs:
-            raise ValidationError(f"freqs needs '{key}'")
-    points = _number(freqs["points"], "freqs.points", integer=True)
-    if points < 2:
-        raise ValidationError("freqs.points must be >= 2")
+    grid = _linspace(_require(config, "freqs", command), "freqs", _FREQ_KEYS, {}, 2)
     box = config.get("box")
     if box is not None:
         box = mw_mod.BoxMode(**{name: box[key] for name, key in _BOX_FIELDS if key in box})
-    grid = np.linspace(_number(freqs["start_GHz"], "freqs.start_GHz"),
-                       _number(freqs["stop_GHz"], "freqs.stop_GHz"), points)
     return {"freqs": grid, "box": box, "z0": _number(config.get("z0_ohm", 50.0), "z0_ohm")}
 
 
@@ -294,12 +300,8 @@ def _gate_settings_from(config, model):
         if "junction" not in sweep:
             raise ValidationError("single gate sweep needs 'junction'")
         j = mw_mod._junction_index(model, sweep["junction"])
-        points = _number(sweep.get("points", 11), "sweep.points", integer=True)
-        if points < 1:
-            raise ValidationError("sweep.points must be >= 1")
-        voltages = np.linspace(_number(sweep.get("start_V", model.v_p[j]), "sweep.start_V"),
-                               _number(sweep.get("stop_V", model.v_o[j]), "sweep.stop_V"),
-                               points)
+        voltages = _linspace(sweep, "sweep", ("start_V", "stop_V", "points"),
+                             {"start_V": model.v_p[j], "stop_V": model.v_o[j], "points": 11}, 1)
         return mw_mod.single_gate_settings(model, j, voltages)
     if kind == "explicit":
         if "settings_V" not in sweep:
@@ -369,12 +371,9 @@ def _run_powersweep(config, stem):
     if "values_uA" in grid_cfg:
         i_grid = _numbers(grid_cfg["values_uA"], "i_s_grid.values_uA")
     else:
-        points = _number(grid_cfg.get("points", 9), "i_s_grid.points", integer=True)
-        if points < 1:
-            raise ValidationError("i_s_grid.points must be >= 1")
-        i_grid = np.linspace(_number(grid_cfg.get("start_uA", 0.0), "i_s_grid.start_uA"),
-                             _number(_require(grid_cfg, "stop_uA", "i_s_grid"),
-                                     "i_s_grid.stop_uA"), points)
+        _require(grid_cfg, "stop_uA", "i_s_grid")
+        i_grid = _linspace(grid_cfg, "i_s_grid", ("start_uA", "stop_uA", "points"),
+                           {"start_uA": 0.0, "points": 9}, 1)
     if i_grid.ndim != 1 or i_grid.size == 0:
         raise ValidationError("i_s_grid holds no signal current (need a non-empty list)")
     gated, classes = _gated_sweep(config, stem, "powersweep", circuit, model,
@@ -428,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dotted-path config override, e.g. circuit.lv_nH.2=15")
         p.add_argument("--out-dir", help=f"output directory (default ${OUT_DIR_ENV} or .)")
         p.add_argument("--label", help="output file label (default: timestamp)")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--seed", help="override the config seed")
+        p.add_argument("--threads",
                        help="accepted for compatibility (>= 1); has no effect, "
                             "every run is serial")
         p.add_argument("--dry-run", action="store_true",
@@ -439,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> dict:
+    """The config file, patched by ``--set``, then by the flags, then defaults."""
     config = {}
     if args.config:
         if not os.path.isfile(args.config):
@@ -451,20 +451,29 @@ def _resolve_config(args) -> dict:
         if not isinstance(config, dict):
             raise ValidationError("config document must be a JSON object")
     for expr in args.set:
-        key, value = _parse_set(expr)
-        _apply_override(config, key, value)
-    if args.seed is not None:
-        config["seed"] = args.seed
+        _apply_override(config, *_parse_set(expr))
     schema = dict(SCHEMAS[args.command])
     schema.update({k: None for k in _COMMON_KEYS})
     problems = _validate_keys(config, schema, args.command)
     if problems:
         raise ValidationError(f"unknown config keys: {', '.join(sorted(problems))}")
-    if args.seed is not None and "seed" in config.get("disorder", {}):
-        config["disorder"]["seed"] = args.seed  # the flag wins over the config
-    for key in ("out_dir", "label"):
-        if key in config and not (isinstance(config[key], str) and config[key]):
-            raise ValidationError(f"{key} must be a non-empty string, got {config[key]!r}")
+    flags = {key: getattr(args, key) for key in _COMMON_KEYS if getattr(args, key) is not None}
+    flags.update(_parse_set(f"{key}={flags[key]}") for key in ("threads", "seed") if key in flags)
+    for values in (config, flags):  # a flag does not hide a malformed config value
+        for key in ("out_dir", "label"):
+            if key in values and not (isinstance(values[key], str) and values[key]):
+                raise ValidationError(f"{key} must be a non-empty string, got {values[key]!r}")
+        if "threads" in values and _number(values["threads"], "threads", integer=True) < 1:
+            raise ValidationError(f"threads must be >= 1, got {values['threads']}")
+        if "seed" in values:
+            _number(values["seed"], "seed", integer=True)
+    config.update(flags)
+    if "seed" in flags and "seed" in config.get("disorder", {}):
+        _number(config["disorder"]["seed"], "disorder.seed", integer=True)
+        config["disorder"]["seed"] = flags["seed"]  # the flag wins over the config
+    config.setdefault("out_dir", os.environ.get(OUT_DIR_ENV) or ".")
+    config.setdefault("label", time.strftime("%Y%m%dT%H%M%S"))
+    config.setdefault("threads", 1)
     return config
 
 
@@ -475,20 +484,12 @@ def main(argv=None) -> int:
         if args.dry_run:
             print(json.dumps(config, indent=2, sort_keys=True))
             return 0
-        out_dir = args.out_dir or config.get("out_dir") \
-            or os.environ.get(OUT_DIR_ENV) or "."
         try:
-            os.makedirs(out_dir, exist_ok=True)
+            os.makedirs(config["out_dir"], exist_ok=True)
         except OSError as exc:
             raise ValidationError(f"output directory not writable: {exc}") from None
-        label = args.label or config.get("label") \
-            or time.strftime("%Y%m%dT%H%M%S")
-        threads = args.threads if args.threads is not None \
-            else _number(config.get("threads", 1), "threads", integer=True)
-        if threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {threads}")
         summary = RUNNERS[args.command](
-            config, os.path.join(out_dir, f"{args.command}_{label}"))
+            config, os.path.join(config["out_dir"], f"{args.command}_{config['label']}"))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

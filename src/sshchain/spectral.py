@@ -10,6 +10,7 @@ import numpy as np
 from .chain import (
     ChainSpec,
     CircuitSpec,
+    _matrix,
     _number,
     _numbers,
     build_tb_hamiltonian,
@@ -108,14 +109,12 @@ class SweepPoint:
 def eigendecompose(h: np.ndarray) -> Spectrum:
     """Dense symmetric eigendecomposition with deterministic vector signs.
 
-    The input must be symmetric within 1e-10. Each eigenvector is scaled
-    so its largest-magnitude component is positive (first such component
-    on ties), making degenerate subspaces reproducible across runs.
+    H must be real, finite and symmetric within 1e-10. Each eigenvector is
+    scaled so its largest-magnitude component is positive (first such
+    component on ties), making degenerate subspaces reproducible across runs.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValidationError(f"H must be square, got shape {h.shape}")
-    asym = float(np.max(np.abs(h - h.T))) if h.size else 0.0
+    h = _matrix(h)
+    asym = float(np.max(np.abs(h - h.T)))
     if asym > _SYMMETRY_TOL:
         raise ValidationError(
             f"H is not symmetric: max |H - H^T| = {asym:.3e} exceeds {_SYMMETRY_TOL}")

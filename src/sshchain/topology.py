@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, _hops, _number
+from .chain import ChainSpec, _hops, _matrix, _number, _numbers
 from .csvout import write_csv, write_json
 from .errors import (
     DegenerateMidgapError,
@@ -113,16 +113,9 @@ class EnsembleResult:
 
 def _tridiagonal_bands(h) -> tuple:
     """Diagonal and first off-diagonal of a real symmetric tridiagonal H."""
-    if np.iscomplexobj(h):
-        raise ValidationError("H must be real")
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0 or h.shape[0] % 2 != 0:
-        raise ValidationError(
-            f"H must be square with positive even dimension, got {h.shape}")
+    h = _matrix(h, even=True)
     diag = np.diagonal(h)
     off = np.diagonal(h, 1)
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
-        raise ValidationError("H must be finite")
     # Equal bands, and no nonzero entry outside the three bands.
     if not np.array_equal(off, np.diagonal(h, -1)) or np.count_nonzero(h) != \
             np.count_nonzero(diag) + 2 * np.count_nonzero(off):
@@ -258,9 +251,21 @@ def winding_number_k_space(v: float, w: float) -> WindingResult:
     return WindingResult(nu=float(nu_int), chain_length=0, method="k-space")
 
 
+def _state(state) -> np.ndarray:
+    """``state`` as a new flat array, its real and imaginary parts read by ``_numbers``.
+
+    The one reader of state vectors: complex amplitudes are kept, and
+    text, booleans, NaN and infinity raise ValidationError.
+    """
+    if np.iscomplexobj(state):
+        psi = np.asarray(state)
+        return (_numbers(psi.real, "state") + 1j * _numbers(psi.imag, "state")).ravel()
+    return _numbers(state, "state").ravel()
+
+
 def ipr(state: Sequence[float]) -> float:
     """Inverse participation ratio sum|psi|^4 / (sum|psi|^2)^2."""
-    psi = np.asarray(state, dtype=complex).ravel()
+    psi = _state(state)
     norm2 = float(np.sum(np.abs(psi) ** 2))
     if norm2 == 0.0:
         raise ValidationError("IPR of the zero vector is undefined")
@@ -274,7 +279,7 @@ def localization_length_fit(state: Sequence[float], sublattice: str) -> float:
     above 1e-12; xi = -1/slope. Raises FitUnsupportedError when fewer than
     three usable points remain or the profile does not decay.
     """
-    psi = np.asarray(state, dtype=float).ravel()
+    psi = _state(state)
     if psi.size % 2 != 0:
         raise ValidationError(f"state length must be even, got {psi.size}")
     if sublattice not in ("A", "B"):

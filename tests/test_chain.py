@@ -229,6 +229,16 @@ class TestChiralDefect:
         with pytest.raises(ValidationError):
             chiral_defect(np.eye(3), 0.0)
 
+    @pytest.mark.parametrize("h,message", [
+        (np.zeros((0, 0)), "positive even dimension"),
+        ([[0.0, 1j], [-1j, 0.0]], "H must be real"),
+        ([[np.nan, 1.0], [1.0, 0.0]], "H must be finite"),
+        (np.eye(2, dtype=bool), "H must be numeric"),
+    ])
+    def test_malformed_h_rejected(self, h, message):
+        with pytest.raises(ValidationError, match=message):
+            chiral_defect(h, 0.0)
+
 
 def test_default_circuit_crossing_design():
     # hop balance v = w falls at lv = l0 * c0 / cw

@@ -280,13 +280,37 @@ class TestConfigHandling:
          "label"),
         ("winding", None, ["method=k-space", "v_GHz=0.1", "w_GHz=0.5", 'label=""'],
          "label"),
+        # a flag (a tuple here) is checked as its config key is
+        ("winding", None, ["method=k-space", "v_GHz=0.1", "w_GHz=0.5", ("--out-dir", "")],
+         "out_dir"),
+        ("winding", None, ["method=k-space", "v_GHz=0.1", "w_GHz=0.5", ("--label", "")],
+         "label"),
+        ("winding", None, ["method=k-space", "v_GHz=0.1", "w_GHz=0.5", ("--seed", "1.5")],
+         "seed must be an integer"),
+        ("disorder", "disorder_topological", [("--seed", "abc")], "seed must be an integer"),
+        ("winding", None, ["method=k-space", "v_GHz=0.1", "w_GHz=0.5", "seed=abc"],
+         "seed must be an integer"),
+        # a flag does not hide a malformed config value
+        ("winding", None, ["method=k-space", "v_GHz=0.1", "w_GHz=0.5", "threads=abc",
+                           ("--threads", "2")], "threads must be an integer"),
+        ("disorder", "disorder_topological", ["disorder.seed=1.7", ("--seed", "1")],
+         "disorder.seed must be an integer"),
+        # the one grid reader keeps each grid's messages
+        ("s21", "s21_topological", 'freqs={"start_GHz": 5, "stop_GHz": 7}',
+         "freqs needs 'points'"),
+        ("s21", "s21_topological", "freqs.points=1", "freqs.points must be >= 2"),
+        ("gatesweep", "gatesweep_joint", ["sweep.kind=single", "sweep.junction=1",
+                                          "sweep.start_V=true"], "sweep.start_V"),
     ])
-    def test_malformed_value_is_validation_error(self, capsys, tmp_path,
+    def test_malformed_value_is_validation_error(self, capsys, tmp_path, monkeypatch,
                                                  command, config, override, key):
-        args = ["--config", os.path.join(CONFIG_DIR, f"{config}.json")] if config else []
-        for expr in [override] if isinstance(override, str) else override:
-            args += ["--set", expr]
-        code, out, err = run(capsys, command, *args, "--out-dir", str(tmp_path))
+        monkeypatch.chdir(tmp_path)  # a run that fell back to "." would write here
+        args = ["--out-dir", str(tmp_path)]
+        if config:
+            args += ["--config", os.path.join(CONFIG_DIR, f"{config}.json")]
+        for item in [override] if isinstance(override, str) else override:
+            args += list(item) if isinstance(item, tuple) else ["--set", item]
+        code, out, err = run(capsys, command, *args)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and key in err and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
@@ -372,13 +396,39 @@ class TestConfigHandling:
         assert err.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
-    def test_threads_accepted_and_validated(self, capsys, tmp_path):
-        args = ("winding", "--set", "method=k-space", "--set", "v_GHz=0.25",
-                "--set", "w_GHz=0.5", "--out-dir", str(tmp_path))
-        assert run(capsys, *args, "--threads", "4")[0] == 0
-        code, _, err = run(capsys, *args, "--threads", "0")
-        assert code == 1
-        assert "threads must be >= 1" in err
+    @pytest.mark.parametrize("extra,error", [
+        (["--threads", "4"], None),
+        (["--threads", "0"], "threads must be >= 1, got 0"),
+        (["--threads", "0", "--dry-run"], "threads must be >= 1, got 0"),
+        (["--set", "threads=0", "--dry-run"], "threads must be >= 1, got 0"),
+        (["--threads", "abc"], "threads must be an integer, got 'abc'"),
+        (["--threads", "1.5"], "threads must be an integer, got 1.5"),
+    ])
+    def test_threads_accepted_and_validated(self, capsys, tmp_path, extra, error):
+        code, out, err = run(capsys, "winding", "--set", "method=k-space",
+                             "--set", "v_GHz=0.25", "--set", "w_GHz=0.5",
+                             "--out-dir", str(tmp_path), *extra)
+        if error is None:
+            assert code == 0
+        else:
+            assert (code, out, err) == (1, "", f"error: {error}\n")
+
+    def test_flags_resolve_as_their_keys(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SSHCHAIN_OUT_DIR", str(tmp_path / "env"))
+        args = ["winding", "--set", "method=k-space", "--set", "label=set",
+                "--set", "seed=5", "--dry-run"]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        resolved = json.loads(out)
+        assert (resolved["out_dir"], resolved["label"], resolved["threads"],
+                resolved["seed"]) == (str(tmp_path / "env"), "set", 1, 5)
+        code, out, _ = run(capsys, *args, "--out-dir", "flag", "--label", "2024",
+                           "--threads", "2", "--seed", "3")
+        assert code == 0
+        resolved = json.loads(out)
+        assert (resolved["out_dir"], resolved["label"], resolved["threads"],
+                resolved["seed"]) == ("flag", "2024", 2, 3)
+        assert list(tmp_path.iterdir()) == []
 
     def test_every_subcommand_supports_dry_run(self, capsys, tmp_path):
         from sshchain.cli import RUNNERS

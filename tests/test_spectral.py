@@ -64,6 +64,18 @@ class TestEigendecompose:
         with pytest.raises(ValidationError):
             eigendecompose(h)
 
+    @pytest.mark.parametrize("h,message", [
+        ([[0.0, 1j], [-1j, 0.0]], "H must be real"),
+        ([[np.nan, 1.0], [1.0, 0.0]], "H must be finite"),
+        (np.eye(2, dtype=bool), "H must be numeric"),
+        ([["a", "b"], ["b", "a"]], "H must be numeric"),
+        ([[1.0, 2.0, 3.0]], "H must be square"),
+        (np.zeros((0, 0)), "positive dimension"),
+    ])
+    def test_malformed_h_rejected(self, h, message):
+        with pytest.raises(ValidationError, match=message):
+            eigendecompose(h)
+
     def test_non_orthonormal_eigenvectors_rejected(self, monkeypatch):
         eigh = np.linalg.eigh
 

@@ -90,6 +90,8 @@ class TestFlatband:
         ("asymmetric", "real symmetric tridiagonal"),
         ("complex", "real"),
         ("nan", "finite"),
+        ("nan-outside-bands", "finite"),
+        ("boolean", "numeric"),
         ("empty", "positive even dimension"),
     ])
     def test_non_tridiagonal_rejected(self, func, defect, message):
@@ -102,6 +104,10 @@ class TestFlatband:
             h = h + 1e-3j * (np.eye(8, k=1) - np.eye(8, k=-1))
         elif defect == "nan":
             h[3, 3] = np.nan
+        elif defect == "nan-outside-bands":
+            h[0, 5] = h[5, 0] = np.nan
+        elif defect == "boolean":
+            h = np.eye(8, dtype=bool)
         else:
             h = np.zeros((0, 0))
         with pytest.raises(ValidationError, match=message):
@@ -242,6 +248,32 @@ class TestIpr:
         with pytest.raises(ValidationError):
             ipr(np.zeros(6))
 
+    def test_complex_state(self):
+        assert ipr([1.0, 1j, -1.0, -1j]) == pytest.approx(0.25)
+
+
+# states that are not finite numbers; complex amplitudes are allowed
+BAD_STATES = [
+    ([1.0, 0.5, np.nan, 0.0], "state must be finite"),
+    ([1.0, np.inf, 0.5, 0.0], "state must be finite"),
+    ([1.0, 0.5j, np.nan * 1j, 0.0], "state must be finite"),
+    ([True, False, False, False], "state must be numeric"),
+    (["a", "b", "c", "d"], "state must be numeric"),
+]
+
+
+@pytest.mark.parametrize("state,message", BAD_STATES)
+def test_ipr_rejects_malformed_state(state, message):
+    with pytest.raises(ValidationError, match=message):
+        ipr(state)
+
+
+@pytest.mark.parametrize("state,message", BAD_STATES + [
+    ([1.0, 0.0, 0.5j, 0.0, np.nan, 0.0, 0.125, 0.0], "state must be finite")])
+def test_localization_fit_rejects_malformed_state(state, message):
+    with pytest.raises(ValidationError, match=message):
+        localization_length_fit(state, "A")
+
 
 class TestLocalizationFit:
     def test_exact_exponential(self):
@@ -279,6 +311,12 @@ class TestLocalizationFit:
         psi[1::2] = np.exp(cells / 3.0)
         with pytest.raises(FitUnsupportedError):
             localization_length_fit(psi, "B")
+
+    def test_complex_state_fits_its_modulus(self):
+        cells = np.arange(1, 13)
+        psi = np.zeros(24, dtype=complex)
+        psi[0::2] = np.exp(-cells / 2.0) * np.exp(0.7j * cells)
+        assert localization_length_fit(psi, "A") == pytest.approx(2.0, abs=1e-6)
 
     def test_bad_sublattice_rejected(self):
         with pytest.raises(ValidationError):
