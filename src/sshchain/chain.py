@@ -34,9 +34,14 @@ __all__ = [
 
 # values that float() or int() would read but that are not numbers
 _NOT_NUMBERS = (str, bytes, bool, np.bool_, complex, np.complexfloating)
+# size caps: each is at least 10x the largest input any shipped config or
+# benchmark uses, and keeps a mistyped size from exhausting memory
+MAX_CELLS = 2048
+MAX_POINTS = 1_000_000
 
 
-def _number(value, name: str, integer: bool = False, allow_inf: bool = False):
+def _number(value, name: str, integer: bool = False, allow_inf: bool = False,
+            minimum=None, maximum=None):
     """``value`` as a float (an int if ``integer``), else a ValidationError.
 
     The one reader of the scalars that enter the package from outside, as
@@ -44,7 +49,8 @@ def _number(value, name: str, integer: bool = False, allow_inf: bool = False):
     is never a number, even ``"401"``, and neither is a boolean
     (``np.bool_`` included); NaN is refused, and so is infinity unless
     ``allow_inf``; an integer is read only from an integral value, never
-    truncated. numpy integer and float scalars are numbers.
+    truncated, and an int stays exact. numpy integer and float scalars
+    are numbers. ``minimum`` and ``maximum`` are inclusive bounds.
     """
     if isinstance(value, np.ndarray):
         value = value[()]  # a 0-d array as its scalar, np.bool_ included
@@ -52,18 +58,23 @@ def _number(value, name: str, integer: bool = False, allow_inf: bool = False):
         if isinstance(value, _NOT_NUMBERS):
             raise TypeError(value)
         if integer and isinstance(value, (int, np.integer)):
-            return int(value)
-        number = float(value)
-        if integer and not number.is_integer():
-            raise ValueError(value)
+            number = int(value)
+        else:
+            number = float(value)
+            if integer and not number.is_integer():
+                raise ValueError(value)
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if integer else "numeric"
         raise ValidationError(f"{name} must be {what}, got {value!r}") from None
     if integer:
-        return int(number)
-    if not (math.isfinite(number) or allow_inf and number == math.inf):
+        number = int(number)
+    elif not (math.isfinite(number) or allow_inf and number == math.inf):
         bound = "finite or inf" if allow_inf else "finite"
         raise ValidationError(f"{name} must be {bound}, got {number}")
+    if minimum is not None and number < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {number}")
+    if maximum is not None and number > maximum:
+        raise ValidationError(f"{name} must be <= {maximum}, got {number}")
     return number
 
 
@@ -118,13 +129,6 @@ def _site_array(values, length: int, name: str, allow_inf: bool = False,
         raise ValidationError(f"{name} entries must be >= 0")
     arr.flags.writeable = False
     return arr
-
-
-def _check_n_cells(n_cells) -> int:
-    n = _number(n_cells, "n_cells", integer=True)
-    if n < 1:
-        raise ValidationError(f"n_cells must be >= 1, got {n_cells}")
-    return n
 
 
 def _json_list(arr: np.ndarray) -> list:
@@ -212,7 +216,7 @@ class ChainSpec(_JsonSpec):
     w: np.ndarray
 
     def __post_init__(self):
-        n = _check_n_cells(self.n_cells)
+        n = _number(self.n_cells, "n_cells", integer=True, minimum=1, maximum=MAX_CELLS)
         object.__setattr__(self, "n_cells", n)
         object.__setattr__(self, "eps", _site_array(self.eps, 2 * n, "eps"))
         object.__setattr__(self, "v", _site_array(self.v, n, "v", nonnegative=True))
@@ -248,7 +252,7 @@ class CircuitSpec(_JsonSpec):
     cw: np.ndarray
 
     def __post_init__(self):
-        n = _check_n_cells(self.n_cells)
+        n = _number(self.n_cells, "n_cells", integer=True, minimum=1, maximum=MAX_CELLS)
         object.__setattr__(self, "n_cells", n)
         object.__setattr__(self, "c0", _site_array(self.c0, 2 * n, "c0", positive=True))
         object.__setattr__(self, "l0", _site_array(self.l0, 2 * n, "l0", positive=True))
@@ -345,7 +349,7 @@ def map_circuit_to_tb(spec: CircuitSpec) -> ChainSpec:
 
 def chiral_operator(n_cells: int) -> ChiralOperator:
     """Sublattice operator diag(+1, -1, +1, -1, ...) of dimension 2N."""
-    n = _check_n_cells(n_cells)
+    n = _number(n_cells, "n_cells", integer=True, minimum=1, maximum=MAX_CELLS)
     signs = np.ones(2 * n)
     signs[1::2] = -1.0
     return ChiralOperator(n_cells=n, matrix=np.diag(signs))
@@ -359,8 +363,8 @@ def chiral_defect(h: np.ndarray, eps_ref: float) -> float:
     as 2g.
     """
     h = _matrix(h, even=True)
-    dim = h.shape[0]
-    gamma = chiral_operator(dim // 2).matrix
-    shifted = h - _number(eps_ref, "eps_ref") * np.eye(dim)
-    anti = gamma @ shifted + shifted @ gamma
+    signs = np.tile([1.0, -1.0], h.shape[0] // 2)  # the diagonal of Gamma
+    shifted = h - _number(eps_ref, "eps_ref") * np.eye(h.shape[0])
+    # {Gamma, X}_ij = (g_i + g_j) X_ij; chiral_operator would cap the size at MAX_CELLS
+    anti = (signs[:, None] + signs) * shifted
     return float(np.max(np.abs(anti)))

@@ -26,7 +26,7 @@ from . import estimation as est_mod
 from . import microwave as mw_mod
 from . import spectral as spec_mod
 from . import topology as topo_mod
-from .chain import _number, _numbers
+from .chain import MAX_POINTS, _number, _numbers
 from .csvout import fmt, write_csv, write_json
 from .errors import NumericalError, ValidationError
 
@@ -150,9 +150,8 @@ def _linspace(section, name, keys, defaults, min_points) -> np.ndarray:
         if key not in section and key not in defaults:
             raise ValidationError(f"{name} needs '{key}'")
     start, stop, points = (section.get(key, defaults.get(key)) for key in keys)
-    points = _number(points, f"{name}.{keys[2]}", integer=True)
-    if points < min_points:
-        raise ValidationError(f"{name}.{keys[2]} must be >= {min_points}")
+    points = _number(points, f"{name}.{keys[2]}", integer=True, minimum=min_points,
+                     maximum=MAX_POINTS)
     return np.linspace(_number(start, f"{name}.{keys[0]}"),
                        _number(stop, f"{name}.{keys[1]}"), points)
 
@@ -224,6 +223,9 @@ def _run_sweep(config, stem):
                              for key in ("start_nH", "stop_nH", "step_nH"))
         if step <= 0 or stop < start:
             raise ValidationError("lv_grid needs step_nH > 0 and stop >= start")
+        # at most MAX_POINTS grid points, checked before any is made
+        _number((stop - start) / step + 1, "lv_grid point count", allow_inf=True,
+                maximum=MAX_POINTS)
         grid = np.arange(start, stop + step / 2, step)
     cells = config.get("cells")
     sweep = spec_mod.sweep_coupling(circuit, grid, cells=cells)
@@ -463,8 +465,8 @@ def _resolve_config(args) -> dict:
         for key in ("out_dir", "label"):
             if key in values and not (isinstance(values[key], str) and values[key]):
                 raise ValidationError(f"{key} must be a non-empty string, got {values[key]!r}")
-        if "threads" in values and _number(values["threads"], "threads", integer=True) < 1:
-            raise ValidationError(f"threads must be >= 1, got {values['threads']}")
+        if "threads" in values:
+            _number(values["threads"], "threads", integer=True, minimum=1)
         if "seed" in values:
             _number(values["seed"], "seed", integer=True)
     config.update(flags)

@@ -56,13 +56,9 @@ class FitOptions:
 
     def __post_init__(self):
         for name in ("tol_f", "tol_x", "step"):
-            value = _number(getattr(self, name), name)
-            if value < 0:
-                raise ValidationError(f"{name} must be >= 0, got {value}")
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "max_iter", _number(self.max_iter, "max_iter", integer=True))
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
+            object.__setattr__(self, name, _number(getattr(self, name), name, minimum=0))
+        object.__setattr__(self, "max_iter",
+                           _number(self.max_iter, "max_iter", integer=True, minimum=1))
 
 
 def model_eigenfrequencies(circuit: CircuitSpec) -> np.ndarray:
@@ -190,7 +186,8 @@ def fit_circuit_params(problem: FitProblem,
     to the result bit-identically. ``options`` sets the solver tolerances,
     the per-start evaluation cap and the jitter width (see
     :class:`FitOptions`). While the best RMS residual is above
-    ``target_rms_GHz``, up to ``multi_start - 1`` further starts are run
+    ``target_rms_GHz``, up to ``multi_start - 1`` (``multi_start`` >= 1)
+    further starts are run
     from deterministically jittered copies of the start point, and the
     best outcome is kept; this escapes occasional secondary minima.
     ``max_restarts`` is accepted for compatibility (an integer) and has
@@ -207,7 +204,7 @@ def fit_circuit_params(problem: FitProblem,
 
     _number(max_restarts, "max_restarts", integer=True)
     target_rms_GHz = _number(target_rms_GHz, "target_rms_GHz")
-    multi_start = _number(multi_start, "multi_start", integer=True)
+    multi_start = _number(multi_start, "multi_start", integer=True, minimum=1)
     opts = options or FitOptions()
     values, mask, lo, hi = problem._layout
     free = np.flatnonzero(mask)
@@ -241,7 +238,7 @@ def fit_circuit_params(problem: FitProblem,
 
     result, rms = run(x0)
     restarts = 0
-    for attempt in range(1, max(multi_start, 1)):
+    for attempt in range(1, multi_start):
         if rms <= target_rms_GHz:
             break
         restarts += 1

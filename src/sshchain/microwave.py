@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import CircuitSpec, _number, _numbers, _site_array
+from .chain import MAX_CELLS, MAX_POINTS, CircuitSpec, _number, _numbers, _site_array
 from .csvout import write_csv, write_json
 from .errors import ExtrapolationError, NumericalError, ValidationError
 from .spectral import Spectrum
@@ -72,9 +72,7 @@ class GateModel:
     tables: Optional[tuple] = None
 
     def __post_init__(self):
-        n = _number(self.n_junctions, "n_junctions", integer=True)
-        if n < 1:
-            raise ValidationError(f"n_junctions must be >= 1, got {self.n_junctions}")
+        n = _number(self.n_junctions, "n_junctions", integer=True, minimum=1, maximum=MAX_CELLS)
         object.__setattr__(self, "n_junctions", n)
         object.__setattr__(self, "v_p", _site_array(self.v_p, n, "v_p"))
         object.__setattr__(self, "v_o", _site_array(self.v_o, n, "v_o"))
@@ -174,11 +172,8 @@ def _smoothstep(u: float) -> float:
 
 
 def _junction_index(model: GateModel, junction) -> int:
-    j = _number(junction, "junction index", integer=True)
-    if not (0 <= j < model.n_junctions):
-        raise ValidationError(
-            f"junction index {junction} outside 0..{model.n_junctions - 1}")
-    return j
+    return _number(junction, "junction index", integer=True, minimum=0,
+                   maximum=model.n_junctions - 1)
 
 
 def nanowire_inductance(model: GateModel, junction: int, v_g: float,
@@ -190,9 +185,7 @@ def nanowire_inductance(model: GateModel, junction: int, v_g: float,
     ExtrapolationError.
     """
     j = _junction_index(model, junction)
-    i_s = _number(i_s, "signal current")
-    if i_s < 0:
-        raise ValidationError(f"signal current must be >= 0, got {i_s}")
+    i_s = _number(i_s, "signal current", minimum=0)
     v_g = _number(v_g, "gate voltage")
     power_factor = 1.0 + (i_s / model.i_star[j]) ** 2
     if model.mode == "parametric":
@@ -230,9 +223,7 @@ def apply_gate_setting(circuit: CircuitSpec, model: GateModel,
 
 def joint_gate_settings(model: GateModel, steps: int) -> np.ndarray:
     """Synchronous sweep: every junction interpolates v_p -> v_o together."""
-    steps = _number(steps, "steps", integer=True)
-    if steps < 2:
-        raise ValidationError(f"joint sweep needs >= 2 steps, got {steps}")
+    steps = _number(steps, "steps", integer=True, minimum=2, maximum=MAX_POINTS)
     u = np.linspace(0.0, 1.0, steps)
     return model.v_p[None, :] + u[:, None] * (model.v_o - model.v_p)[None, :]
 
@@ -514,12 +505,8 @@ def extract_peaks(trace: S21Trace, prominence: float,
     from scipy.optimize import OptimizeWarning, curve_fit
     from scipy.signal import find_peaks, peak_widths
 
-    max_peaks = _number(max_peaks, "max_peaks", integer=True)
-    if max_peaks < 1:
-        raise ValidationError(f"max_peaks must be >= 1, got {max_peaks}")
-    prominence = _number(prominence, "prominence")
-    if prominence < 0:
-        raise ValidationError(f"prominence must be >= 0, got {prominence}")
+    max_peaks = _number(max_peaks, "max_peaks", integer=True, minimum=1)
+    prominence = _number(prominence, "prominence", minimum=0)
     freqs = trace.freqs
     mag = np.abs(trace.s21)
     idx, props = find_peaks(mag, prominence=prominence)

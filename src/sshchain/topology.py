@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, _hops, _matrix, _number, _numbers
+from .chain import MAX_POINTS, ChainSpec, _hops, _matrix, _number, _numbers
 from .csvout import write_csv, write_json
 from .errors import (
     DegenerateMidgapError,
@@ -85,9 +85,7 @@ class DisorderConfig:
             raise ValidationError(f"unknown disorder targets: {bad}")
         if not targets:
             raise ValidationError("disorder targets must not be empty")
-        samples = _number(self.samples, "samples", integer=True)
-        if samples < 1:
-            raise ValidationError(f"sample count must be >= 1, got {samples}")
+        samples = _number(self.samples, "samples", integer=True, minimum=1, maximum=MAX_POINTS)
         object.__setattr__(self, "strength", strength)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "samples", samples)
@@ -222,10 +220,8 @@ def winding_number_k_space(v: float, w: float) -> WindingResult:
     is always within 1e-6 of an integer; v = w raises GapClosingError and
     a negative or non-finite hop raises ValidationError.
     """
-    v = _number(v, "v")
-    w = _number(w, "w")
-    if v < 0 or w < 0:
-        raise ValidationError(f"hops must be >= 0, got v={v}, w={w}")
+    v = _number(v, "v", minimum=0)
+    w = _number(w, "w", minimum=0)
     if v == 0 and w == 0:
         raise ValidationError("v and w cannot both be zero")
     if v == w:
@@ -252,15 +248,19 @@ def winding_number_k_space(v: float, w: float) -> WindingResult:
 
 
 def _state(state) -> np.ndarray:
-    """``state`` as a new flat array, its real and imaginary parts read by ``_numbers``.
+    """``state`` as a new flat array, each real and imaginary part read as ``_number`` would.
 
     The one reader of state vectors: complex amplitudes are kept, and
     text, booleans, NaN and infinity raise ValidationError.
     """
-    if np.iscomplexobj(state):
-        psi = np.asarray(state)
-        return (_numbers(psi.real, "state") + 1j * _numbers(psi.imag, "state")).ravel()
-    return _numbers(state, "state").ravel()
+    if isinstance(state, np.ndarray):
+        if np.iscomplexobj(state):
+            return (_numbers(state.real, "state") + 1j * _numbers(state.imag, "state")).ravel()
+        return _numbers(state, "state").ravel()
+    # entry by entry: np.asarray would turn a True beside 1j into 1+0j
+    return np.array([complex(_number(z.real, "state"), _number(z.imag, "state"))
+                     if isinstance(z, (complex, np.complexfloating)) else _number(z, "state")
+                     for z in np.asarray(state, dtype=object).flat])
 
 
 def ipr(state: Sequence[float]) -> float:

@@ -716,7 +716,7 @@ class TestGateSweepCommand:
                            "--set", "freqs.start_GHz=5.6", "--set", "freqs.stop_GHz=7.2",
                            "--set", "freqs.points=11", "--out-dir", str(tmp_path))
         assert code == 1
-        assert "junction index 9 outside 0..4" in err
+        assert "junction index must be <= 4, got 9" in err
 
     @pytest.mark.parametrize("points", [0, -1])
     def test_empty_single_sweep_is_validation_error(self, capsys, tmp_path, points):
@@ -725,7 +725,7 @@ class TestGateSweepCommand:
                              "--set", "sweep.kind=single", "--set", "sweep.junction=1",
                              "--set", f"sweep.points={points}", "--out-dir", str(tmp_path))
         assert code == 1
-        assert (out, err) == ("", "error: sweep.points must be >= 1\n")
+        assert (out, err) == ("", f"error: sweep.points must be >= 1, got {points}\n")
         assert not any(tmp_path.iterdir())
 
 
@@ -801,7 +801,7 @@ class TestPowerSweepCommand:
                            "--set", f'i_s_grid={{"stop_uA": 2.0, "points": {points}}}',
                            "--out-dir", str(tmp_path))
         assert code == 1
-        assert err == "error: i_s_grid.points must be >= 1\n"
+        assert err == f"error: i_s_grid.points must be >= 1, got {points}\n"
         assert not any(tmp_path.iterdir())
 
 

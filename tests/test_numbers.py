@@ -1,6 +1,8 @@
 """The one reader of outside numbers, and the library entry points that use it."""
 
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from sshchain import (
     background_normalize,
     build_tb_hamiltonian,
     chiral_defect,
+    chiral_operator,
     classify_modes,
     default_circuit,
     eigendecompose,
@@ -35,7 +38,8 @@ from sshchain import (
     sweep_coupling,
     winding_number_k_space,
 )
-from sshchain.chain import _number, _numbers
+from sshchain import cli
+from sshchain.chain import MAX_CELLS, MAX_POINTS, _number, _numbers
 
 CIRCUIT = default_circuit(lv_nH=30.0)
 CHAIN_H = build_tb_hamiltonian(ChainSpec(4, 6.5, 0.2, 0.5))
@@ -128,3 +132,109 @@ def test_array_reader_returns_a_new_float_array(values, allow_inf, expected):
 def test_array_reader_refuses_what_the_scalar_reader_refuses(values):
     with pytest.raises(ValidationError, match="^lv "):
         _numbers(values, "lv", allow_inf=True)
+
+
+def resolve(*argv):
+    return cli._resolve_config(cli.build_parser().parse_args(["winding", *argv]))
+
+
+def linspace_points(x):
+    return cli._linspace({"start": 0.0, "stop": 1.0, "points": x}, "grid",
+                         ("start", "stop", "points"), {}, 2)
+
+
+# every range-checked read: (key its error names, entry point with ``x`` for
+# the value read, the inclusive bound, the nearest value past it)
+BOUNDS = [
+    ("n_cells", lambda x: ChainSpec(x, 6.5, 0.2, 0.5), 1, 0),
+    ("n_cells", lambda x: ChainSpec(x, 6.5, 0.2, 0.5), MAX_CELLS, MAX_CELLS + 1),
+    ("n_cells", lambda x: CircuitSpec(x, 660.0, 1.0, 30.0, 30.0), 1, 0),
+    ("n_cells", lambda x: CircuitSpec(x, 660.0, 1.0, 30.0, 30.0), MAX_CELLS, MAX_CELLS + 1),
+    ("n_cells", chiral_operator, 1, 0),
+    ("n_junctions", lambda x: GateModel(x, 0.4, 1.8, 9.0, 1.0), 1, 0),
+    ("n_junctions", lambda x: GateModel(x, 0.4, 1.8, 9.0, 1.0), MAX_CELLS, MAX_CELLS + 1),
+    ("junction index", lambda x: nanowire_inductance(GATE, x, 1.0), 0, -1),
+    ("junction index", lambda x: nanowire_inductance(GATE, x, 1.0), 4, 5),
+    ("signal current", lambda x: nanowire_inductance(GATE, 0, 1.0, x), 0, -1e-300),
+    ("steps", lambda x: joint_gate_settings(GATE, x), 2, 1),
+    ("steps", lambda x: joint_gate_settings(GATE, x), MAX_POINTS, MAX_POINTS + 1),
+    ("max_peaks", lambda x: extract_peaks(TRACE, 0.05, x), 1, 0),
+    ("prominence", lambda x: extract_peaks(TRACE, x, 3), 0, -1e-300),
+    ("tol_f", lambda x: FitOptions(tol_f=x), 0, -1e-300),
+    ("tol_x", lambda x: FitOptions(tol_x=x), 0, -1e-300),
+    ("step", lambda x: FitOptions(step=x), 0, -1e-300),
+    ("max_iter", lambda x: FitOptions(max_iter=x), 1, 0),
+    ("multi_start", lambda x: fit_circuit_params(PROBLEM, multi_start=x), 1, 0),
+    ("multi_start", lambda x: fit_circuit_params(PROBLEM, multi_start=x), 1, -5),
+    ("samples", lambda x: DisorderConfig(0.1, ("v",), x, 1), 1, 0),
+    ("samples", lambda x: DisorderConfig(0.1, ("v",), x, 1), MAX_POINTS, MAX_POINTS + 1),
+    ("v", lambda x: winding_number_k_space(x, 0.5), 0, -1e-300),
+    ("w", lambda x: winding_number_k_space(0.5, x), 0, -1e-300),
+    ("grid.points", linspace_points, 2, 1),
+    ("grid.points", linspace_points, MAX_POINTS, MAX_POINTS + 1),
+    ("threads", lambda x: resolve("--threads", str(x)), 1, 0),
+    ("threads", lambda x: resolve("--set", f"threads={x}"), 1, 0),
+]
+
+
+@pytest.mark.parametrize("key,entry,bound,past", BOUNDS)
+def test_range_check_names_its_key_and_bound(key, entry, bound, past):
+    entry(bound)
+    side = ">=" if past < bound else "<="
+    with pytest.raises(ValidationError,
+                       match=f"^{re.escape(f'{key} must be {side} {bound}, got {past}')}$"):
+        entry(past)
+
+
+# not in BOUNDS: accepting MAX_CELLS would build a 4096 x 4096 operator
+def test_chiral_operator_refuses_more_than_max_cells():
+    with pytest.raises(ValidationError, match=f"^n_cells must be <= {MAX_CELLS}, got"):
+        chiral_operator(MAX_CELLS + 1)
+
+
+@pytest.mark.parametrize("value", [2**70 + 1, -2**70 - 1, np.int64(2**62 + 1),
+                                   np.uint64(2**64 - 1)])
+def test_integer_reader_keeps_integers_exact(value):
+    got = _number(value, "x", integer=True, minimum=value, maximum=value)
+    assert got == value and type(got) is int
+
+
+def test_lv_grid_length_is_checked_before_the_grid_is_made(monkeypatch):
+    lengths = []
+
+    def record(circuit, grid, cells=None):
+        lengths.append(len(grid))
+        raise ValidationError("recorded")
+
+    monkeypatch.setattr(cli.spec_mod, "sweep_coupling", record)
+    config = {"circuit": CIRCUIT.to_dict(),
+              "lv_grid": {"start_nH": 1.0, "stop_nH": float(MAX_POINTS), "step_nH": 1.0}}
+    with pytest.raises(ValidationError, match="^recorded$"):
+        cli._run_sweep(config, "unused")
+    assert lengths == [MAX_POINTS]
+    config["lv_grid"]["stop_nH"] += 1.0
+    with pytest.raises(ValidationError,
+                       match=f"^lv_grid point count must be <= {MAX_POINTS}, got"):
+        cli._run_sweep(config, "unused")
+    assert lengths == [MAX_POINTS]
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fit", "--config", os.path.join(CONFIGS, "fit_roundtrip.json"),
+      "--set", "multi_start=0"], "multi_start must be >= 1, got 0"),
+    (["sweep", "--config", os.path.join(CONFIGS, "sweep_default.json"),
+      "--set", "lv_grid.stop_nH=1e13"], f"lv_grid point count must be <= {MAX_POINTS}, got "),
+    (["spectrum", "--set", 'chain={"n_cells": 100000, "eps_GHz": 6.5, "v_GHz": 0.2, '
+      '"w_GHz": 0.5}'], f"n_cells must be <= {MAX_CELLS}, got 100000"),
+    (["s21", "--config", os.path.join(CONFIGS, "s21_topological.json"),
+      "--set", "freqs.points=1000000000"], f"freqs.points must be <= {MAX_POINTS}, got "),
+])
+def test_out_of_range_input_exits_1_naming_its_key(capsys, tmp_path, argv, message):
+    assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert not any(tmp_path.iterdir())

@@ -259,6 +259,9 @@ BAD_STATES = [
     ([1.0, 0.5j, np.nan * 1j, 0.0], "state must be finite"),
     ([True, False, False, False], "state must be numeric"),
     (["a", "b", "c", "d"], "state must be numeric"),
+    ([1j, True, 0.0, 0.0], "state must be numeric"),
+    ([np.complex64(0.5j), np.bool_(True), 0.0, 0.0], "state must be numeric"),
+    ([[1.0, 0.5], 0.5, 0.0], "state must be numeric"),
 ]
 
 
