@@ -8,11 +8,9 @@ and estimates circuit parameters from measured eigenfrequencies.
 
 from .chain import (
     ChainSpec,
-    ChiralOperator,
     CircuitSpec,
     build_tb_hamiltonian,
     chiral_defect,
-    chiral_operator,
     default_circuit,
     map_circuit_to_tb,
 )

@@ -23,10 +23,8 @@ from .errors import ValidationError
 __all__ = [
     "ChainSpec",
     "CircuitSpec",
-    "ChiralOperator",
     "build_tb_hamiltonian",
     "map_circuit_to_tb",
-    "chiral_operator",
     "chiral_defect",
     "default_circuit",
 ]
@@ -50,7 +48,8 @@ def _number(value, name: str, integer: bool = False, allow_inf: bool = False,
     (``np.bool_`` included); NaN is refused, and so is infinity unless
     ``allow_inf``; an integer is read only from an integral value, never
     truncated, and an int stays exact. numpy integer and float scalars
-    are numbers. ``minimum`` and ``maximum`` are inclusive bounds.
+    are numbers. ``minimum`` and ``maximum`` are inclusive bounds. The
+    error carries ``name`` (``ValidationError.name``).
     """
     if isinstance(value, np.ndarray):
         value = value[()]  # a 0-d array as its scalar, np.bool_ included
@@ -65,16 +64,16 @@ def _number(value, name: str, integer: bool = False, allow_inf: bool = False,
                 raise ValueError(value)
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if integer else "numeric"
-        raise ValidationError(f"{name} must be {what}, got {value!r}") from None
+        raise ValidationError(f"{name} must be {what}, got {value!r}", name) from None
     if integer:
         number = int(number)
     elif not (math.isfinite(number) or allow_inf and number == math.inf):
         bound = "finite or inf" if allow_inf else "finite"
-        raise ValidationError(f"{name} must be {bound}, got {number}")
+        raise ValidationError(f"{name} must be {bound}, got {number}", name)
     if minimum is not None and number < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {number}")
+        raise ValidationError(f"{name} must be >= {minimum}, got {number}", name)
     if maximum is not None and number > maximum:
-        raise ValidationError(f"{name} must be <= {maximum}, got {number}")
+        raise ValidationError(f"{name} must be <= {maximum}, got {number}", name)
     return number
 
 
@@ -122,11 +121,11 @@ def _site_array(values, length: int, name: str, allow_inf: bool = False,
         arr = np.full(length, arr)
     if arr.shape != (length,):
         raise ValidationError(
-            f"{name} must have length {length}, got shape {arr.shape}")
+            f"{name} must have length {length}, got shape {arr.shape}", name)
     if positive and not np.all(arr > 0):
-        raise ValidationError(f"{name} entries must be > 0")
+        raise ValidationError(f"{name} entries must be > 0", name)
     if nonnegative and np.any(arr < 0):
-        raise ValidationError(f"{name} entries must be >= 0")
+        raise ValidationError(f"{name} entries must be >= 0", name)
     arr.flags.writeable = False
     return arr
 
@@ -264,19 +263,6 @@ class CircuitSpec(_JsonSpec):
         return CircuitSpec(self.n_cells, self.c0, self.l0, lv, self.cw)
 
 
-@dataclass(frozen=True)
-class ChiralOperator:
-    """Sublattice-sign operator: +1 on A sites, -1 on B sites."""
-
-    n_cells: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=float)
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-
-
 def default_circuit(n_cells: int = 5, c0_fF: float = 660.0, l0_nH: float = 1.0,
                     cw_fF: float = 30.0, lv_nH: float = math.inf) -> CircuitSpec:
     """Uniform five-cell reference circuit.
@@ -347,14 +333,6 @@ def map_circuit_to_tb(spec: CircuitSpec) -> ChainSpec:
     return ChainSpec(n_cells=spec.n_cells, eps=eps, v=v, w=w)
 
 
-def chiral_operator(n_cells: int) -> ChiralOperator:
-    """Sublattice operator diag(+1, -1, +1, -1, ...) of dimension 2N."""
-    n = _number(n_cells, "n_cells", integer=True, minimum=1, maximum=MAX_CELLS)
-    signs = np.ones(2 * n)
-    signs[1::2] = -1.0
-    return ChiralOperator(n_cells=n, matrix=np.diag(signs))
-
-
 def chiral_defect(h: np.ndarray, eps_ref: float) -> float:
     """Largest-magnitude entry of the anticommutator {Gamma, H - eps_ref*I}.
 
@@ -365,6 +343,6 @@ def chiral_defect(h: np.ndarray, eps_ref: float) -> float:
     h = _matrix(h, even=True)
     signs = np.tile([1.0, -1.0], h.shape[0] // 2)  # the diagonal of Gamma
     shifted = h - _number(eps_ref, "eps_ref") * np.eye(h.shape[0])
-    # {Gamma, X}_ij = (g_i + g_j) X_ij; chiral_operator would cap the size at MAX_CELLS
+    # {Gamma, X}_ij = (g_i + g_j) X_ij, without forming Gamma
     anti = (signs[:, None] + signs) * shifted
     return float(np.max(np.abs(anti)))

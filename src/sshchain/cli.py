@@ -7,12 +7,14 @@ the output directory. Every run is serial: ``--threads`` and the config
 key ``threads`` are accepted and validated (>= 1) but have no effect, so
 identical config and seed produce byte-identical CSVs whatever they are
 set to. Config values that cannot be converted to the number they stand
-for fail validation by key, with exit code 1.
+for, or that fall outside their range, fail validation with exit code 1
+and an error naming their dotted config key.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -156,12 +158,35 @@ def _linspace(section, name, keys, defaults, min_points) -> np.ndarray:
                        _number(stop, f"{name}.{keys[1]}"), points)
 
 
+@contextlib.contextmanager
+def _read_as(keys):
+    """Restate a library reader's error about value ``name`` under its config
+    key ``keys[name]``; other errors pass unchanged."""
+    try:
+        yield
+    except ValidationError as exc:
+        if exc.name not in keys:
+            raise
+        raise exc.renamed(keys[exc.name]) from None
+
+
+def _spec_keys(cls, section) -> dict:
+    """The dotted config key of each field of spec ``cls`` read from ``section``."""
+    return {"n_cells": f"{section}.n_cells",
+            **{name: f"{section}.{key}" for name, key in cls._JSON_KEYS}}
+
+
+def _spec_from(cls, config, section, command):
+    with _read_as(_spec_keys(cls, section)):
+        return cls.from_dict(_require(config, section, command))
+
+
 def _chain_from(config, command) -> chain_mod.ChainSpec:
     if "chain" in config:
-        return chain_mod.ChainSpec.from_dict(config["chain"])
+        return _spec_from(chain_mod.ChainSpec, config, "chain", command)
     if "circuit" in config:
         return chain_mod.map_circuit_to_tb(
-            chain_mod.CircuitSpec.from_dict(config["circuit"]))
+            _spec_from(chain_mod.CircuitSpec, config, "circuit", command))
     raise ValidationError(f"'{command}' config needs 'chain' or 'circuit'")
 
 
@@ -170,7 +195,8 @@ def _trace_inputs(config, command) -> dict:
     grid = _linspace(_require(config, "freqs", command), "freqs", _FREQ_KEYS, {}, 2)
     box = config.get("box")
     if box is not None:
-        box = mw_mod.BoxMode(**{name: box[key] for name, key in _BOX_FIELDS if key in box})
+        with _read_as({name: f"box.{key}" for name, key in _BOX_FIELDS}):
+            box = mw_mod.BoxMode(**{name: box[key] for name, key in _BOX_FIELDS if key in box})
     return {"freqs": grid, "box": box, "z0": _number(config.get("z0_ohm", 50.0), "z0_ohm")}
 
 
@@ -185,15 +211,17 @@ def _gate_from(config, command, n_junctions) -> mw_mod.GateModel:
         tables = mw_mod.read_gate_table_csv(path)
     elif "table" in gate:
         tables = gate["table"]
-    return mw_mod.GateModel(
-        n_junctions=n_junctions,
-        v_p=gate.get("v_p_V", 0.0),
-        v_o=gate.get("v_o_V", 1.0),
-        l_min=gate.get("l_min_nH", 9.0),
-        i_star=gate.get("i_star_uA", 1.0),
-        mode=mode,
-        tables=tables,
-    )
+    with _read_as({"v_p": "gate.v_p_V", "v_o": "gate.v_o_V", "l_min": "gate.l_min_nH",
+                   "i_star": "gate.i_star_uA"}):
+        return mw_mod.GateModel(
+            n_junctions=n_junctions,
+            v_p=gate.get("v_p_V", 0.0),
+            v_o=gate.get("v_o_V", 1.0),
+            l_min=gate.get("l_min_nH", 9.0),
+            i_star=gate.get("i_star_uA", 1.0),
+            mode=mode,
+            tables=tables,
+        )
 
 
 def _run_spectrum(config, stem):
@@ -214,7 +242,7 @@ def _run_spectrum(config, stem):
 
 
 def _run_sweep(config, stem):
-    circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "sweep"))
+    circuit = _spec_from(chain_mod.CircuitSpec, config, "circuit", "sweep")
     grid_cfg = _require(config, "lv_grid", "sweep")
     if "values_nH" in grid_cfg:
         grid = _numbers(grid_cfg["values_nH"], "lv_grid.values_nH", allow_inf=True)
@@ -239,8 +267,9 @@ def _run_sweep(config, stem):
 def _run_winding(config, stem):
     method = config.get("method", "k-space")
     if method == "k-space":
-        result = topo_mod.winding_number_k_space(
-            *(_number(_require(config, key, "winding"), key) for key in ("v_GHz", "w_GHz")))
+        with _read_as({"v": "v_GHz", "w": "w_GHz"}):
+            result = topo_mod.winding_number_k_space(
+                *(_require(config, key, "winding") for key in ("v_GHz", "w_GHz")))
     elif method == "real-space":
         chain = _chain_from(config, "winding")
         eps_ref = _number(config.get("eps_ref_GHz", np.mean(chain.eps)), "eps_ref_GHz")
@@ -273,12 +302,14 @@ def _run_disorder(config, stem):
     seed = cfg.get("seed", config.get("seed"))  # --seed has overwritten both
     if seed is None:
         raise ValidationError("disorder runs need a seed (config 'seed' or --seed)")
-    dconf = topo_mod.DisorderConfig(
-        strength=cfg.get("strength", 0.1),
-        targets=cfg.get("targets", ("v", "w")),
-        samples=cfg.get("samples", 100),
-        seed=seed,
-    )
+    # a top-level seed was read as an integer, all DisorderConfig asks of it
+    with _read_as({name: f"disorder.{name}" for name in ("strength", "samples", "seed")}):
+        dconf = topo_mod.DisorderConfig(
+            strength=cfg.get("strength", 0.1),
+            targets=cfg.get("targets", ("v", "w")),
+            samples=cfg.get("samples", 100),
+            seed=seed,
+        )
     result = topo_mod.disorder_ensemble(chain, dconf)
     topo_mod.write_ensemble_outputs(result, f"{stem}.csv", f"{stem}.json")
     return (f"mean_nu={fmt(result.mean_nu)} std_nu={fmt(result.std_nu)} "
@@ -286,7 +317,7 @@ def _run_disorder(config, stem):
 
 
 def _run_s21(config, stem):
-    circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "s21"))
+    circuit = _spec_from(chain_mod.CircuitSpec, config, "circuit", "s21")
     trace = mw_mod.s21_trace(circuit, **_trace_inputs(config, "s21"),
                              power_dBm=config.get("power_dBm"))
     mw_mod.write_trace_outputs(trace, f"{stem}.csv", f"{stem}.json")
@@ -340,9 +371,10 @@ def _gated_sweep(config, stem, command, circuit, model, points, emit_traces):
 
 
 def _run_gatesweep(config, stem):
-    circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "gatesweep"))
+    circuit = _spec_from(chain_mod.CircuitSpec, config, "circuit", "gatesweep")
     model = _gate_from(config, "gatesweep", circuit.n_cells)
-    settings = _gate_settings_from(config, model)
+    with _read_as({"steps": "sweep.steps", "junction index": "sweep.junction"}):
+        settings = _gate_settings_from(config, model)
     i_s = _number(config.get("i_s_uA", 0.0), "i_s_uA")
     emit_traces = _flag(config, "emit_traces", True)
     _, classes = _gated_sweep(
@@ -356,7 +388,7 @@ def _run_gatesweep(config, stem):
 
 
 def _run_powersweep(config, stem):
-    circuit = chain_mod.CircuitSpec.from_dict(_require(config, "circuit", "powersweep"))
+    circuit = _spec_from(chain_mod.CircuitSpec, config, "circuit", "powersweep")
     model = _gate_from(config, "powersweep", circuit.n_cells)
     setting = config.get("setting_V", "open")
     if isinstance(setting, str):
@@ -391,8 +423,10 @@ def _run_powersweep(config, stem):
 
 
 def _run_fit(config, stem):
-    problem = est_mod.fit_problem_from_dict(_require(config, "fit", "fit"))
-    options = est_mod.FitOptions(**config.get("options", {}))
+    with _read_as(_spec_keys(chain_mod.CircuitSpec, "fit.start")):
+        problem = est_mod.fit_problem_from_dict(_require(config, "fit", "fit"))
+    with _read_as({f.name: f"options.{f.name}" for f in fields(est_mod.FitOptions)}):
+        options = est_mod.FitOptions(**config.get("options", {}))
     result = est_mod.fit_circuit_params(
         problem, options=options,
         **{key: config[key] for key in ("max_restarts", "target_rms_GHz", "multi_start")

@@ -6,7 +6,19 @@ The CLI maps :class:`ValidationError` to exit code 1 and
 
 
 class ValidationError(ValueError):
-    """Input fails a structural or physical precondition."""
+    """Input fails a structural or physical precondition.
+
+    ``name`` is set when the message begins with the name of the one value
+    at fault, as its reader knows it; :meth:`renamed` then restates the
+    message under another name, such as the config key the value came from.
+    """
+
+    def __init__(self, message, name=None):
+        super().__init__(message)
+        self.name = name
+
+    def renamed(self, name):
+        return ValidationError(name + str(self)[len(self.name):], name)
 
 
 class NumericalError(RuntimeError):

@@ -4,7 +4,11 @@ The fit matches the sorted tight-binding eigenfrequencies of a candidate
 circuit to a supplied frequency list with scipy's bounded least-squares
 solver. It works on the logarithms of the free parameters, so positivity
 is structural and relative steps mean the same thing for nanohenries and
-femtofarads.
+femtofarads. The solver's Jacobian is analytic: one eigendecomposition
+gives every eigenvalue's Hellmann-Feynman derivatives, chained through the
+closed-form derivative of the circuit-to-chain map. Only where two
+eigenvalues of the current model (nearly) cross is it formed from forward
+differences.
 """
 
 from __future__ import annotations
@@ -65,6 +69,69 @@ def model_eigenfrequencies(circuit: CircuitSpec) -> np.ndarray:
     """Sorted tight-binding eigenfrequencies of a circuit, in GHz."""
     eps, v, w = _map_arrays(circuit.c0, circuit.l0, circuit.lv, circuit.cw)
     return np.linalg.eigvalsh(_assemble_hamiltonian(eps, v, w))
+
+
+# forward-difference step per unit of max(1, |x|), as scipy's "2-point"
+_DIFF_STEP = math.sqrt(np.finfo(float).eps)
+# Adjacent eigenvalues closer than this, relative to max|lambda|, count as a
+# crossing, where lambda_k has no derivative (Nelson, AIAA J. 14, 1201
+# (1976)); that Jacobian is differenced. eigh's vectors carry errors of
+# ~ machine eps * max|lambda| / gap, so below this gap the analytic columns
+# are no more accurate than forward differences.
+_DEGENERACY_TOL = _DIFF_STEP
+
+
+def _eigenfrequency_jacobian(c0, l0, lv, cw):
+    """d lambda_k / d ln p for every circuit parameter p, or None at a crossing.
+
+    Columns follow the flat layout (c0 | l0 | cw | lv). Hellmann-Feynman gives
+    d lambda_k / d eps_i = psi_ik^2 and d lambda_k / d t_j = 2 psi_jk psi_(j+1)k
+    for a simple eigenvalue; the chain rule through the map is local to a site,
+    where ln eps = -(ln L_T + ln C_T) / 2, a hop's side value is
+    eps L_T / (2 Lv) (intra-cell v) or eps Cw / (2 C_T) (inter-cell w), and
+    a hop is the mean of its bond's two side values. A pinched lv column is 0.
+    """
+    n = lv.size
+    eps, v, w = _map_arrays(c0, l0, lv, cw)
+    lam, psi = np.linalg.eigh(_assemble_hamiltonian(eps, v, w))
+    if np.any(np.diff(lam) <= _DEGENERACY_TOL * np.max(np.abs(lam))):
+        return None
+    cw_site = np.repeat(cw, 2)[1:-1]  # site 2k touches cw[k], site 2k+1 cw[k+1]
+    c_share = (cw_site / (c0 + cw_site))[:, None]  # d ln C_T / d ln Cw
+    l_share = (l0 / (l0 + np.repeat(lv, 2)))[:, None]  # d ln L_T / d ln Lv
+    # per site and eigenvalue: d lambda / d ln eps, ln v_side and ln w_side
+    bond = psi[:-1] * psi[1:]  # psi_j psi_(j+1); d t / d ln side = side / 2
+    d_eps = psi ** 2 * eps[:, None]
+    d_v = np.repeat(bond[0::2], 2, axis=0) * (0.5 * eps[:, None] * l_share)
+    d_w = np.zeros_like(psi)
+    d_w[1:-1:2] = d_w[2::2] = bond[1::2]  # bond 2k+1 joins sites 2k+1 and 2k+2
+    d_w *= 0.5 * eps[:, None] * c_share
+    half = -0.5 * (d_eps + d_v + d_w)  # ln eps enters all three
+    d_ln_c0 = (1.0 - c_share) * (half - d_w)
+    d_ln_cw_site = c_share * half + (1.0 - c_share) * d_w
+    d_ln_l0 = (1.0 - l_share) * (half + d_v)
+    d_ln_lv_site = l_share * half - (1.0 - l_share) * d_v
+    d_ln_cw = np.zeros((n + 1, 2 * n))
+    d_ln_cw[:-1] += d_ln_cw_site[0::2]
+    d_ln_cw[1:] += d_ln_cw_site[1::2]
+    d_ln_lv = d_ln_lv_site[0::2] + d_ln_lv_site[1::2]
+    return np.concatenate([d_ln_c0, d_ln_l0, d_ln_cw, d_ln_lv]).T
+
+
+def _forward_differences(fun, x, lo, hi):
+    """Forward-difference Jacobian of ``fun`` at ``x``, steps as scipy's "2-point".
+
+    A step that would leave the box [lo, hi] is taken backwards instead.
+    """
+    f0 = fun(x)
+    h = _DIFF_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    h = np.where((x + h < lo) | (x + h > hi), -h, h)
+    columns = []
+    for j in range(x.size):
+        shifted = x.copy()
+        shifted[j] += h[j]
+        columns.append((fun(shifted) - f0) / (shifted[j] - x[j]))
+    return np.column_stack(columns)
 
 
 def _parameter_layout(start: CircuitSpec, free, bounds):
@@ -180,7 +247,8 @@ def fit_circuit_params(problem: FitProblem,
     """Fit the circuit's eigenfrequencies to the target list.
 
     Each start runs ``scipy.optimize.least_squares`` (``method="dogbox"``,
-    finite-difference Jacobian) on the residuals between the model and
+    analytic Hellmann-Feynman Jacobian; forward differences only where two
+    model eigenvalues nearly cross) on the residuals between the model and
     target eigenfrequencies, over the logs of the free parameters and
     inside the problem's box bounds; masked parameters are carried over
     to the result bit-identically. ``options`` sets the solver tolerances,
@@ -193,9 +261,10 @@ def fit_circuit_params(problem: FitProblem,
     ``max_restarts`` is accepted for compatibility (an integer) and has
     no effect.
 
-    In the result, ``evaluations`` counts residual evaluations including
-    those of the finite-difference Jacobians, ``iterations`` counts
-    Jacobian evaluations, ``restarts`` counts jittered starts run,
+    In the result, ``evaluations`` counts residual evaluations, including
+    those of the forward-difference Jacobians at near crossings (an
+    analytic Jacobian costs none), ``iterations`` counts Jacobian
+    evaluations of either kind, ``restarts`` counts jittered starts run,
     ``converged`` reports whether the kept run met a tolerance, and
     ``clamped`` counts free parameters at a bound at the solution.
     """
@@ -228,9 +297,15 @@ def fit_circuit_params(problem: FitProblem,
         eps, v, w = _map_arrays(*circuit_arrays(x))
         return np.linalg.eigvalsh(_assemble_hamiltonian(eps, v, w)) - problem.target_freqs
 
+    def jacobian(x):
+        full = _eigenfrequency_jacobian(*circuit_arrays(x))
+        if full is None:
+            return _forward_differences(residuals, x, log_lo, log_hi)
+        return full[:, free]
+
     def run(x_start):
         nonlocal iterations
-        result = least_squares(residuals, x_start, bounds=(log_lo, log_hi),
+        result = least_squares(residuals, x_start, jac=jacobian, bounds=(log_lo, log_hi),
                                method="dogbox", ftol=opts.tol_f,
                                xtol=opts.tol_x, max_nfev=opts.max_iter)
         iterations += result.njev

@@ -121,7 +121,7 @@ class BoxMode:
         for name in ("f_box", "q_box", "coupling"):
             value = _number(getattr(self, name), name)
             if value <= 0:
-                raise ValidationError(f"{name} must be > 0, got {value}")
+                raise ValidationError(f"{name} must be > 0, got {value}", name)
             object.__setattr__(self, name, value)
 
 

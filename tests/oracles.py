@@ -7,9 +7,24 @@ of midpoint sums, complex ABCD matrices instead of their four real parts,
 and closed forms where they exist.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+
+
+@dataclass(frozen=True)
+class ChiralOperator:
+    """Sublattice-sign operator: +1 on A sites, -1 on B sites."""
+
+    n_cells: int
+    matrix: np.ndarray
+
+
+def chiral_operator(n_cells):
+    """Sublattice operator diag(+1, -1, +1, -1, ...) of dimension 2N."""
+    return ChiralOperator(n_cells, np.diag(np.tile([1.0, -1.0], n_cells)))
 
 
 def dense_eigvals(h):

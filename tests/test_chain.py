@@ -9,12 +9,11 @@ from sshchain import (
     ValidationError,
     build_tb_hamiltonian,
     chiral_defect,
-    chiral_operator,
     default_circuit,
     map_circuit_to_tb,
 )
 
-from oracles import dense_eigvals
+from oracles import chiral_operator, dense_eigvals
 
 
 class TestChainSpec:

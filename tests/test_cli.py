@@ -260,7 +260,7 @@ class TestConfigHandling:
         ("disorder", "disorder_topological", 'disorder.targets="eps"', "list of names"),
         # a boolean is not a number
         ("s21", "s21_topological", "z0_ohm=true", "z0_ohm"),
-        ("s21", "s21_topological", "circuit.lv_nH.0=true", "lv must be numeric"),
+        ("s21", "s21_topological", "circuit.lv_nH.0=true", "circuit.lv_nH must be numeric"),
         ("s21", "s21_topological", "box.q_box=true", "q_box"),
         ("s21", "s21_topological", "freqs.start_GHz=true", "freqs.start_GHz"),
         ("s21", "s21_topological", "power_dBm=true", "power_dBm"),
@@ -716,7 +716,7 @@ class TestGateSweepCommand:
                            "--set", "freqs.start_GHz=5.6", "--set", "freqs.stop_GHz=7.2",
                            "--set", "freqs.points=11", "--out-dir", str(tmp_path))
         assert code == 1
-        assert "junction index must be <= 4, got 9" in err
+        assert "sweep.junction must be <= 4, got 9" in err
 
     @pytest.mark.parametrize("points", [0, -1])
     def test_empty_single_sweep_is_validation_error(self, capsys, tmp_path, points):

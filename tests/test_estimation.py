@@ -13,7 +13,8 @@ from sshchain import (
     map_circuit_to_tb,
     model_eigenfrequencies,
 )
-from sshchain.estimation import fit_problem_from_dict, write_fit_outputs
+from sshchain import estimation
+from sshchain.estimation import PARAM_FAMILIES, fit_problem_from_dict, write_fit_outputs
 
 from oracles import dense_eigvals
 
@@ -258,3 +259,123 @@ class TestFitIO:
         assert couplings[0] == "coupling_index,cw_fF,lv_nH"
         assert len(couplings) == 7
         assert couplings[-1].endswith(",")  # no lv entry beyond the last cell
+
+
+def _criterion7_start(lv_nH, case):
+    """Criterion-7 start: the design circuit with c0 jittered by up to 5%."""
+    truth = default_circuit(lv_nH=lv_nH)
+    rng = np.random.default_rng([77, case])
+    return truth, CircuitSpec(5, truth.c0 * (1 + 0.05 * rng.uniform(-1, 1, 10)),
+                              truth.l0, truth.lv, truth.cw)
+
+
+def _central_differences(spec, step=1e-5):
+    """d lambda / d ln p by the fourth-order central stencil; 0 for a pinched lv.
+
+    A second-order stencil is not enough: near the criterion-7 starts' closest
+    pairs (gaps of ~3 MHz) its h^2 error is ~4e-8 GHz at any useful step.
+    """
+    n = spec.n_cells
+    flat = np.concatenate([getattr(spec, name) for name in PARAM_FAMILIES])
+    columns = []
+    for j in range(flat.size):
+        if not np.isfinite(flat[j]):
+            columns.append(np.zeros(2 * n))
+            continue
+        values = {}
+        for k in (-2, -1, 1, 2):
+            moved = flat.copy()
+            moved[j] *= math.exp(k * step)
+            values[k] = model_eigenfrequencies(CircuitSpec(
+                n, moved[:2 * n], moved[2 * n:4 * n], moved[5 * n + 1:],
+                moved[4 * n:5 * n + 1]))
+        columns.append((8 * (values[1] - values[-1]) - (values[2] - values[-2]))
+                       / (12 * step))
+    return np.column_stack(columns)
+
+
+def _analytic(spec):
+    return estimation._eigenfrequency_jacobian(spec.c0, spec.l0, spec.lv, spec.cw)
+
+
+def _dimer_problem():
+    targets = np.array([5.70] * 4 + [6.04] * 2 + [6.40] * 4)
+    return FitProblem(targets, CircuitSpec(5, 610.0, 1.0, math.inf, 80.0))
+
+
+# GHz per unit of log-parameter; the derivatives themselves are up to 2.4 GHz
+# and the stencil at step 1e-5 carries ~1e-10 GHz of roundoff
+JACOBIAN_ATOL = 3e-9
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("case", range(20))
+    def test_criterion7_c0_columns_match_central_differences(self, case):
+        _, start = _criterion7_start(30.0, case)
+        c0_columns = slice(0, 10)  # the flat layout starts with c0
+        np.testing.assert_allclose(_analytic(start)[:, c0_columns],
+                                   _central_differences(start)[:, c0_columns],
+                                   rtol=0, atol=JACOBIAN_ATOL)
+
+    def test_full_freedom_with_a_pinched_junction_matches_central_differences(self):
+        truth = default_circuit(lv_nH=30.0).with_lv([30.0, math.inf, 25.0, 30.0, 35.0])
+        rng = np.random.default_rng(11)
+
+        def perturb(arr):
+            return arr * (1 + 0.05 * rng.uniform(-1, 1, arr.shape))
+
+        spec = CircuitSpec(5, perturb(truth.c0), perturb(truth.l0),
+                           perturb(np.array(truth.lv)), perturb(truth.cw))
+        jac = _analytic(spec)
+        assert jac.shape == (10, 31)
+        assert np.all(jac[:, 26 + 1] == 0.0)  # lv[1] is pinched
+        np.testing.assert_allclose(jac, _central_differences(spec), rtol=0, atol=JACOBIAN_ATOL)
+
+    def test_crossing_has_no_analytic_jacobian(self):
+        assert _analytic(_dimer_problem().start) is None
+
+    def test_dimer_limit_takes_the_difference_fallback(self, monkeypatch):
+        # targets and start are exactly degenerate, so every Jacobian is differenced
+        calls = []
+        differences = estimation._forward_differences
+
+        def spy(*args):
+            calls.append(args[1].copy())
+            return differences(*args)
+
+        monkeypatch.setattr(estimation, "_forward_differences", spy)
+        runs = [fit_circuit_params(_dimer_problem(), multi_start=4) for _ in range(2)]
+        assert len(calls) == runs[0].iterations + runs[1].iterations > 0
+        a, b = runs
+        assert (a.residual_rms_kHz, a.evaluations, a.iterations) == \
+            (b.residual_rms_kHz, b.evaluations, b.iterations)
+        for name in PARAM_FAMILIES:
+            assert np.array_equal(getattr(a.best, name), getattr(b.best, name))
+
+    def test_difference_steps_turn_back_at_the_upper_bound(self):
+        x = np.array([0.0, 1.0])
+        hi = np.array([1.0, 1.0])
+        steps = []
+
+        def fun(point):
+            steps.append(point - x)
+            return np.array([point @ point])
+
+        jac = estimation._forward_differences(fun, x, -hi, hi)
+        assert steps[1][0] > 0 and steps[2][1] < 0
+        np.testing.assert_allclose(jac, [[0.0, 2.0]], atol=1e-7)
+
+    # the bench's fit jobs; difference Jacobians cost 145-168 evaluations here
+    @pytest.mark.parametrize("lv_nH", [8.0, 12.0, 30.0, 60.0])
+    def test_criterion7_fit_evaluation_count(self, lv_nH, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("difference Jacobian on a fit without crossings")
+
+        monkeypatch.setattr(estimation, "_forward_differences", refuse)
+        truth, start = _criterion7_start(lv_nH, 0)
+        problem = FitProblem(model_eigenfrequencies(truth), start,
+                             free={"c0": True, "l0": False, "cw": False, "lv": False})
+        result = fit_circuit_params(problem, max_restarts=5, target_rms_GHz=5e-7,
+                                    multi_start=8)
+        assert result.residual_rms_kHz < 1.0
+        assert result.evaluations <= 40

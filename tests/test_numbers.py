@@ -23,7 +23,6 @@ from sshchain import (
     background_normalize,
     build_tb_hamiltonian,
     chiral_defect,
-    chiral_operator,
     classify_modes,
     default_circuit,
     eigendecompose,
@@ -150,7 +149,6 @@ BOUNDS = [
     ("n_cells", lambda x: ChainSpec(x, 6.5, 0.2, 0.5), MAX_CELLS, MAX_CELLS + 1),
     ("n_cells", lambda x: CircuitSpec(x, 660.0, 1.0, 30.0, 30.0), 1, 0),
     ("n_cells", lambda x: CircuitSpec(x, 660.0, 1.0, 30.0, 30.0), MAX_CELLS, MAX_CELLS + 1),
-    ("n_cells", chiral_operator, 1, 0),
     ("n_junctions", lambda x: GateModel(x, 0.4, 1.8, 9.0, 1.0), 1, 0),
     ("n_junctions", lambda x: GateModel(x, 0.4, 1.8, 9.0, 1.0), MAX_CELLS, MAX_CELLS + 1),
     ("junction index", lambda x: nanowire_inductance(GATE, x, 1.0), 0, -1),
@@ -184,12 +182,6 @@ def test_range_check_names_its_key_and_bound(key, entry, bound, past):
     with pytest.raises(ValidationError,
                        match=f"^{re.escape(f'{key} must be {side} {bound}, got {past}')}$"):
         entry(past)
-
-
-# not in BOUNDS: accepting MAX_CELLS would build a 4096 x 4096 operator
-def test_chiral_operator_refuses_more_than_max_cells():
-    with pytest.raises(ValidationError, match=f"^n_cells must be <= {MAX_CELLS}, got"):
-        chiral_operator(MAX_CELLS + 1)
 
 
 @pytest.mark.parametrize("value", [2**70 + 1, -2**70 - 1, np.int64(2**62 + 1),
@@ -228,9 +220,20 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
     (["sweep", "--config", os.path.join(CONFIGS, "sweep_default.json"),
       "--set", "lv_grid.stop_nH=1e13"], f"lv_grid point count must be <= {MAX_POINTS}, got "),
     (["spectrum", "--set", 'chain={"n_cells": 100000, "eps_GHz": 6.5, "v_GHz": 0.2, '
-      '"w_GHz": 0.5}'], f"n_cells must be <= {MAX_CELLS}, got 100000"),
+      '"w_GHz": 0.5}'], f"chain.n_cells must be <= {MAX_CELLS}, got 100000"),
     (["s21", "--config", os.path.join(CONFIGS, "s21_topological.json"),
       "--set", "freqs.points=1000000000"], f"freqs.points must be <= {MAX_POINTS}, got "),
+    # a library reader's range check names the config key it was read from
+    (["gatesweep", "--config", os.path.join(CONFIGS, "gatesweep_joint.json"),
+      "--set", "sweep.steps=1"], "sweep.steps must be >= 2, got 1"),
+    (["disorder", "--config", os.path.join(CONFIGS, "disorder_topological.json"),
+      "--set", "disorder.samples=0"], "disorder.samples must be >= 1, got 0"),
+    (["fit", "--config", os.path.join(CONFIGS, "fit_roundtrip.json"),
+      "--set", "options.tol_f=-1"], "options.tol_f must be >= 0, got -1.0"),
+    (["s21", "--config", os.path.join(CONFIGS, "s21_topological.json"),
+      "--set", "circuit.n_cells=0"], "circuit.n_cells must be >= 1, got 0"),
+    (["winding", "--set", "v_GHz=-1", "--set", "w_GHz=0.5"], "v_GHz must be >= 0, got -1.0"),
+    (["winding", "--set", "v_GHz=0.1", "--set", "w_GHz=-1"], "w_GHz must be >= 0, got -1.0"),
 ])
 def test_out_of_range_input_exits_1_naming_its_key(capsys, tmp_path, argv, message):
     assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 1
@@ -238,3 +241,16 @@ def test_out_of_range_input_exits_1_naming_its_key(capsys, tmp_path, argv, messa
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+
+
+def test_read_as_restates_only_the_mapped_value():
+    keys = {"steps": "sweep.steps"}
+    with pytest.raises(ValidationError, match=r"^sweep\.steps must be >= 2, got 1$") as info:
+        with cli._read_as(keys):
+            _number(1, "steps", integer=True, minimum=2)
+    assert info.value.name == "sweep.steps"
+    for error in (ValidationError("steps are unnamed"), ValidationError("x must be 1", "x")):
+        with pytest.raises(ValidationError) as info:
+            with cli._read_as(keys):
+                raise error
+        assert info.value is error

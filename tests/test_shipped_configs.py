@@ -7,7 +7,8 @@ outputs on purpose rewrites the digests with
 
     PYTHONPATH=src python tests/test_shipped_configs.py
 
-and names the changed files in CHANGES.md.
+which first prints every file digest and stdout line that differs from
+the committed record, for CHANGES.md.
 """
 
 import contextlib
@@ -50,9 +51,20 @@ def test_shipped_config_outputs_are_frozen(tmp_path):
     assert run_shipped_configs(str(tmp_path)) == expected
 
 
+def changed_entries(old, new):
+    """``files/<name>`` and ``stdout/<config>`` for every entry that differs."""
+    return [f"{kind}/{name}" for kind in ("files", "stdout")
+            for name in sorted(set(old.get(kind, {})) | set(new[kind]))
+            if old.get(kind, {}).get(name) != new[kind].get(name)]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = run_shipped_configs(tmp)
+    with open(DIGESTS) as fh:
+        committed = json.load(fh)
+    for entry in changed_entries(committed, record):
+        print(f"changed: {entry}")
     with open(DIGESTS, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -21,6 +21,7 @@ from sshchain import (
     winding_number_k_space,
     winding_number_real_space,
 )
+from sshchain import topology
 from sshchain.topology import _draw_sample, write_ensemble_outputs
 
 from oracles import (
@@ -168,6 +169,58 @@ class TestRealSpaceWinding:
             nu = winding_number_real_space(h, 6.5).nu
             q = flatband_sign(h, 6.5)
             assert nu == pytest.approx(rswn_from_q(q), abs=1e-9)
+
+
+def _long_disordered_chains():
+    """The hybridized-edge-pair regime, derandomized: (r, s, n_cells, v, w, nu).
+
+    ``numpy.random.default_rng(7)``; for r in (0.5, 0.7, 1.4, 2.0) and s in
+    (0.5, 0.9), 60 draws each of N from 100-200, v ~ U(1-s, 1+s) per cell
+    and w ~ r U(1-s, 1+s) per bond, with eps = 0. Only draws whose
+    edge-overlap margin |sum_i ln w_i - sum_(i>=2) ln v_i| is at least
+    ln 1e6 are kept (479 of 480); far from the critical r = 1, their
+    winding is 1 when the w sum wins and 0 otherwise (Mondragon-Shem,
+    Hughes, Song and Prodan, PRL 113, 046802 (2014)).
+    """
+    rng = np.random.default_rng(7)
+    chains = []
+    for r in (0.5, 0.7, 1.4, 2.0):
+        for s in (0.5, 0.9):
+            for _ in range(60):
+                n = int(rng.integers(100, 201))
+                v = rng.uniform(1 - s, 1 + s, n)
+                w = r * rng.uniform(1 - s, 1 + s, n - 1)
+                margin = np.sum(np.log(w)) - np.sum(np.log(v[1:]))
+                if abs(margin) >= math.log(1e6):
+                    chains.append((r, s, n, v, w, 1.0 if margin > 0 else 0.0))
+    return chains
+
+
+LONG_CHAINS = _long_disordered_chains()
+
+
+class TestLongDisorderedChains:
+    def test_regime_size(self):
+        assert len(LONG_CHAINS) == 479
+
+    # r = 1.4, s = 0.9 holds N = 118 and 131, whose edge pairs sit at
+    # 2.0e-11 and 3.1e-12 GHz, above ZERO_TOL; split by sign they gave
+    # nu = -0.006 and 0.395. The worst deviation with the pair split by
+    # chirality is 0.185.
+    @pytest.mark.parametrize("r", [0.5, 0.7, 1.4, 2.0])
+    @pytest.mark.parametrize("s", [0.5, 0.9])
+    def test_winding_matches_the_edge_overlap_prediction(self, r, s):
+        for _, _, n, v, w, predicted in (c for c in LONG_CHAINS if c[:2] == (r, s)):
+            h = build_tb_hamiltonian(ChainSpec(n, 0.0, v, w))
+            nu = winding_number_real_space(h, 0.0).nu
+            assert abs(nu - predicted) < 0.25, (n, nu, predicted)
+
+    def test_only_a_chiral_pair_is_split_by_chirality(self):
+        ends = np.zeros((6, 2))
+        ends[0, 0] = ends[5, 1] = 1.0  # an A and a B site
+        assert np.allclose(np.abs(topology._chiral_states(ends)), ends[:, ::-1])
+        ends[5, 1], ends[2, 1] = 0.0, 1.0  # two A sites
+        assert topology._chiral_states(ends) is None
 
 
 class TestKSpaceWinding:
