@@ -41,7 +41,6 @@ from .microwave import (
     extract_peaks,
     joint_gate_settings,
     ladder_abcd,
-    mode_linewidths,
     nanowire_inductance,
     s21_trace,
     single_gate_settings,
@@ -53,7 +52,6 @@ from .spectral import (
     classify_modes,
     eigendecompose,
     find_fsr_crossing,
-    normalized_spectrum,
     sweep_coupling,
 )
 from .topology import (

@@ -212,7 +212,7 @@ def _gate_from(config, command, n_junctions) -> mw_mod.GateModel:
     elif "table" in gate:
         tables = gate["table"]
     with _read_as({"v_p": "gate.v_p_V", "v_o": "gate.v_o_V", "l_min": "gate.l_min_nH",
-                   "i_star": "gate.i_star_uA"}):
+                   "i_star": "gate.i_star_uA", "v_p < v_o": "gate.v_p_V < gate.v_o_V"}):
         return mw_mod.GateModel(
             n_junctions=n_junctions,
             v_p=gate.get("v_p_V", 0.0),
@@ -423,7 +423,8 @@ def _run_powersweep(config, stem):
 
 
 def _run_fit(config, stem):
-    with _read_as(_spec_keys(chain_mod.CircuitSpec, "fit.start")):
+    with _read_as({**_spec_keys(chain_mod.CircuitSpec, "fit.start"),
+                   **{f"{name} bounds": f"fit.bounds.{name}" for name in est_mod.PARAM_FAMILIES}}):
         problem = est_mod.fit_problem_from_dict(_require(config, "fit", "fit"))
     with _read_as({f.name: f"options.{f.name}" for f in fields(est_mod.FitOptions)}):
         options = est_mod.FitOptions(**config.get("options", {}))

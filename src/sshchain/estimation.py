@@ -171,13 +171,13 @@ def _parameter_layout(start: CircuitSpec, free, bounds):
             except (TypeError, ValueError):
                 raise ValidationError(
                     f"{name} bounds must be a (lo, hi) pair of scalars or of one value "
-                    f"per entry ({size}), got {bounds[name]!r}") from None
+                    f"per entry ({size}), got {bounds[name]!r}", f"{name} bounds") from None
         sel = mask[part]
         x, x_lo, x_hi = values[part][sel], lo[part][sel], hi[part][sel]
         if not np.all(x_lo > 0):
-            raise ValidationError(f"{name} bounds must be positive")
+            raise ValidationError(f"{name} bounds must be positive", f"{name} bounds")
         if not np.all(x_lo < x_hi):
-            raise ValidationError(f"{name} bounds need lo < hi")
+            raise ValidationError(f"{name} bounds must have lo < hi", f"{name} bounds")
         if np.any((x < x_lo) | (x > x_hi)):
             raise ValidationError(f"start {name} values fall outside their bounds")
     return values, mask, lo, hi

@@ -20,7 +20,6 @@ import numpy as np
 from .chain import MAX_CELLS, MAX_POINTS, CircuitSpec, _number, _numbers, _site_array
 from .csvout import write_csv, write_json
 from .errors import ExtrapolationError, NumericalError, ValidationError
-from .spectral import Spectrum
 
 __all__ = [
     "GateModel",
@@ -34,7 +33,6 @@ __all__ = [
     "circuit_mode_frequencies",
     "background_normalize",
     "extract_peaks",
-    "mode_linewidths",
     "joint_gate_settings",
     "single_gate_settings",
     "read_gate_table_csv",
@@ -78,8 +76,12 @@ class GateModel:
         object.__setattr__(self, "v_o", _site_array(self.v_o, n, "v_o"))
         object.__setattr__(self, "l_min", _site_array(self.l_min, n, "l_min", positive=True))
         object.__setattr__(self, "i_star", _site_array(self.i_star, n, "i_star", positive=True))
-        if np.any(self.v_p >= self.v_o):
-            raise ValidationError("each junction needs v_p < v_o")
+        bad = np.flatnonzero(self.v_p >= self.v_o)
+        if bad.size:
+            j = bad[0]
+            raise ValidationError(f"v_p < v_o must hold at every junction, got "
+                                  f"{self.v_p[j]} >= {self.v_o[j]} at junction {j}",
+                                  "v_p < v_o")
         if self.mode not in ("parametric", "table"):
             raise ValidationError(f"mode must be 'parametric' or 'table', got {self.mode!r}")
         if self.mode == "table":
@@ -127,7 +129,8 @@ class BoxMode:
 
 @dataclass(frozen=True)
 class S21Trace:
-    """Complex two-port transmission on a strictly increasing GHz grid (read-only copies)."""
+    """Finite complex two-port transmission on a strictly increasing GHz grid
+    (read-only copies)."""
 
     freqs: np.ndarray
     s21: np.ndarray
@@ -140,6 +143,10 @@ class S21Trace:
         if s21.shape != freqs.shape:
             raise ValidationError(
                 f"s21 shape {s21.shape} does not match grid {freqs.shape}")
+        bad = np.flatnonzero(~np.isfinite(s21))
+        if bad.size:
+            raise ValidationError(
+                f"s21 must be finite, got {s21[bad[0]]} at index {bad[0]}", "s21")
         _fill_trace(self, freqs, s21, self.power_dBm, self.metadata)
 
 
@@ -482,6 +489,110 @@ def _lorentzian(f, f0, hwhm, amp, base):
     return base + amp * hwhm ** 2 / ((f - f0) ** 2 + hwhm ** 2)
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Midpoints ``(s + e) // 2`` of the maximal runs ``x[s..e]`` of equal
+    values with a strictly lower neighbour on each side; a run touching a
+    border is none. These are ``scipy.signal.find_peaks``' local maxima."""
+    if x.size < 3:
+        return np.empty(0, dtype=np.intp)
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    runs = x[starts]
+    k = np.flatnonzero((runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])) + 1
+    return (starts[k] + starts[k + 1] - 1) // 2
+
+
+def _sparse_table(values: np.ndarray, ufunc) -> np.ndarray:
+    """Row k, column i: ``ufunc`` reduced over ``values[i:i + 2**k]``; columns
+    past the end of row k are padding."""
+    rows, span = [values], 1
+    while 2 * span <= values.size:
+        rows.append(ufunc(rows[-1][:-span], rows[-1][span:]))
+        span *= 2
+    table = np.empty((len(rows), values.size))
+    for k, row in enumerate(rows):
+        table[k, :row.size] = row
+        table[k, row.size:] = row[-1]
+    return table
+
+
+def _find_peaks(x: np.ndarray, prominence: float):
+    """The local maxima of a finite ``x`` whose prominence is at least
+    ``prominence``, and those prominences: ``find_peaks(x, prominence=p)``
+    of ``scipy.signal`` bit for bit, without its import (~0.8 s).
+
+    A peak's prominence is its height less the higher of the lowest values
+    on either side, each taken out to the first strictly higher sample or
+    the border. Between two consecutive maxima ``x`` falls, then rises, so
+    that lowest value is the least valley minimum out to the nearest
+    strictly higher maximum; a sparse table over the maxima's heights finds
+    that maximum, and one over the valley minima takes their least. Only
+    maxima that stand ``prominence`` above the least valley on each side
+    (an upper bound) are looked at, which drops the round-off maxima of a
+    flat background.
+    """
+    peaks = _local_maxima(x)
+    n = peaks.size
+    if n == 0:
+        return peaks, np.empty(0)
+    heights = x[peaks]
+    # valley j lies left of peak j, valley n right of the last peak
+    valleys = np.minimum.reduceat(x, np.concatenate(([0], peaks)))
+    bound = heights - np.maximum(np.minimum.accumulate(valleys)[:-1],
+                                 np.minimum.accumulate(valleys[:0:-1])[::-1])
+    index = np.flatnonzero(prominence <= bound)
+    height = heights[index]
+    highest = _sparse_table(heights, np.maximum)
+    lowest = _sparse_table(valleys, np.minimum)
+    first, last = index.copy(), index.copy()  # every height in between <= height
+    for k in range(len(highest) - 1, -1, -1):
+        span = 2 ** k
+        step = (first >= span) & (highest[k, np.maximum(first - span, 0)] <= height)
+        first[step] -= span
+        step = (last + span < n) & (highest[k, np.minimum(last + 1, n - 1)] <= height)
+        last[step] += span
+
+    def least(lo, hi):  # min(valleys[lo..hi]), inclusive
+        k = np.frexp(hi - lo + 1)[1] - 1
+        return np.minimum(lowest[k, lo], lowest[k, hi - 2 ** k + 1])
+
+    prominences = height - np.maximum(least(first, index), least(index + 1, last + 1))
+    keep = prominence <= prominences
+    return peaks[index[keep]], prominences[keep]
+
+
+def _bases(x: np.ndarray, peak: int):
+    """The left and right prominence bases of ``peak``, as
+    ``scipy.signal.peak_prominences`` finds them: the last and the first
+    lowest sample out to the first strictly higher one on each side."""
+    height = x[peak]
+    higher = np.flatnonzero(x[:peak] > height)
+    start = higher[-1] + 1 if higher.size else 0
+    left = x[start:peak + 1]
+    higher = np.flatnonzero(x[peak:] > height)
+    right = x[peak:peak + higher[0]] if higher.size else x[peak:]
+    return start + left.size - 1 - int(np.argmin(left[::-1])), peak + int(np.argmin(right))
+
+
+def _half_height_crossings(x: np.ndarray, peaks: np.ndarray,
+                           prominences: np.ndarray):
+    """Interpolated sample positions where each peak's sides cross half its
+    prominence, within its bases: ``left_ips`` and ``right_ips`` of
+    ``scipy.signal.peak_widths(x, peaks, rel_height=0.5)`` bit for bit."""
+    left_ips, right_ips = np.empty(peaks.size), np.empty(peaks.size)
+    for n, (peak, prom) in enumerate(zip(peaks.tolist(), prominences.tolist())):
+        lo, hi = _bases(x, peak)
+        height = x[peak] - prom * 0.5
+        # the last sample in (lo, peak] and the first in [peak, hi) at or
+        # below the half height, else the base
+        below = np.flatnonzero(x[lo + 1:peak + 1] <= height)
+        i = lo + 1 + int(below[-1]) if below.size else lo
+        left_ips[n] = i + ((height - x[i]) / (x[i + 1] - x[i]) if x[i] < height else 0.0)
+        below = np.flatnonzero(x[peak:hi] <= height)
+        i = peak + int(below[0]) if below.size else hi
+        right_ips[n] = i - ((height - x[i]) / (x[i - 1] - x[i]) if x[i] < height else 0.0)
+    return left_ips, right_ips
+
+
 def extract_peaks(trace: S21Trace, prominence: float,
                   max_peaks: int) -> list:
     """Locate and refine transmission peaks on a (normalized) trace.
@@ -500,21 +611,20 @@ def extract_peaks(trace: S21Trace, prominence: float,
     returned, sorted by frequency. No peak above threshold gives an empty
     list.
     """
-    # scipy.signal imports scipy.stats (~0.5 s), scipy.optimize ~0.3 s; no
-    # CLI subcommand finds peaks
+    # scipy.optimize takes ~0.5 s to import and no CLI subcommand finds
+    # peaks; the peaks themselves need no scipy module
     from scipy.optimize import OptimizeWarning, curve_fit
-    from scipy.signal import find_peaks, peak_widths
 
     max_peaks = _number(max_peaks, "max_peaks", integer=True, minimum=1)
     prominence = _number(prominence, "prominence", minimum=0)
     freqs = trace.freqs
     mag = np.abs(trace.s21)
-    idx, props = find_peaks(mag, prominence=prominence)
+    idx, prominences = _find_peaks(mag, prominence)
     if idx.size == 0:
         return []
-    order = np.argsort(props["prominences"], kind="stable")[::-1][:max_peaks]
+    order = np.argsort(prominences, kind="stable")[::-1][:max_peaks]
     chosen = idx[order]
-    widths, _, left_ips, right_ips = peak_widths(mag, chosen, rel_height=0.5)
+    left_ips, right_ips = _half_height_crossings(mag, chosen, prominences[order])
     grid_pos = np.arange(freqs.size)
     fwhm_est = np.interp(right_ips, grid_pos, freqs) - np.interp(left_ips, grid_pos, freqs)
     min_width = float(np.min(np.diff(freqs)))
@@ -559,17 +669,6 @@ def extract_peaks(trace: S21Trace, prominence: float,
                           amplitude=float(amp)))
     peaks.sort(key=lambda p: p.f0_GHz)
     return peaks
-
-
-def mode_linewidths(spectrum: Spectrum, kappa_port: float) -> np.ndarray:
-    """External linewidth per mode from the wavefunction weight on the ends.
-
-    kappa_n = kappa_port * (|psi_n(first site)|^2 + |psi_n(last site)|^2);
-    the values sum to 2 * kappa_port over a complete orthonormal basis.
-    """
-    vec = spectrum.eigenvectors
-    weight = vec[0, :] ** 2 + vec[-1, :] ** 2
-    return _number(kappa_port, "kappa_port") * weight
 
 
 def read_gate_table_csv(path) -> np.ndarray:

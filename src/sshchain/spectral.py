@@ -26,7 +26,6 @@ __all__ = [
     "eigendecompose",
     "classify_modes",
     "sweep_coupling",
-    "normalized_spectrum",
     "find_fsr_crossing",
     "write_sweep_csv",
     "LABEL_BULK_LOWER",
@@ -231,19 +230,6 @@ def sweep_coupling(circuit: CircuitSpec, lv_grid: Sequence[float],
             raise ValidationError(
                 f"cell mask {cell_idx.tolist()} outside 0..{circuit.n_cells - 1}")
     return [_sweep_point(circuit, x, cell_idx) for x in grid.tolist()]
-
-
-def normalized_spectrum(sweep: Sequence[SweepPoint]) -> list:
-    """Divide each spectrum by its site-mean on-site energy.
-
-    Returns ``[(lv_nH, eigenvalues / mean_eps), ...]`` in sweep order;
-    uniform-parameter chains come out symmetric about 1.
-    """
-    out = []
-    for point in sweep:
-        scale = float(np.mean(point.chain.eps))
-        out.append((point.lv_nH, point.spectrum.eigenvalues / scale))
-    return out
 
 
 def find_fsr_crossing(sweep: Sequence[SweepPoint]) -> Optional[float]:

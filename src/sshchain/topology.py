@@ -78,8 +78,7 @@ class DisorderConfig:
     def __post_init__(self):
         strength = _number(self.strength, "strength")
         if not (0.0 <= strength < 1.0):
-            raise ValidationError(
-                f"multiplicative disorder strength must be in [0, 1), got {strength}")
+            raise ValidationError(f"strength must be in [0, 1), got {strength}", "strength")
         try:
             if isinstance(self.targets, str):  # not a list of one-letter names
                 raise TypeError(self.targets)

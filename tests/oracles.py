@@ -4,14 +4,17 @@ Everything here deliberately avoids the package's own algorithms: general
 (non-symmetric) eigensolvers instead of eigh, the Newton-iteration matrix
 sign function instead of spectral projectors, adaptive quadrature instead
 of midpoint sums, complex ABCD matrices instead of their four real parts,
-and closed forms where they exist.
+``scipy.signal``'s loops instead of the package's own peak finding, and
+closed forms where they exist.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+import scipy.signal
 
 
 @dataclass(frozen=True)
@@ -150,3 +153,56 @@ def lorentzian_mag(freqs, f0, fwhm, amplitude, baseline=0.0):
     """|s21|-style Lorentzian peak with the stated full width."""
     hwhm = fwhm / 2.0
     return baseline + amplitude * hwhm ** 2 / ((freqs - f0) ** 2 + hwhm ** 2)
+
+
+def mode_linewidths(spectrum, kappa_port):
+    """External linewidth per mode from the wavefunction weight on the ends.
+
+    kappa_n = kappa_port * (|psi_n(first site)|^2 + |psi_n(last site)|^2);
+    the values sum to 2 * kappa_port over a complete orthonormal basis.
+    """
+    vec = spectrum.eigenvectors
+    return kappa_port * (vec[0, :] ** 2 + vec[-1, :] ** 2)
+
+
+def normalized_spectrum(sweep):
+    """``[(lv_nH, eigenvalues / mean on-site energy), ...]`` in sweep order;
+    uniform-parameter chains come out symmetric about 1."""
+    return [(point.lv_nH, point.spectrum.eigenvalues / float(np.mean(point.chain.eps)))
+            for point in sweep]
+
+
+# scipy.signal's peak finding, which ``extract_peaks`` imported until the
+# package found its peaks itself. Each function takes the arguments and
+# returns the results of the ``microwave`` helper ``SCIPY_PEAK_ROUTE`` maps
+# it to.
+
+def _quiet(function, *args, **kwargs):
+    """``function(*args, **kwargs)`` without scipy's warnings of zero
+    prominences and widths, which the package returns silently."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "some peaks have a .* of 0", RuntimeWarning)
+        return function(*args, **kwargs)
+
+
+def scipy_find_peaks(x, prominence):
+    """The local maxima with ``prominence`` or more, and their prominences."""
+    peaks, props = _quiet(scipy.signal.find_peaks, x, prominence=prominence)
+    return peaks, props["prominences"]
+
+
+def scipy_bases(x, peak):
+    """The left and right prominence bases of one peak."""
+    _, left, right = _quiet(scipy.signal.peak_prominences, x, [peak])
+    return int(left[0]), int(right[0])
+
+
+def scipy_half_height_crossings(x, peaks, prominences):
+    """The interpolated half-prominence crossings of each peak; scipy takes
+    the prominences afresh, as ``extract_peaks`` once let it."""
+    _, _, left_ips, right_ips = _quiet(scipy.signal.peak_widths, x, peaks, rel_height=0.5)
+    return left_ips, right_ips
+
+
+SCIPY_PEAK_ROUTE = {"_find_peaks": scipy_find_peaks, "_bases": scipy_bases,
+                    "_half_height_crossings": scipy_half_height_crossings}

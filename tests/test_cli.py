@@ -238,11 +238,11 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command,config,override,key", [
         ("fit", "fit_roundtrip", "fit.free.c0=[true,false]", "free.c0"),
-        ("fit", "fit_roundtrip", 'fit.bounds={"c0":5}', "c0 bounds"),
-        ("fit", "fit_roundtrip", 'fit.bounds={"c0":[[1,2],[3,4]]}', "c0 bounds"),
-        ("fit", "fit_roundtrip", 'fit.bounds={"c0":[1,2,3]}', "c0 bounds"),
-        ("fit", "fit_roundtrip", 'fit.bounds={"c0":[NaN,1000]}', "c0 bounds"),
-        ("fit", "fit_roundtrip", 'fit.bounds={"c0":[1,NaN]}', "c0 bounds"),
+        ("fit", "fit_roundtrip", 'fit.bounds={"c0":5}', "fit.bounds.c0"),
+        ("fit", "fit_roundtrip", 'fit.bounds={"c0":[[1,2],[3,4]]}', "fit.bounds.c0"),
+        ("fit", "fit_roundtrip", 'fit.bounds={"c0":[1,2,3]}', "fit.bounds.c0"),
+        ("fit", "fit_roundtrip", 'fit.bounds={"c0":[NaN,1000]}', "fit.bounds.c0"),
+        ("fit", "fit_roundtrip", 'fit.bounds={"c0":[1,NaN]}', "fit.bounds.c0"),
         ("fit", "fit_roundtrip", "fit.free=5", "free"),
         ("fit", "fit_roundtrip", "fit.bounds=5", "bounds"),
         ("sweep", "sweep_default", 'cells=["a"]', "cells"),

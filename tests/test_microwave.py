@@ -1,5 +1,8 @@
+import itertools
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +30,6 @@ from sshchain import (
     joint_gate_settings,
     ladder_abcd,
     map_circuit_to_tb,
-    mode_linewidths,
     nanowire_inductance,
     s21_trace,
     single_gate_settings,
@@ -36,8 +38,9 @@ from sshchain import microwave as mw_mod
 from sshchain.microwave import read_gate_table_csv, write_trace_outputs
 from sshchain.spectral import PHASE_TOPOLOGICAL, PHASE_TRIVIAL
 
-from oracles import (abcd_to_s21, complex_ladder_abcd, complex_ladder_s21,
-                     lorentzian_mag, shunt_lc_s21)
+from oracles import (SCIPY_PEAK_ROUTE, abcd_to_s21, complex_ladder_abcd,
+                     complex_ladder_s21, lorentzian_mag, mode_linewidths, scipy_bases,
+                     scipy_find_peaks, scipy_half_height_crossings, shunt_lc_s21)
 
 GATE = GateModel(5, v_p=0.4, v_o=1.8, l_min=9.0, i_star=1.0)
 GOLDEN_PEAKS = os.path.join(os.path.dirname(__file__), "golden",
@@ -211,6 +214,13 @@ class TestLadder:
             s21_trace(default_circuit(lv_nH=30.0), freqs)
         with pytest.raises(ValidationError, match="finite"):
             S21Trace(freqs=freqs, s21=[0.5, 0.5])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.5, math.nan),
+                                       complex(-math.inf, 0.0)])
+    def test_non_finite_transmission_rejected(self, value):
+        # extract_peaks' curve_fit used to die on it with a bare ValueError
+        with pytest.raises(ValidationError, match=r"^s21 must be finite, got .* at index 2$"):
+            S21Trace(np.linspace(5.0, 6.0, 4), [0.5, 0.5, value, 0.5])
 
     def test_traces_hold_read_only_copies(self):
         freqs = np.linspace(5.5, 7.2, 101)
@@ -444,6 +454,82 @@ class TestExtractPeaks:
     def test_prominence_is_finite_and_non_negative(self, prominence):
         with pytest.raises(ValidationError, match="prominence must be"):
             extract_peaks(single_peak_trace(), prominence=prominence, max_peaks=3)
+
+
+def assert_peaks_match_scipy(x, prominence):
+    """Indices, prominences, bases and half-height crossings (and so widths)
+    of every peak equal ``scipy.signal``'s, bit for bit."""
+    peaks, prominences = mw_mod._find_peaks(x, prominence)
+    want_peaks, want_prominences = scipy_find_peaks(x, prominence)
+    assert np.array_equal(peaks, want_peaks)
+    assert np.array_equal(bits(prominences), bits(want_prominences))
+    assert [mw_mod._bases(x, p) for p in peaks] == [scipy_bases(x, p) for p in peaks]
+    left, right = mw_mod._half_height_crossings(x, peaks, prominences)
+    want_left, want_right = scipy_half_height_crossings(x, peaks, prominences)
+    for got, want in ((left, want_left), (right, want_right),
+                      (right - left, want_right - want_left)):
+        assert np.array_equal(bits(got), bits(want))
+
+
+# every array of length 0-5 over {0, 1, 2}: plateaus at either border and
+# inside, ties between maxima, and lengths too short to hold a peak
+SHORT_ARRAYS = [np.array(v, dtype=float) for n in range(6)
+                for v in itertools.product((0.0, 1.0, 2.0), repeat=n)]
+
+ARRAYS = st.one_of(
+    st.lists(st.integers(0, 3), max_size=60),                   # plateaus and ties
+    st.lists(st.integers(-2, 2), max_size=60).map(np.cumsum),   # random walks
+    st.lists(st.floats(-1e6, 1e6), max_size=60),                # noise, -0.0 and subnormals
+    # round-off about a flat background, as in a normalized trace
+    st.lists(st.integers(-3, 3), max_size=60).map(lambda v: 1.0 + np.array(v) * 2.0 ** -52),
+).map(lambda v: np.asarray(v, dtype=float))
+
+
+class TestPeakFinding:
+    """The package's peak finding against ``scipy.signal``, which it replaced."""
+
+    @pytest.mark.parametrize("prominence", [0.0, 0.5, 1.0, 2.0])
+    def test_every_short_array(self, prominence):
+        for x in SHORT_ARRAYS:
+            assert_peaks_match_scipy(x, prominence)
+
+    @settings(max_examples=300)
+    @given(x=ARRAYS, prominence=st.sampled_from([0.0, 2.0 ** -52, 0.5, 2.0]))
+    def test_random_arrays(self, x, prominence):
+        assert_peaks_match_scipy(x, prominence)
+
+    @pytest.mark.parametrize("lv_nH, box", [(8.0, None), (60.0, None),
+                                            (60.0, BoxMode(6.0, 10.0, 0.2))])
+    def test_criterion8_traces(self, monkeypatch, lv_nH, box):
+        trace = criterion8_trace(lv_nH, box)
+        mag = np.abs(trace.s21)
+        assert mw_mod._local_maxima(mag).size > 1000  # round-off maxima included
+        for prominence in (0.0, 0.05):
+            assert_peaks_match_scipy(mag, prominence)
+        peaks = extract_peaks(trace, prominence=0.05, max_peaks=12)
+        for name, oracle in SCIPY_PEAK_ROUTE.items():
+            monkeypatch.setattr(mw_mod, name, oracle)
+        assert extract_peaks(trace, prominence=0.05, max_peaks=12) == peaks
+
+    def test_extraction_loads_no_scipy_signal(self):
+        # scipy.signal imports scipy.stats, ~0.8 s of a cold start
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys, numpy as np; from sshchain import microwave as mw, default_circuit\n"
+            "circuit = default_circuit(lv_nH=60.0)\n"
+            "modes = mw.circuit_mode_frequencies(circuit)\n"
+            "freqs = np.linspace(modes[0] - 0.15, modes[-1] + 0.15, 40001)\n"
+            "trace = mw.background_normalize(mw.s21_trace(circuit, freqs),\n"
+            "                                [(modes[0] - 0.05, modes[-1] + 0.05)])\n"
+            "assert len(mw.extract_peaks(trace, prominence=0.05, max_peaks=12)) == 9\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))\n")
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 class TestPeakRefinement:

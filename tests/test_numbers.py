@@ -30,7 +30,6 @@ from sshchain import (
     fit_circuit_params,
     flatband,
     joint_gate_settings,
-    mode_linewidths,
     model_eigenfrequencies,
     nanowire_inductance,
     s21_trace,
@@ -68,7 +67,6 @@ ENTRY_POINTS = {
     "s21_trace.freqs": lambda x: s21_trace(CIRCUIT, [5.0, x]),
     "background_normalize": lambda x: background_normalize(TRACE, [(x, 6.3)]),
     "extract_peaks": lambda x: extract_peaks(TRACE, prominence=x, max_peaks=3),
-    "mode_linewidths": lambda x: mode_linewidths(SPECTRUM, x),
     "GateModel": lambda x: GateModel(5, x, 1.8, 9.0, 1.0),
     "nanowire_inductance": lambda x: nanowire_inductance(GATE, 0, x),
     "apply_gate_setting": lambda x: apply_gate_setting(CIRCUIT, GATE, [1.0, 1.0, x, 1.0, 1.0]),
@@ -234,6 +232,16 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
       "--set", "circuit.n_cells=0"], "circuit.n_cells must be >= 1, got 0"),
     (["winding", "--set", "v_GHz=-1", "--set", "w_GHz=0.5"], "v_GHz must be >= 0, got -1.0"),
     (["winding", "--set", "v_GHz=0.1", "--set", "w_GHz=-1"], "w_GHz must be >= 0, got -1.0"),
+    # range checks written at their own sites name their keys too
+    (["disorder", "--config", os.path.join(CONFIGS, "disorder_topological.json"),
+      "--set", "disorder.strength=2"], "disorder.strength must be in [0, 1), got 2.0"),
+    (["gatesweep", "--config", os.path.join(CONFIGS, "gatesweep_joint.json"),
+      "--set", "gate.v_p_V=2.0"],
+     "gate.v_p_V < gate.v_o_V must hold at every junction, got 2.0 >= 1.8 at junction 0"),
+    (["fit", "--config", os.path.join(CONFIGS, "fit_roundtrip.json"),
+      "--set", 'fit.bounds={"c0": [700, 600]}'], "fit.bounds.c0 must have lo < hi"),
+    (["fit", "--config", os.path.join(CONFIGS, "fit_roundtrip.json"),
+      "--set", 'fit.bounds={"c0": [-1, 600]}'], "fit.bounds.c0 must be positive"),
 ])
 def test_out_of_range_input_exits_1_naming_its_key(capsys, tmp_path, argv, message):
     assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 1

@@ -13,7 +13,6 @@ from sshchain import (
     eigendecompose,
     find_fsr_crossing,
     map_circuit_to_tb,
-    normalized_spectrum,
     sweep_coupling,
 )
 from sshchain.spectral import (
@@ -26,7 +25,7 @@ from sshchain.spectral import (
     write_sweep_csv,
 )
 
-from oracles import dense_eigvals
+from oracles import dense_eigvals, normalized_spectrum
 
 
 class TestEigendecompose:
