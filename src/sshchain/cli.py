@@ -423,8 +423,12 @@ def _run_powersweep(config, stem):
 
 
 def _run_fit(config, stem):
-    with _read_as({**_spec_keys(chain_mod.CircuitSpec, "fit.start"),
-                   **{f"{name} bounds": f"fit.bounds.{name}" for name in est_mod.PARAM_FAMILIES}}):
+    start = _spec_keys(chain_mod.CircuitSpec, "fit.start")
+    keys = {**start, "free": "fit.free", "bounds": "fit.bounds"}
+    for name in est_mod.PARAM_FAMILIES:
+        keys.update({f"{name} bounds": f"fit.bounds.{name}", f"free.{name}": f"fit.free.{name}",
+                     f"start {name}": start[name]})
+    with _read_as(keys):
         problem = est_mod.fit_problem_from_dict(_require(config, "fit", "fit"))
     with _read_as({f.name: f"options.{f.name}" for f in fields(est_mod.FitOptions)}):
         options = est_mod.FitOptions(**config.get("options", {}))

@@ -143,10 +143,11 @@ def _parameter_layout(start: CircuitSpec, free, bounds):
     """
     for what, given, kind in (("free", free, "flags"), ("bounds", bounds, "(lo, hi)")):
         if not isinstance(given, (dict, type(None))):
-            raise ValidationError(f"{what} must map parameter families to {kind}, got {given!r}")
+            raise ValidationError(f"{what} must map parameter families to {kind}, got {given!r}",
+                                  what)
         unknown = sorted(set(given or {}) - set(PARAM_FAMILIES))
         if unknown:
-            raise ValidationError(f"unknown {what} families: {unknown}")
+            raise ValidationError(f"{what} has unknown parameter families: {unknown}", what)
     free, bounds = free or {}, bounds or {}
     values = np.concatenate([getattr(start, name) for name in PARAM_FAMILIES])
     mask = np.isfinite(values)  # pinched junctions stay pinned
@@ -160,7 +161,7 @@ def _parameter_layout(start: CircuitSpec, free, bounds):
         flags = np.asarray(free.get(name, True))
         if flags.dtype != bool or flags.shape not in ((), (size,)):
             raise ValidationError(f"free.{name} must be true, false or one boolean "
-                                  f"per entry ({size}), got {free.get(name)!r}")
+                                  f"per entry ({size}), got {free.get(name)!r}", f"free.{name}")
         mask[part] &= flags
         if name in bounds:
             try:
@@ -179,7 +180,8 @@ def _parameter_layout(start: CircuitSpec, free, bounds):
         if not np.all(x_lo < x_hi):
             raise ValidationError(f"{name} bounds must have lo < hi", f"{name} bounds")
         if np.any((x < x_lo) | (x > x_hi)):
-            raise ValidationError(f"start {name} values fall outside their bounds")
+            raise ValidationError(f"start {name} values fall outside their bounds",
+                                  f"start {name}")
     return values, mask, lo, hi
 
 

@@ -7,6 +7,16 @@ cell-position operator, and the trace is normalized per unit cell
 (Mondragon-Shem, Hughes, Song and Prodan, PRL 113, 046802 (2014)). The
 projectors come from one divide-and-conquer solve of the Hamiltonian's
 tridiagonal bands (Cuppen, Numer. Math. 36, 177 (1981); LAPACK dstevd).
+
+``flatband`` and the winding share that solve and its checks
+(``_flatband_basis``). The winding trace reads only Q_AB and Q_BA, so it
+forms only those two N x 2N by 2N x N products, and the orthonormality
+guard is one dsyrk (the upper triangle of V^T V). For chains of up to 50
+cells every dgemm of a winding or a disorder sample then stays below
+OpenBLAS's threading bound (m n k <= 4 * 65536) and runs on one thread.
+Full 2N x 2N products cross that bound from N = 33 and wake the BLAS
+thread pool, which at N = 50 doubled a sample's CPU time for no gain in
+wall time.
 """
 
 from __future__ import annotations
@@ -115,8 +125,8 @@ class EnsembleResult:
     generator: str = RNG_NAME
 
 
-def _tridiagonal_bands(h) -> tuple:
-    """Diagonal and first off-diagonal of a real symmetric tridiagonal H."""
+def _flatband_basis_of(h, eps_ref) -> tuple:
+    """``_flatband_basis`` of H - eps_ref*I, for a real symmetric tridiagonal H."""
     h = _matrix(h, even=True)
     diag = np.diagonal(h)
     off = np.diagonal(h, 1)
@@ -124,26 +134,35 @@ def _tridiagonal_bands(h) -> tuple:
     if not np.array_equal(off, np.diagonal(h, -1)) or np.count_nonzero(h) != \
             np.count_nonzero(diag) + 2 * np.count_nonzero(off):
         raise ValidationError("H must be real symmetric tridiagonal")
-    return diag, off
+    return _flatband_basis(diag - _number(eps_ref, "eps_ref"), off)
 
 
-def _flatband_bands(diag: np.ndarray, off: np.ndarray):
-    """Flatband Q and eigenvalues of the tridiagonal matrix with bands diag, off.
+def _flatband_basis(diag: np.ndarray, off: np.ndarray) -> tuple:
+    """The shared step of every flatband product, for the tridiagonal bands diag, off.
+
+    Returns (evals, evecs, signed, states): the eigensystem, the
+    eigenvectors scaled by sign(lambda) with the columns of a chirally
+    split pair zeroed, and that pair's chirality -1 and +1 states (columns;
+    None if no pair is split), so that
+    Q = signed evecs^T + s_+ s_+^T - s_- s_-^T (see ``_q_block``).
 
     One divide-and-conquer eigensolve (dstevd; the MRRR routine dstemr
     stops with LAPACK info=22 on chains whose edge pair is degenerate far
-    below roundoff, e.g. v = 0.01, w = 0.5 at N = 50). Q and the
-    orthonormality guard are formed with scipy's BLAS, the library the
-    solver already runs on, so numpy's separate OpenBLAS thread pool is
-    not woken as well.
+    below roundoff, e.g. v = 0.01, w = 0.5 at N = 50). The orthonormality
+    guard reads the upper triangle of V^T V, formed by one dsyrk: every
+    pair (i, j) is checked as by the full Gram dgemm, at half its flops,
+    and on one thread up to N = 63 on OpenBLAS 0.3.31 (measured), where
+    the 2N x 2N x 2N dgemm is threaded from N = 33. The guard and Q run on
+    scipy's BLAS, the library the solver already runs on, so numpy's
+    separate OpenBLAS thread pool is not woken as well.
     """
     # imported here, so that importing the package loads no scipy (~0.3 s)
     from scipy.linalg import eigh_tridiagonal
-    from scipy.linalg.blas import dgemm
+    from scipy.linalg.blas import dsyrk
 
     evals, evecs = eigh_tridiagonal(diag, off, check_finite=False,
                                     lapack_driver="stevd")
-    gram = dgemm(1.0, evecs, evecs, trans_a=1)
+    gram = dsyrk(1.0, evecs, trans=1)  # upper triangle; the lower one stays 0
     gram[np.diag_indices_from(gram)] -= 1.0
     ortho = float(np.max(np.abs(gram)))
     if not ortho <= _ORTHO_TOL:
@@ -168,10 +187,20 @@ def _flatband_bands(diag: np.ndarray, off: np.ndarray):
         if states is None:
             raise DegenerateMidgapError(
                 idx, f"zero modes at indices {tuple(idx)} are not chiral partners")
-    q = dgemm(1.0, evecs * (np.sign(evals) * ~zero), evecs, trans_b=1)
+    return evals, evecs, evecs * (np.sign(evals) * ~zero), states
+
+
+def _q_block(basis: tuple, rows: slice, cols: slice) -> np.ndarray:
+    """Rows ``rows`` and columns ``cols`` of Q, from one dgemm over ``basis``
+    (see ``_flatband_basis``) plus the split pair's outer products."""
+    from scipy.linalg.blas import dgemm
+
+    _, evecs, signed, states = basis
+    q = dgemm(1.0, signed[rows], evecs[cols], trans_b=1)
     if states is not None:
-        q = q + np.outer(states[:, 1], states[:, 1]) - np.outer(states[:, 0], states[:, 0])
-    return q, evals
+        q = q + np.outer(states[rows, 1], states[cols, 1]) - \
+            np.outer(states[rows, 0], states[cols, 0])
+    return q
 
 
 def _chiral_states(sub: np.ndarray):
@@ -204,15 +233,22 @@ def flatband(h: np.ndarray, eps_ref: float) -> np.ndarray:
     the hybridized edge pair of a long chain, which a split by sign would
     mix into Q.
     """
-    diag, off = _tridiagonal_bands(h)
-    return _flatband_bands(diag - _number(eps_ref, "eps_ref"), off)[0]
+    every = slice(None)
+    return _q_block(_flatband_basis_of(h, eps_ref), every, every)
 
 
-def _winding_trace(q: np.ndarray) -> float:
-    n_cells = q.shape[0] // 2
+def _winding(basis: tuple) -> float:
+    """Bulk trace of Q_BA [X, Q_AB] per unit cell, from the blocks alone.
+
+    The trace reads no other part of Q, so only Q_AB and Q_BA are formed:
+    two N x N x 2N products, each a quarter of the full one, and below
+    OpenBLAS's threading bound (m n k <= 4 * 65536) up to N = 50.
+    """
+    a, b = slice(0, None, 2), slice(1, None, 2)
+    q_ab = _q_block(basis, a, b)
+    q_ba = _q_block(basis, b, a)
+    n_cells = q_ab.shape[0]
     x = np.arange(1, n_cells + 1, dtype=float)
-    q_ab = q[0::2, 1::2]
-    q_ba = q[1::2, 0::2]
     comm = (x[:, None] - x[None, :]) * q_ab
     diag = np.einsum("ij,ji->i", q_ba, comm)
     bulk = slice(1, n_cells - 1) if n_cells > 2 else slice(0, n_cells)
@@ -222,8 +258,9 @@ def _winding_trace(q: np.ndarray) -> float:
 def winding_number_real_space(h: np.ndarray, eps_ref: float) -> WindingResult:
     """Trace-per-volume winding number of a finite chain Hamiltonian.
 
-    H must be real symmetric tridiagonal (see ``flatband``, which supplies
-    Q from one tridiagonal eigensolve). The position operator counts unit
+    H must be real symmetric tridiagonal, and the eigensolve and its checks
+    are those of ``flatband``; only the blocks Q_AB and Q_BA that the trace
+    reads are formed. The position operator counts unit
     cells 1..N, constant within a cell, and the trace runs over the bulk
     cells (the outermost cell on each end is excluded: over the full open
     chain the boundary contribution cancels the winding identically) while
@@ -231,8 +268,8 @@ def winding_number_real_space(h: np.ndarray, eps_ref: float) -> WindingResult:
     approached for large N; small chains give intermediate values. The
     sign is fixed so the v < w phase winds to +1.
     """
-    q = flatband(h, eps_ref)
-    return WindingResult(nu=_winding_trace(q), chain_length=q.shape[0] // 2,
+    basis = _flatband_basis_of(h, eps_ref)
+    return WindingResult(nu=_winding(basis), chain_length=basis[0].size // 2,
                          method="real-space")
 
 
@@ -340,9 +377,9 @@ def _draw_sample(base: ChainSpec, config: DisorderConfig, index: int):
     v = _perturbed(base.v, rng, config.strength) if "v" in config.targets else base.v
     w = _perturbed(base.w, rng, config.strength) if "w" in config.targets else base.w
     eps_ref = float(np.mean(eps))
-    q, evals = _flatband_bands(eps - eps_ref, _hops(v, w))
-    return DisorderSample(index=index, nu=_winding_trace(q),
-                          min_gap_GHz=float(np.min(np.abs(evals))))
+    basis = _flatband_basis(eps - eps_ref, _hops(v, w))
+    return DisorderSample(index=index, nu=_winding(basis),
+                          min_gap_GHz=float(np.min(np.abs(basis[0]))))
 
 
 def disorder_ensemble(base: ChainSpec, config: DisorderConfig) -> EnsembleResult:

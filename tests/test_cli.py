@@ -237,20 +237,20 @@ class TestConfigHandling:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command,config,override,key", [
-        ("fit", "fit_roundtrip", "fit.free.c0=[true,false]", "free.c0"),
+        ("fit", "fit_roundtrip", "fit.free.c0=[true,false]", "fit.free.c0"),
         ("fit", "fit_roundtrip", 'fit.bounds={"c0":5}', "fit.bounds.c0"),
         ("fit", "fit_roundtrip", 'fit.bounds={"c0":[[1,2],[3,4]]}', "fit.bounds.c0"),
         ("fit", "fit_roundtrip", 'fit.bounds={"c0":[1,2,3]}', "fit.bounds.c0"),
         ("fit", "fit_roundtrip", 'fit.bounds={"c0":[NaN,1000]}', "fit.bounds.c0"),
         ("fit", "fit_roundtrip", 'fit.bounds={"c0":[1,NaN]}', "fit.bounds.c0"),
-        ("fit", "fit_roundtrip", "fit.free=5", "free"),
-        ("fit", "fit_roundtrip", "fit.bounds=5", "bounds"),
+        ("fit", "fit_roundtrip", "fit.free=5", "fit.free"),
+        ("fit", "fit_roundtrip", "fit.bounds=5", "fit.bounds"),
         ("sweep", "sweep_default", 'cells=["a"]', "cells"),
         ("sweep", "sweep_default", "cells=5", "cells"),
         # values the runs used to coerce into something else
         ("gatesweep", "gatesweep_joint", 'emit_traces="no"', "emit_traces"),
         ("powersweep", "powersweep_trivial", 'emit_traces="no"', "emit_traces"),
-        ("fit", "fit_roundtrip", 'fit.free.cw="false"', "free.cw"),
+        ("fit", "fit_roundtrip", 'fit.free.cw="false"', "fit.free.cw"),
         ("disorder", "disorder_topological", "disorder.seed=1.7", "seed"),
         ("disorder", "disorder_topological", "disorder.samples=true", "samples"),
         ("s21", "s21_topological", "freqs.points=11.5", "freqs.points"),

@@ -242,6 +242,16 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
       "--set", 'fit.bounds={"c0": [700, 600]}'], "fit.bounds.c0 must have lo < hi"),
     (["fit", "--config", os.path.join(CONFIGS, "fit_roundtrip.json"),
       "--set", 'fit.bounds={"c0": [-1, 600]}'], "fit.bounds.c0 must be positive"),
+    # so do the fit problem's checks of its freedom and bounds as a whole
+    (["fit", "--config", os.path.join(CONFIGS, "fit_roundtrip.json"),
+      "--set", "fit.bounds=5"], "fit.bounds must map parameter families to (lo, hi), got 5"),
+    (["fit", "--config", os.path.join(CONFIGS, "fit_roundtrip.json"),
+      "--set", 'fit.free={"zz": true}'], "fit.free has unknown parameter families: ['zz']"),
+    (["fit", "--config", os.path.join(CONFIGS, "fit_roundtrip.json"),
+      "--set", "fit.free.c0=[true,false]"],
+     "fit.free.c0 must be true, false or one boolean per entry (10), got [True, False]"),
+    (["fit", "--config", os.path.join(CONFIGS, "fit_roundtrip.json"),
+      "--set", 'fit.bounds={"c0": [1, 2]}'], "fit.start.c0_fF values fall outside their bounds"),
 ])
 def test_out_of_range_input_exits_1_naming_its_key(capsys, tmp_path, argv, message):
     assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 1

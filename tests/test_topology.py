@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.blas
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sshchain import (
     ChainSpec,
@@ -120,16 +123,32 @@ class TestFlatband:
         with pytest.raises(ValidationError, match="eps_ref must be finite"):
             func(chain_h(4, 0.2, 0.5), eps_ref)
 
-    def test_non_orthonormal_eigenvectors_rejected(self, monkeypatch):
+    @pytest.mark.parametrize("run", [
+        lambda: flatband(chain_h(5, 0.1, 0.5), 6.5),
+        lambda: winding_number_real_space(chain_h(5, 0.1, 0.5), 6.5),
+        lambda: _draw_sample(ChainSpec(5, 6.5, 0.1, 0.5),
+                             DisorderConfig(0.05, ("v", "w"), 1, 3), 0),
+    ], ids=["flatband", "winding", "disorder-sample"])
+    @pytest.mark.parametrize("defect", ["norms", "first-pair", "middle-pair", "last-pair"])
+    def test_non_orthonormal_eigenvectors_rejected(self, monkeypatch, run, defect):
+        # The guard reads one triangle of V^T V. A pair of columns skewed
+        # toward each other keeps both norms to 1e-12, so only that pair's
+        # off-diagonal entry can trip it; wherever the pair sits, it must.
         solve = scipy.linalg.eigh_tridiagonal
 
         def skewed(diag, off, **kwargs):
             evals, evecs = solve(diag, off, **kwargs)
-            return evals, evecs * (1.0 + 1e-6)
+            if defect == "norms":
+                return evals, evecs * (1.0 + 1e-6)
+            half = evecs.shape[1] // 2
+            i, j = {"first-pair": (0, 1), "middle-pair": (half - 1, half),
+                    "last-pair": (-2, -1)}[defect]
+            evecs[:, j] += 1e-6 * evecs[:, i]
+            return evals, evecs
 
         monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", skewed)
         with pytest.raises(NumericalError, match="orthonormal"):
-            flatband(chain_h(5, 0.1, 0.5), 6.5)
+            run()
 
 
 class TestRealSpaceWinding:
@@ -169,6 +188,34 @@ class TestRealSpaceWinding:
             nu = winding_number_real_space(h, 6.5).nu
             q = flatband_sign(h, 6.5)
             assert nu == pytest.approx(rswn_from_q(q), abs=1e-9)
+
+
+@settings(max_examples=60)
+@given(n_cells=st.integers(4, 60), v=st.floats(0.05, 1.0), w=st.floats(0.05, 1.0),
+       spread=st.floats(0.0, 0.3), seed=st.integers(0, 2**32 - 1))
+def test_winding_blocks_match_flatband_and_loop_oracle(n_cells, v, w, spread, seed):
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, 4 * n_cells - 1)
+    eps = 6.5 + spread * u[:2 * n_cells]
+    h = build_tb_hamiltonian(ChainSpec(n_cells, eps, v * (1 + 0.5 * u[2 * n_cells:3 * n_cells]),
+                                       w * (1 + 0.5 * u[3 * n_cells:])))
+    eps_ref = float(np.mean(eps))
+    q = flatband(h, eps_ref)
+    basis = topology._flatband_basis_of(h, eps_ref)
+    a, b = slice(0, None, 2), slice(1, None, 2)
+    for rows, cols in ((a, b), (b, a)):
+        block = topology._q_block(basis, rows, cols)
+        if n_cells <= 50:
+            assert np.array_equal(block, q[rows, cols])
+        else:
+            # How OpenBLAS splits the full product across threads can change
+            # the last bit of some entries: seen at N = 51-60 with two
+            # threads, never with one.
+            np.testing.assert_allclose(block, q[rows, cols], rtol=0, atol=1e-14)
+    # The oracle takes the matrix sign, which a mode near zero energy does
+    # not have (a pair split by chirality) or has only ill-conditioned.
+    if np.min(np.abs(np.linalg.eigvalsh(h) - eps_ref)) > 1e-3:
+        nu = winding_number_real_space(h, eps_ref).nu
+        assert nu == pytest.approx(rswn_from_q(flatband_sign(h, eps_ref)), abs=1e-9)
 
 
 def _long_disordered_chains():
@@ -428,6 +475,31 @@ class TestDisorderEnsemble:
         assert sample.min_gap_GHz == pytest.approx(gap, abs=1e-12)
         assert sample.nu == pytest.approx(
             rswn_from_q(flatband_sign(h, eps_ref)), abs=1e-9)
+
+    @pytest.mark.parametrize("v", [0.01, 0.25, 1.0])
+    def test_sample_keeps_every_dgemm_on_one_thread(self, monkeypatch, v):
+        # OpenBLAS runs a dgemm on one thread when m n k <= SMP_THRESHOLD_MIN
+        # * GEMM_MULTITHREAD_THRESHOLD = 65536 * 4 (interface/gemm.c); a
+        # larger one wakes its thread pool, which costs CPU for no wall time
+        # at this size. The shapes decide it, so nothing is timed.
+        dgemm, dsyrk = scipy.linalg.blas.dgemm, scipy.linalg.blas.dsyrk
+        sizes, grams = [], []
+
+        def sized_dgemm(alpha, a, b, trans_a=0, trans_b=0):
+            m, k = a.shape[::-1] if trans_a else a.shape
+            sizes.append(m * k * (b.shape[0] if trans_b else b.shape[1]))
+            return dgemm(alpha, a, b, trans_a=trans_a, trans_b=trans_b)
+
+        def counted_dsyrk(alpha, a, **kwargs):
+            grams.append(a.shape)
+            return dsyrk(alpha, a, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.blas, "dgemm", sized_dgemm)
+        monkeypatch.setattr(scipy.linalg.blas, "dsyrk", counted_dsyrk)
+        config = DisorderConfig(strength=0.1, targets=("v", "w"), samples=1, seed=5)
+        _draw_sample(ChainSpec(50, 6.5, v, 0.5), config, 0)
+        assert grams == [(100, 100)]  # the orthonormality guard ran
+        assert len(sizes) == 2 and max(sizes) <= 4 * 65536, sizes
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
