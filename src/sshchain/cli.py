@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -518,8 +519,14 @@ def _resolve_config(args) -> dict:
     return config
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _resolve_config(args)
         if args.dry_run:

@@ -4,10 +4,12 @@ Everything here deliberately avoids the package's own algorithms: general
 (non-symmetric) eigensolvers instead of eigh, the Newton-iteration matrix
 sign function instead of spectral projectors, adaptive quadrature instead
 of midpoint sums, complex ABCD matrices instead of their four real parts,
-``scipy.signal``'s loops instead of the package's own peak finding, and
-closed forms where they exist.
+``scipy.signal``'s loops instead of the package's own peak finding,
+50-digit nodal analysis instead of the ladder cascade, and closed forms
+where they exist.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -206,3 +208,71 @@ def scipy_half_height_crossings(x, peaks, prominences):
 
 SCIPY_PEAK_ROUTE = {"_find_peaks": scipy_find_peaks, "_bases": scipy_bases,
                     "_half_height_crossings": scipy_half_height_crossings}
+
+
+def mp_ladder_s21(circuit, freqs, z0=50.0, box=None, dps=50):
+    """S21 of the chain ladder by nodal analysis in mpmath at ``dps`` digits.
+
+    Shares no step with the ABCD cascade of ``s21_trace`` or
+    ``complex_ladder_abcd``: the ladder's 2N + 2 nodes (the two terminating
+    coupling sites around the 2N chain sites) give a tridiagonal admittance
+    matrix, solved for a unit current into each port node. That yields the
+    bare ladder's Z parameters; a box mode adds its series-LC bridge
+    (resonant at ``box.f_box`` with reactance slope 2 z0 q_box, scaled by
+    ``box.coupling``) to the Y parameters, from which S21 follows (Pozar,
+    *Microwave Engineering*, table 4.2). Pinched junctions enter as
+    ``PINCHED_LV_NH``, as in ``s21_trace``. Every input is taken exactly.
+    """
+    import mpmath
+
+    from sshchain.microwave import PINCHED_LV_NH
+
+    n = circuit.n_cells
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        c0 = [mpf(c) * mpf("1e-15") for c in circuit.c0.tolist()]
+        l0 = [mpf(h) * mpf("1e-9") for h in circuit.l0.tolist()]
+        cw = [mpf(c) * mpf("1e-15") for c in circuit.cw.tolist()]
+        lv = [mpf(h if math.isfinite(h) else PINCHED_LV_NH) * mpf("1e-9")
+              for h in circuit.lv.tolist()]
+        z0 = mpf(z0)
+        out = []
+        for f in np.asarray(freqs, dtype=float).tolist():
+            jw = mpmath.mpc(0, 2 * mpmath.pi * mpf(f) * mpf(10) ** 9)
+            shunt = ([jw * c0[0]] + [jw * c0[k] + 1 / (jw * l0[k]) for k in range(2 * n)]
+                     + [jw * c0[-1]])
+            series = [jw * cw[0]]
+            for cell in range(n):
+                series += [1 / (jw * lv[cell]), jw * cw[cell + 1]]
+            diag = [s + (series[i - 1] if i else 0) + (series[i] if i < 2 * n + 1 else 0)
+                    for i, s in enumerate(shunt)]
+            left = _mp_tridiagonal_solve(diag, [-s for s in series], 0)
+            right = _mp_tridiagonal_solve(diag, [-s for s in series], 2 * n + 1)
+            z11, z21, z12, z22 = left[0], left[-1], right[0], right[-1]
+            det = z11 * z22 - z12 * z21
+            y11, y12, y21, y22 = z22 / det, -z12 / det, -z21 / det, z11 / det
+            if box is not None:
+                omega_b = 2 * mpmath.pi * mpf(box.f_box) * mpf(10) ** 9
+                z_char = 2 * z0 * mpf(box.q_box)
+                bridge = mpf(box.coupling) / (jw * z_char / omega_b + z_char * omega_b / jw)
+                y11, y12, y21, y22 = y11 + bridge, y12 - bridge, y21 - bridge, y22 + bridge
+            s21 = -2 * y21 * z0 / ((1 + y11 * z0) * (1 + y22 * z0) - y12 * y21 * z0 ** 2)
+            out.append(complex(s21))
+    return np.array(out)
+
+
+def _mp_tridiagonal_solve(diag, off, k):
+    """Solve the symmetric tridiagonal system (diag, off) x = e_k (Thomas)."""
+    size = len(diag)
+    d = list(diag)
+    rhs = [0] * size
+    rhs[k] = 1
+    for i in range(1, size):
+        factor = off[i - 1] / d[i - 1]
+        d[i] -= factor * off[i - 1]
+        rhs[i] -= factor * rhs[i - 1]
+    x = [0] * size
+    x[-1] = rhs[-1] / d[-1]
+    for i in range(size - 2, -1, -1):
+        x[i] = (rhs[i] - off[i] * x[i + 1]) / d[i]
+    return x

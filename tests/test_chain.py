@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sshchain import (
     ChainSpec,
@@ -179,6 +181,23 @@ class TestCircuitMapping:
         w_values = [c.w[0] for c in chains]
         assert all(a < b for a, b in zip(v_values, v_values[1:]))
         assert all(a <= b for a, b in zip(w_values, w_values[1:]))
+
+    @given(seed=st.integers(0, 2**32 - 1), n_cells=st.integers(1, 10),
+           scale=st.lists(st.sampled_from([1.0, 1.001, 1.5, 20.0, 1e3, math.inf]),
+                          min_size=10, max_size=10))
+    def test_v_is_zero_exactly_when_pinched_and_v_w_fall_as_lv_grows(self, seed, n_cells,
+                                                                      scale):
+        rng = np.random.default_rng(seed)
+        base = CircuitSpec(n_cells, rng.uniform(100.0, 2000.0, 2 * n_cells),
+                           rng.uniform(0.2, 5.0, 2 * n_cells),
+                           rng.uniform(0.5, 500.0, n_cells), rng.uniform(5.0, 100.0, n_cells + 1))
+        grown = base.with_lv(base.lv * scale[:n_cells])
+        before, after = map_circuit_to_tb(base), map_circuit_to_tb(grown)
+        assert np.array_equal(after.v == 0.0, np.isinf(grown.lv))
+        assert np.all(before.v > 0.0)
+        assert np.all(after.v <= before.v) and np.all(after.w <= before.w)
+        # a junction that grew lowers its own hop strictly
+        assert np.all(after.v[grown.lv > base.lv] < before.v[grown.lv > base.lv])
 
     def test_uniform_circuit_spectrum_symmetric_about_site_frequency(self):
         chain = map_circuit_to_tb(default_circuit(lv_nH=35.0))

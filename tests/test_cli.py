@@ -132,6 +132,31 @@ class TestConfigHandling:
         assert resolved["chain"]["eps_GHz"] == 6.04
         assert list(tmp_path.iterdir()) == []
 
+    def test_successive_calls_parse_independently(self, capsys, tmp_path, monkeypatch):
+        # main() reuses one parser per process; no --set list, flag or
+        # default may leak from one call into the next
+        from sshchain import cli
+
+        monkeypatch.delenv("SSHCHAIN_OUT_DIR", raising=False)
+
+        def resolved(*argv):
+            code, out, _ = run(capsys, *argv, "--dry-run")
+            assert code == 0
+            return json.loads(out)
+
+        first = resolved("winding", "--set", "method=k-space", "--set", "v_GHz=0.1",
+                         "--set", "w_GHz=0.5", "--out-dir", str(tmp_path), "--label", "one",
+                         "--threads", "2", "--seed", "4")
+        second = resolved("spectrum", "--set", "chain.n_cells=5")
+        third = resolved("winding", "--set", "method=real-space", "--label", "three")
+        assert (first["method"], first["v_GHz"], first["threads"], first["seed"]) == \
+            ("k-space", 0.1, 2, 4)
+        assert sorted(second) == ["chain", "label", "out_dir", "threads"]
+        assert (second["chain"], second["out_dir"], second["threads"]) == ({"n_cells": 5}, ".", 1)
+        assert sorted(third) == ["label", "method", "out_dir", "threads"]
+        assert (third["method"], third["label"], third["threads"]) == ("real-space", "three", 1)
+        assert cli._parser() is cli._parser()
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "spectrum",
                            "--config", str(tmp_path / "nope.json"))

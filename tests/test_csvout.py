@@ -2,17 +2,21 @@
 
 The files under ``tests/golden/`` were written by the row-at-a-time CSV
 writer that the column-wise one replaced; every case below must still
-reproduce them byte for byte.
+reproduce them byte for byte. The %-template is the oracle of the
+vectorized float renderer.
 """
 
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sshchain import default_circuit
+from sshchain import csvout, default_circuit
 from sshchain.chain import CircuitSpec
 from sshchain.cli import main
 from sshchain.csvout import fmt, write_csv
@@ -99,6 +103,120 @@ def test_cells_render_like_fmt(tmp_path):
     assert lines[1:5] == ["inf,0,True,edge", "-inf,-1,False,",
                           "nan,1099511627776,True,a b", "-0,7,False,nan"]
     assert lines[5] == "0.333333333333,-3,True,0.1"
+
+
+@pytest.fixture
+def renderer_calls(monkeypatch):
+    """The row counts of the blocks that went through the float renderer."""
+    calls = []
+
+    def spy(columns):
+        calls.append(len(columns[0]))
+        return render(columns)
+
+    render = csvout._render_floats
+    monkeypatch.setattr(csvout, "_render_floats", spy)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [csvout._RENDER_MIN_ROWS, 5000])
+def test_long_float_tables_render_like_fmt(tmp_path, renderer_calls, rows):
+    rng = np.random.default_rng(rows)
+    specials = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1 / 3, 1e-300, 2.5e17, 5e-324]
+    floats = [np.resize(specials, rows), rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 14, rows),
+              np.linspace(5.75, 6.45, rows), rng.uniform(-1, 1, rows).astype(np.float32)]
+    path = tmp_path / "floats.csv"
+    write_csv(path, ["a", "b", "c", "d"], floats)
+    assert path.read_text().splitlines()[1:] == [
+        ",".join(fmt(float(x)) for x in row) for row in zip(*floats)]
+    assert sum(renderer_calls) == rows and max(renderer_calls) <= csvout._BLOCK_ROWS
+
+
+def test_long_mixed_table_stays_on_the_template(tmp_path, renderer_calls):
+    rows = 2 * csvout._RENDER_MIN_ROWS
+    values = np.linspace(0.0, 1.0, rows)
+    path = tmp_path / "mixed.csv"
+    write_csv(path, ["k", "x"], [range(rows), values])
+    assert path.read_text().splitlines()[1:] == [f"{k},{fmt(x)}" for k, x in
+                                                 enumerate(values.tolist())]
+    assert renderer_calls == []
+
+
+def template_rows(columns):
+    """The %-template rendering of float columns, one ``'%.12g' % float(x)`` per cell."""
+    template = ",".join(["%.12g"] * len(columns)) + "\n"
+    return "".join(map(template.__mod__, zip(*(np.asarray(c).tolist() for c in columns))))
+
+
+def assert_renders_like_template(columns):
+    columns = [np.asarray(c) for c in columns]
+    assert csvout._render_floats(columns) == template_rows(columns)
+
+
+def tables(elements):
+    """1-4 equal-length columns of 1-40 ``elements``."""
+    return st.integers(1, 40).flatmap(
+        lambda rows: st.lists(st.lists(elements, min_size=rows, max_size=rows),
+                              min_size=1, max_size=4))
+
+
+def near_tie(k, e, ulps, sign):
+    """sign·(k + 1/2)·10**(e-11), correctly rounded, then moved by ``ulps`` ulps."""
+    x = float(Fraction(sign * (2 * k + 1), 2) * Fraction(10) ** (e - 11))
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
+class TestFloatRenderer:
+    @given(tables(st.floats(width=64)))
+    def test_arbitrary_doubles(self, columns):
+        assert_renders_like_template(columns)
+
+    @settings(max_examples=50)
+    @given(tables(st.builds(near_tie, st.integers(10**11, 10**12 - 1), st.integers(-290, 290),
+                            st.integers(-4, 4), st.sampled_from([1, -1]))))
+    def test_near_ties(self, columns):
+        assert_renders_like_template(columns)
+
+    @pytest.mark.parametrize("width", [16, 32])
+    @given(data=st.data())
+    def test_narrow_float_columns(self, width, data):
+        # every bit pattern: subnormals, infinities and quiet and signalling NaNs
+        columns = data.draw(tables(st.integers(0, 2**width - 1)))
+        assert_renders_like_template([np.array(c, dtype=f"uint{width}").view(f"float{width}")
+                                      for c in columns])
+
+    def test_g_boundaries_and_specials(self):
+        edges = [9.99999999999e-5, 1e-4, 999999999999.5, 1e12, 9.9999999999996e-5,
+                 0.99999999999951, 999999999999.4, 999999999999.6, 1e-290, 1e290]
+        values = [y for x in edges for y in (np.nextafter(x, 0), x, np.nextafter(x, math.inf))]
+        values += [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308,
+                   2.2250738585072014e-308]
+        values += [-x for x in values]
+        assert_renders_like_template([values, values[::-1]])
+        assert csvout._render_floats([[9.99999999999e-5, 1e-4, 1e12]]) == \
+            "9.99999999999e-05\n0.0001\n1e+12\n"
+
+    def test_bulk_doubles_near_ties_and_powers_of_ten(self):
+        rng = np.random.default_rng(12)
+        bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+        k = rng.integers(10**11, 10**12, 100_000)
+        e = rng.integers(-290, 291, 100_000)
+        ties = (k + 0.5) * 10.0 ** (e - 11)
+        ties += rng.integers(-4, 5, ties.size) * np.spacing(ties)
+        powers = 10.0 ** rng.integers(-300, 301, 100_000)
+        powers *= 1 + rng.integers(-50, 50, powers.size) * 1e-14
+        for block in range(0, 100_000, 20_000):
+            assert_renders_like_template([c[block:block + 20_000]
+                                          for c in (bits, ties, -ties, powers)])
+
+    def test_decade_table_brackets_every_rendered_exponent(self):
+        # |x| in [2**(b-1023), 2**(b-1022)) lies in decade e_floor[b] or the next one
+        for b in range(60, 1987):
+            e = int(csvout._tables().e_floor[b])
+            assert Fraction(10) ** e <= Fraction(2) ** (b - 1023)
+            assert Fraction(2) ** (b - 1022) <= Fraction(10) ** (e + 2)
 
 
 def test_columns_of_python_scalars(tmp_path):
