@@ -155,6 +155,7 @@ def _render_floats(columns) -> str:
     with np.errstate(invalid="ignore"):       # float32 signalling NaNs
         x = np.array(columns, dtype=np.float64)
     ncols, n = x.shape
+    # decimal exponent e and 12-digit mantissa m; ok marks the decided cells
     bexp = (x.view(np.int64) >> 52) & 0x7FF
     ok = (bexp - 60).view(np.uint64) <= 1926  # 60 <= bexp <= 1986
     a = np.abs(x)
@@ -176,6 +177,7 @@ def _render_floats(columns) -> str:
     opener[1:] += 2
     sep = t.marks[opener]
 
+    # one word layout for the block, wide enough for its widest cell
     ef = np.where(fixed, e, -4)
     hi, lo = int(ef.max()), int(np.where(fixed, e, 11).min())
     n_int = max(0, -(-(hi - 1) // 4))         # words beyond the first two digits
@@ -216,7 +218,7 @@ def _render_floats(columns) -> str:
             r -= g * p
             cells[:, j] = t.digits[g + _TRAIL * (r == 0)]
 
-    if sci[0].size:
+    if sci[0].size:                           # scientific cells replace theirs
         c, i = sci
         r = m[sci].astype(np.int64)
         d = r // 10**11
@@ -233,7 +235,7 @@ def _render_floats(columns) -> str:
         cells[c, 2, i] = t.digits[g2 + _TRAIL * bare3]
         cells[c, 3, i] = t.tail[g3]
         cells[c, 4, i] = t.exponent[e[sci] + 300]
-    if texts:
+    if texts:                                 # and so do the template's
         text = "".join(cell.ljust(4 * width, "\0") for cell in texts).encode()
         cells[fallback[0], :, fallback[1]] = np.frombuffer(text, np.uint32).reshape(-1, width)
     out[-1] = t.marks[4]
