@@ -16,11 +16,12 @@ from typing import Sequence
 import numpy as np
 
 # A table with at least this many rows, all of whose columns are float, is
-# rendered by ``_render_floats``. Its cost per block starts at ~0.15 ms, so
-# the %-template stays faster up to ~300 rows of one column or ~150 rows of
-# four. Blocks of 2048 rows ran faster than longer ones (their scratch stays
-# in cache) and bound the renderer's memory.
-_RENDER_MIN_ROWS = 500
+# rendered by ``_render_floats``. The only all-float tables written are the
+# four-column S21 traces, and on those the two renderers break even at ~150
+# rows (the renderer's cost per block starts at ~0.15 ms). Blocks of 2048
+# rows ran faster than longer ones (their scratch stays in cache) and bound
+# the renderer's memory.
+_RENDER_MIN_ROWS = 150
 _BLOCK_ROWS = 2048
 
 
