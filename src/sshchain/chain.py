@@ -134,12 +134,13 @@ def _json_list(arr: np.ndarray) -> list:
     return [("inf" if math.isinf(x) else float(x)) for x in arr]
 
 
-def _from_json_values(values):
-    """Read the JSON form's one string, ``"inf"``, as infinity; refuse other text."""
+def _from_json_values(values, name: str):
+    """Read the JSON form's one string, ``"inf"``, as infinity; refuse other
+    text with an error naming ``name``."""
     def one(v):
         if isinstance(v, str):
             if v != "inf":
-                raise ValidationError(f"expected a number or 'inf', got {v!r}")
+                raise ValidationError(f"{name}: expected a number or 'inf', got {v!r}", name)
             return math.inf
         return v
     return [one(v) for v in values] if isinstance(values, list) else one(values)
@@ -180,7 +181,7 @@ class _JsonSpec:
         if missing:
             raise ValidationError(f"missing {cls.__name__} keys: {missing}")
         return cls(n_cells=data["n_cells"],
-                   **{name: _from_json_values(data[key])
+                   **{name: _from_json_values(data[key], name)
                       for name, key in cls._JSON_KEYS})
 
     def to_json(self, indent: int = 2) -> str:
@@ -274,16 +275,23 @@ def default_circuit(n_cells: int = 5, c0_fF: float = 660.0, l0_nH: float = 1.0,
 
 
 def _hops(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """First off-diagonal of the chain Hamiltonian: v1, w1, v2, w2, ..., vN."""
-    hop = np.empty(v.size + w.size)
-    hop[0::2] = v
-    hop[1::2] = w
+    """First off-diagonal of the chain Hamiltonian: v1, w1, v2, w2, ..., vN
+    (along the last axis; leading axes are kept)."""
+    hop = np.empty(v.shape[:-1] + (v.shape[-1] + w.shape[-1],))
+    hop[..., 0::2] = v
+    hop[..., 1::2] = w
     return hop
 
 
 def _assemble_hamiltonian(eps: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The chain Hamiltonian of (eps, v, w); leading axes give a stack of them."""
+    sites = np.arange(eps.shape[-1])
+    h = np.zeros(eps.shape + sites.shape)
     hop = _hops(v, w)
-    return np.diag(eps) + np.diag(hop, 1) + np.diag(hop, -1)
+    h[..., sites, sites] = eps
+    h[..., sites[:-1], sites[1:]] = hop
+    h[..., sites[1:], sites[:-1]] = hop
+    return h
 
 
 def build_tb_hamiltonian(spec: ChainSpec) -> np.ndarray:
@@ -296,14 +304,19 @@ def build_tb_hamiltonian(spec: ChainSpec) -> np.ndarray:
 
 
 def _map_arrays(c0: np.ndarray, l0: np.ndarray, lv: np.ndarray, cw: np.ndarray):
-    """Raw-array core of the circuit-to-chain mapping; returns (eps, v, w)."""
-    n = lv.size
+    """Raw-array core of the circuit-to-chain mapping; returns (eps, v, w).
+
+    Each array may carry leading axes, which broadcast (one circuit per
+    row of a (points, sites) stack); every entry is computed as for one
+    circuit alone.
+    """
+    n = lv.shape[-1]
     # A site of cell k touches cw[k]; B site touches cw[k+1].
-    cw_site = np.empty(2 * n)
-    cw_site[0::2] = cw[:-1]
-    cw_site[1::2] = cw[1:]
+    cw_site = np.empty(cw.shape[:-1] + (2 * n,))
+    cw_site[..., 0::2] = cw[..., :-1]
+    cw_site[..., 1::2] = cw[..., 1:]
     c_t = c0 + cw_site
-    lv_site = np.repeat(lv, 2)
+    lv_site = np.repeat(lv, 2, axis=-1)
     l_t = 1.0 / (1.0 / l0 + 1.0 / lv_site)
     if np.any(c_t <= 0) or np.any(l_t <= 0):
         raise ValidationError("effective L_T and C_T must be positive")
@@ -311,10 +324,10 @@ def _map_arrays(c0: np.ndarray, l0: np.ndarray, lv: np.ndarray, cw: np.ndarray):
     eps = 1e3 / (2.0 * np.pi * np.sqrt(l_t * c_t))
 
     v_side = 0.5 * eps * (l_t / lv_site)
-    v = 0.5 * (v_side[0::2] + v_side[1::2])
+    v = 0.5 * (v_side[..., 0::2] + v_side[..., 1::2])
 
     w_side = 0.5 * eps * (cw_site / c_t)
-    w = 0.5 * (w_side[1:-1:2] + w_side[2:-1:2]) if n > 1 else np.empty(0)
+    w = 0.5 * (w_side[..., 1:-1:2] + w_side[..., 2:-1:2])
     return eps, v, w
 
 

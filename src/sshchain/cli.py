@@ -246,8 +246,11 @@ def _run_sweep(config, stem):
     circuit = _spec_from(chain_mod.CircuitSpec, config, "circuit", "sweep")
     grid_cfg = _require(config, "lv_grid", "sweep")
     if "values_nH" in grid_cfg:
-        grid = _numbers(grid_cfg["values_nH"], "lv_grid.values_nH", allow_inf=True)
+        grid_key = "lv_grid.values_nH"
+        grid = _numbers(chain_mod._from_json_values(grid_cfg["values_nH"], grid_key), grid_key,
+                        allow_inf=True)
     else:
+        grid_key = "lv_grid"
         start, stop, step = (_number(_require(grid_cfg, key, "lv_grid"), f"lv_grid.{key}")
                              for key in ("start_nH", "stop_nH", "step_nH"))
         if step <= 0 or stop < start:
@@ -256,8 +259,8 @@ def _run_sweep(config, stem):
         _number((stop - start) / step + 1, "lv_grid point count", allow_inf=True,
                 maximum=MAX_POINTS)
         grid = np.arange(start, stop + step / 2, step)
-    cells = config.get("cells")
-    sweep = spec_mod.sweep_coupling(circuit, grid, cells=cells)
+    with _read_as({"lv grid": grid_key}):
+        sweep = spec_mod.sweep_coupling(circuit, grid, cells=config.get("cells"))
     spec_mod.write_sweep_csv(sweep, f"{stem}.csv", f"{stem}_summary.csv")
     crossing = spec_mod.find_fsr_crossing(sweep)
     if crossing is None:
@@ -274,8 +277,7 @@ def _run_winding(config, stem):
     elif method == "real-space":
         chain = _chain_from(config, "winding")
         eps_ref = _number(config.get("eps_ref_GHz", np.mean(chain.eps)), "eps_ref_GHz")
-        result = topo_mod.winding_number_real_space(
-            chain_mod.build_tb_hamiltonian(chain), eps_ref)
+        result = topo_mod._chain_winding(chain, eps_ref)
     else:
         raise ValidationError(
             f"winding method must be 'k-space' or 'real-space', got {method!r}")
@@ -360,7 +362,7 @@ def _gated_sweep(config, stem, command, circuit, model, points, emit_traces):
     """
     inputs = _trace_inputs(config, command)
     gated = [mw_mod.apply_gate_setting(circuit, model, v, i_s) for v, i_s, _ in points]
-    classes = [spec_mod._classify_circuit(g)[2] for g in gated]
+    classes = [cls for _, _, cls in spec_mod._classified(gated)]
     if emit_traces:
         traces = [mw_mod.s21_trace(g, **inputs, metadata={
             "gate_setting_V": [float(v) for v in voltages], "i_s_uA": float(i_s), **meta})

@@ -10,11 +10,11 @@ import numpy as np
 from .chain import (
     ChainSpec,
     CircuitSpec,
+    _assemble_hamiltonian,
+    _map_arrays,
     _matrix,
     _number,
     _numbers,
-    build_tb_hamiltonian,
-    map_circuit_to_tb,
 )
 from .csvout import write_csv
 from .errors import NumericalError, ValidationError
@@ -105,31 +105,106 @@ class SweepPoint:
     classification: ModeClassification
 
 
+def _spectra(h: np.ndarray) -> tuple:
+    """Eigendecompose a stack of real symmetric matrices, shape (points, n, n).
+
+    One stacked ``np.linalg.eigh`` (each matrix gets the LAPACK call it
+    would get alone, so the results are those of one call per matrix);
+    a solver failure raises NumericalError. Each eigenvector is then
+    scaled so its largest-magnitude component is positive (first such
+    component on ties), and every point must pass both guards:
+    max |V^T V - I| <= 1e-9 and max |H - V diag(lambda) V^T| <= 1e-8, else
+    NumericalError quotes the first point that fails. Returns the
+    eigenvalues (points, n) and eigenvectors (points, n, n).
+    """
+    try:
+        evals, evecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from None
+    lead = np.argmax(np.abs(evecs), axis=-2)[..., None, :]
+    signs = np.sign(np.take_along_axis(evecs, lead, axis=-2))
+    signs[signs == 0] = 1.0
+    evecs *= signs
+
+    # the guards work in place: at most two (points, n, n) stacks besides h and V
+    gram = np.matmul(evecs.swapaxes(-1, -2), evecs)
+    np.einsum("...ii->...i", gram)[...] -= 1.0  # a writeable view of each diagonal
+    ortho = np.max(np.abs(gram, out=gram), axis=(-2, -1))
+    recon = np.matmul(evecs * evals[..., None, :], evecs.swapaxes(-1, -2), out=gram)
+    recon = np.max(np.abs(np.subtract(h, recon, out=recon), out=recon), axis=(-2, -1))
+    bad = np.flatnonzero((ortho > _ORTHO_TOL) | (recon > _RECON_TOL))
+    if bad.size:
+        k = bad[0]
+        raise NumericalError(
+            f"eigendecomposition failed invariants: ortho={ortho[k]:.3e}, recon={recon[k]:.3e}")
+    return evals, evecs
+
+
 def eigendecompose(h: np.ndarray) -> Spectrum:
     """Dense symmetric eigendecomposition with deterministic vector signs.
 
     H must be real, finite and symmetric within 1e-10. Each eigenvector is
     scaled so its largest-magnitude component is positive (first such
-    component on ties), making degenerate subspaces reproducible across runs.
+    component on ties), making degenerate subspaces reproducible across
+    runs; the solve and its guards are those of every sweep point
+    (``_spectra``).
     """
     h = _matrix(h)
     asym = float(np.max(np.abs(h - h.T)))
     if asym > _SYMMETRY_TOL:
         raise ValidationError(
             f"H is not symmetric: max |H - H^T| = {asym:.3e} exceeds {_SYMMETRY_TOL}")
-    evals, evecs = np.linalg.eigh(h)
-    lead = np.argmax(np.abs(evecs), axis=0)
-    signs = np.sign(evecs[lead, np.arange(evecs.shape[1])])
-    signs[signs == 0] = 1.0
-    evecs = evecs * signs
+    evals, evecs = _spectra(h[None])
+    return Spectrum(eigenvalues=evals[0], eigenvectors=evecs[0])
 
-    dim = h.shape[0]
-    ortho = float(np.max(np.abs(evecs.T @ evecs - np.eye(dim))))
-    recon = float(np.max(np.abs(h - (evecs * evals) @ evecs.T)))
-    if ortho > _ORTHO_TOL or recon > _RECON_TOL:
-        raise NumericalError(
-            f"eigendecomposition failed invariants: ortho={ortho:.3e}, recon={recon:.3e}")
-    return Spectrum(eigenvalues=evals, eigenvectors=evecs)
+
+_LABELS = np.array([LABEL_BULK_LOWER, LABEL_EDGE, LABEL_BULK_UPPER], dtype=object)
+
+
+def _classify(evals: np.ndarray, eps_ref: np.ndarray) -> list:
+    """``classify_modes`` of each row of ``evals`` (points, n) about its
+    ``eps_ref``, for n >= 4 and finite references."""
+    points = evals.shape[0]
+    rows = np.arange(points)[:, None]
+    ref = eps_ref[:, None]
+    order = np.argsort(np.abs(evals - ref), axis=-1, kind="stable")
+    edge_idx = np.sort(order[:, :2], axis=-1)
+    edge = np.zeros(evals.shape, dtype=bool)
+    edge[rows, edge_idx] = True
+    lower = ~edge & (evals < ref)
+    upper = ~edge & ~lower
+    codes = np.where(edge, 1, np.where(lower, 0, 2))
+
+    edge_lo, edge_hi = evals[rows, edge_idx].T
+    top_lower = np.max(np.where(lower, evals, -np.inf), axis=-1)
+    bottom_upper = np.min(np.where(upper, evals, np.inf), axis=-1)
+    fsr_lower = np.where(lower.any(axis=-1), edge_lo - top_lower, 0.0).tolist()
+    fsr_upper = np.where(upper.any(axis=-1), bottom_upper - edge_hi, 0.0).tolist()
+    fsr_edge = (edge_hi - edge_lo).tolist()
+
+    classes = []
+    for k in range(points):
+        fsr_edge_bulk = max(fsr_lower[k], fsr_upper[k])
+        if fsr_edge[k] < PHASE_RATIO * fsr_edge_bulk:
+            phase = PHASE_TOPOLOGICAL
+        elif fsr_edge_bulk < PHASE_RATIO * fsr_edge[k]:
+            phase = PHASE_TRIVIAL
+        else:
+            phase = PHASE_NORMAL
+        classes.append(ModeClassification(
+            labels=tuple(_LABELS[codes[k]]),
+            fsr_edge_bulk=fsr_edge_bulk,
+            fsr_edge_edge=fsr_edge[k],
+            fsr_edge_bulk_lower=fsr_lower[k],
+            fsr_edge_bulk_upper=fsr_upper[k],
+            phase_tag=phase,
+        ))
+    return classes
+
+
+def _check_modes(dim: int) -> None:
+    if dim < 4:
+        raise ValidationError(f"classification needs at least 4 modes, got {dim}")
 
 
 def classify_modes(spectrum: Spectrum, eps_ref: float) -> ModeClassification:
@@ -141,66 +216,56 @@ def classify_modes(spectrum: Spectrum, eps_ref: float) -> ModeClassification:
     ``eps_ref`` raises ValidationError.
     """
     evals = spectrum.eigenvalues
-    if evals.size < 4:
-        raise ValidationError(
-            f"classification needs at least 4 modes, got {evals.size}")
+    _check_modes(evals.size)
     eps_ref = _number(eps_ref, "eps_ref")
-    order = np.argsort(np.abs(evals - eps_ref), kind="stable")
-    edge_idx = np.sort(order[:2])
-    labels = []
-    for i, lam in enumerate(evals):
-        if i in edge_idx:
-            labels.append(LABEL_EDGE)
-        elif lam < eps_ref:
-            labels.append(LABEL_BULK_LOWER)
-        else:
-            labels.append(LABEL_BULK_UPPER)
-    labels = tuple(labels)
-
-    edge_lo, edge_hi = evals[edge_idx[0]], evals[edge_idx[1]]
-    lower = [lam for lam, tag in zip(evals, labels) if tag == LABEL_BULK_LOWER]
-    upper = [lam for lam, tag in zip(evals, labels) if tag == LABEL_BULK_UPPER]
-    fsr_lower = float(edge_lo - max(lower)) if lower else 0.0
-    fsr_upper = float(min(upper) - edge_hi) if upper else 0.0
-    fsr_edge_bulk = max(fsr_lower, fsr_upper)
-    fsr_edge_edge = float(edge_hi - edge_lo)
-
-    if fsr_edge_edge < PHASE_RATIO * fsr_edge_bulk:
-        phase = PHASE_TOPOLOGICAL
-    elif fsr_edge_bulk < PHASE_RATIO * fsr_edge_edge:
-        phase = PHASE_TRIVIAL
-    else:
-        phase = PHASE_NORMAL
-    return ModeClassification(
-        labels=labels,
-        fsr_edge_bulk=fsr_edge_bulk,
-        fsr_edge_edge=fsr_edge_edge,
-        fsr_edge_bulk_lower=fsr_lower,
-        fsr_edge_bulk_upper=fsr_upper,
-        phase_tag=phase,
-    )
+    return _classify(evals[None], np.array([eps_ref]))[0]
 
 
-def _classify_circuit(circuit: CircuitSpec) -> tuple:
-    """Map, diagonalize and classify ``circuit`` about its mean site energy.
+# Entries of one (points, n, n) stack of a block: the block's scratch is a
+# few such stacks, ~2 MB each, whatever the sweep's length.
+_BLOCK_ENTRIES = 1 << 18
 
-    Returns the mapped chain, its spectrum and the classification.
+
+def _block_slices(points: int, n_sites: int):
+    """Consecutive slices of ``points`` sweep points, each one block: as many
+    points as fit ``_BLOCK_ENTRIES`` matrix entries, and at least one."""
+    size = max(1, _BLOCK_ENTRIES // (n_sites * n_sites))
+    return (slice(k, min(k + size, points)) for k in range(0, points, size))
+
+
+def _classified_block(c0, l0, lv, cw) -> list:
+    """Map, diagonalize and classify a block of circuits about their mean site
+    energies; the arrays are (points, ...) stacks or broadcast against them.
+
+    Returns one (chain, spectrum, classification) per point, each equal to
+    what the per-circuit chain ``map_circuit_to_tb``, ``build_tb_hamiltonian``,
+    ``eigendecompose`` and ``classify_modes`` gives.
     """
-    chain = map_circuit_to_tb(circuit)
-    spectrum = eigendecompose(build_tb_hamiltonian(chain))
-    return chain, spectrum, classify_modes(spectrum, float(np.mean(chain.eps)))
+    eps, v, w = _map_arrays(c0, l0, lv, cw)
+    points, dim = eps.shape
+    _check_modes(dim)
+    evals, evecs = _spectra(_assemble_hamiltonian(eps, v, w))
+    classes = _classify(evals, np.mean(eps, axis=-1))
+    n_cells = dim // 2
+    return [(ChainSpec(n_cells, eps[k], v[k], w[k]),
+             Spectrum(eigenvalues=evals[k], eigenvectors=evecs[k]), classes[k])
+            for k in range(points)]
+
+
+def _classified(circuits: Sequence[CircuitSpec]) -> list:
+    """``_classified_block`` of circuits of one size, block by block."""
+    out = []
+    for block in _block_slices(len(circuits), circuits[0].n_sites):
+        arrays = [np.array([getattr(c, name) for c in circuits[block]])
+                  for name in ("c0", "l0", "lv", "cw")]
+        out += _classified_block(*arrays)
+    return out
 
 
 def _phase_columns(classes: Sequence[ModeClassification]) -> list:
     """The ``_PHASE_HEADER`` columns of a run of classifications."""
     return [[c.fsr_edge_bulk for c in classes], [c.fsr_edge_edge for c in classes],
             [c.phase_tag for c in classes]]
-
-
-def _sweep_point(circuit: CircuitSpec, lv_value: float, cells) -> SweepPoint:
-    lv = np.array(circuit.lv, copy=True)
-    lv[cells] = lv_value
-    return SweepPoint(float(lv_value), *_classify_circuit(circuit.with_lv(lv)))
 
 
 def sweep_coupling(circuit: CircuitSpec, lv_grid: Sequence[float],
@@ -210,26 +275,39 @@ def sweep_coupling(circuit: CircuitSpec, lv_grid: Sequence[float],
     ``cells`` restricts which unit cells receive the swept value (all by
     default); untouched cells keep the lv of the input circuit. The grid
     is a non-empty list of values > 0, infinity included. The output is in
-    grid order.
+    grid order. The points are mapped, diagonalized and classified in
+    blocks (see ``_spectra``), each point as it would be alone.
     """
     grid = _numbers(lv_grid, "lv grid", allow_inf=True)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValidationError(f"lv grid must be a non-empty list, got {lv_grid!r}")
+    if grid.size == 0:
+        raise ValidationError("lv grid must not be empty", "lv grid")
+    if grid.ndim != 1:
+        raise ValidationError(
+            f"lv grid must be a flat list of values, got shape {grid.shape}", "lv grid")
     if not np.all(grid > 0):
-        raise ValidationError(f"lv grid values must be > 0, got {grid[grid <= 0][0]}")
+        raise ValidationError(
+            f"lv grid entries must be > 0, got {grid[grid <= 0][0]}", "lv grid")
     if cells is None:
         cell_idx = np.arange(circuit.n_cells)
     else:
         items = np.asarray(cells, dtype=object)
         if items.ndim != 1:
-            raise ValidationError(f"cells must be a list of cell indices, got {cells!r}")
+            raise ValidationError(
+                f"cells must be a list of cell indices, got {items.tolist()!r}", "cells")
         cell_idx = np.array([_number(c, "cells", integer=True) for c in items], dtype=int)
         if cell_idx.size == 0:
-            raise ValidationError("cell mask must not be empty")
+            raise ValidationError("cells must not be empty", "cells")
         if np.any(cell_idx < 0) or np.any(cell_idx >= circuit.n_cells):
             raise ValidationError(
-                f"cell mask {cell_idx.tolist()} outside 0..{circuit.n_cells - 1}")
-    return [_sweep_point(circuit, x, cell_idx) for x in grid.tolist()]
+                f"cells must be indices in 0..{circuit.n_cells - 1}, got {cell_idx.tolist()}",
+                "cells")
+    sweep = []
+    for block in _block_slices(grid.size, circuit.n_sites):
+        lv = np.tile(circuit.lv, (grid[block].size, 1))
+        lv[:, cell_idx] = grid[block, None]
+        sweep += [SweepPoint(lv_nH, *point) for lv_nH, point in zip(
+            grid[block].tolist(), _classified_block(circuit.c0, circuit.l0, lv, circuit.cw))]
+    return sweep
 
 
 def find_fsr_crossing(sweep: Sequence[SweepPoint]) -> Optional[float]:

@@ -125,8 +125,21 @@ class EnsembleResult:
     generator: str = RNG_NAME
 
 
-def _flatband_basis_of(h, eps_ref) -> tuple:
-    """``_flatband_basis`` of H - eps_ref*I, for a real symmetric tridiagonal H."""
+def _lapack() -> tuple:
+    """dstevd, dsyrk and dgemm: the one solver and the BLAS of every flatband product.
+
+    Imported here, so that importing the package loads no scipy (~0.3 s).
+    An ensemble reads them once (``_SamplePlan``); a single winding or
+    flatband once per call.
+    """
+    from scipy.linalg.blas import dgemm, dsyrk
+    from scipy.linalg.lapack import dstevd
+
+    return dstevd, dsyrk, dgemm
+
+
+def _bands_of(h, eps_ref) -> tuple:
+    """The bands (diag - eps_ref, off) of a real symmetric tridiagonal H."""
     h = _matrix(h, even=True)
     diag = np.diagonal(h)
     off = np.diagonal(h, 1)
@@ -134,10 +147,10 @@ def _flatband_basis_of(h, eps_ref) -> tuple:
     if not np.array_equal(off, np.diagonal(h, -1)) or np.count_nonzero(h) != \
             np.count_nonzero(diag) + 2 * np.count_nonzero(off):
         raise ValidationError("H must be real symmetric tridiagonal")
-    return _flatband_basis(diag - _number(eps_ref, "eps_ref"), off)
+    return diag - _number(eps_ref, "eps_ref"), off
 
 
-def _flatband_basis(diag: np.ndarray, off: np.ndarray) -> tuple:
+def _flatband_basis(diag: np.ndarray, off: np.ndarray, lapack: tuple) -> tuple:
     """The shared step of every flatband product, for the tridiagonal bands diag, off.
 
     Returns (evals, evecs, signed, states): the eigensystem, the
@@ -146,25 +159,25 @@ def _flatband_basis(diag: np.ndarray, off: np.ndarray) -> tuple:
     None if no pair is split), so that
     Q = signed evecs^T + s_+ s_+^T - s_- s_-^T (see ``_q_block``).
 
-    One divide-and-conquer eigensolve (dstevd; the MRRR routine dstemr
-    stops with LAPACK info=22 on chains whose edge pair is degenerate far
-    below roundoff, e.g. v = 0.01, w = 0.5 at N = 50). The orthonormality
-    guard reads the upper triangle of V^T V, formed by one dsyrk: every
-    pair (i, j) is checked as by the full Gram dgemm, at half its flops,
-    and on one thread up to N = 63 on OpenBLAS 0.3.31 (measured), where
-    the 2N x 2N x 2N dgemm is threaded from N = 33. The guard and Q run on
-    scipy's BLAS, the library the solver already runs on, so numpy's
-    separate OpenBLAS thread pool is not woken as well.
+    One direct divide-and-conquer eigensolve (``lapack`` from ``_lapack``;
+    the MRRR routine dstemr stops with LAPACK info=22 on chains whose edge
+    pair is degenerate far below roundoff, e.g. v = 0.01, w = 0.5 at
+    N = 50); a nonzero info raises NumericalError. The orthonormality
+    guard reads the upper triangle of V^T V, formed by one dsyrk and
+    reduced in place: every pair (i, j) is checked as by the full Gram
+    dgemm, at half its flops, and on one thread up to N = 63 on OpenBLAS
+    0.3.31 (measured), where the 2N x 2N x 2N dgemm is threaded from
+    N = 33. The guard and Q run on scipy's BLAS, the library the solver
+    already runs on, so numpy's separate OpenBLAS thread pool is not woken
+    as well.
     """
-    # imported here, so that importing the package loads no scipy (~0.3 s)
-    from scipy.linalg import eigh_tridiagonal
-    from scipy.linalg.blas import dsyrk
-
-    evals, evecs = eigh_tridiagonal(diag, off, check_finite=False,
-                                    lapack_driver="stevd")
+    dstevd, dsyrk, _ = lapack
+    evals, evecs, info = dstevd(diag, off)
+    if info:
+        raise NumericalError(f"tridiagonal eigensolve failed: LAPACK dstevd info = {info}")
     gram = dsyrk(1.0, evecs, trans=1)  # upper triangle; the lower one stays 0
-    gram[np.diag_indices_from(gram)] -= 1.0
-    ortho = float(np.max(np.abs(gram)))
+    np.einsum("ii->i", gram)[:] -= 1.0  # a writeable view of the diagonal
+    ortho = float(np.abs(gram, out=gram).max())
     if not ortho <= _ORTHO_TOL:
         raise NumericalError(
             f"tridiagonal eigenvectors not orthonormal: max |V^T V - I| = "
@@ -190,16 +203,14 @@ def _flatband_basis(diag: np.ndarray, off: np.ndarray) -> tuple:
     return evals, evecs, evecs * (np.sign(evals) * ~zero), states
 
 
-def _q_block(basis: tuple, rows: slice, cols: slice) -> np.ndarray:
+def _q_block(basis: tuple, rows: slice, cols: slice, dgemm) -> np.ndarray:
     """Rows ``rows`` and columns ``cols`` of Q, from one dgemm over ``basis``
     (see ``_flatband_basis``) plus the split pair's outer products."""
-    from scipy.linalg.blas import dgemm
-
     _, evecs, signed, states = basis
     q = dgemm(1.0, signed[rows], evecs[cols], trans_b=1)
     if states is not None:
-        q = q + np.outer(states[rows, 1], states[cols, 1]) - \
-            np.outer(states[rows, 0], states[cols, 0])
+        q += np.outer(states[rows, 1], states[cols, 1])
+        q -= np.outer(states[rows, 0], states[cols, 0])
     return q
 
 
@@ -220,9 +231,9 @@ def flatband(h: np.ndarray, eps_ref: float) -> np.ndarray:
     H must be real symmetric tridiagonal with even dimension, as
     ``build_tb_hamiltonian`` returns it; anything else raises
     ValidationError, as does a non-finite ``eps_ref``. The eigensystem
-    comes from one tridiagonal solve of the shifted diagonal and the first
-    off-diagonal (scipy's ``eigh_tridiagonal``), and NumericalError is
-    raised if its eigenvectors are not orthonormal within 1e-9.
+    comes from one tridiagonal solve (LAPACK dstevd) of the shifted
+    diagonal and the first off-diagonal; NumericalError is raised if the
+    solve fails or its eigenvectors are not orthonormal within 1e-9.
 
     Eigenvalues with |lambda| <= ZERO_TOL cannot be assigned to a spectral
     half by sign. A protected pair of such zeros is split by its chirality
@@ -233,26 +244,38 @@ def flatband(h: np.ndarray, eps_ref: float) -> np.ndarray:
     the hybridized edge pair of a long chain, which a split by sign would
     mix into Q.
     """
+    lapack = _lapack()
     every = slice(None)
-    return _q_block(_flatband_basis_of(h, eps_ref), every, every)
+    return _q_block(_flatband_basis(*_bands_of(h, eps_ref), lapack), every, every, lapack[2])
 
 
-def _winding(basis: tuple) -> float:
+def _cells(n_cells: int) -> tuple:
+    """The winding trace's geometry: the cell-position differences x_j - x_i
+    (cells 1..N, as rows i and columns j) and the bulk cells it sums over."""
+    x = np.arange(1, n_cells + 1, dtype=float)
+    return x[:, None] - x[None, :], slice(1, n_cells - 1) if n_cells > 2 else slice(0, n_cells)
+
+
+def _winding(basis: tuple, cells: tuple, dgemm) -> float:
     """Bulk trace of Q_BA [X, Q_AB] per unit cell, from the blocks alone.
 
-    The trace reads no other part of Q, so only Q_AB and Q_BA are formed:
-    two N x N x 2N products, each a quarter of the full one, and below
-    OpenBLAS's threading bound (m n k <= 4 * 65536) up to N = 50.
+    ``cells`` is ``_cells(N)``. The trace reads no other part of Q, so
+    only Q_AB and Q_BA are formed: two N x N x 2N products, each a quarter
+    of the full one, and below OpenBLAS's threading bound
+    (m n k <= 4 * 65536) up to N = 50.
     """
     a, b = slice(0, None, 2), slice(1, None, 2)
-    q_ab = _q_block(basis, a, b)
-    q_ba = _q_block(basis, b, a)
-    n_cells = q_ab.shape[0]
-    x = np.arange(1, n_cells + 1, dtype=float)
-    comm = (x[:, None] - x[None, :]) * q_ab
-    diag = np.einsum("ij,ji->i", q_ba, comm)
-    bulk = slice(1, n_cells - 1) if n_cells > 2 else slice(0, n_cells)
-    return float(np.sum(diag[bulk])) / n_cells
+    dx, bulk = cells
+    comm = dx * _q_block(basis, a, b, dgemm)
+    diag = np.einsum("ij,ji->i", _q_block(basis, b, a, dgemm), comm)
+    return float(np.sum(diag[bulk])) / dx.shape[0]
+
+
+def _winding_of_bands(diag: np.ndarray, off: np.ndarray) -> WindingResult:
+    lapack = _lapack()
+    n_cells = diag.size // 2
+    nu = _winding(_flatband_basis(diag, off, lapack), _cells(n_cells), lapack[2])
+    return WindingResult(nu=nu, chain_length=n_cells, method="real-space")
 
 
 def winding_number_real_space(h: np.ndarray, eps_ref: float) -> WindingResult:
@@ -268,9 +291,13 @@ def winding_number_real_space(h: np.ndarray, eps_ref: float) -> WindingResult:
     approached for large N; small chains give intermediate values. The
     sign is fixed so the v < w phase winds to +1.
     """
-    basis = _flatband_basis_of(h, eps_ref)
-    return WindingResult(nu=_winding(basis), chain_length=basis[0].size // 2,
-                         method="real-space")
+    return _winding_of_bands(*_bands_of(h, eps_ref))
+
+
+def _chain_winding(chain: ChainSpec, eps_ref: float) -> WindingResult:
+    """``winding_number_real_space`` of ``build_tb_hamiltonian(chain)`` and a
+    finite ``eps_ref``, solved from the chain's bands: no 2N x 2N H is built."""
+    return _winding_of_bands(chain.eps - eps_ref, _hops(chain.v, chain.w))
 
 
 def winding_number_k_space(v: float, w: float) -> WindingResult:
@@ -364,21 +391,43 @@ def _perturbed(values: np.ndarray, rng, delta: float) -> np.ndarray:
     return values * (1.0 + delta * rng.uniform(-1.0, 1.0, size=values.size))
 
 
-def _draw_sample(base: ChainSpec, config: DisorderConfig, index: int):
-    """One disorder realization.
+class _SamplePlan:
+    """What every sample of one ensemble shares, prepared once (see ``_draw_sample``).
+
+    The solver routines; the cell geometry of the winding trace; one hop
+    buffer, whose untargeted half keeps the base hops; and, when eps is
+    not a target, the base diagonal already shifted by its mean.
+    """
+
+    def __init__(self, base: ChainSpec, config: DisorderConfig):
+        self.base = base
+        self.config = config
+        self.lapack = _lapack()
+        self.cells = _cells(base.n_cells)
+        self.hop = _hops(base.v, base.w)
+        self.diag = None if "eps" in config.targets else base.eps - float(np.mean(base.eps))
+
+
+def _draw_sample(plan: _SamplePlan, index: int) -> DisorderSample:
+    """Disorder realization ``index`` of the ensemble ``plan`` was prepared for.
 
     The stream is keyed by (seed, index) and consumed in the fixed order
     eps, v, w for the targeted families, so samples are reproducible
     regardless of evaluation order. Strength < 1 and non-negative base
     hops keep every drawn hop non-negative, so no draw is ever rejected.
     """
+    base, config, hop = plan.base, plan.config, plan.hop
     rng = np.random.default_rng([config.seed & 0xFFFFFFFFFFFFFFFF, index])
-    eps = _perturbed(base.eps, rng, config.strength) if "eps" in config.targets else base.eps
-    v = _perturbed(base.v, rng, config.strength) if "v" in config.targets else base.v
-    w = _perturbed(base.w, rng, config.strength) if "w" in config.targets else base.w
-    eps_ref = float(np.mean(eps))
-    basis = _flatband_basis(eps - eps_ref, _hops(v, w))
-    return DisorderSample(index=index, nu=_winding(basis),
+    diag = plan.diag
+    if diag is None:
+        eps = _perturbed(base.eps, rng, config.strength)
+        diag = eps - float(np.mean(eps))
+    if "v" in config.targets:
+        hop[0::2] = _perturbed(base.v, rng, config.strength)
+    if "w" in config.targets:
+        hop[1::2] = _perturbed(base.w, rng, config.strength)
+    basis = _flatband_basis(diag, hop, plan.lapack)
+    return DisorderSample(index=index, nu=_winding(basis, plan.cells, plan.lapack[2]),
                           min_gap_GHz=float(np.min(np.abs(basis[0]))))
 
 
@@ -391,11 +440,13 @@ def disorder_ensemble(base: ChainSpec, config: DisorderConfig) -> EnsembleResult
     on-site energy. Both come from one tridiagonal eigensolve of the
     sample's bands shifted by that mean (no 2N x 2N Hamiltonian is built):
     the winding from its flatband Q, the gap as the smallest |eigenvalue|
-    of the shifted spectrum. With delta < 1 no hop can turn negative, so
+    of the shifted spectrum. What the samples share is prepared once
+    (``_SamplePlan``). With delta < 1 no hop can turn negative, so
     ``rejections`` is always 0; it stays in the result and its JSON as
     part of the file format.
     """
-    samples = tuple(_draw_sample(base, config, k) for k in range(config.samples))
+    plan = _SamplePlan(base, config)
+    samples = tuple(_draw_sample(plan, k) for k in range(config.samples))
     nus = np.array([s.nu for s in samples])
     return EnsembleResult(
         samples=samples,

@@ -6,7 +6,10 @@ sign function instead of spectral projectors, adaptive quadrature instead
 of midpoint sums, complex ABCD matrices instead of their four real parts,
 ``scipy.signal``'s loops instead of the package's own peak finding,
 50-digit nodal analysis instead of the ladder cascade, and closed forms
-where they exist.
+where they exist. Two references instead keep an older composition of
+the package's own steps, which the lean paths must equal bit for bit: a
+disorder sample formed afresh (``fresh_disorder_sample``) and one sweep
+point through the public per-point chain (``classify_point``).
 """
 
 import math
@@ -74,6 +77,87 @@ def rswn_from_q(q, bulk_margin_cells=1):
                 continue
             total += q[i, j] * (x[j] - x[i]) * q[j, i]
     return total / n_cells
+
+
+def fresh_disorder_sample(base, config, index):
+    """(nu, min_gap_GHz) of disorder sample ``index``, composed afresh: nothing
+    is shared with other samples of the ensemble.
+
+    The draws, then scipy's ``eigh_tridiagonal`` (LAPACK dstevd) of the
+    bands shifted by the sample's mean on-site energy, the sign/chirality
+    split of ``topology.flatband``, one dgemm per sublattice block of Q
+    and the bulk trace, each formed afresh for the sample.
+    """
+    from scipy.linalg.blas import dgemm
+
+    from sshchain.topology import PAIR_SEPARATION, ZERO_TOL, _chiral_states
+
+    rng = np.random.default_rng([config.seed & 0xFFFFFFFFFFFFFFFF, index])
+
+    def drawn(values, target):
+        if target not in config.targets:
+            return values
+        return values * (1.0 + config.strength * rng.uniform(-1.0, 1.0, size=values.size))
+
+    eps, v, w = drawn(base.eps, "eps"), drawn(base.v, "v"), drawn(base.w, "w")
+    hop = np.empty(v.size + w.size)
+    hop[0::2] = v
+    hop[1::2] = w
+    evals, evecs = scipy.linalg.eigh_tridiagonal(eps - float(np.mean(eps)), hop,
+                                                 check_finite=False, lapack_driver="stevd")
+    mags = np.abs(evals)
+    zero = mags <= ZERO_TOL
+    idx = np.flatnonzero(zero)
+    states = None
+    if idx.size == 0 and mags.size > 2:
+        low = np.argsort(mags)[:3]
+        if mags[low[1]] * PAIR_SEPARATION <= mags[low[2]]:
+            states = _chiral_states(evecs[:, low[:2]])
+            if states is not None:
+                zero[low[:2]] = True
+    elif idx.size:
+        assert idx.size == 2
+        states = _chiral_states(evecs[:, idx])
+        assert states is not None
+    signed = evecs * (np.sign(evals) * ~zero)
+
+    def q_block(rows, cols):
+        q = dgemm(1.0, signed[rows], evecs[cols], trans_b=1)
+        if states is not None:
+            q = q + np.outer(states[rows, 1], states[cols, 1]) - \
+                np.outer(states[rows, 0], states[cols, 0])
+        return q
+
+    a, b = slice(0, None, 2), slice(1, None, 2)
+    q_ab, q_ba = q_block(a, b), q_block(b, a)
+    n_cells = q_ab.shape[0]
+    x = np.arange(1, n_cells + 1, dtype=float)
+    diag = np.einsum("ij,ji->i", q_ba, (x[:, None] - x[None, :]) * q_ab)
+    bulk = slice(1, n_cells - 1) if n_cells > 2 else slice(0, n_cells)
+    return float(np.sum(diag[bulk])) / n_cells, float(np.min(mags))
+
+
+def classify_point(circuit):
+    """(chain, spectrum, classification) of one circuit through the public
+    per-point chain: ``map_circuit_to_tb``, ``build_tb_hamiltonian``,
+    ``eigendecompose`` and ``classify_modes`` about the mean site energy."""
+    from sshchain import build_tb_hamiltonian, classify_modes, eigendecompose, map_circuit_to_tb
+
+    chain = map_circuit_to_tb(circuit)
+    spectrum = eigendecompose(build_tb_hamiltonian(chain))
+    return chain, spectrum, classify_modes(spectrum, float(np.mean(chain.eps)))
+
+
+def sweep_points(circuit, grid, cells=None):
+    """``[(lv_nH, chain, spectrum, classification), ...]`` of a coupling sweep,
+    one ``classify_point`` per grid value, in grid order."""
+    cells = np.arange(circuit.n_cells) if cells is None else np.asarray(cells)
+    points = []
+    for value in np.asarray(grid, dtype=float).tolist():
+        lv = np.array(circuit.lv)
+        lv[cells] = value
+        points.append((value, *classify_point(circuit.with_lv(lv))))
+    return points
 
 
 def open_chain_ipr(n_sites):

@@ -18,6 +18,8 @@ from sshchain import spectral as spec_mod
 from sshchain.cli import main
 from sshchain.errors import NumericalError
 
+from oracles import classify_point
+
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 GATE_TABLE = [[0.0, 60.0], [1.0, 20.0], [2.0, 8.0]]
 
@@ -71,7 +73,7 @@ def check_gatesweep(out_dir, label, model, settings, emit_traces):
         assert int(row[0]) == k
         assert [float(x) for x in row[1:6]] == pytest.approx(voltages, rel=1e-11)
         gated = apply_gate_setting(circuit, model, voltages)
-        assert row[-1] == spec_mod._classify_circuit(gated)[2].phase_tag
+        assert row[-1] == classify_point(gated)[2].phase_tag
         trace = out_dir / f"gatesweep_{label}_trace{k:03d}.csv"
         assert trace.exists() == emit_traces
         if emit_traces:
@@ -514,6 +516,80 @@ class TestSweepCommand:
         assert err == "error: lv_grid needs step_nH > 0 and stop >= start\n"
 
 
+    def test_infinite_values_grid(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "sweep",
+                           "--config", os.path.join(CONFIG_DIR, "sweep_default.json"),
+                           "--set", 'lv_grid={"values_nH": ["inf", 30, 10]}',
+                           "--out-dir", str(tmp_path), "--label", "i")
+        assert code == 0
+        sweep = self._library_sweep(tmp_path, [np.inf, 30.0, 10.0])
+        assert out == f"points=3 crossing_lv_nH={spec_mod.find_fsr_crossing(sweep):.12g}\n"
+        assert (tmp_path / "sweep_i.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+        assert (tmp_path / "sweep_i_summary.csv").read_bytes() == \
+            (tmp_path / "lib_summary.csv").read_bytes()
+
+    @pytest.mark.parametrize("override,message", [
+        ('lv_grid={"values_nH": []}', "lv_grid.values_nH must not be empty"),
+        ('lv_grid={"values_nH": [5, 0]}', "lv_grid.values_nH entries must be > 0, got 0.0"),
+        ('lv_grid={"values_nH": [[5, 6]]}',
+         "lv_grid.values_nH must be a flat list of values, got shape (1, 2)"),
+        ('lv_grid={"values_nH": ["Infinity"]}',
+         "lv_grid.values_nH: expected a number or 'inf', got 'Infinity'"),
+        ('lv_grid={"start_nH": -1, "stop_nH": 3, "step_nH": 1}',
+         "lv_grid entries must be > 0, got -1.0"),
+        ("cells=[7]", "cells must be indices in 0..4, got [7]"),
+        ("cells=[]", "cells must not be empty"),
+    ])
+    def test_input_errors_name_their_config_key(self, capsys, tmp_path, override, message):
+        code, out, err = run(capsys, "sweep",
+                             "--config", os.path.join(CONFIG_DIR, "sweep_default.json"),
+                             "--set", override, "--out-dir", str(tmp_path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+class TestSolverFailures:
+    """A solver that reports non-convergence ends the run with exit code 2."""
+
+    @pytest.mark.parametrize("command,args", [
+        ("disorder", ["--config", os.path.join(CONFIG_DIR, "disorder_topological.json")]),
+        ("winding", ["--set", "method=real-space", "--set", "chain.n_cells=20",
+                     "--set", "chain.eps_GHz=6.5", "--set", "chain.v_GHz=0.1",
+                     "--set", "chain.w_GHz=0.5"]),
+    ])
+    def test_tridiagonal_solver_info(self, capsys, tmp_path, monkeypatch, command, args):
+        import scipy.linalg.lapack
+
+        solve = scipy.linalg.lapack.dstevd
+
+        def unconverged(diag, off, **kwargs):
+            evals, evecs, _ = solve(diag, off, **kwargs)
+            return evals, evecs, 3
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", unconverged)
+        code, out, err = run(capsys, command, *args, "--out-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == ("numerical failure: tridiagonal eigensolve failed: "
+                       "LAPACK dstevd info = 3\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,args", [
+        ("sweep", ["--config", os.path.join(CONFIG_DIR, "sweep_default.json")]),
+        ("gatesweep", ["--config", os.path.join(CONFIG_DIR, "gatesweep_joint.json")]),
+        ("spectrum", ["--set", "chain.n_cells=5", "--set", "chain.eps_GHz=6.5",
+                      "--set", "chain.v_GHz=0.1", "--set", "chain.w_GHz=0.5"]),
+    ])
+    def test_stacked_eigensolve_error(self, capsys, tmp_path, monkeypatch, command, args):
+        def unconverged(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", unconverged)
+        code, out, err = run(capsys, command, *args, "--out-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == ("numerical failure: eigendecomposition failed: "
+                       "Eigenvalues did not converge\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSpectrumCommand:
     def test_topological_chain(self, capsys, tmp_path):
         code, out, _ = run(capsys, "spectrum",
@@ -800,7 +876,7 @@ class TestPowerSweepCommand:
         for row in rows:
             gated = apply_gate_setting(circuit, model, voltages, float(row[0]))
             np.testing.assert_allclose([float(x) for x in row[1:6]], gated.lv, rtol=1e-11)
-            assert row[-1] == spec_mod._classify_circuit(gated)[2].phase_tag
+            assert row[-1] == classify_point(gated)[2].phase_tag
 
     def test_unknown_setting_name_is_validation_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "powersweep",

@@ -5,6 +5,9 @@ import pytest
 
 from sshchain import (
     ChainSpec,
+    CircuitSpec,
+    GateModel,
+    apply_gate_setting,
     NumericalError,
     ValidationError,
     build_tb_hamiltonian,
@@ -12,6 +15,7 @@ from sshchain import (
     default_circuit,
     eigendecompose,
     find_fsr_crossing,
+    joint_gate_settings,
     map_circuit_to_tb,
     sweep_coupling,
 )
@@ -25,7 +29,9 @@ from sshchain.spectral import (
     write_sweep_csv,
 )
 
-from oracles import dense_eigvals, normalized_spectrum
+from sshchain import spectral as spec_mod
+
+from oracles import classify_point, dense_eigvals, normalized_spectrum, sweep_points
 
 
 class TestEigendecompose:
@@ -252,3 +258,103 @@ def test_sweep_csv_layout(tmp_path):
     assert slines[0] == "lv_nH,fsr_edge_bulk_GHz,fsr_edge_edge_GHz,phase_tag"
     assert len(slines) == 3
     assert slines[1].startswith("30,")
+
+
+def assert_same_point(got, expected):
+    """Two (chain, spectrum, classification) triples agree bit for bit."""
+    (chain, spectrum, cls), (chain_x, spectrum_x, cls_x) = got, expected
+    for a, b in ((chain.eps, chain_x.eps), (chain.v, chain_x.v), (chain.w, chain_x.w),
+                 (spectrum.eigenvalues, spectrum_x.eigenvalues),
+                 (spectrum.eigenvectors, spectrum_x.eigenvectors)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert chain.n_cells == chain_x.n_cells and cls == cls_x
+
+
+def disordered_circuit(n_cells, seed, pinched=()):
+    """A circuit with spread capacitances; the cells in ``pinched`` have lv = inf."""
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, 3 * n_cells + 1)
+    lv = np.full(n_cells, 30.0)
+    lv[list(pinched)] = math.inf
+    return CircuitSpec(n_cells, 660.0 * (1 + 0.05 * u[:2 * n_cells]), 1.0, lv,
+                       30.0 * (1 + 0.05 * u[2 * n_cells:]))
+
+
+class TestSweepBlocks:
+    """Sweep points and gated circuits are mapped, solved and classified in
+    blocks; each point must equal the per-point public chain bit for bit."""
+
+    GRID = [math.inf, 5.0, 22.0, math.inf, 100.0, 21.5]
+
+    @pytest.mark.parametrize("n_cells", [2, 5, 50])
+    @pytest.mark.parametrize("mask", ["all", "first", "last-and-first"])
+    @pytest.mark.parametrize("block_entries", [None, 250])
+    def test_points_match_per_point_chain(self, monkeypatch, n_cells, mask, block_entries):
+        if block_entries is not None:  # blocks of a few points, so that blocks have seams
+            monkeypatch.setattr(spec_mod, "_BLOCK_ENTRIES", block_entries)
+        cells = {"all": None, "first": [0], "last-and-first": [n_cells - 1, 0]}[mask]
+        circuit = disordered_circuit(n_cells, n_cells, pinched=[n_cells // 2])
+        sweep = sweep_coupling(circuit, self.GRID, cells=cells)
+        expected = sweep_points(circuit, self.GRID, cells)
+        assert [p.lv_nH for p in sweep] == [x[0] for x in expected]
+        for point, reference in zip(sweep, expected):
+            assert_same_point((point.chain, point.spectrum, point.classification),
+                              reference[1:])
+
+    def test_one_cell_chain_has_too_few_modes(self):
+        circuit = disordered_circuit(1, 1)
+        with pytest.raises(ValidationError, match="at least 4 modes, got 2") as err:
+            sweep_coupling(circuit, self.GRID)
+        with pytest.raises(ValidationError, match=str(err.value)):
+            sweep_points(circuit, self.GRID)
+
+    def test_gated_circuits_match_per_point_chain(self):
+        circuit = disordered_circuit(5, 3)
+        model = GateModel(5, v_p=0.4, v_o=1.8, l_min=9.0, i_star=1.0)
+        settings = list(joint_gate_settings(model, 11)) + [
+            [0.4, 1.8, 0.4, 1.8, 0.4], [1.8, 0.4, 1.8, 0.4, 1.8], [0.4, 1.0, 1.8, 1.0, 0.4]]
+        gated = [apply_gate_setting(circuit, model, v) for v in settings]
+        assert sum(math.isinf(x) for g in gated for x in g.lv) >= 10  # pinched junctions
+        for got, g in zip(spec_mod._classified(gated), gated):
+            assert_same_point(got, classify_point(g))
+
+    def test_one_skewed_point_fails_the_block(self, monkeypatch):
+        eigh = np.linalg.eigh
+        grid = np.linspace(10.0, 40.0, 8)
+
+        def skewed(h):
+            evals, evecs = eigh(h)
+            evecs[3, :, 1] += 1e-6 * evecs[3, :, 0]
+            return evals, evecs
+
+        sweep_coupling(default_circuit(), grid)
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        with pytest.raises(NumericalError, match="invariants: ortho=1.000e-06"):
+            sweep_coupling(default_circuit(), grid)
+
+    @pytest.mark.parametrize("run", [
+        lambda: eigendecompose(build_tb_hamiltonian(ChainSpec(5, 6.5, 0.1, 0.5))),
+        lambda: sweep_coupling(default_circuit(), [10.0, 30.0]),
+    ], ids=["eigendecompose", "sweep"])
+    def test_solver_failure_is_numerical_error(self, monkeypatch, run):
+        def unconverged(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", unconverged)
+        with pytest.raises(NumericalError, match="did not converge"):
+            run()
+
+    @pytest.mark.parametrize("grid,cells,name,message", [
+        ([], None, "lv grid", "^lv grid must not be empty$"),
+        ([[10.0, 20.0]], None, "lv grid",
+         r"^lv grid must be a flat list of values, got shape \(1, 2\)$"),
+        ([5.0, 0.0], None, "lv grid", "^lv grid entries must be > 0, got 0.0$"),
+        ([10.0], [7], "cells", r"^cells must be indices in 0..4, got \[7\]$"),
+        ([10.0], [], "cells", "^cells must not be empty$"),
+        ([10.0], np.array([[1, 2]]), "cells",
+         r"^cells must be a list of cell indices, got \[\[1, 2\]\]$"),
+    ])
+    def test_input_errors_name_their_value(self, grid, cells, name, message):
+        # the name lets the CLI restate the message under its config key
+        with pytest.raises(ValidationError, match=message) as err:
+            sweep_coupling(default_circuit(), grid, cells=cells)
+        assert err.value.name == name

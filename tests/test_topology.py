@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.blas
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,12 +26,13 @@ from sshchain import (
     winding_number_real_space,
 )
 from sshchain import topology
-from sshchain.topology import _draw_sample, write_ensemble_outputs
+from sshchain.topology import _draw_sample, _SamplePlan, write_ensemble_outputs
 
 from oracles import (
     dense_eigvals,
     flatband_sign,
     open_chain_ipr,
+    fresh_disorder_sample,
     rswn_from_q,
     winding_integral,
 )
@@ -126,27 +128,27 @@ class TestFlatband:
     @pytest.mark.parametrize("run", [
         lambda: flatband(chain_h(5, 0.1, 0.5), 6.5),
         lambda: winding_number_real_space(chain_h(5, 0.1, 0.5), 6.5),
-        lambda: _draw_sample(ChainSpec(5, 6.5, 0.1, 0.5),
-                             DisorderConfig(0.05, ("v", "w"), 1, 3), 0),
+        lambda: _draw_sample(_SamplePlan(ChainSpec(5, 6.5, 0.1, 0.5),
+                                         DisorderConfig(0.05, ("v", "w"), 1, 3)), 0),
     ], ids=["flatband", "winding", "disorder-sample"])
     @pytest.mark.parametrize("defect", ["norms", "first-pair", "middle-pair", "last-pair"])
     def test_non_orthonormal_eigenvectors_rejected(self, monkeypatch, run, defect):
         # The guard reads one triangle of V^T V. A pair of columns skewed
         # toward each other keeps both norms to 1e-12, so only that pair's
         # off-diagonal entry can trip it; wherever the pair sits, it must.
-        solve = scipy.linalg.eigh_tridiagonal
+        solve = scipy.linalg.lapack.dstevd
 
         def skewed(diag, off, **kwargs):
-            evals, evecs = solve(diag, off, **kwargs)
+            evals, evecs, info = solve(diag, off, **kwargs)
             if defect == "norms":
-                return evals, evecs * (1.0 + 1e-6)
+                return evals, evecs * (1.0 + 1e-6), info
             half = evecs.shape[1] // 2
             i, j = {"first-pair": (0, 1), "middle-pair": (half - 1, half),
                     "last-pair": (-2, -1)}[defect]
             evecs[:, j] += 1e-6 * evecs[:, i]
-            return evals, evecs
+            return evals, evecs, info
 
-        monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", skewed)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", skewed)
         with pytest.raises(NumericalError, match="orthonormal"):
             run()
 
@@ -178,6 +180,16 @@ class TestRealSpaceWinding:
                 for n in (20, 200)]
             assert errs[1] < errs[0]
 
+    @pytest.mark.parametrize("n_cells,v,eps", [(1, 0.3, 6.5), (5, 0.1, 6.5), (100, 0.05, 6.7),
+                                               (200, 0.9, 6.2)])
+    def test_chain_bands_match_dense_h(self, n_cells, v, eps):
+        u = np.random.default_rng(n_cells).uniform(-1.0, 1.0, 2 * n_cells)
+        chain = ChainSpec(n_cells, eps * (1 + 0.01 * u), v, 0.5)
+        eps_ref = float(np.mean(chain.eps))
+        dense = winding_number_real_space(build_tb_hamiltonian(chain), eps_ref)
+        bands = topology._chain_winding(chain, eps_ref)
+        assert bands == dense and np.array(bands.nu).tobytes() == np.array(dense.nu).tobytes()
+
     def test_matches_loop_trace_oracle(self):
         rng = np.random.default_rng(12)
         u = rng.uniform(-1.0, 1.0, size=(3, 24))
@@ -200,10 +212,11 @@ def test_winding_blocks_match_flatband_and_loop_oracle(n_cells, v, w, spread, se
                                        w * (1 + 0.5 * u[3 * n_cells:])))
     eps_ref = float(np.mean(eps))
     q = flatband(h, eps_ref)
-    basis = topology._flatband_basis_of(h, eps_ref)
+    lapack = topology._lapack()
+    basis = topology._flatband_basis(*topology._bands_of(h, eps_ref), lapack)
     a, b = slice(0, None, 2), slice(1, None, 2)
     for rows, cols in ((a, b), (b, a)):
-        block = topology._q_block(basis, rows, cols)
+        block = topology._q_block(basis, rows, cols, lapack[2])
         if n_cells <= 50:
             assert np.array_equal(block, q[rows, cols])
         else:
@@ -454,7 +467,8 @@ class TestDisorderEnsemble:
         config = DisorderConfig(strength=0.08, targets=("v", "w", "eps"),
                                 samples=16, seed=77)
         first = disorder_ensemble(base, config)
-        reverse = [_draw_sample(base, config, k)
+        plan = _SamplePlan(base, config)
+        reverse = [_draw_sample(plan, k)
                    for k in reversed(range(config.samples))]
         assert first.samples == tuple(reversed(reverse))
         assert disorder_ensemble(base, config) == first
@@ -463,7 +477,7 @@ class TestDisorderEnsemble:
         base = ChainSpec(50, 6.5, 0.25, 0.5)
         config = DisorderConfig(strength=0.05, targets=("v", "w", "eps"),
                                 samples=1, seed=21)
-        sample = _draw_sample(base, config, 0)
+        sample = _draw_sample(_SamplePlan(base, config), 0)
         rng = np.random.default_rng([config.seed, 0])
         eps = base.eps * (1 + 0.05 * rng.uniform(-1, 1, 100))
         v = base.v * (1 + 0.05 * rng.uniform(-1, 1, 50))
@@ -497,9 +511,34 @@ class TestDisorderEnsemble:
         monkeypatch.setattr(scipy.linalg.blas, "dgemm", sized_dgemm)
         monkeypatch.setattr(scipy.linalg.blas, "dsyrk", counted_dsyrk)
         config = DisorderConfig(strength=0.1, targets=("v", "w"), samples=1, seed=5)
-        _draw_sample(ChainSpec(50, 6.5, v, 0.5), config, 0)
+        _draw_sample(_SamplePlan(ChainSpec(50, 6.5, v, 0.5), config), 0)
         assert grams == [(100, 100)]  # the orthonormality guard ran
         assert len(sizes) == 2 and max(sizes) <= 4 * 65536, sizes
+
+    @pytest.mark.parametrize("n_cells", [1, 2, 5, 50])
+    @pytest.mark.parametrize("v", [0.0, 0.01, 0.25, 1.0])
+    @pytest.mark.parametrize("targets", [("v", "w"), ("v", "w", "eps"), ("w",), ("eps",)])
+    def test_prepared_samples_match_fresh_composition(self, n_cells, v, targets):
+        # one plan serves every sample: its reused hop buffer and shifted
+        # base diagonal must leave each sample as it was when formed afresh
+        base = ChainSpec(n_cells, 6.5, v, 0.5)
+        config = DisorderConfig(strength=0.1, targets=targets, samples=4, seed=2024)
+        got = [(s.nu, s.min_gap_GHz) for s in disorder_ensemble(base, config).samples]
+        expected = [fresh_disorder_sample(base, config, k) for k in range(config.samples)]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("info", [1, -2])
+    def test_solver_failure_is_numerical_error(self, monkeypatch, info):
+        solve = scipy.linalg.lapack.dstevd
+
+        def failing(diag, off, **kwargs):
+            evals, evecs, _ = solve(diag, off, **kwargs)
+            return evals, evecs, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing)
+        config = DisorderConfig(strength=0.1, targets=("v", "w"), samples=3, seed=5)
+        with pytest.raises(NumericalError, match=f"dstevd info = {info}"):
+            disorder_ensemble(ChainSpec(5, 6.5, 0.1, 0.5), config)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
