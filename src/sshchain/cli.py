@@ -3,12 +3,15 @@
 Each subcommand reads one JSON config document (optionally patched by
 dotted ``--set`` overrides), validates it against a strict key schema,
 dispatches into the library and writes ``<command>_<label>.*`` files into
-the output directory. Every run is serial: ``--threads`` and the config
-key ``threads`` are accepted and validated (>= 1) but have no effect, so
-identical config and seed produce byte-identical CSVs whatever they are
-set to. Config values that cannot be converted to the number they stand
-for, or that fall outside their range, fail validation with exit code 1
-and an error naming their dotted config key.
+the output directory. A runner is a generator that reads and checks every
+input up to its first ``yield``, where ``--dry-run`` stops; a run then makes
+the output directory and resumes it to solve, write and yield the summary.
+Every run is serial: ``--threads`` and the config key ``threads`` are
+accepted and validated (>= 1) but have no effect, so identical config and
+seed produce byte-identical CSVs whatever they are set to. Config values
+that cannot be converted to the number they stand for, or that fall outside
+their range, fail validation with exit code 1 and an error naming their
+dotted config key.
 """
 
 from __future__ import annotations
@@ -177,28 +180,33 @@ def _spec_keys(cls, section) -> dict:
             **{name: f"{section}.{key}" for name, key in cls._JSON_KEYS}}
 
 
-def _spec_from(cls, config, section, command):
+def _spec_from(cls, config, section, command, classified=False):
     with _read_as(_spec_keys(cls, section)):
-        return cls.from_dict(_require(config, section, command))
+        spec = cls.from_dict(_require(config, section, command))
+        if classified:
+            spec_mod._check_modes(spec.n_sites)
+    return spec
 
 
-def _chain_from(config, command) -> chain_mod.ChainSpec:
+def _chain_from(config, command, classified=False) -> chain_mod.ChainSpec:
     if "chain" in config:
-        return _spec_from(chain_mod.ChainSpec, config, "chain", command)
+        return _spec_from(chain_mod.ChainSpec, config, "chain", command, classified)
     if "circuit" in config:
         return chain_mod.map_circuit_to_tb(
-            _spec_from(chain_mod.CircuitSpec, config, "circuit", command))
+            _spec_from(chain_mod.CircuitSpec, config, "circuit", command, classified))
     raise ValidationError(f"'{command}' config needs 'chain' or 'circuit'")
 
 
 def _trace_inputs(config, command) -> dict:
-    """The ``freqs``, ``z0`` and ``box`` arguments of a transmission trace."""
+    """The checked ``freqs``, ``z0`` and ``box`` arguments of a transmission trace."""
     grid = _linspace(_require(config, "freqs", command), "freqs", _FREQ_KEYS, {}, 2)
     box = config.get("box")
     if box is not None:
         with _read_as({name: f"box.{key}" for name, key in _BOX_FIELDS}):
             box = mw_mod.BoxMode(**{name: box[key] for name, key in _BOX_FIELDS if key in box})
-    return {"freqs": grid, "box": box, "z0": _number(config.get("z0_ohm", 50.0), "z0_ohm")}
+    with _read_as({"frequency grid": "freqs", "port impedance": "z0_ohm"}):
+        freqs, z0 = mw_mod._port_inputs(grid, config.get("z0_ohm", 50.0))
+    return {"freqs": freqs, "box": box, "z0": z0}
 
 
 def _gate_from(config, command, n_junctions) -> mw_mod.GateModel:
@@ -226,8 +234,9 @@ def _gate_from(config, command, n_junctions) -> mw_mod.GateModel:
 
 
 def _run_spectrum(config, stem):
-    chain = _chain_from(config, "spectrum")
+    chain = _chain_from(config, "spectrum", classified=True)
     eps_ref = _number(config.get("eps_ref_GHz", np.mean(chain.eps)), "eps_ref_GHz")
+    yield
     spectrum = spec_mod.eigendecompose(chain_mod.build_tb_hamiltonian(chain))
     cls = spec_mod.classify_modes(spectrum, eps_ref)
     write_csv(f"{stem}.csv", ["mode_index", "freq_GHz", "label"],
@@ -238,17 +247,16 @@ def _run_spectrum(config, stem):
         "fsr_edge_edge_GHz": cls.fsr_edge_edge,
         "phase_tag": cls.phase_tag,
     })
-    return (f"phase={cls.phase_tag} fsr_edge_bulk_GHz={fmt(cls.fsr_edge_bulk)} "
-            f"fsr_edge_edge_GHz={fmt(cls.fsr_edge_edge)}")
+    yield (f"phase={cls.phase_tag} fsr_edge_bulk_GHz={fmt(cls.fsr_edge_bulk)} "
+           f"fsr_edge_edge_GHz={fmt(cls.fsr_edge_edge)}")
 
 
 def _run_sweep(config, stem):
-    circuit = _spec_from(chain_mod.CircuitSpec, config, "circuit", "sweep")
+    circuit = _spec_from(chain_mod.CircuitSpec, config, "circuit", "sweep", classified=True)
     grid_cfg = _require(config, "lv_grid", "sweep")
     if "values_nH" in grid_cfg:
         grid_key = "lv_grid.values_nH"
-        grid = _numbers(chain_mod._from_json_values(grid_cfg["values_nH"], grid_key), grid_key,
-                        allow_inf=True)
+        grid = chain_mod._from_json_values(grid_cfg["values_nH"], grid_key)
     else:
         grid_key = "lv_grid"
         start, stop, step = (_number(_require(grid_cfg, key, "lv_grid"), f"lv_grid.{key}")
@@ -260,43 +268,48 @@ def _run_sweep(config, stem):
                 maximum=MAX_POINTS)
         grid = np.arange(start, stop + step / 2, step)
     with _read_as({"lv grid": grid_key}):
-        sweep = spec_mod.sweep_coupling(circuit, grid, cells=config.get("cells"))
+        grid, cells = spec_mod._sweep_axes(circuit, grid, config.get("cells"))
+    yield
+    sweep = spec_mod.sweep_coupling(circuit, grid, cells=cells)
     spec_mod.write_sweep_csv(sweep, f"{stem}.csv", f"{stem}_summary.csv")
     crossing = spec_mod.find_fsr_crossing(sweep)
-    if crossing is None:
-        return f"points={len(sweep)} crossing=none"
-    return f"points={len(sweep)} crossing_lv_nH={fmt(crossing)}"
+    found = "crossing=none" if crossing is None else f"crossing_lv_nH={fmt(crossing)}"
+    yield f"points={len(sweep)} {found}"
 
 
 def _run_winding(config, stem):
     method = config.get("method", "k-space")
     if method == "k-space":
-        with _read_as({"v": "v_GHz", "w": "w_GHz"}):
-            result = topo_mod.winding_number_k_space(
+        with _read_as({"v": "v_GHz", "w": "w_GHz", "v and w": "v_GHz and w_GHz"}):
+            v, w = topo_mod._bloch_hops(
                 *(_require(config, key, "winding") for key in ("v_GHz", "w_GHz")))
+        yield
+        result = topo_mod.winding_number_k_space(v, w)
     elif method == "real-space":
         chain = _chain_from(config, "winding")
         eps_ref = _number(config.get("eps_ref_GHz", np.mean(chain.eps)), "eps_ref_GHz")
+        yield
         result = topo_mod._chain_winding(chain, eps_ref)
     else:
         raise ValidationError(
-            f"winding method must be 'k-space' or 'real-space', got {method!r}")
+            f"method must be 'k-space' or 'real-space', got {method!r}")
     write_json(f"{stem}.json", {
         "nu": result.nu,
         "method": result.method,
         "chain_length": result.chain_length,
     })
-    return f"nu={fmt(result.nu)} method={result.method}"
+    yield f"nu={fmt(result.nu)} method={result.method}"
 
 
 def _run_ipr(config, stem):
     chain = _chain_from(config, "ipr")
+    yield
     spectrum = spec_mod.eigendecompose(chain_mod.build_tb_hamiltonian(chain))
     values = [topo_mod.ipr(spectrum.eigenvectors[:, k])
               for k in range(spectrum.n_sites)]
     write_csv(f"{stem}.csv", ["mode_index", "freq_GHz", "ipr"],
               [range(spectrum.n_sites), spectrum.eigenvalues, values])
-    return f"modes={len(values)} ipr_min={fmt(min(values))} ipr_max={fmt(max(values))}"
+    yield f"modes={len(values)} ipr_min={fmt(min(values))} ipr_max={fmt(max(values))}"
 
 
 def _run_disorder(config, stem):
@@ -313,18 +326,20 @@ def _run_disorder(config, stem):
             samples=cfg.get("samples", 100),
             seed=seed,
         )
+    yield
     result = topo_mod.disorder_ensemble(chain, dconf)
     topo_mod.write_ensemble_outputs(result, f"{stem}.csv", f"{stem}.json")
-    return (f"mean_nu={fmt(result.mean_nu)} std_nu={fmt(result.std_nu)} "
-            f"rejections={result.rejections}")
+    yield (f"mean_nu={fmt(result.mean_nu)} std_nu={fmt(result.std_nu)} "
+           f"rejections={result.rejections}")
 
 
 def _run_s21(config, stem):
     circuit = _spec_from(chain_mod.CircuitSpec, config, "circuit", "s21")
-    trace = mw_mod.s21_trace(circuit, **_trace_inputs(config, "s21"),
-                             power_dBm=config.get("power_dBm"))
+    inputs = {**_trace_inputs(config, "s21"), "power_dBm": mw_mod._power(config.get("power_dBm"))}
+    yield
+    trace = mw_mod.s21_trace(circuit, **inputs)
     mw_mod.write_trace_outputs(trace, f"{stem}.csv", f"{stem}.json")
-    return f"points={trace.freqs.size} abs_s21_max={fmt(float(np.max(np.abs(trace.s21))))}"
+    yield f"points={trace.freqs.size} abs_s21_max={fmt(float(np.max(np.abs(trace.s21))))}"
 
 
 def _gate_settings_from(config, model):
@@ -351,17 +366,20 @@ def _gate_settings_from(config, model):
         f"sweep.kind must be joint, single or explicit, got {kind!r}")
 
 
-def _gated_sweep(config, stem, command, circuit, model, points, emit_traces):
+def _gated_sweep(config, stem, command, circuit, model, keys, points, emit_traces):
     """Gate ``circuit`` once per ``(voltages, i_s, metadata)`` point and classify it.
 
+    Used with ``yield from``: before the yield the points are gated, the gate
+    model's errors named by the config ``keys``, and the trace inputs read.
     Each trace records its gate setting and signal current and the point's
-    ``metadata``. The trace inputs are parsed whether or not traces are
-    emitted. With ``emit_traces`` every S21 trace is computed before the
-    first is written, so a numerical failure leaves no partial trace
-    files. Returns the gated circuits and their classifications.
+    ``metadata``. With ``emit_traces`` every S21 trace is computed before the
+    first is written, so a numerical failure leaves no partial trace files.
+    Returns the gated circuits and their classifications.
     """
     inputs = _trace_inputs(config, command)
-    gated = [mw_mod.apply_gate_setting(circuit, model, v, i_s) for v, i_s, _ in points]
+    with _read_as(keys):
+        gated = [mw_mod.apply_gate_setting(circuit, model, v, i_s) for v, i_s, _ in points]
+    yield
     classes = [cls for _, _, cls in spec_mod._classified(gated)]
     if emit_traces:
         traces = [mw_mod.s21_trace(g, **inputs, metadata={
@@ -374,55 +392,52 @@ def _gated_sweep(config, stem, command, circuit, model, points, emit_traces):
 
 
 def _run_gatesweep(config, stem):
-    circuit = _spec_from(chain_mod.CircuitSpec, config, "circuit", "gatesweep")
+    circuit = _spec_from(chain_mod.CircuitSpec, config, "circuit", "gatesweep", classified=True)
     model = _gate_from(config, "gatesweep", circuit.n_cells)
     with _read_as({"steps": "sweep.steps", "junction index": "sweep.junction"}):
         settings = _gate_settings_from(config, model)
-    i_s = _number(config.get("i_s_uA", 0.0), "i_s_uA")
+    i_s = config.get("i_s_uA", 0.0)
     emit_traces = _flag(config, "emit_traces", True)
-    _, classes = _gated_sweep(
-        config, stem, "gatesweep", circuit, model,
+    _, classes = yield from _gated_sweep(
+        config, stem, "gatesweep", circuit, model, {"signal current": "i_s_uA"},
         [(v, i_s, {"setting_index": k}) for k, v in enumerate(settings)], emit_traces)
     header = (["setting_index"] + [f"v_g{j}_V" for j in range(circuit.n_cells)]
               + spec_mod._PHASE_HEADER)
     write_csv(f"{stem}_summary.csv", header, [range(len(settings))] + list(settings.T)
               + spec_mod._phase_columns(classes))
-    return f"settings={len(settings)} traces_written={len(settings) if emit_traces else 0}"
+    yield f"settings={len(settings)} traces_written={len(settings) if emit_traces else 0}"
 
 
 def _run_powersweep(config, stem):
-    circuit = _spec_from(chain_mod.CircuitSpec, config, "circuit", "powersweep")
+    circuit = _spec_from(chain_mod.CircuitSpec, config, "circuit", "powersweep", classified=True)
     model = _gate_from(config, "powersweep", circuit.n_cells)
-    setting = config.get("setting_V", "open")
-    if isinstance(setting, str):
-        if setting == "open":
-            voltages = np.array(model.v_o)
-        elif setting == "pinch":
-            voltages = np.array(model.v_p)
-        else:
+    voltages = config.get("setting_V", "open")  # a list is read when it is applied
+    if isinstance(voltages, str):
+        if voltages not in ("open", "pinch"):
             raise ValidationError(
-                f"setting_V must be 'open', 'pinch' or a voltage list, got {setting!r}")
-    else:
-        voltages = _numbers(setting, "setting_V")
+                f"setting_V must be 'open', 'pinch' or a voltage list, got {voltages!r}")
+        voltages = model.v_o if voltages == "open" else model.v_p
     grid_cfg = _require(config, "i_s_grid", "powersweep")
+    grid_key = "i_s_grid.values_uA" if "values_uA" in grid_cfg else "i_s_grid"
     if "values_uA" in grid_cfg:
-        i_grid = _numbers(grid_cfg["values_uA"], "i_s_grid.values_uA")
+        i_grid = _numbers(grid_cfg["values_uA"], grid_key)
     else:
         _require(grid_cfg, "stop_uA", "i_s_grid")
         i_grid = _linspace(grid_cfg, "i_s_grid", ("start_uA", "stop_uA", "points"),
                            {"start_uA": 0.0, "points": 9}, 1)
     if i_grid.ndim != 1 or i_grid.size == 0:
         raise ValidationError("i_s_grid holds no signal current (need a non-empty list)")
-    gated, classes = _gated_sweep(config, stem, "powersweep", circuit, model,
-                                  [(voltages, i_s, {}) for i_s in i_grid],
-                                  _flag(config, "emit_traces", False))
+    gated, classes = yield from _gated_sweep(
+        config, stem, "powersweep", circuit, model,
+        {"gate voltages": "setting_V", "signal current": grid_key},
+        [(voltages, i_s, {}) for i_s in i_grid], _flag(config, "emit_traces", False))
     header = (["i_s_uA"] + [f"lv{j}_nH" for j in range(circuit.n_cells)]
               + spec_mod._PHASE_HEADER)
     lv = np.array([g.lv for g in gated])
     write_csv(f"{stem}.csv", header,
               [i_grid] + list(lv.T) + spec_mod._phase_columns(classes))
-    return (f"points={len(i_grid)} phase_first={classes[0].phase_tag} "
-            f"phase_last={classes[-1].phase_tag}")
+    yield (f"points={len(i_grid)} phase_first={classes[0].phase_tag} "
+           f"phase_last={classes[-1].phase_tag}")
 
 
 def _run_fit(config, stem):
@@ -435,14 +450,15 @@ def _run_fit(config, stem):
         problem = est_mod.fit_problem_from_dict(_require(config, "fit", "fit"))
     with _read_as({f.name: f"options.{f.name}" for f in fields(est_mod.FitOptions)}):
         options = est_mod.FitOptions(**config.get("options", {}))
-    result = est_mod.fit_circuit_params(
-        problem, options=options,
-        **{key: config[key] for key in ("max_restarts", "target_rms_GHz", "multi_start")
-           if key in config})
+    settings = {key: config[key] for key in ("max_restarts", "target_rms_GHz", "multi_start")
+                if key in config}
+    est_mod._fit_settings(**settings)
+    yield
+    result = est_mod.fit_circuit_params(problem, options=options, **settings)
     est_mod.write_fit_outputs(result, f"{stem}.json", f"{stem}_sites.csv",
                               f"{stem}_couplings.csv")
-    return (f"residual_rms_kHz={fmt(result.residual_rms_kHz)} "
-            f"converged={result.converged} restarts={result.restarts}")
+    yield (f"residual_rms_kHz={fmt(result.residual_rms_kHz)} "
+           f"converged={result.converged} restarts={result.restarts}")
 
 
 RUNNERS = {
@@ -476,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted for compatibility (>= 1); has no effect, "
                             "every run is serial")
         p.add_argument("--dry-run", action="store_true",
-                       help="validate the config and print the resolved "
-                            "parameter set without computing")
+                       help="read and check every config value, then print the "
+                            "resolved config without computing or writing")
     return parser
 
 
@@ -531,6 +547,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = _resolve_config(args)
+        run = RUNNERS[args.command](
+            config, os.path.join(config["out_dir"], f"{args.command}_{config['label']}"))
+        next(run)  # the read step
         if args.dry_run:
             print(json.dumps(config, indent=2, sort_keys=True))
             return 0
@@ -538,8 +557,7 @@ def main(argv=None) -> int:
             os.makedirs(config["out_dir"], exist_ok=True)
         except OSError as exc:
             raise ValidationError(f"output directory not writable: {exc}") from None
-        summary = RUNNERS[args.command](
-            config, os.path.join(config["out_dir"], f"{args.command}_{config['label']}"))
+        summary = next(run)  # the compute step
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -139,7 +139,8 @@ def _parameter_layout(start: CircuitSpec, free, bounds):
 
     One entry per circuit parameter, families in ``PARAM_FAMILIES`` order
     (c0 | l0 | cw | lv), ascending index within each. A pinched (infinite)
-    lv entry is never free. Bounds are checked on free entries only.
+    lv entry is never free, and some entry must be. Bounds are checked on
+    free entries only.
     """
     for what, given, kind in (("free", free, "flags"), ("bounds", bounds, "(lo, hi)")):
         if not isinstance(given, (dict, type(None))):
@@ -182,6 +183,8 @@ def _parameter_layout(start: CircuitSpec, free, bounds):
         if np.any((x < x_lo) | (x > x_hi)):
             raise ValidationError(f"start {name} values fall outside their bounds",
                                   f"start {name}")
+    if not mask.any():
+        raise ValidationError("free selects no parameters to fit", "free")
     return values, mask, lo, hi
 
 
@@ -273,14 +276,10 @@ def fit_circuit_params(problem: FitProblem,
     # scipy.optimize costs ~0.3 s to import; only the fit subcommand needs it
     from scipy.optimize import least_squares
 
-    _number(max_restarts, "max_restarts", integer=True)
-    target_rms_GHz = _number(target_rms_GHz, "target_rms_GHz")
-    multi_start = _number(multi_start, "multi_start", integer=True, minimum=1)
+    target_rms_GHz, multi_start = _fit_settings(max_restarts, target_rms_GHz, multi_start)
     opts = options or FitOptions()
     values, mask, lo, hi = problem._layout
     free = np.flatnonzero(mask)
-    if free.size == 0:
-        raise ValidationError("free mask selects no parameters to fit")
     # math.log/exp per scalar: np.exp differs from math.exp in the last bit
     log_lo, log_hi, x0 = (np.array([math.log(b) for b in arr[free]]) for arr in (lo, hi, values))
     n = problem.start.n_cells
@@ -337,6 +336,13 @@ def fit_circuit_params(problem: FitProblem,
         clamped=int(np.count_nonzero(result.active_mask)),
         disorder_report_pct=disorder_report(best),
     )
+
+
+def _fit_settings(max_restarts=8, target_rms_GHz=1e-7, multi_start=1) -> tuple:
+    """``fit_circuit_params``' checked settings: the two that take effect."""
+    _number(max_restarts, "max_restarts", integer=True)
+    return (_number(target_rms_GHz, "target_rms_GHz"),
+            _number(multi_start, "multi_start", integer=True, minimum=1))
 
 
 def fit_problem_from_dict(data: dict) -> FitProblem:

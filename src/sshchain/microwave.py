@@ -156,11 +156,14 @@ def _fill_trace(trace, freqs: np.ndarray, s21: np.ndarray, power_dBm,
     ``s21`` no caller holds, neither checked nor copied again; ``s21_trace``
     and ``background_normalize`` pass a bare ``object.__new__(S21Trace)``."""
     s21.flags.writeable = False
-    power = None if power_dBm is None else _number(power_dBm, "power_dBm")
     for name, value in zip(("freqs", "s21", "power_dBm", "metadata"),
-                           (freqs, s21, power, dict(metadata))):
+                           (freqs, s21, _power(power_dBm), dict(metadata))):
         object.__setattr__(trace, name, value)
     return trace
+
+
+def _power(power_dBm) -> Optional[float]:
+    return None if power_dBm is None else _number(power_dBm, "power_dBm")
 
 
 @dataclass(frozen=True)
@@ -221,8 +224,8 @@ def apply_gate_setting(circuit: CircuitSpec, model: GateModel,
             f"{circuit.n_cells} cells")
     voltages = _numbers(voltages, "gate voltages")
     if voltages.shape != (circuit.n_cells,):
-        raise ValidationError(
-            f"need one voltage per junction ({circuit.n_cells}), got {voltages.shape}")
+        raise ValidationError(f"gate voltages must hold one voltage per junction "
+                              f"({circuit.n_cells}), got shape {voltages.shape}", "gate voltages")
     lv = [nanowire_inductance(model, j, voltages[j], i_s)
           for j in range(circuit.n_cells)]
     return circuit.with_lv(lv)
@@ -247,24 +250,27 @@ def single_gate_settings(model: GateModel, junction: int,
     return settings
 
 
-def _increasing_grid(freqs) -> np.ndarray:
+def _increasing_grid(freqs, positive: bool = False) -> np.ndarray:
     """``freqs`` as a new read-only array, checked to be a non-empty, finite,
-    strictly increasing 1-D grid; the one check of every trace's grid."""
+    strictly increasing 1-D grid, > 0 if ``positive``; the one grid check."""
     grid = _numbers(freqs, "frequency grid")
     if grid.ndim != 1 or grid.size == 0:
-        raise ValidationError("frequency grid must be a non-empty 1-D array")
+        raise ValidationError("frequency grid must be a non-empty 1-D array", "frequency grid")
     if np.any(np.diff(grid) <= 0):
-        raise ValidationError("frequency grid must be strictly increasing")
+        raise ValidationError("frequency grid must be strictly increasing", "frequency grid")
+    if positive and grid[0] <= 0:  # the grid increases, so this is its minimum
+        raise ValidationError(f"frequency grid must be > 0 (0 makes reactive elements "
+                              f"singular), got {grid[0]}", "frequency grid")
     grid.flags.writeable = False
     return grid
 
 
-def _validate_freqs(freqs) -> np.ndarray:
-    freqs = _increasing_grid(freqs)
-    if freqs[0] <= 0:  # the grid increases, so this is its minimum
-        raise ValidationError(
-            "frequency 0 (or below) makes reactive elements singular")
-    return freqs
+def _port_inputs(freqs, z0) -> tuple:
+    """``s21_trace``'s grid (a positive ``_increasing_grid``) and port impedance z0 > 0."""
+    z0 = _number(z0, "port impedance")
+    if z0 <= 0:
+        raise ValidationError(f"port impedance must be > 0, got {z0}", "port impedance")
+    return _increasing_grid(freqs, positive=True), z0
 
 
 def _cascade(circuit: CircuitSpec, omega: np.ndarray):
@@ -322,7 +328,7 @@ def _cascade(circuit: CircuitSpec, omega: np.ndarray):
 
 def ladder_abcd(circuit: CircuitSpec, freqs: Sequence[float]) -> np.ndarray:
     """ABCD matrices of the bare chain ladder, shape (n_freq, 2, 2)."""
-    omega = 2.0 * np.pi * _validate_freqs(freqs) * _GHZ
+    omega = 2.0 * np.pi * _increasing_grid(freqs, positive=True) * _GHZ
     a, b, c, d = _cascade(circuit, omega)
     abcd = np.zeros((a.size, 2, 2), dtype=complex)
     abcd.real[:, 0, 0] = a
@@ -406,10 +412,7 @@ def s21_trace(circuit: CircuitSpec, freqs: Sequence[float], z0: float = 50.0,
     recorded in the metadata. A peak |s21| above 1 (or NaN) raises
     NumericalError.
     """
-    z0 = _number(z0, "port impedance")
-    if z0 <= 0:
-        raise ValidationError(f"port impedance must be > 0, got {z0}")
-    freqs = _validate_freqs(freqs)
+    freqs, z0 = _port_inputs(freqs, z0)
     omega = 2.0 * np.pi * freqs * _GHZ
     a, b, c, d = _cascade(circuit, omega)
     # 2 / ((A + D) + j(B/z0 + C z0)), built in place; numpy divides a

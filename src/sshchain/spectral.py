@@ -204,7 +204,7 @@ def _classify(evals: np.ndarray, eps_ref: np.ndarray) -> list:
 
 def _check_modes(dim: int) -> None:
     if dim < 4:
-        raise ValidationError(f"classification needs at least 4 modes, got {dim}")
+        raise ValidationError(f"n_cells must be >= 2 to classify modes, got {dim} modes", "n_cells")
 
 
 def classify_modes(spectrum: Spectrum, eps_ref: float) -> ModeClassification:
@@ -278,6 +278,18 @@ def sweep_coupling(circuit: CircuitSpec, lv_grid: Sequence[float],
     grid order. The points are mapped, diagonalized and classified in
     blocks (see ``_spectra``), each point as it would be alone.
     """
+    grid, cell_idx = _sweep_axes(circuit, lv_grid, cells)
+    sweep = []
+    for block in _block_slices(grid.size, circuit.n_sites):
+        lv = np.tile(circuit.lv, (grid[block].size, 1))
+        lv[:, cell_idx] = grid[block, None]
+        sweep += [SweepPoint(lv_nH, *point) for lv_nH, point in zip(
+            grid[block].tolist(), _classified_block(circuit.c0, circuit.l0, lv, circuit.cw))]
+    return sweep
+
+
+def _sweep_axes(circuit: CircuitSpec, lv_grid, cells) -> tuple:
+    """``sweep_coupling``'s lv grid and swept cell indices, checked."""
     grid = _numbers(lv_grid, "lv grid", allow_inf=True)
     if grid.size == 0:
         raise ValidationError("lv grid must not be empty", "lv grid")
@@ -301,21 +313,15 @@ def sweep_coupling(circuit: CircuitSpec, lv_grid: Sequence[float],
             raise ValidationError(
                 f"cells must be indices in 0..{circuit.n_cells - 1}, got {cell_idx.tolist()}",
                 "cells")
-    sweep = []
-    for block in _block_slices(grid.size, circuit.n_sites):
-        lv = np.tile(circuit.lv, (grid[block].size, 1))
-        lv[:, cell_idx] = grid[block, None]
-        sweep += [SweepPoint(lv_nH, *point) for lv_nH, point in zip(
-            grid[block].tolist(), _classified_block(circuit.c0, circuit.l0, lv, circuit.cw))]
-    return sweep
+    return grid, cell_idx
 
 
 def find_fsr_crossing(sweep: Sequence[SweepPoint]) -> Optional[float]:
     """Locate the lv where the edge-edge and edge-bulk FSR curves cross.
 
-    Scans the sweep in grid order for a sign change of
-    fsr_edge_bulk - fsr_edge_edge and linearly interpolates inside the
-    bracketing interval. Returns None when no crossing exists.
+    Scans the sweep in grid order for a sign change of fsr_edge_bulk -
+    fsr_edge_edge and interpolates linearly inside the bracketing interval,
+    in 1/lv if an end is infinite. Returns None when no crossing exists.
     """
     lv = np.array([p.lv_nH for p in sweep])
     diff = np.array([p.classification.fsr_edge_bulk - p.classification.fsr_edge_edge
@@ -325,6 +331,8 @@ def find_fsr_crossing(sweep: Sequence[SweepPoint]) -> Optional[float]:
             return float(lv[i])
         if diff[i] * diff[i + 1] < 0:
             frac = diff[i] / (diff[i] - diff[i + 1])
+            if np.isinf(lv[i:i + 2]).any():
+                return float(1.0 / (1.0 / lv[i] + frac * (1.0 / lv[i + 1] - 1.0 / lv[i])))
             return float(lv[i] + frac * (lv[i + 1] - lv[i]))
     if len(diff) and diff[-1] == 0.0:
         return float(lv[-1])

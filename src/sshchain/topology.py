@@ -308,10 +308,7 @@ def winding_number_k_space(v: float, w: float) -> WindingResult:
     is always within 1e-6 of an integer; v = w raises GapClosingError and
     a negative or non-finite hop raises ValidationError.
     """
-    v = _number(v, "v", minimum=0)
-    w = _number(w, "w", minimum=0)
-    if v == 0 and w == 0:
-        raise ValidationError("v and w cannot both be zero")
+    v, w = _bloch_hops(v, w)
     if v == w:
         raise GapClosingError(
             f"winding integrand is singular at v = w = {v}; the gap closes")
@@ -333,6 +330,14 @@ def winding_number_k_space(v: float, w: float) -> WindingResult:
         raise NumericalError(
             f"k-space winding did not quantize: raw value {nu_raw!r}")
     return WindingResult(nu=float(nu_int), chain_length=0, method="k-space")
+
+
+def _bloch_hops(v, w) -> tuple:
+    v = _number(v, "v", minimum=0)
+    w = _number(w, "w", minimum=0)
+    if v == 0 and w == 0:
+        raise ValidationError("v and w cannot both be zero", "v and w")
+    return v, w
 
 
 def _state(state) -> np.ndarray:

@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 import subprocess
@@ -113,12 +114,10 @@ class TestWindingCommand:
 
 
 class TestConfigHandling:
-    def test_unknown_keys_listed(self, capsys, tmp_path):
-        code, _, err = run(capsys, "winding", "--set", "method=k-space",
-                           "--set", "v_GHz=0.25", "--set", "w_GHz=0.5",
-                           "--set", "bogus=1", "--set", "also_bad=2",
-                           "--out-dir", str(tmp_path))
-        assert code == 1
+    def test_unknown_keys_listed(self, refused):
+        err = refused("winding", "--set", "method=k-space",
+                      "--set", "v_GHz=0.25", "--set", "w_GHz=0.5",
+                      "--set", "bogus=1", "--set", "also_bad=2")
         assert "bogus" in err and "also_bad" in err
 
     def test_dry_run_prints_resolved_config_without_outputs(self, capsys, tmp_path):
@@ -149,21 +148,20 @@ class TestConfigHandling:
         first = resolved("winding", "--set", "method=k-space", "--set", "v_GHz=0.1",
                          "--set", "w_GHz=0.5", "--out-dir", str(tmp_path), "--label", "one",
                          "--threads", "2", "--seed", "4")
-        second = resolved("spectrum", "--set", "chain.n_cells=5")
-        third = resolved("winding", "--set", "method=real-space", "--label", "three")
+        chain = {"n_cells": 5, "eps_GHz": 6.5, "v_GHz": 0.1, "w_GHz": 0.5}
+        chain_sets = [a for key, value in chain.items() for a in ("--set", f"chain.{key}={value}")]
+        second = resolved("spectrum", *chain_sets)
+        third = resolved("winding", "--set", "method=real-space", *chain_sets, "--label", "three")
         assert (first["method"], first["v_GHz"], first["threads"], first["seed"]) == \
             ("k-space", 0.1, 2, 4)
         assert sorted(second) == ["chain", "label", "out_dir", "threads"]
-        assert (second["chain"], second["out_dir"], second["threads"]) == ({"n_cells": 5}, ".", 1)
-        assert sorted(third) == ["label", "method", "out_dir", "threads"]
+        assert (second["chain"], second["out_dir"], second["threads"]) == (chain, ".", 1)
+        assert sorted(third) == ["chain", "label", "method", "out_dir", "threads"]
         assert (third["method"], third["label"], third["threads"]) == ("real-space", "three", 1)
         assert cli._parser() is cli._parser()
 
-    def test_missing_config_file(self, capsys, tmp_path):
-        code, _, err = run(capsys, "spectrum",
-                           "--config", str(tmp_path / "nope.json"))
-        assert code == 1
-        assert "not found" in err
+    def test_missing_config_file(self, refused, tmp_path):
+        assert "not found" in refused("spectrum", "--config", str(tmp_path / "nope.json"))
 
     def test_set_list_index_override(self, capsys, tmp_path):
         config = tmp_path / "conf.json"
@@ -194,14 +192,11 @@ class TestConfigHandling:
         ("disorder", "disorder_topological", "disorder.samples=abc"),
         ("s21", "s21_topological", "power_dBm=abc"),
     ])
-    def test_non_numeric_value_is_validation_error(self, capsys, tmp_path,
-                                                    command, config, override):
-        code, _, err = run(capsys, command,
-                           "--config", os.path.join(CONFIG_DIR, f"{config}.json"),
-                           "--set", override, "--out-dir", str(tmp_path))
-        assert code == 1
+    def test_non_numeric_value_is_validation_error(self, refused, command, config, override):
+        err = refused(command, "--config", os.path.join(CONFIG_DIR, f"{config}.json"),
+                      "--set", override)
         key = override.split("=")[0].split(".")[-1]
-        assert err.startswith("error: ") and key in err and "abc" in err
+        assert key in err and "abc" in err
 
     @pytest.mark.parametrize("command,config,override", [
         ("s21", "s21_topological", 'freqs.points="401"'),
@@ -211,25 +206,18 @@ class TestConfigHandling:
         ("powersweep", "powersweep_trivial", 'setting_V=[1.8, 1.8, "1.8", 1.8, 1.8]'),
         ("disorder", "disorder_topological", 'disorder.samples="20"'),
     ])
-    def test_numeric_string_is_validation_error(self, capsys, tmp_path,
-                                                command, config, override):
-        code, _, err = run(capsys, command,
-                           "--config", os.path.join(CONFIG_DIR, f"{config}.json"),
-                           "--set", override, "--out-dir", str(tmp_path))
-        assert code == 1
-        assert err.startswith("error: ") and "'" in err
-        assert not os.listdir(tmp_path)
+    def test_numeric_string_is_validation_error(self, refused, command, config, override):
+        err = refused(command, "--config", os.path.join(CONFIG_DIR, f"{config}.json"),
+                      "--set", override)
+        assert "'" in err
 
     @pytest.mark.parametrize("command,config,override", [
         ("fit", "fit_roundtrip", "options=5"),
         ("spectrum", None, "chain=5"),
     ])
-    def test_scalar_section_is_validation_error(self, capsys, tmp_path,
-                                                command, config, override):
+    def test_scalar_section_is_validation_error(self, refused, command, config, override):
         args = ["--config", os.path.join(CONFIG_DIR, f"{config}.json")] if config else []
-        code, _, err = run(capsys, command, *args, "--set", override,
-                           "--out-dir", str(tmp_path))
-        assert code == 1
+        err = refused(command, *args, "--set", override)
         key = override.split("=")[0]
         assert err.startswith(f"error: {command}.{key} must be an object")
 
@@ -253,15 +241,11 @@ class TestConfigHandling:
         ("powersweep", "powersweep_trivial", ['i_s_grid={"values_uA": [0, Infinity]}']),
         ("powersweep", "powersweep_trivial", ["setting_V=[1, 1, -Infinity, 1, 1]"]),
     ])
-    def test_non_finite_value_is_validation_error(self, capsys, tmp_path,
-                                                  command, config, overrides):
+    def test_non_finite_value_is_validation_error(self, refused, command, config, overrides):
         args = ["--config", os.path.join(CONFIG_DIR, f"{config}.json")] if config else []
         for expr in overrides:
             args += ["--set", expr]
-        code, out, err = run(capsys, command, *args, "--out-dir", str(tmp_path))
-        assert code == 1
-        assert out == "" and err.startswith("error: ") and "finite" in err
-        assert list(tmp_path.iterdir()) == []
+        assert "finite" in refused(command, *args)
 
     @pytest.mark.parametrize("command,config,override,key", [
         ("fit", "fit_roundtrip", "fit.free.c0=[true,false]", "fit.free.c0"),
@@ -329,18 +313,13 @@ class TestConfigHandling:
         ("gatesweep", "gatesweep_joint", ["sweep.kind=single", "sweep.junction=1",
                                           "sweep.start_V=true"], "sweep.start_V"),
     ])
-    def test_malformed_value_is_validation_error(self, capsys, tmp_path, monkeypatch,
+    def test_malformed_value_is_validation_error(self, refused, tmp_path, monkeypatch,
                                                  command, config, override, key):
         monkeypatch.chdir(tmp_path)  # a run that fell back to "." would write here
-        args = ["--out-dir", str(tmp_path)]
-        if config:
-            args += ["--config", os.path.join(CONFIG_DIR, f"{config}.json")]
+        args = ["--config", os.path.join(CONFIG_DIR, f"{config}.json")] if config else []
         for item in [override] if isinstance(override, str) else override:
             args += list(item) if isinstance(item, tuple) else ["--set", item]
-        code, out, err = run(capsys, command, *args)
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and key in err and len(err.splitlines()) == 1
-        assert list(tmp_path.iterdir()) == []
+        assert key in refused(command, *args)
 
     @pytest.mark.parametrize("command,config,section", [
         ("gatesweep", "gatesweep_joint", "gate"),
@@ -349,18 +328,16 @@ class TestConfigHandling:
         ("powersweep", "powersweep_trivial", "freqs"),
         ("s21", "s21_topological", "freqs"),
     ])
-    def test_missing_section_names_the_command(self, capsys, tmp_path,
+    def test_missing_section_names_the_command(self, refused, tmp_path,
                                                command, config, section):
         with open(os.path.join(CONFIG_DIR, f"{config}.json")) as fh:
             document = json.load(fh)
         del document[section]
         path = tmp_path / "conf.json"
         path.write_text(json.dumps(document))
-        code, _, err = run(capsys, command, "--config", str(path),
-                           "--out-dir", str(tmp_path / "out"))
-        assert code == 1
-        assert err == f"error: '{command}' config needs '{section}'\n"
-        assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
+        assert refused(command, "--config", str(path)) == \
+            f"error: '{command}' config needs '{section}'\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,sets", [
         ("spectrum", []),
@@ -390,11 +367,14 @@ class TestConfigHandling:
         assert freqs == pytest.approx(spectrum.eigenvalues, rel=1e-11)
 
     def test_set_descends_through_list_indices(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "gatesweep", "--set", "sweep.kind=explicit",
-                           "--set", "sweep.settings_V=[[0.4, 0.5], [0.6, 0.7]]",
-                           "--set", "sweep.settings_V.1.0=0.9", "--dry-run")
+        code, out, _ = run(capsys, "gatesweep",
+                           "--config", os.path.join(CONFIG_DIR, "gatesweep_joint.json"),
+                           "--set", "sweep.kind=explicit",
+                           "--set", "sweep.settings_V=[[0.4, 0.5, 0.5, 0.5, 0.5], [0.6, 0.7, "
+                           "0.7, 0.7, 0.7]]", "--set", "sweep.settings_V.1.0=0.9", "--dry-run")
         assert code == 0
-        assert json.loads(out)["sweep"]["settings_V"] == [[0.4, 0.5], [0.9, 0.7]]
+        assert json.loads(out)["sweep"]["settings_V"] == [[0.4, 0.5, 0.5, 0.5, 0.5],
+                                                          [0.9, 0.7, 0.7, 0.7, 0.7]]
 
     @pytest.mark.parametrize("override,message", [
         ("circuit.lv_nH.x=15", "'x' is not a list index"),
@@ -403,24 +383,19 @@ class TestConfigHandling:
         ("circuit.lv_nH.2.0=15", "target is not settable"),
         ("circuit.lv_nH.2.0.1=15", "cannot descend into scalar at circuit.lv_nH.2"),
     ])
-    def test_bad_set_path_is_validation_error(self, capsys, tmp_path, override, message):
-        code, _, err = run(capsys, "sweep",
-                           "--config", os.path.join(CONFIG_DIR, "sweep_default.json"),
-                           "--set", override, "--out-dir", str(tmp_path))
-        assert code == 1
+    def test_bad_set_path_is_validation_error(self, refused, override, message):
+        err = refused("sweep", "--config", os.path.join(CONFIG_DIR, "sweep_default.json"),
+                      "--set", override)
         assert err == f"error: --set {override.split('=')[0]}: {message}\n"
 
     @pytest.mark.parametrize("text,message", [
         ('{"chain": ', "config is not valid JSON"),
         ("[1, 2]", "config document must be a JSON object"),
     ])
-    def test_malformed_config_file(self, capsys, tmp_path, text, message):
+    def test_malformed_config_file(self, refused, tmp_path, text, message):
         path = tmp_path / "conf.json"
         path.write_text(text)
-        code, _, err = run(capsys, "spectrum", "--config", str(path),
-                           "--out-dir", str(tmp_path / "out"))
-        assert code == 1
-        assert err.startswith(f"error: {message}")
+        assert refused("spectrum", "--config", str(path)).startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra,error", [
@@ -431,19 +406,17 @@ class TestConfigHandling:
         (["--threads", "abc"], "threads must be an integer, got 'abc'"),
         (["--threads", "1.5"], "threads must be an integer, got 1.5"),
     ])
-    def test_threads_accepted_and_validated(self, capsys, tmp_path, extra, error):
-        code, out, err = run(capsys, "winding", "--set", "method=k-space",
-                             "--set", "v_GHz=0.25", "--set", "w_GHz=0.5",
-                             "--out-dir", str(tmp_path), *extra)
+    def test_threads_accepted_and_validated(self, capsys, refused, tmp_path, extra, error):
+        args = ["--set", "method=k-space", "--set", "v_GHz=0.25", "--set", "w_GHz=0.5", *extra]
         if error is None:
-            assert code == 0
+            assert run(capsys, "winding", *args, "--out-dir", str(tmp_path))[0] == 0
         else:
-            assert (code, out, err) == (1, "", f"error: {error}\n")
+            assert refused("winding", *args) == f"error: {error}\n"
 
     def test_flags_resolve_as_their_keys(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SSHCHAIN_OUT_DIR", str(tmp_path / "env"))
-        args = ["winding", "--set", "method=k-space", "--set", "label=set",
-                "--set", "seed=5", "--dry-run"]
+        args = ["winding", "--set", "method=k-space", "--set", "v_GHz=0.1", "--set", "w_GHz=0.5",
+                "--set", "label=set", "--set", "seed=5", "--dry-run"]
         code, out, _ = run(capsys, *args)
         assert code == 0
         resolved = json.loads(out)
@@ -459,8 +432,13 @@ class TestConfigHandling:
 
     def test_every_subcommand_supports_dry_run(self, capsys, tmp_path):
         from sshchain.cli import RUNNERS
+        chain = ["--set", 'chain={"n_cells": 5, "eps_GHz": 6.5, "v_GHz": 0.1, "w_GHz": 0.5}']
+        inputs = {"spectrum": chain, "ipr": chain,
+                  "winding": ["--set", "v_GHz=0.1", "--set", "w_GHz=0.5"]}
+        for path in glob.glob(os.path.join(CONFIG_DIR, "*.json")):
+            inputs[os.path.basename(path).split("_")[0]] = ["--config", path]
         for command in RUNNERS:
-            code, out, _ = run(capsys, command, "--set", "label=probe",
+            code, out, _ = run(capsys, command, *inputs[command], "--set", "label=probe",
                                "--out-dir", str(tmp_path), "--dry-run")
             assert code == 0, command
             assert json.loads(out)["label"] == "probe"
@@ -508,11 +486,9 @@ class TestSweepCommand:
         assert spec_mod.find_fsr_crossing(self._library_sweep(tmp_path, [5, 6, 7])) is None
 
     @pytest.mark.parametrize("step", [0, -0.5])
-    def test_non_positive_step_is_validation_error(self, capsys, tmp_path, step):
-        code, _, err = run(capsys, "sweep",
-                           "--config", os.path.join(CONFIG_DIR, "sweep_default.json"),
-                           "--set", f"lv_grid.step_nH={step}", "--out-dir", str(tmp_path))
-        assert code == 1
+    def test_non_positive_step_is_validation_error(self, refused, step):
+        err = refused("sweep", "--config", os.path.join(CONFIG_DIR, "sweep_default.json"),
+                      "--set", f"lv_grid.step_nH={step}")
         assert err == "error: lv_grid needs step_nH > 0 and stop >= start\n"
 
 
@@ -528,6 +504,18 @@ class TestSweepCommand:
         assert (tmp_path / "sweep_i_summary.csv").read_bytes() == \
             (tmp_path / "lib_summary.csv").read_bytes()
 
+    def test_crossing_next_to_an_infinite_grid_point_is_finite(self, capsys, tmp_path):
+        # interpolated in 1/lv: linear in lv, the bracket [inf, 10] gave NaN
+        code, out, err = run(capsys, "sweep",
+                             "--config", os.path.join(CONFIG_DIR, "sweep_default.json"),
+                             "--set", 'lv_grid={"values_nH": ["inf", 10]}',
+                             "--out-dir", str(tmp_path), "--label", "p")
+        assert (code, err) == (0, "")
+        crossing = float(out.split("crossing_lv_nH=")[1])
+        assert 10.0 < crossing < np.inf
+        reverse = spec_mod.find_fsr_crossing(self._library_sweep(tmp_path, [10.0, np.inf]))
+        assert reverse == pytest.approx(crossing, rel=1e-11)
+
     @pytest.mark.parametrize("override,message", [
         ('lv_grid={"values_nH": []}', "lv_grid.values_nH must not be empty"),
         ('lv_grid={"values_nH": [5, 0]}', "lv_grid.values_nH entries must be > 0, got 0.0"),
@@ -540,11 +528,10 @@ class TestSweepCommand:
         ("cells=[7]", "cells must be indices in 0..4, got [7]"),
         ("cells=[]", "cells must not be empty"),
     ])
-    def test_input_errors_name_their_config_key(self, capsys, tmp_path, override, message):
-        code, out, err = run(capsys, "sweep",
-                             "--config", os.path.join(CONFIG_DIR, "sweep_default.json"),
-                             "--set", override, "--out-dir", str(tmp_path))
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+    def test_input_errors_name_their_config_key(self, refused, override, message):
+        err = refused("sweep", "--config", os.path.join(CONFIG_DIR, "sweep_default.json"),
+                      "--set", override)
+        assert err == f"error: {message}\n"
 
 
 class TestSolverFailures:
@@ -605,16 +592,14 @@ class TestSpectrumCommand:
 
 
 class TestDisorderCommand:
-    def test_seed_required(self, capsys, tmp_path):
-        code, _, err = run(capsys, "disorder",
-                           "--set", "chain.n_cells=10",
-                           "--set", "chain.eps_GHz=6.5",
-                           "--set", "chain.v_GHz=0.05",
-                           "--set", "chain.w_GHz=0.5",
-                           "--set", "disorder.samples=4",
-                           "--set", "disorder.strength=0.1",
-                           "--out-dir", str(tmp_path))
-        assert code == 1
+    def test_seed_required(self, refused):
+        err = refused("disorder",
+                      "--set", "chain.n_cells=10",
+                      "--set", "chain.eps_GHz=6.5",
+                      "--set", "chain.v_GHz=0.05",
+                      "--set", "chain.w_GHz=0.5",
+                      "--set", "disorder.samples=4",
+                      "--set", "disorder.strength=0.1")
         assert "seed" in err
 
     def test_threads_do_not_change_bytes(self, capsys, tmp_path):
@@ -677,13 +662,12 @@ class TestS21Command:
         assert code == 0
         assert '"power_dBm": -30.0,' in (tmp_path / "s21_p.json").read_text()
 
-    def test_zero_frequency_is_validation_error(self, capsys, tmp_path):
-        code, _, err = run(capsys, "s21", *circuit_sets(lv_nH=40.0),
-                           "--set", "freqs.start_GHz=0",
-                           "--set", "freqs.stop_GHz=1",
-                           "--set", "freqs.points=5",
-                           "--out-dir", str(tmp_path))
-        assert code == 1
+    def test_zero_frequency_is_validation_error(self, refused):
+        err = refused("s21", *circuit_sets(lv_nH=40.0),
+                      "--set", "freqs.start_GHz=0",
+                      "--set", "freqs.stop_GHz=1",
+                      "--set", "freqs.points=5")
+        assert err.startswith("error: freqs must be > 0")
 
 
 class TestGateSweepCommand:
@@ -750,15 +734,11 @@ class TestGateSweepCommand:
 
     @pytest.mark.parametrize("settings,shape", [
         ([], "(0,)"), ([0.4, 0.4, 1.8, 0.4, 0.4], "(5,)"), ([[0.4] * 3] * 2, "(2, 3)")])
-    def test_explicit_settings_shape_validated(self, capsys, tmp_path, settings, shape):
-        code, out, err = run(capsys, "gatesweep",
-                             "--config", os.path.join(CONFIG_DIR, "gatesweep_joint.json"),
-                             "--set", "sweep.kind=explicit",
-                             "--set", f"sweep.settings_V={json.dumps(settings)}",
-                             "--out-dir", str(tmp_path))
-        assert code == 1 and out == ""
+    def test_explicit_settings_shape_validated(self, refused, settings, shape):
+        err = refused("gatesweep", "--config", os.path.join(CONFIG_DIR, "gatesweep_joint.json"),
+                      "--set", "sweep.kind=explicit",
+                      "--set", f"sweep.settings_V={json.dumps(settings)}")
         assert err == f"error: settings must be (n_settings, 5), got {shape}\n"
-        assert list(tmp_path.iterdir()) == []
 
     def test_single_sweep_matches_the_library(self, capsys, tmp_path):
         _, model, config = shipped("gatesweep_joint")
@@ -801,33 +781,26 @@ class TestGateSweepCommand:
         check_gatesweep(tmp_path / "inline", "t", model, settings, emit_traces=True)
         assert_same_files(tmp_path / "inline", tmp_path / "file")
 
-    def test_missing_gate_table_file(self, capsys, tmp_path):
+    def test_missing_gate_table_file(self, refused, tmp_path):
         missing = tmp_path / "nope.csv"
-        code, _, err = run(capsys, "gatesweep",
-                           "--config", os.path.join(CONFIG_DIR, "gatesweep_joint.json"),
-                           "--set", "gate.mode=table", "--set", f"gate.table_csv={missing}",
-                           "--out-dir", str(tmp_path / "out"))
-        assert code == 1
+        err = refused("gatesweep", "--config", os.path.join(CONFIG_DIR, "gatesweep_joint.json"),
+                      "--set", "gate.mode=table", "--set", f"gate.table_csv={missing}")
         assert err == f"error: gate table file not found: {missing}\n"
 
-    def test_single_sweep_junction_out_of_range(self, capsys, tmp_path):
-        code, _, err = run(capsys, "gatesweep", *circuit_sets(),
-                           "--set", "gate.mode=parametric",
-                           "--set", "sweep.kind=single", "--set", "sweep.junction=9",
-                           "--set", "freqs.start_GHz=5.6", "--set", "freqs.stop_GHz=7.2",
-                           "--set", "freqs.points=11", "--out-dir", str(tmp_path))
-        assert code == 1
+    def test_single_sweep_junction_out_of_range(self, refused):
+        err = refused("gatesweep", *circuit_sets(),
+                      "--set", "gate.mode=parametric",
+                      "--set", "sweep.kind=single", "--set", "sweep.junction=9",
+                      "--set", "freqs.start_GHz=5.6", "--set", "freqs.stop_GHz=7.2",
+                      "--set", "freqs.points=11")
         assert "sweep.junction must be <= 4, got 9" in err
 
     @pytest.mark.parametrize("points", [0, -1])
-    def test_empty_single_sweep_is_validation_error(self, capsys, tmp_path, points):
-        code, out, err = run(capsys, "gatesweep",
-                             "--config", os.path.join(CONFIG_DIR, "gatesweep_joint.json"),
-                             "--set", "sweep.kind=single", "--set", "sweep.junction=1",
-                             "--set", f"sweep.points={points}", "--out-dir", str(tmp_path))
-        assert code == 1
-        assert (out, err) == ("", f"error: sweep.points must be >= 1, got {points}\n")
-        assert not any(tmp_path.iterdir())
+    def test_empty_single_sweep_is_validation_error(self, refused, points):
+        err = refused("gatesweep", "--config", os.path.join(CONFIG_DIR, "gatesweep_joint.json"),
+                      "--set", "sweep.kind=single", "--set", "sweep.junction=1",
+                      "--set", f"sweep.points={points}")
+        assert err == f"error: sweep.points must be >= 1, got {points}\n"
 
 
 class TestPowerSweepCommand:
@@ -878,32 +851,25 @@ class TestPowerSweepCommand:
             np.testing.assert_allclose([float(x) for x in row[1:6]], gated.lv, rtol=1e-11)
             assert row[-1] == classify_point(gated)[2].phase_tag
 
-    def test_unknown_setting_name_is_validation_error(self, capsys, tmp_path):
-        code, _, err = run(capsys, "powersweep",
-                           "--config", os.path.join(CONFIG_DIR, "powersweep_trivial.json"),
-                           "--set", "setting_V=half", "--out-dir", str(tmp_path))
-        assert code == 1
+    def test_unknown_setting_name_is_validation_error(self, refused):
+        err = refused("powersweep",
+                      "--config", os.path.join(CONFIG_DIR, "powersweep_trivial.json"),
+                      "--set", "setting_V=half")
         assert err == ("error: setting_V must be 'open', 'pinch' or a voltage list, "
                        "got 'half'\n")
 
-    def test_empty_current_grid_is_validation_error(self, capsys, tmp_path):
-        code, _, err = run(capsys, "powersweep",
-                           "--config", os.path.join(CONFIG_DIR, "powersweep_trivial.json"),
-                           "--set", 'i_s_grid={"values_uA": []}',
-                           "--out-dir", str(tmp_path), "--label", "e")
-        assert code == 1
+    def test_empty_current_grid_is_validation_error(self, refused):
+        err = refused("powersweep",
+                      "--config", os.path.join(CONFIG_DIR, "powersweep_trivial.json"),
+                      "--set", 'i_s_grid={"values_uA": []}', "--label", "e")
         assert "i_s_grid holds no signal current" in err
 
     @pytest.mark.parametrize("points", [0, -1])
-    def test_non_positive_current_points_is_validation_error(self, capsys, tmp_path,
-                                                              points):
-        code, _, err = run(capsys, "powersweep",
-                           "--config", os.path.join(CONFIG_DIR, "powersweep_trivial.json"),
-                           "--set", f'i_s_grid={{"stop_uA": 2.0, "points": {points}}}',
-                           "--out-dir", str(tmp_path))
-        assert code == 1
+    def test_non_positive_current_points_is_validation_error(self, refused, points):
+        err = refused("powersweep",
+                      "--config", os.path.join(CONFIG_DIR, "powersweep_trivial.json"),
+                      "--set", f'i_s_grid={{"stop_uA": 2.0, "points": {points}}}')
         assert err == f"error: i_s_grid.points must be >= 1, got {points}\n"
-        assert not any(tmp_path.iterdir())
 
 
 class TestFitCommand:

@@ -198,11 +198,9 @@ class TestFit:
 
     def test_empty_free_mask_rejected(self):
         truth = default_circuit()  # pinched lv cannot vary either
-        problem = FitProblem(model_eigenfrequencies(truth), truth,
-                             free={"c0": False, "l0": False,
-                                   "cw": False, "lv": True})
-        with pytest.raises(ValidationError):
-            fit_circuit_params(problem)
+        with pytest.raises(ValidationError, match="^free selects no parameters to fit$"):
+            FitProblem(model_eigenfrequencies(truth), truth,
+                       free={"c0": False, "l0": False, "cw": False, "lv": True})
 
 
 class TestDisorderReport:

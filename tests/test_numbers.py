@@ -1,5 +1,6 @@
 """The one reader of outside numbers, and the library entry points that use it."""
 
+import json
 import math
 import os
 import re
@@ -189,27 +190,19 @@ def test_integer_reader_keeps_integers_exact(value):
     assert got == value and type(got) is int
 
 
-def test_lv_grid_length_is_checked_before_the_grid_is_made(monkeypatch):
-    lengths = []
-
-    def record(circuit, grid, cells=None):
-        lengths.append(len(grid))
-        raise ValidationError("recorded")
-
-    monkeypatch.setattr(cli.spec_mod, "sweep_coupling", record)
-    config = {"circuit": CIRCUIT.to_dict(),
-              "lv_grid": {"start_nH": 1.0, "stop_nH": float(MAX_POINTS), "step_nH": 1.0}}
-    with pytest.raises(ValidationError, match="^recorded$"):
-        cli._run_sweep(config, "unused")
-    assert lengths == [MAX_POINTS]
-    config["lv_grid"]["stop_nH"] += 1.0
-    with pytest.raises(ValidationError,
-                       match=f"^lv_grid point count must be <= {MAX_POINTS}, got"):
-        cli._run_sweep(config, "unused")
-    assert lengths == [MAX_POINTS]
-
-
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def test_lv_grid_length_is_checked_before_the_grid_is_made(capsys, refused, tmp_path):
+    # a dry run reads the whole grid: MAX_POINTS points pass every check
+    args = ["--config", os.path.join(CONFIGS, "sweep_default.json"), "--set",
+            f'lv_grid={{"start_nH": 1.0, "stop_nH": {float(MAX_POINTS)}, "step_nH": 1.0}}']
+    assert cli.main(["sweep", *args, "--out-dir", str(tmp_path / "out"), "--dry-run"]) == 0
+    assert json.loads(capsys.readouterr().out)["lv_grid"]["stop_nH"] == MAX_POINTS
+    assert not (tmp_path / "out").exists()
+    args[-1] = args[-1].replace(f"{float(MAX_POINTS)}", f"{MAX_POINTS + 1.0}")
+    assert refused("sweep", *args).startswith(
+        f"error: lv_grid point count must be <= {MAX_POINTS}, got {MAX_POINTS + 1.0}")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -252,13 +245,46 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
      "fit.free.c0 must be true, false or one boolean per entry (10), got [True, False]"),
     (["fit", "--config", os.path.join(CONFIGS, "fit_roundtrip.json"),
       "--set", 'fit.bounds={"c0": [1, 2]}'], "fit.start.c0_fF values fall outside their bounds"),
+    # checks of the library's compute entry points, made by the read step
+    (["s21", "--config", os.path.join(CONFIGS, "s21_topological.json"),
+      "--set", 'power_dBm="x"'], "power_dBm must be numeric, got 'x'"),
+    (["s21", "--config", os.path.join(CONFIGS, "s21_topological.json"),
+      "--set", "z0_ohm=-5"], "z0_ohm must be > 0, got -5.0"),
+    (["s21", "--config", os.path.join(CONFIGS, "s21_topological.json"),
+      "--set", "freqs.start_GHz=0"],
+     "freqs must be > 0 (0 makes reactive elements singular), got 0.0"),
+    (["s21", "--config", os.path.join(CONFIGS, "s21_topological.json"),
+      "--set", "freqs.start_GHz=8"], "freqs must be strictly increasing"),
+    (["disorder", "--config", os.path.join(CONFIGS, "disorder_topological.json"),
+      "--set", "disorder.strength=1.5"], "disorder.strength must be in [0, 1), got 1.5"),
+    (["gatesweep", "--config", os.path.join(CONFIGS, "gatesweep_joint.json"),
+      "--set", "sweep.steps=0"], "sweep.steps must be >= 2, got 0"),
+    (["gatesweep", "--config", os.path.join(CONFIGS, "gatesweep_joint.json"),
+      "--set", "i_s_uA=-1"], "i_s_uA must be >= 0, got -1.0"),
+    (["sweep", "--config", os.path.join(CONFIGS, "sweep_default.json"),
+      "--set", "cells=[7]"], "cells must be indices in 0..4, got [7]"),
+    (["sweep", "--config", os.path.join(CONFIGS, "sweep_default.json"),
+      "--set", 'lv_grid={"values_nH": [-3]}'], "lv_grid.values_nH entries must be > 0, got -3.0"),
+    (["powersweep", "--config", os.path.join(CONFIGS, "powersweep_trivial.json"),
+      "--set", 'i_s_grid={"values_uA": [-1]}'], "i_s_grid.values_uA must be >= 0, got -1.0"),
+    (["powersweep", "--config", os.path.join(CONFIGS, "powersweep_trivial.json"),
+      "--set", 'i_s_grid={"start_uA": -1, "stop_uA": 2}'], "i_s_grid must be >= 0, got -1.0"),
+    (["powersweep", "--config", os.path.join(CONFIGS, "powersweep_trivial.json"),
+      "--set", "setting_V=[1,1]"],
+     "setting_V must hold one voltage per junction (5), got shape (2,)"),
+    (["fit", "--config", os.path.join(CONFIGS, "fit_roundtrip.json"),
+      "--set", "target_rms_GHz=abc"], "target_rms_GHz must be numeric, got 'abc'"),
+    (["fit", "--config", os.path.join(CONFIGS, "fit_roundtrip.json"),
+      "--set", "fit.free.c0=false"], "fit.free selects no parameters to fit"),
+    (["winding", "--set", "method=nope"], "method must be 'k-space' or 'real-space', got 'nope'"),
+    (["winding", "--set", "v_GHz=0", "--set", "w_GHz=0"], "v_GHz and w_GHz cannot both be zero"),
+    (["spectrum", "--set", 'chain={"n_cells": 1, "eps_GHz": 6.5, "v_GHz": 0.2, "w_GHz": 0.5}'],
+     "chain.n_cells must be >= 2 to classify modes, got 2 modes"),
+    (["spectrum", "--set", f"circuit={json.dumps(default_circuit(1).to_dict())}"],
+     "circuit.n_cells must be >= 2 to classify modes, got 2 modes"),
 ])
-def test_out_of_range_input_exits_1_naming_its_key(capsys, tmp_path, argv, message):
-    assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
-    assert not any(tmp_path.iterdir())
+def test_out_of_range_input_exits_1_naming_its_key(refused, argv, message):
+    assert refused(*argv).startswith(f"error: {message}")
 
 
 def test_read_as_restates_only_the_mapped_value():

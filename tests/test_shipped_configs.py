@@ -2,7 +2,9 @@
 
 Every ``configs/*.json`` is run through ``cli.main`` with the label
 ``golden``; the sha256 of each file it writes and its stdout line must
-match ``golden/shipped_configs.json``. A change that alters one of these
+match ``golden/shipped_configs.json``. Each is first dry-run, which must
+exit 0, write nothing and print the resolved config, so that the read
+step never refuses a shipped config. A change that alters one of these
 outputs on purpose rewrites the digests with
 
     PYTHONPATH=src python tests/test_shipped_configs.py
@@ -26,18 +28,27 @@ CONFIG_DIR = os.path.join(HERE, os.pardir, "configs")
 DIGESTS = os.path.join(HERE, "golden", "shipped_configs.json")
 
 
+def _main(argv):
+    """``main(argv)``'s exit code and stdout."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
 def run_shipped_configs(out_dir):
-    """Run every shipped config into ``out_dir``; return digests and stdout."""
+    """Dry-run, then run every shipped config into ``out_dir``; return digests and stdout."""
     stdout = {}
     for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))):
         name = os.path.splitext(os.path.basename(path))[0]
-        command = name.split("_")[0]
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main([command, "--config", path, "--out-dir", out_dir,
-                         "--label", "golden"])
+        argv = [name.split("_")[0], "--config", path, "--out-dir", out_dir, "--label", "golden"]
+        with open(path) as fh:
+            resolved = {"threads": 1, **json.load(fh), "out_dir": out_dir, "label": "golden"}
+        written = os.listdir(out_dir)
+        code, dry = _main([*argv, "--dry-run"])
+        assert code == 0 and json.loads(dry) == resolved and os.listdir(out_dir) == written, name
+        code, stdout[name] = _main(argv)
         assert code == 0, name
-        stdout[name] = buf.getvalue()
     files = {}
     for name in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, name), "rb") as fh:

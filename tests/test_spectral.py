@@ -302,7 +302,7 @@ class TestSweepBlocks:
 
     def test_one_cell_chain_has_too_few_modes(self):
         circuit = disordered_circuit(1, 1)
-        with pytest.raises(ValidationError, match="at least 4 modes, got 2") as err:
+        with pytest.raises(ValidationError, match="n_cells must be >= 2 to classify modes, got 2 modes") as err:
             sweep_coupling(circuit, self.GRID)
         with pytest.raises(ValidationError, match=str(err.value)):
             sweep_points(circuit, self.GRID)
