@@ -359,8 +359,8 @@ def _gate_settings_from(config, model):
             raise ValidationError("explicit gate sweep needs 'settings_V'")
         settings = _numbers(sweep["settings_V"], "sweep.settings_V")
         if settings.ndim != 2 or settings.shape[1] != model.n_junctions:
-            raise ValidationError(f"settings must be (n_settings, {model.n_junctions}), "
-                                  f"got {settings.shape}")
+            raise ValidationError(f"sweep.settings_V must be (n_settings, "
+                                  f"{model.n_junctions}), got {settings.shape}", "sweep.settings_V")
         return settings
     raise ValidationError(
         f"sweep.kind must be joint, single or explicit, got {kind!r}")
@@ -377,7 +377,8 @@ def _gated_sweep(config, stem, command, circuit, model, keys, points, emit_trace
     Returns the gated circuits and their classifications.
     """
     inputs = _trace_inputs(config, command)
-    with _read_as(keys):
+    table_key = "gate.table_csv" if "table_csv" in config["gate"] else "gate.table"
+    with _read_as({**keys, "gate table": table_key}):
         gated = [mw_mod.apply_gate_setting(circuit, model, v, i_s) for v, i_s, _ in points]
     yield
     classes = [cls for _, _, cls in spec_mod._classified(gated)]
@@ -534,6 +535,12 @@ def _resolve_config(args) -> dict:
     config.setdefault("out_dir", os.environ.get(OUT_DIR_ENV) or ".")
     config.setdefault("label", time.strftime("%Y%m%dT%H%M%S"))
     config.setdefault("threads", 1)
+    # os.makedirs cannot make out_dir where it, or what exists above it, is a file
+    existing = os.path.abspath(config["out_dir"])
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ValidationError(f"out_dir cannot be made: {existing} is not a directory", "out_dir")
     return config
 
 

@@ -1,21 +1,22 @@
 """Least-squares estimation of circuit parameters from eigenfrequencies.
 
 The fit matches the sorted tight-binding eigenfrequencies of a candidate
-circuit to a supplied frequency list with scipy's bounded least-squares
-solver. It works on the logarithms of the free parameters, so positivity
-is structural and relative steps mean the same thing for nanohenries and
-femtofarads. The solver's Jacobian is analytic: one eigendecomposition
-gives every eigenvalue's Hellmann-Feynman derivatives, chained through the
-closed-form derivative of the circuit-to-chain map. Only where two
-eigenvalues of the current model (nearly) cross is it formed from forward
-differences.
+circuit to a supplied frequency list with the package's own bounded
+Levenberg-Marquardt solver (``_levenberg_marquardt``, which peak
+refinement in ``microwave`` uses too). It works on the logarithms of the
+free parameters, so positivity is structural and relative steps mean the
+same thing for nanohenries and femtofarads. The solver's Jacobian is
+analytic: one eigendecomposition gives every eigenvalue's Hellmann-Feynman
+derivatives, chained through the closed-form derivative of the
+circuit-to-chain map. Only where two eigenvalues of the current model
+(nearly) cross is it formed from forward differences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,12 +46,14 @@ _FIT_PROBLEM_KEYS = ("targets_GHz", "start", "free", "bounds")
 class FitOptions:
     """Solver tolerances and start-point jitter for one fit.
 
-    ``tol_f`` and ``tol_x`` are the ``ftol`` and ``xtol`` stopping
-    tolerances of ``scipy.optimize.least_squares`` (relative change of the
-    cost and of the log-parameters), ``max_iter`` caps the residual
-    evaluations of each start (``max_nfev``), and ``step`` is the
-    half-width, in log-parameter units, of the uniform jitter applied to
-    the start point of every start after the first.
+    ``tol_f`` and ``tol_x`` are the ``ftol`` and ``xtol`` stops of the
+    package's Levenberg-Marquardt solver (relative decrease of the cost
+    and relative length of the log-parameter step), ``max_iter`` caps the
+    residual evaluations of each start, and ``step`` is the half-width, in
+    log-parameter units, of the uniform jitter applied to the start point
+    of every start after the first. The solver's third stop, on the
+    gradient, is fixed at 1e-8, ``scipy.optimize.least_squares``' default
+    ``gtol``.
     """
 
     tol_f: float = 1e-7
@@ -132,6 +135,117 @@ def _forward_differences(fun, x, lo, hi):
         shifted[j] += h[j]
         columns.append((fun(shifted) - f0) / (shifted[j] - x[j]))
     return np.column_stack(columns)
+
+
+# The solver stops once no free component of J^T r exceeds this, which is
+# least_squares' default gtol. Without it the bench's zero-residual fits run
+# on until their steps fall below xtol: 36-41 evaluations where 15-18 suffice.
+_GTOL = 1e-8
+# initial damping, relative to the scaled diagonal of J^T J (Madsen, Nielsen
+# and Tingleff's tau)
+_TAU = 1e-3
+
+
+class _Solution(NamedTuple):
+    """``_levenberg_marquardt``'s end point and residuals there, its stop
+    (0: the evaluation cap, 1: gtol, 2: ftol, 3: xtol) and its counts of
+    residual and Jacobian evaluations."""
+
+    x: np.ndarray
+    residuals: np.ndarray
+    status: int
+    evaluations: int
+    jacobians: int
+
+
+def _half_square(v: np.ndarray) -> float:
+    """0.5 |v|^2. ``einsum`` sums in its own loop: for more than ~10^4
+    entries BLAS's dot (like its matrix-vector product above ~9,000) starts
+    threads that stay busy after the call."""
+    return 0.5 * float(np.einsum("k,k->", v, v))
+
+
+def _levenberg_marquardt(fun, jac_t, x, lo, hi, ftol, xtol, max_nfev) -> _Solution:
+    """Minimise 0.5 |fun(x)|^2 over the box lo <= x <= hi from ``x`` inside it.
+
+    ``jac_t(x)`` returns the transposed Jacobian J^T, row j the derivative of
+    every residual by x_j; row-major, its products over the residuals read
+    contiguous memory.
+
+    Each step solves the damped normal equations (J^T J + mu D^2) h = -J^T r,
+    with Moré's scaling D, the running maximum of J's column norms (Moré,
+    LNM 630, 105 (1978)), and projects x + h onto the box. A variable on a
+    bound that -J^T r points out of is held there.
+    A step that lowers the cost is taken; the gain ratio rho of actual to
+    predicted decrease then scales mu by max(1/3, 1 - (2 rho - 1)^3), and a
+    rejected step multiplies it by 2, 4, 8, ... (Madsen, Nielsen and
+    Tingleff, *Methods for non-linear least squares problems*, DTU (2004),
+    algorithm 3.16). The stops are those of ``least_squares``: no free
+    gradient component above ``_GTOL``, a step that lowers the cost by less
+    than ``ftol`` of it with rho > 1/4, a step shorter than
+    ``xtol * (xtol + |x|)``, or ``max_nfev`` residual evaluations. ``jac_t``
+    is evaluated once per point taken, except the last. Every product over
+    the residuals is an ``einsum`` (see ``_half_square``): a peak window has
+    thousands of residuals.
+    """
+    f = fun(x)
+    cost = _half_square(f)
+    evaluations = jacobians = 1
+    jacobian_t = jac_t(x)
+    scale = np.zeros(x.size)
+    mu, grow = _TAU, 2.0
+    status = 0
+    while True:
+        g = np.einsum("ik,k->i", jacobian_t, f)
+        held = ((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0))
+        descent = np.where(held, 0.0, -g)
+        if np.abs(descent).max() < _GTOL:
+            status = 1
+            break
+        gram = np.einsum("ik,jk->ij", jacobian_t, jacobian_t)  # J^T J
+        diagonal = gram.diagonal().copy()
+        scale = np.maximum(scale, np.sqrt(diagonal))
+        damping = np.where(scale > 0, scale * scale, 1.0)
+        # a held variable's row and column are cleared, so its step is 0
+        normal = gram.copy()
+        normal[held] = 0.0
+        normal[:, held] = 0.0
+        diagonal[held] = 0.0
+        x_norm = math.sqrt(x @ x)
+        taken = False
+        while not (taken or status) and evaluations < max_nfev:
+            np.fill_diagonal(normal, diagonal + mu * damping)
+            try:
+                step = np.linalg.solve(normal, descent)
+            except np.linalg.LinAlgError:
+                mu, grow = mu * grow, grow * 2.0
+                continue
+            x_new = np.minimum(np.maximum(x + step, lo), hi)
+            step = x_new - x
+            f_new = fun(x_new)
+            evaluations += 1
+            cost_new = _half_square(f_new)
+            if not math.isfinite(cost_new):
+                cost_new = math.inf
+            predicted = -float(g @ step) - 0.5 * float(step @ gram @ step)
+            actual = cost - cost_new
+            ratio = actual / predicted if predicted > 0 else 0.0
+            taken = actual > 0
+            if taken:
+                mu, grow = mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 2.0
+            else:
+                mu, grow = mu * grow, grow * 2.0
+            if actual < ftol * cost and ratio > 0.25:
+                status = 2
+            elif math.sqrt(step @ step) < xtol * (xtol + x_norm):
+                status = 3
+            if taken:
+                x, f, cost = x_new, f_new, cost_new
+        if status or evaluations >= max_nfev:
+            break
+        jacobian_t = jac_t(x)
+        jacobians += 1
+    return _Solution(x, f, status, evaluations, jacobians)
 
 
 def _parameter_layout(start: CircuitSpec, free, bounds):
@@ -251,8 +365,8 @@ def fit_circuit_params(problem: FitProblem,
                        multi_start: int = 1) -> FitResult:
     """Fit the circuit's eigenfrequencies to the target list.
 
-    Each start runs ``scipy.optimize.least_squares`` (``method="dogbox"``,
-    analytic Hellmann-Feynman Jacobian; forward differences only where two
+    Each start runs the package's bounded Levenberg-Marquardt solver
+    (analytic Hellmann-Feynman Jacobian; forward differences only where two
     model eigenvalues nearly cross) on the residuals between the model and
     target eigenfrequencies, over the logs of the free parameters and
     inside the problem's box bounds; masked parameters are carried over
@@ -273,9 +387,6 @@ def fit_circuit_params(problem: FitProblem,
     ``converged`` reports whether the kept run met a tolerance, and
     ``clamped`` counts free parameters at a bound at the solution.
     """
-    # scipy.optimize costs ~0.3 s to import; only the fit subcommand needs it
-    from scipy.optimize import least_squares
-
     target_rms_GHz, multi_start = _fit_settings(max_restarts, target_rms_GHz, multi_start)
     opts = options or FitOptions()
     values, mask, lo, hi = problem._layout
@@ -286,10 +397,13 @@ def fit_circuit_params(problem: FitProblem,
     evaluations = 0
     iterations = 0
 
-    def circuit_arrays(x):
-        """c0, l0, lv, cw (``_map_arrays`` order): views of a start copy holding exp(x)."""
+    def circuit_arrays(x, in_box=False):
+        """c0, l0, lv, cw (``_map_arrays`` order): views of a start copy holding
+        exp(x), clipped to the box if ``in_box`` (exp(log b) can miss b by an ulp)."""
         flat = values.copy()
         flat[free] = [math.exp(value) for value in x]
+        if in_box:
+            flat[free] = np.clip(flat[free], lo[free], hi[free])
         return flat[:2 * n], flat[2 * n:4 * n], flat[5 * n + 1:], flat[4 * n:5 * n + 1]
 
     def residuals(x):
@@ -298,19 +412,18 @@ def fit_circuit_params(problem: FitProblem,
         eps, v, w = _map_arrays(*circuit_arrays(x))
         return np.linalg.eigvalsh(_assemble_hamiltonian(eps, v, w)) - problem.target_freqs
 
-    def jacobian(x):
+    def jacobian_t(x):
         full = _eigenfrequency_jacobian(*circuit_arrays(x))
         if full is None:
-            return _forward_differences(residuals, x, log_lo, log_hi)
-        return full[:, free]
+            return _forward_differences(residuals, x, log_lo, log_hi).T
+        return full.T[free]
 
     def run(x_start):
         nonlocal iterations
-        result = least_squares(residuals, x_start, jac=jacobian, bounds=(log_lo, log_hi),
-                               method="dogbox", ftol=opts.tol_f,
-                               xtol=opts.tol_x, max_nfev=opts.max_iter)
-        iterations += result.njev
-        return result, float(np.sqrt(np.mean(result.fun ** 2)))
+        result = _levenberg_marquardt(residuals, jacobian_t, x_start, log_lo, log_hi,
+                                      opts.tol_f, opts.tol_x, opts.max_iter)
+        iterations += result.jacobians
+        return result, float(np.sqrt(np.mean(result.residuals ** 2)))
 
     result, rms = run(x0)
     restarts = 0
@@ -325,15 +438,15 @@ def fit_circuit_params(problem: FitProblem,
         if retry_rms < rms:
             result, rms = retry, retry_rms
 
-    best = CircuitSpec(n, *circuit_arrays(result.x))
+    best = CircuitSpec(n, *circuit_arrays(result.x, in_box=True))
     return FitResult(
         best=best,
         residual_rms_kHz=rms * 1e6,
         iterations=iterations,
         evaluations=evaluations,
         restarts=restarts,
-        converged=bool(result.status > 0),
-        clamped=int(np.count_nonzero(result.active_mask)),
+        converged=result.status > 0,
+        clamped=int(np.count_nonzero((result.x <= log_lo) | (result.x >= log_hi))),
         disorder_report_pct=disorder_report(best),
     )
 

@@ -11,7 +11,6 @@ parallel with the whole ladder.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -20,6 +19,7 @@ import numpy as np
 from .chain import MAX_CELLS, MAX_POINTS, CircuitSpec, _number, _numbers, _site_array
 from .csvout import write_csv, write_json
 from .errors import ExtrapolationError, NumericalError, ValidationError
+from .estimation import _levenberg_marquardt
 
 __all__ = [
     "GateModel",
@@ -204,15 +204,51 @@ def nanowire_inductance(model: GateModel, junction: int, v_g: float,
         if ramp == 0.0:
             return math.inf
         return float(model.l_min[j] / ramp * power_factor)
-    from scipy.interpolate import PchipInterpolator  # ~0.1 s; table mode only
-
     table = model.tables[j]
     if v_g < table[0, 0] or v_g > table[-1, 0]:
         raise ExtrapolationError(
-            f"junction {j}: v_g={v_g} outside sampled range "
-            f"[{table[0, 0]}, {table[-1, 0]}]")
-    l0 = float(PchipInterpolator(table[:, 0], table[:, 1])(v_g))
-    return l0 * power_factor
+            f"gate table of junction {j}: v_g={v_g} outside sampled range "
+            f"[{table[0, 0]}, {table[-1, 0]}]", "gate table")
+    return _pchip(table[:, 0], table[:, 1], v_g) * power_factor
+
+
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The knot derivatives of the monotone cubic through (x, y) (Fritsch and
+    Carlson, SIAM J. Numer. Anal. 17, 238 (1980)), by ``PchipInterpolator``'s
+    rule: zero at a local extremum or flat side, else Fritsch and Butland's
+    weighted harmonic mean of the two secants; the ends take the one-sided
+    three-point estimate, kept to the sign of the end secant and to three
+    times it where the secants change sign. Two knots give the secant."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if x.size == 2:
+        return np.array([m[0], m[0]])
+    d = np.zeros_like(y)
+    inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore"):
+        d[1:-1][inner] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))[inner]
+    for end, (h0, h1, m0, m1) in ((0, (h[0], h[1], m[0], m[1])),
+                                  (-1, (h[-1], h[-2], m[-1], m[-2]))):
+        slope = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(slope) != np.sign(m0):
+            slope = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(slope) > 3 * abs(m0):
+            slope = 3 * m0
+        d[end] = slope
+    return d
+
+
+def _pchip(x: np.ndarray, y: np.ndarray, at: float) -> float:
+    """The monotone cubic through (x, y) (``_pchip_slopes``) at x[0] <= at <= x[-1]."""
+    d = _pchip_slopes(x, y)
+    i = min(int(np.searchsorted(x, at, side="right")) - 1, x.size - 2)
+    h = x[i + 1] - x[i]
+    m = (y[i + 1] - y[i]) / h
+    # the Hermite cubic of interval i, its coefficients and sum as scipy's PPoly
+    c3 = (d[i] + d[i + 1] - 2 * m) / h
+    t = at - x[i]
+    return float(y[i] + d[i] * t + ((m - d[i]) / h - c3) * (t * t) + c3 / h * (t * t * t))
 
 
 def apply_gate_setting(circuit: CircuitSpec, model: GateModel,
@@ -338,52 +374,46 @@ def ladder_abcd(circuit: CircuitSpec, freqs: Sequence[float]) -> np.ndarray:
     return abcd
 
 
+def _nodal_matrices(circuit: CircuitSpec) -> tuple:
+    """The unloaded ladder's inverse-inductance matrix K (1/H) and capacitance
+    matrix M (F) over its 2N + 2 nodes: the left terminating site, the chain
+    sites, the right terminating site. Cw[j] joins nodes 2j and 2j + 1, Lv[j]
+    nodes 2j + 1 and 2j + 2; both matrices are tridiagonal."""
+    c0 = circuit.c0 * _FF
+    cw = circuit.cw * _FF
+    inv_lv = 1.0 / (np.where(np.isfinite(circuit.lv), circuit.lv, PINCHED_LV_NH) * _NH)
+    nn = 2 * circuit.n_cells + 2
+    k = np.zeros((nn, nn))
+    m = np.zeros((nn, nn))
+    k.flat[nn + 1:-1:nn + 1] = 1.0 / (circuit.l0 * _NH) + np.repeat(inv_lv, 2)
+    m.flat[::nn + 1] = np.concatenate([c0[:1], c0, c0[-1:]]) + np.repeat(cw, 2)
+    for matrix, first, links in ((k, 1, inv_lv), (m, 0, cw)):
+        off = np.zeros(nn - 1)  # entries (i, i + 1) and (i + 1, i)
+        off[first::2] = -links
+        matrix.flat[1::nn + 1] = matrix.flat[nn::nn + 1] = off
+    return k, m
+
+
 def circuit_mode_frequencies(circuit: CircuitSpec) -> np.ndarray:
     """Exact normal-mode frequencies of the unloaded ladder, in GHz.
 
-    Solves the generalized eigenproblem of the network's inverse-inductance
-    and capacitance matrices over all nodes including the terminating
-    coupling sites, whose open inductors contribute two zero-frequency
-    charge modes that are dropped. Unlike the tight-binding mapping this
-    route keeps the full coupling structure, so it pins down where the
-    transmission peaks of the same ladder must sit.
+    Solves the generalized eigenproblem K x = omega^2 M x of the network's
+    inverse-inductance and capacitance matrices (``_nodal_matrices``) over
+    all nodes including the terminating coupling sites, whose open
+    inductors contribute two zero-frequency charge modes that are dropped.
+    M is positive definite, so with its Cholesky factor M = L L^T the
+    problem becomes the ordinary one of L^-1 K L^-T, as LAPACK's dsygvd
+    reduces it. Unlike the tight-binding mapping this route keeps the full
+    coupling structure, so it pins down where the transmission peaks of
+    the same ladder must sit.
     """
-    import scipy.linalg  # ~0.3 s; no CLI subcommand needs it
-
-    n = circuit.n_cells
-    nn = 2 * n + 2
-    c0 = circuit.c0 * _FF
-    l0 = circuit.l0 * _NH
-    lv = np.where(np.isfinite(circuit.lv), circuit.lv, PINCHED_LV_NH) * _NH
-    cw = circuit.cw * _FF
-
-    m = np.zeros((nn, nn))
-    k = np.zeros((nn, nn))
-    m[0, 0] = c0[0]
-    m[nn - 1, nn - 1] = c0[-1]
-    for i in range(2 * n):
-        m[1 + i, 1 + i] += c0[i]
-        k[1 + i, 1 + i] += 1.0 / l0[i]
-    cap_links = [(0, 1, cw[0])]
-    cap_links += [(2 * j, 2 * j + 1, cw[j]) for j in range(1, n)]
-    cap_links += [(2 * n, 2 * n + 1, cw[n])]
-    for a, b, c in cap_links:
-        m[a, a] += c
-        m[b, b] += c
-        m[a, b] -= c
-        m[b, a] -= c
-    for j in range(n):
-        a, b = 1 + 2 * j, 2 + 2 * j
-        k[a, a] += 1.0 / lv[j]
-        k[b, b] += 1.0 / lv[j]
-        k[a, b] -= 1.0 / lv[j]
-        k[b, a] -= 1.0 / lv[j]
-
-    omega_sq = scipy.linalg.eigh(k, m, eigvals_only=True)
+    k, m = _nodal_matrices(circuit)
+    l_inv = np.linalg.inv(np.linalg.cholesky(m))
+    omega_sq = np.linalg.eigvalsh(l_inv @ k @ l_inv.T)
     omega_sq = omega_sq[omega_sq > 1e6]
-    if omega_sq.size != 2 * n:
+    if omega_sq.size != 2 * circuit.n_cells:
         raise NumericalError(
-            f"expected {2 * n} finite circuit modes, found {omega_sq.size}")
+            f"expected {2 * circuit.n_cells} finite circuit modes, found {omega_sq.size}")
     return np.sqrt(omega_sq) / (2.0 * np.pi) / _GHZ
 
 
@@ -490,6 +520,26 @@ def background_normalize(trace: S21Trace,
 
 def _lorentzian(f, f0, hwhm, amp, base):
     return base + amp * hwhm ** 2 / ((f - f0) ** 2 + hwhm ** 2)
+
+
+def _lorentzian_jacobian_t(f, f0, hwhm, amp, base):
+    """The derivatives of ``_lorentzian`` at every f by f0, hwhm, amp and
+    base, one row each."""
+    u = f - f0
+    s = u * u + hwhm * hwhm
+    w = 2.0 * amp * hwhm / (s * s)
+    rows = np.empty((4, f.size))
+    rows[0] = w * hwhm * u
+    rows[1] = w * u * u
+    rows[2] = hwhm * hwhm / s
+    rows[3] = 1.0
+    return rows
+
+
+# Peak refinement keeps the tolerances curve_fit gave MINPACK (ftol = xtol =
+# 1.49012e-8) and its cap of 200 Lorentzian evaluations.
+_PEAK_TOL = 1.49012e-8
+_PEAK_EVALUATIONS = 200
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -601,8 +651,9 @@ def extract_peaks(trace: S21Trace, prominence: float,
     """Locate and refine transmission peaks on a (normalized) trace.
 
     Local maxima of |s21| at least ``prominence`` (a finite number >= 0)
-    above their surroundings are refined by an unbounded Levenberg–Marquardt
-    Lorentzian fit, capped at 200 evaluations, over a window of five
+    above their surroundings are refined by an unbounded Lorentzian fit
+    (``estimation._levenberg_marquardt`` with the analytic Jacobian; no
+    scipy module), capped at 200 evaluations, over a window of five
     linewidth estimates on each side; points inside other candidates' cores
     are excluded from the fit. The fit is kept only inside its box: the
     centre within the window, the half width between a tenth of the grid
@@ -614,10 +665,6 @@ def extract_peaks(trace: S21Trace, prominence: float,
     returned, sorted by frequency. No peak above threshold gives an empty
     list.
     """
-    # scipy.optimize takes ~0.5 s to import and no CLI subcommand finds
-    # peaks; the peaks themselves need no scipy module
-    from scipy.optimize import OptimizeWarning, curve_fit
-
     max_peaks = _number(max_peaks, "max_peaks", integer=True, minimum=1)
     prominence = _number(prominence, "prominence", minimum=0)
     freqs = trace.freqs
@@ -654,16 +701,13 @@ def extract_peaks(trace: S21Trace, prominence: float,
         amp0 = float(mag[i] - base0)
         f0, hwhm, amp = f0_est, fwhm_est[n] / 2, amp0
         if f_fit.size >= 4:  # the Lorentzian has four parameters
-            p0 = [float(f0_est), float(fwhm_est[n] / 2), max(amp0, 1e-12), base0]
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", OptimizeWarning)
-                    popt, _ = curve_fit(_lorentzian, f_fit, m_fit, p0=p0,
-                                        method="lm", maxfev=200)
-            except RuntimeError:  # the evaluation cap was reached
-                pass
-            else:
-                fit_f0, fit_hwhm, fit_amp, fit_base = popt
+            p0 = np.array([f0_est, fwhm_est[n] / 2, max(amp0, 1e-12), base0])
+            fit = _levenberg_marquardt(
+                lambda p: _lorentzian(f_fit, *p) - m_fit,
+                lambda p: _lorentzian_jacobian_t(f_fit, *p), p0, -math.inf, math.inf,
+                _PEAK_TOL, _PEAK_TOL, _PEAK_EVALUATIONS)
+            if fit.status:  # 0: the evaluation cap was reached
+                fit_f0, fit_hwhm, fit_amp, fit_base = fit.x
                 if (abs(fit_f0 - f0_est) <= half
                         and min_width / 10 <= fit_hwhm <= 10.0 * half
                         and fit_amp >= 0 and fit_base >= 0):

@@ -5,8 +5,10 @@ Everything here deliberately avoids the package's own algorithms: general
 sign function instead of spectral projectors, adaptive quadrature instead
 of midpoint sums, complex ABCD matrices instead of their four real parts,
 ``scipy.signal``'s loops instead of the package's own peak finding,
-50-digit nodal analysis instead of the ladder cascade, and closed forms
-where they exist. Two references instead keep an older composition of
+scipy's least-squares solvers, generalized eigensolver and PCHIP instead
+of the package's Levenberg-Marquardt, Cholesky reduction and monotone
+cubic, 50-digit nodal analysis instead of the ladder cascade, and closed
+forms where they exist. Two references instead keep an older composition of
 the package's own steps, which the lean paths must equal bit for bit: a
 disorder sample formed afresh (``fresh_disorder_sample``) and one sweep
 point through the public per-point chain (``classify_point``).
@@ -18,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
+import scipy.interpolate
 import scipy.linalg
+import scipy.optimize
 import scipy.signal
 
 
@@ -292,6 +296,50 @@ def scipy_half_height_crossings(x, peaks, prominences):
 
 SCIPY_PEAK_ROUTE = {"_find_peaks": scipy_find_peaks, "_bases": scipy_bases,
                     "_half_height_crossings": scipy_half_height_crossings}
+
+
+# scipy's solvers, which the package used until it solved these itself.
+
+def least_squares_c0(targets, start):
+    """``start``'s c0 fitted to ``targets`` by ``least_squares`` (dogbox, its
+    own two-point Jacobian) over ln c0 within a factor of ten of the start,
+    the other parameters held: a first start of the package's fit with the
+    c0 family free."""
+    from sshchain import CircuitSpec, model_eigenfrequencies
+
+    def residuals(x):
+        return model_eigenfrequencies(
+            CircuitSpec(start.n_cells, np.exp(x), start.l0, start.lv, start.cw)) - targets
+
+    x0 = np.log(start.c0)
+    result = scipy.optimize.least_squares(residuals, x0, method="dogbox", ftol=1e-7,
+                                          xtol=1e-9, bounds=(x0 - math.log(10), x0 + math.log(10)))
+    return np.exp(result.x)
+
+
+def curve_fit_lm(residuals, p0):
+    """The parameters ``curve_fit(method="lm", maxfev=200)`` finds for the
+    residual function of a peak window, or None at its evaluation cap."""
+    size = residuals(p0).size
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.optimize.OptimizeWarning)
+            popt, _ = scipy.optimize.curve_fit(
+                lambda _, *p: residuals(np.array(p)), np.zeros(size), np.zeros(size),
+                p0=p0, method="lm", maxfev=200)
+    except RuntimeError:
+        return None
+    return popt
+
+
+def generalized_eigvals(k, m):
+    """Eigenvalues of K x = lambda M x by LAPACK's dsygvd, ascending."""
+    return scipy.linalg.eigh(k, m, eigvals_only=True)
+
+
+def pchip(x, y, at):
+    """``PchipInterpolator`` through (x, y), evaluated at ``at``."""
+    return scipy.interpolate.PchipInterpolator(x, y)(at)
 
 
 def mp_ladder_s21(circuit, freqs, z0=50.0, box=None, dps=50):

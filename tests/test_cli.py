@@ -413,6 +413,16 @@ class TestConfigHandling:
         else:
             assert refused("winding", *args) == f"error: {error}\n"
 
+    @pytest.mark.parametrize("below", ["", "sub/deeper"])
+    def test_out_dir_under_a_file_is_refused(self, refused, tmp_path, below):
+        # os.makedirs cannot make it, so the read step, and --dry-run, refuse it
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        err = refused("winding", "--set", "method=k-space", "--set", "v_GHz=0.1",
+                      "--set", "w_GHz=0.5", "--out-dir", str(blocker / below))
+        assert err == f"error: out_dir cannot be made: {blocker} is not a directory\n"
+        assert blocker.read_text() == ""
+
     def test_flags_resolve_as_their_keys(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SSHCHAIN_OUT_DIR", str(tmp_path / "env"))
         args = ["winding", "--set", "method=k-space", "--set", "v_GHz=0.1", "--set", "w_GHz=0.5",
@@ -738,7 +748,7 @@ class TestGateSweepCommand:
         err = refused("gatesweep", "--config", os.path.join(CONFIG_DIR, "gatesweep_joint.json"),
                       "--set", "sweep.kind=explicit",
                       "--set", f"sweep.settings_V={json.dumps(settings)}")
-        assert err == f"error: settings must be (n_settings, 5), got {shape}\n"
+        assert err == f"error: sweep.settings_V must be (n_settings, 5), got {shape}\n"
 
     def test_single_sweep_matches_the_library(self, capsys, tmp_path):
         _, model, config = shipped("gatesweep_joint")
@@ -780,6 +790,18 @@ class TestGateSweepCommand:
                                  parametric.i_star, mode="table", tables=np.array(GATE_TABLE))
         check_gatesweep(tmp_path / "inline", "t", model, settings, emit_traces=True)
         assert_same_files(tmp_path / "inline", tmp_path / "file")
+
+    @pytest.mark.parametrize("key", ["gate.table", "gate.table_csv"])
+    def test_gate_table_extrapolation_names_its_key(self, refused, tmp_path, key):
+        # the joint sweep starts at v_p = 0.4 V, below the table
+        table = [[0.5, 60.0], [2.0, 8.0]]
+        if key == "gate.table_csv":
+            path = tmp_path / "table.csv"
+            path.write_text("v_gate_V,l_nH\n" + "".join(f"{v},{l}\n" for v, l in table))
+            table = str(path)
+        err = refused("gatesweep", "--config", os.path.join(CONFIG_DIR, "gatesweep_joint.json"),
+                      "--set", "gate.mode=table", "--set", f"{key}={json.dumps(table)}")
+        assert err == f"error: {key} of junction 0: v_g=0.4 outside sampled range [0.5, 2.0]\n"
 
     def test_missing_gate_table_file(self, refused, tmp_path):
         missing = tmp_path / "nope.csv"
@@ -910,14 +932,40 @@ class TestFitCommand:
         assert "tol_f" in err
 
 
-def test_cli_import_leaves_peak_finding_unloaded():
-    # no scipy module at all: the solvers that need one import it when called
+def test_cli_import_leaves_peak_finding_unloaded(tmp_path):
+    # No scipy module at all, each in a fresh process: importing the CLI, the
+    # fit, s21 and table-mode gatesweep subcommands, and the criterion-8 peak
+    # pipeline. Only the flatband solve (disorder, real-space winding) needs
+    # scipy, for LAPACK's dstevd.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = ("import sys, sshchain.cli; "
-             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+
+    def cli(command, config, *sets):
+        argv = [command, "--config", os.path.join(CONFIG_DIR, f"{config}.json"),
+                "--out-dir", str(tmp_path / command), "--label", "probe"]
+        for expr in sets:
+            argv += ["--set", expr]
+        return f"from sshchain.cli import main\nassert main({argv!r}) == 0\n"
+
+    probes = [
+        "import sshchain.cli\n",
+        cli("fit", "fit_roundtrip"),
+        cli("s21", "s21_topological"),
+        cli("gatesweep", "gatesweep_joint", "gate.mode=table",
+            f"gate.table={json.dumps(GATE_TABLE)}", "freqs.points=41"),
+        "import numpy as np; from sshchain import microwave as mw, default_circuit\n"
+        "circuit = default_circuit(lv_nH=60.0)\n"
+        "modes = mw.circuit_mode_frequencies(circuit)\n"
+        "freqs = np.linspace(modes[0] - 0.15, modes[-1] + 0.15, 40001)\n"
+        "trace = mw.background_normalize(mw.s21_trace(circuit, freqs),\n"
+        "                                [(modes[0] - 0.05, modes[-1] + 0.05)])\n"
+        "assert len(mw.extract_peaks(trace, prominence=0.05, max_peaks=12)) == 9\n",
+    ]
+    for probe in probes:
+        probe += ("import sys; print(sorted(m for m in sys.modules\n"
+                  "                         if m == 'scipy' or m.startswith('scipy.')))\n")
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]", probe

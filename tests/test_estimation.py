@@ -16,7 +16,7 @@ from sshchain import (
 from sshchain import estimation
 from sshchain.estimation import PARAM_FAMILIES, fit_problem_from_dict, write_fit_outputs
 
-from oracles import dense_eigvals
+from oracles import dense_eigvals, least_squares_c0
 
 
 class TestModelFrequencies:
@@ -333,17 +333,27 @@ class TestJacobian:
         assert _analytic(_dimer_problem().start) is None
 
     def test_dimer_limit_takes_the_difference_fallback(self, monkeypatch):
-        # targets and start are exactly degenerate, so every Jacobian is differenced
-        calls = []
-        differences = estimation._forward_differences
+        # targets and start are exactly degenerate, so the first Jacobian is
+        # differenced; later points may have simple eigenvalues again
+        calls, analytic = [], []
+        differences, exact = estimation._forward_differences, estimation._eigenfrequency_jacobian
 
         def spy(*args):
             calls.append(args[1].copy())
             return differences(*args)
 
+        def exact_spy(*args):
+            jac = exact(*args)
+            analytic.append(jac is not None)
+            return jac
+
         monkeypatch.setattr(estimation, "_forward_differences", spy)
+        monkeypatch.setattr(estimation, "_eigenfrequency_jacobian", exact_spy)
         runs = [fit_circuit_params(_dimer_problem(), multi_start=4) for _ in range(2)]
-        assert len(calls) == runs[0].iterations + runs[1].iterations > 0
+        # every Jacobian is one iteration, and the crossings are differenced
+        assert len(analytic) == runs[0].iterations + runs[1].iterations
+        assert len(calls) == analytic.count(False) > 0
+        assert not analytic[0]
         a, b = runs
         assert (a.residual_rms_kHz, a.evaluations, a.iterations) == \
             (b.residual_rms_kHz, b.evaluations, b.iterations)
@@ -377,3 +387,50 @@ class TestJacobian:
                                     multi_start=8)
         assert result.residual_rms_kHz < 1.0
         assert result.evaluations <= 40
+
+
+C0_FREE = {"c0": True, "l0": False, "cw": False, "lv": False}
+
+
+class TestSolver:
+    """The package's Levenberg-Marquardt solver, which replaced least_squares."""
+
+    def test_criterion7_starts_match_least_squares(self):
+        # One start each. Ten frequencies pin ten c0 only loosely: at
+        # residuals of 0.008-0.12 kHz, least_squares lands 2.0e-5 to 5.0e-5
+        # (relative) from the truth, the owned solver 2.2e-5 to 1.1e-4, and
+        # the two at most 9.4e-5 apart.
+        for case in range(20):
+            truth, start = _criterion7_start(30.0, case)
+            targets = model_eigenfrequencies(truth)
+            result = fit_circuit_params(FitProblem(targets, start, free=C0_FREE))
+            assert result.converged and result.residual_rms_kHz < 1.0
+            np.testing.assert_allclose(result.best.c0, least_squares_c0(targets, start),
+                                       rtol=2e-4, atol=0)
+
+    def test_cap_stops_without_an_exception(self):
+        def fun(x):
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])  # Rosenbrock
+
+        def jac_t(x):  # one row per parameter
+            return np.array([[-20.0 * x[0], -1.0], [10.0, 0.0]])
+
+        start = np.array([-1.2, 1.0])
+        capped = estimation._levenberg_marquardt(fun, jac_t, start, -np.inf, np.inf,
+                                                 1e-12, 1e-12, 5)
+        assert (capped.status, capped.evaluations) == (0, 5)
+        solved = estimation._levenberg_marquardt(fun, jac_t, start, -np.inf, np.inf,
+                                                 1e-12, 1e-12, 500)
+        assert solved.status > 0
+        np.testing.assert_allclose(solved.x, [1.0, 1.0], atol=1e-6)
+
+    def test_bound_holds_the_minimum_outside_the_box(self):
+        def fun(x):
+            return x - np.array([2.0, -0.5])
+
+        solved = estimation._levenberg_marquardt(fun, lambda x: np.eye(2), np.zeros(2),
+                                                 np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
+                                                 1e-10, 1e-10, 100)
+        assert solved.status > 0
+        assert solved.x[0] == 1.0  # projected onto the bound exactly
+        assert solved.x[1] == pytest.approx(-0.5, abs=1e-9)

@@ -6,7 +6,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,13 +34,14 @@ from sshchain import (
     single_gate_settings,
 )
 from sshchain import microwave as mw_mod
+from sshchain.estimation import _Solution
 from sshchain.microwave import read_gate_table_csv, write_trace_outputs
 from sshchain.spectral import PHASE_TOPOLOGICAL, PHASE_TRIVIAL
 
 from oracles import (SCIPY_PEAK_ROUTE, abcd_to_s21, complex_ladder_abcd,
-                     complex_ladder_s21, lorentzian_mag, mode_linewidths, mp_ladder_s21,
-                     scipy_bases, scipy_find_peaks, scipy_half_height_crossings,
-                     shunt_lc_s21)
+                     complex_ladder_s21, curve_fit_lm, generalized_eigvals, lorentzian_mag,
+                     mode_linewidths, mp_ladder_s21, pchip, scipy_bases, scipy_find_peaks,
+                     scipy_half_height_crossings, shunt_lc_s21)
 
 GATE = GateModel(5, v_p=0.4, v_o=1.8, l_min=9.0, i_star=1.0)
 GOLDEN_PEAKS = os.path.join(os.path.dirname(__file__), "golden",
@@ -135,8 +135,28 @@ class TestNanowireInductance:
         between = nanowire_inductance(model, 0, 1.25)
         assert 12.0 < between < 40.0
         assert nanowire_inductance(model, 1, 1.0, i_s=1.0) == pytest.approx(80.0)
-        with pytest.raises(ExtrapolationError):
+        with pytest.raises(ExtrapolationError, match="^gate table of junction 0: v_g=2.5"):
             nanowire_inductance(model, 0, 2.5)
+
+    @pytest.mark.parametrize("shape", ["decreasing", "increasing", "any"])
+    def test_table_mode_matches_scipy_pchip(self, shape):
+        # 2 to 8 samples, flat sides and knots included. On the 100 tables
+        # of each shape the two agree bit for bit; 1e-13 leaves room only
+        # for a compiler's different rounding.
+        rng = np.random.default_rng(["decreasing", "increasing", "any"].index(shape))
+        for _ in range(100):
+            size = int(rng.integers(2, 9))
+            volts = np.cumsum(rng.uniform(0.05, 0.5, size))
+            henries = rng.uniform(5.0, 200.0, size)
+            if shape != "any":
+                henries = np.sort(henries)[::-1 if shape == "decreasing" else 1]
+            if size > 3 and rng.uniform() < 0.3:
+                henries[2] = henries[1]
+            model = GateModel(1, 0.4, 1.8, 9.0, 1.0, mode="table",
+                              tables=np.column_stack([volts, henries]))
+            at = np.concatenate([volts, rng.uniform(volts[0], volts[-1], 10)])
+            got = [nanowire_inductance(model, 0, v) for v in at]
+            np.testing.assert_allclose(got, pchip(volts, henries, at), rtol=1e-13, atol=0)
 
     def test_invalid_junction_or_current(self):
         with pytest.raises(ValidationError):
@@ -377,6 +397,21 @@ class TestLadder:
         assert trace.metadata["pinched_lv_nH"] == 1000.0
         assert trace.metadata["normalized"] is False
 
+    def test_mode_frequencies_match_the_generalized_eigensolver(self):
+        # the Cholesky reduction against LAPACK's dsygvd on 1-10 cells, some
+        # junctions pinched: on these 100 circuits the worst relative
+        # difference is 8.9e-16
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            n_cells = int(rng.integers(1, 11))
+            circuit = disordered_circuit(rng, n_cells)
+            circuit = circuit.with_lv(np.where(rng.uniform(size=n_cells) < 0.3,
+                                               math.inf, circuit.lv))
+            omega_sq = generalized_eigvals(*mw_mod._nodal_matrices(circuit))
+            want = np.sqrt(omega_sq[2:]) / (2.0 * np.pi) / 1e9  # two zero modes
+            np.testing.assert_allclose(circuit_mode_frequencies(circuit), want,
+                                       rtol=1e-13, atol=0)
+
 
 class TestBackgroundNormalize:
     def test_flat_trace_normalizes_to_one(self):
@@ -453,13 +488,13 @@ class TestExtractPeaks:
         # The narrow peak sits inside the broad peak's core, so its window
         # keeps only its own grid point: one point for four parameters.
         fitted = []
-        curve_fit = scipy.optimize.curve_fit
+        solve = mw_mod._levenberg_marquardt
 
-        def counting_fit(f, xdata, ydata, **kwargs):
-            fitted.append(xdata.size)
-            return curve_fit(f, xdata, ydata, **kwargs)
+        def counting_fit(fun, jac, p0, *args):
+            fitted.append(fun(p0).size)
+            return solve(fun, jac, p0, *args)
 
-        monkeypatch.setattr(scipy.optimize, "curve_fit", counting_fit)
+        monkeypatch.setattr(mw_mod, "_levenberg_marquardt", counting_fit)
         freqs = np.linspace(5.9, 6.1, 2001)
         mag = (lorentzian_mag(freqs, 6.0, 0.02, 1.0, baseline=0.01)
                + lorentzian_mag(freqs, 6.025, 3e-4, 0.5))
@@ -583,25 +618,48 @@ class TestPeakRefinement:
                 assert peak.linewidth_GHz == pytest.approx(width, rel=1e-3)
                 assert peak.amplitude == pytest.approx(amp, rel=1e-3)
 
+    def test_criterion8_windows_match_curve_fit(self, monkeypatch):
+        # MINPACK's lm (differenced Jacobian) on the same residuals. On these
+        # 19 windows both stop on ftol; f0 agreed to 3.0e-9 GHz, widths to
+        # 1.1e-4 and amplitudes to 3.7e-5 relative, and the owned cost was
+        # never above curve_fit's. The bounds are those of the golden file.
+        solve, windows = mw_mod._levenberg_marquardt, []
+
+        def compared(fun, jac, p0, *args):
+            # compared here: the residuals close over the window being fitted
+            fit, want = solve(fun, jac, p0, *args), curve_fit_lm(fun, p0)
+            windows.append(fit)
+            assert fit.status > 0 and want is not None
+            assert abs(fit.x[0] - want[0]) <= 1e-8
+            assert fit.x[1:3] == pytest.approx(want[1:3], rel=1e-3)
+            assert np.sum(fun(fit.x) ** 2) <= np.sum(fun(want) ** 2) * (1 + 1e-9)
+            return fit
+
+        monkeypatch.setattr(mw_mod, "_levenberg_marquardt", compared)
+        for lv_nH in (60.0, 8.0):
+            extract_peaks(criterion8_trace(lv_nH), prominence=0.05, max_peaks=12)
+        assert len(windows) == 19
+
     def test_every_window_stops_at_the_evaluation_cap(self, monkeypatch, boxed):
         calls = []
-        lorentzian, curve_fit = mw_mod._lorentzian, scipy.optimize.curve_fit
+        lorentzian, solve = mw_mod._lorentzian, mw_mod._levenberg_marquardt
 
         def counting_lorentzian(f, *params):
             calls[-1] += 1
             return lorentzian(f, *params)
 
-        def counting_fit(*args, **kwargs):
+        def counting_fit(*args):
             calls.append(0)
-            return curve_fit(*args, **kwargs)
+            return solve(*args)
 
         monkeypatch.setattr(mw_mod, "_lorentzian", counting_lorentzian)
-        monkeypatch.setattr(scipy.optimize, "curve_fit", counting_fit)
+        monkeypatch.setattr(mw_mod, "_levenberg_marquardt", counting_fit)
         extract_peaks(boxed, prominence=0.05, max_peaks=12)
         assert calls and max(calls) <= 210
 
     def test_capped_window_keeps_its_candidate(self, boxed):
-        # This window's fit wanders to a 5.988 GHz Lorentzian if left uncapped.
+        # This window's fit converges to a 4.89 GHz Lorentzian, far outside
+        # its window, so the box keeps the grid maximum.
         peaks = extract_peaks(boxed, prominence=0.05, max_peaks=12)
         nearest = min(peaks, key=lambda p: abs(p.f0_GHz - 6.0125))
         assert abs(nearest.f0_GHz - 6.0125) <= 1e-3
@@ -618,26 +676,28 @@ class TestPeakRefinement:
     def test_fit_outside_its_box_keeps_the_estimate(self, monkeypatch, param, value):
         trace = single_peak_trace()
 
-        def capped(f, xdata, ydata, p0, **kwargs):
-            raise RuntimeError("evaluation cap reached")
+        def capped(fun, jac, p0, *args):  # in its box, but stopped by the cap
+            x = p0 + [1.25e-5, 0.0, 0.0, 0.0]
+            return _Solution(x, fun(x), 0, 200, 40)
 
-        monkeypatch.setattr(scipy.optimize, "curve_fit", capped)
+        monkeypatch.setattr(mw_mod, "_levenberg_marquardt", capped)
         estimate = extract_peaks(trace, prominence=0.1, max_peaks=3)
         assert estimate[0].f0_GHz == trace.freqs[np.argmax(np.abs(trace.s21))]
 
-        def escaping(f, xdata, ydata, p0, **kwargs):
-            popt = np.array(p0) + [1.25e-5, 0.0, 0.0, 0.0]  # kept if in its box
-            popt[param] = value
-            return popt, None
+        def escaping(fun, jac, p0, *args):
+            x = p0 + [1.25e-5, 0.0, 0.0, 0.0]  # kept if in its box
+            x[param] = value
+            return _Solution(x, fun(x), 2, 10, 9)
 
-        monkeypatch.setattr(scipy.optimize, "curve_fit", escaping)
+        monkeypatch.setattr(mw_mod, "_levenberg_marquardt", escaping)
         assert extract_peaks(trace, prominence=0.1, max_peaks=3) == estimate
 
     def test_fit_inside_its_box_is_kept(self, monkeypatch):
-        def shifted(f, xdata, ydata, p0, **kwargs):
-            return np.array(p0) + [1.25e-5, 0.0, 0.0, 0.0], None
+        def shifted(fun, jac, p0, *args):
+            x = p0 + [1.25e-5, 0.0, 0.0, 0.0]
+            return _Solution(x, fun(x), 2, 10, 9)
 
-        monkeypatch.setattr(scipy.optimize, "curve_fit", shifted)
+        monkeypatch.setattr(mw_mod, "_levenberg_marquardt", shifted)
         (peak,) = extract_peaks(single_peak_trace(), prominence=0.1, max_peaks=3)
         assert peak.f0_GHz == pytest.approx(6.04 + 1.25e-5, abs=1e-12)
 
