@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -17,11 +18,13 @@ import numpy as np
 
 # A table with at least this many rows, all of whose columns are float, is
 # rendered by ``_render_floats``. The only all-float tables written are the
-# four-column S21 traces, and on those the two renderers break even at ~150
-# rows (the renderer's cost per block starts at ~0.15 ms). Blocks of 2048
-# rows ran faster than longer ones (their scratch stays in cache) and bound
-# the renderer's memory.
-_RENDER_MIN_ROWS = 150
+# four-column S21 traces, and on those the two renderers break even at
+# 175-200 rows (a block costs the renderer at least ~0.2 ms). Blocks of 2048
+# rows are written without page faults. Longer blocks took up to 15% less
+# time on 4001-row traces, but each block's bytes then fault in afresh
+# (500-1,800 minor faults per 11 such traces), and the workspace grows
+# with the block.
+_RENDER_MIN_ROWS = 200
 _BLOCK_ROWS = 2048
 
 
@@ -42,14 +45,17 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     arrays = [np.asarray(column) for column in columns]
     if len({a.shape for a in arrays}) > 1:
         raise ValueError(f"column lengths differ: {[a.shape for a in arrays]}")
+    rows = len(arrays[0]) if arrays else 0
+    if rows >= _RENDER_MIN_ROWS and all(
+            a.dtype.kind == "f" and a.dtype.itemsize <= 8 for a in arrays):
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            with _workspace_lock:
+                for start in range(0, rows, _BLOCK_ROWS):
+                    fh.write(_render_floats([a[start:start + _BLOCK_ROWS] for a in arrays]))
+        return
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        rows = len(arrays[0]) if arrays else 0
-        if rows >= _RENDER_MIN_ROWS and all(
-                a.dtype.kind == "f" and a.dtype.itemsize <= 8 for a in arrays):
-            for start in range(0, rows, _BLOCK_ROWS):
-                fh.write(_render_floats([a[start:start + _BLOCK_ROWS] for a in arrays]))
-            return
         template = ",".join("%.12g" if a.dtype.kind == "f" else "%s"
                             for a in arrays) + "\n"
         fh.writelines(map(template.__mod__, zip(*(a.tolist() for a in arrays))))
@@ -78,8 +84,9 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
 # Every cell is a run of 4-byte words of ASCII and NUL bytes; the NULs
 # (blanked leading zeros, stripped trailing zeros, an absent sign) are
 # deleted when the block is joined. Word j of every cell of a block sits in
-# one row of a (words, rows) uint32 array, so each numpy pass runs over the
-# rows, and the array is transposed once at the end.
+# one (columns, rows) plane of a (words, columns, rows) uint32 array, so
+# each numpy pass writes one contiguous plane. At the end the words are
+# stacked column by column and transposed into rows once.
 #
 #   fixed (-4 <= e < 12), K integer and F fraction words:
 #       [sep sign i i] [i i i i]*K [. f f f] [f f f f]*(F-1)
@@ -150,98 +157,206 @@ def _tables() -> SimpleNamespace:
     )
 
 
-def _render_floats(columns) -> str:
-    """Rows of ``'%.12g' % float(x)`` cells for equal-length float columns."""
+# The renderer's workspace: named flat buffers, allocated on first use and
+# grown, never shrunk, so that no numpy pass of a block allocates; fresh
+# temporaries would be trimmed off the heap after each block and faulted
+# back in by the next. Every pass writes through ``out=`` (``np.take`` in
+# "clip" mode, as "raise" copies its output first). The lock keeps
+# overlapping calls from sharing the buffers.
+_workspace = {}
+_workspace_lock = threading.Lock()
+
+
+def _buffers(shape, dtype, *names) -> list:
+    """Views of ``shape`` on the workspace buffers ``names``."""
+    size = math.prod(shape)
+    views = []
+    for name in names:
+        buffer = _workspace.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = _workspace[name] = np.empty(size, dtype)
+        views.append(buffer[:size].reshape(shape))
+    return views
+
+
+def _bump(index, flag, step, scratch) -> None:
+    """index += step where flag; a masked add is ~10x slower on scattered flags."""
+    np.copyto(scratch, flag)
+    if step != 1:
+        np.multiply(scratch, step, out=scratch)
+    np.add(index, scratch, out=index)
+
+
+def _split(r, p, q, scratch) -> None:
+    """q, r = divmod(r, p) in place for r >= 0; np.divmod is ~2x slower."""
+    np.floor_divide(r, p, out=q)
+    np.multiply(q, p, out=scratch)
+    np.subtract(r, scratch, out=r)
+
+
+def _render_floats(columns) -> bytes:
+    """The ASCII rows of ``'%.12g' % float(x)`` cells for equal-length float columns."""
     t = _tables()
+    ncols, n = len(columns), len(columns[0])
+    x, a, frac, m = _buffers((ncols, n), np.float64, "x", "a", "frac", "m")
+    e, ef, rest, f15, q, g, s, *lows = _buffers((ncols, n), np.int64, "e", "ef", "rest", "f15",
+                                                "q", "g", "s", "low1", "low2", "low3")
+    ok, bad, fixed, sci, nonzero, flag = _buffers((ncols, n), np.bool_, "ok", "bad", "fixed",
+                                                  "sci", "nonzero", "flag")
+    sep, = _buffers((ncols, n), np.uint32, "sep")
     with np.errstate(invalid="ignore"):       # float32 signalling NaNs
-        x = np.array(columns, dtype=np.float64)
-    ncols, n = x.shape
+        for c, column in enumerate(columns):
+            x[c] = column
     # decimal exponent e and 12-digit mantissa m; ok marks the decided cells
-    bexp = (x.view(np.int64) >> 52) & 0x7FF
-    ok = (bexp - 60).view(np.uint64) <= 1926  # 60 <= bexp <= 1986
-    a = np.abs(x)
-    a[~ok] = 1.0
-    bexp = a.view(np.int64) >> 52
-    e = t.e_floor[bexp] + (a >= t.e_up[bexp])
-    prod = a * t.scale[e + 300]
-    m = np.floor(prod)
-    frac = prod - m
-    ok &= np.abs(frac - 0.5) > 1e-3
-    m += frac > 0.5
-    carry = m == 1e12
-    m -= 9e11 * carry
-    e += carry
-    fixed = ok & (e >= -4) & (e < 12)
-    sci = np.divmod(np.flatnonzero(ok & ~fixed), n)
-    fallback = np.divmod(np.flatnonzero(~ok), n)
-    opener = ((x < 0) & ok).astype(np.intp)
-    opener[1:] += 2
-    sep = t.marks[opener]
+    np.right_shift(x.view(np.int64), 52, out=q)
+    np.bitwise_and(q, 0x7FF, out=q)
+    np.subtract(q, 60, out=q)
+    np.less_equal(q.view(np.uint64), 1926, out=ok)     # 60 <= bexp <= 1986
+    np.logical_not(ok, out=bad)
+    np.abs(x, out=a)
+    np.copyto(a, 1.0, where=bad)
+    np.right_shift(a.view(np.int64), 52, out=q)
+    np.take(t.e_floor, q, out=e, mode="clip")
+    np.take(t.e_up, q, out=frac, mode="clip")
+    np.greater_equal(a, frac, out=flag)
+    _bump(e, flag, 1, s)
+    np.add(e, 300, out=q)
+    np.take(t.scale, q, out=frac, mode="clip")
+    np.multiply(a, frac, out=frac)            # |x|·10**(11-e)
+    # m rounds to nearest; a fraction within 1e-3 of 1/2 is not decided (it
+    # is within 1e-3 of 1/2 after floor exactly when it is after rint)
+    np.rint(frac, out=m)
+    np.subtract(frac, m, out=frac)
+    np.abs(frac, out=frac)
+    np.subtract(0.5, frac, out=frac)
+    np.greater(frac, 1e-3, out=flag)
+    np.logical_and(ok, flag, out=ok)
+    np.equal(m, 1e12, out=flag)               # carries to 1e11 with e + 1
+    np.copyto(m, 1e11, where=flag)
+    _bump(e, flag, 1, s)
+    np.add(e, 4, out=ef)
+    np.less(ef.view(np.uint64), 16, out=fixed)  # -4 <= e < 12
+    np.logical_and(fixed, ok, out=fixed)
+    np.logical_not(ok, out=bad)
+    # cell openers '', '-', ',', ',-'
+    np.less(x, 0.0, out=flag)
+    np.logical_and(flag, ok, out=flag)
+    np.copyto(q, flag)
+    np.add(q[1:], 2, out=q[1:])
+    np.take(t.marks, q, out=sep, mode="clip")
 
     # one word layout for the block, wide enough for its widest cell
-    ef = np.where(fixed, e, -4)
-    hi, lo = int(ef.max()), int(np.where(fixed, e, 11).min())
+    np.copyto(s, fixed)
+    np.multiply(ef, s, out=ef)                # e + 4 for fixed cells, else 0
+    np.subtract(15, ef, out=q)
+    np.multiply(q, s, out=q)
+    hi, lo = int(ef.max()) - 4, 11 - int(q.max())   # -4 and 11 without fixed cells
     n_int = max(0, -(-(hi - 1) // 4))         # words beyond the first two digits
     n_frac = 0 if lo >= 11 else 1 - (lo - 8) // 4
-    width = 1 + n_int + n_frac
-    if sci[0].size:
+    fixed_width = width = 1 + n_int + n_frac
+    np.greater(ok, fixed, out=sci)            # ok and not fixed
+    scientific = sci.any()
+    if scientific:
         width = max(width, 5)
-    texts = [(",%.12g" if c else "%.12g") % v
-             for c, v in zip(fallback[0].tolist(), x[fallback].tolist())]
+    fallback = np.flatnonzero(bad)
+    texts = [(",%.12g" if i >= n else "%.12g") % v
+             for i, v in zip(fallback.tolist(), x.ravel()[fallback].tolist())]
     if texts:
         width = max(width, -(-max(map(len, texts)) // 4))
-    out = np.zeros((ncols * width + 1, n), np.uint32)
-    cells = out[:-1].reshape(ncols, width, n)
+    cells, = _buffers((width, ncols, n), np.uint32, "cells")   # word j of cell (c, i)
+    cells[fixed_width:] = 0
 
     # fixed notation, computed for every cell (the others are overwritten)
-    ef += 4
-    div = t.fixed_div[ef]
-    ip = np.floor(m / div)                    # exact: m < 2**53, div = 10**j
-    f15 = ((m - ip * div) * t.fixed_mul[ef]).astype(np.int64)
-    rest = ip.astype(np.int64)
-    low = []
-    for _ in range(n_int):
-        q = rest // 10**4
-        low.append(rest - q * 10**4)
-        rest = q
-    cells[:, 0] = t.digits[rest + (_LEAD if n_int else _UNIT)] | sep
-    nonzero = rest > 0
-    for j, chunk in enumerate(reversed(low), 1):
-        blank = _LEAD if j < n_int else _UNIT
-        cells[:, j] = t.digits[chunk + np.where(nonzero, _FULL, blank)]
-        nonzero |= chunk > 0
+    np.take(t.fixed_div, ef, out=frac, mode="clip")
+    np.divide(m, frac, out=a)
+    np.floor(a, out=a)                        # exact: m < 2**53, div = 10**j
+    np.copyto(rest, a, casting="unsafe")
+    np.multiply(a, frac, out=frac)
+    np.subtract(m, frac, out=frac)
+    np.take(t.fixed_mul, ef, out=a, mode="clip")
+    np.multiply(frac, a, out=frac)
+    np.copyto(f15, frac, casting="unsafe")
+    chunks = lows[:n_int]                     # 4-digit groups below the first two digits
+    for low in chunks:
+        np.copyto(low, rest)
+        _split(low, 10**4, rest, s)
+    np.add(rest, _LEAD if n_int else _UNIT, out=q)
+    np.take(t.digits, q, out=cells[0], mode="clip")
+    np.bitwise_or(cells[0], sep, out=cells[0])
+    np.greater(rest, 0, out=nonzero)
+    for j, chunk in enumerate(reversed(chunks), 1):
+        np.add(chunk, _LEAD if j < n_int else _UNIT, out=q)
+        np.copyto(q, chunk, where=nonzero)
+        np.take(t.digits, q, out=cells[j], mode="clip")
+        np.greater(chunk, 0, out=flag)
+        np.logical_or(nonzero, flag, out=nonzero)
     if n_frac:
-        g = f15 // 10**12
-        r = f15 - g * 10**12
-        cells[:, 1 + n_int] = t.dot[g + 1000 * (r == 0)]
+        _split(f15, 10**12, g, s)
+        np.equal(f15, 0, out=flag)
+        _bump(g, flag, 1000, s)
+        np.take(t.dot, g, out=cells[1 + n_int], mode="clip")
         for j, p in enumerate((10**8, 10**4, 1)[:n_frac - 1], 2 + n_int):
-            g = r // p
-            r -= g * p
-            cells[:, j] = t.digits[g + _TRAIL * (r == 0)]
+            _split(f15, p, g, s)
+            np.equal(f15, 0, out=flag)
+            _bump(g, flag, _TRAIL, s)
+            np.take(t.digits, g, out=cells[j], mode="clip")
 
-    if sci[0].size:                           # scientific cells replace theirs
-        c, i = sci
-        r = m[sci].astype(np.int64)
-        d = r // 10**11
-        r -= d * 10**11
-        g1 = r // 10**7
-        r -= g1 * 10**7
-        g2 = r // 10**3
-        g3 = r - g2 * 10**3
-        bare3 = g3 == 0
-        bare2 = bare3 & (g2 == 0)
-        cells[c, :, i] = 0
-        cells[c, 0, i] = t.head[d + 10 * (bare2 & (g1 == 0))] | sep[sci]
-        cells[c, 1, i] = t.digits[g1 + _TRAIL * bare2]
-        cells[c, 2, i] = t.digits[g2 + _TRAIL * bare3]
-        cells[c, 3, i] = t.tail[g3]
-        cells[c, 4, i] = t.exponent[e[sci] + 300]
+    if scientific:      # scientific cells replace theirs, on the span that holds them
+        mask = sci.ravel()
+        start, stop = int(np.argmax(mask)), mask.size - int(np.argmax(mask[::-1]))
+        mask = mask[start:stop]
+        mant, d, g1, g2, s = _buffers((stop - start,), np.int64, "mant", "d", "g1", "g2", "s1")
+        word, select = _buffers((stop - start,), np.uint32, "word", "select")
+        bare2, bare3 = _buffers((stop - start,), np.bool_, "bare2", "bare3")
+        np.copyto(select, mask)
+        np.negative(select, out=select)       # all ones on scientific cells
+
+        def put(j, table, index):             # word j of the scientific cells
+            dst = cells[j].ravel()[start:stop]
+            np.take(table, index, out=word, mode="clip")
+            np.bitwise_xor(dst, word, out=word)
+            np.bitwise_and(word, select, out=word)
+            np.bitwise_xor(dst, word, out=dst)
+            return dst
+
+        np.copyto(mant, m.ravel()[start:stop], casting="unsafe")
+        _split(mant, 10**11, d, s)
+        _split(mant, 10**7, g1, s)
+        _split(mant, 10**3, g2, s)            # mant keeps the last 3 digits
+        np.equal(mant, 0, out=bare3)
+        np.equal(g2, 0, out=bare2)
+        np.logical_and(bare2, bare3, out=bare2)
+        put(3, t.tail, mant)
+        _bump(g2, bare3, _TRAIL, s)
+        put(2, t.digits, g2)
+        np.equal(g1, 0, out=bare3)
+        np.logical_and(bare3, bare2, out=bare3)
+        _bump(g1, bare2, _TRAIL, s)
+        put(1, t.digits, g1)
+        _bump(d, bare3, 10, s)
+        head = put(0, t.head, d)
+        np.bitwise_or(head, sep.ravel()[start:stop], out=head)   # the others hold theirs
+        np.add(e.ravel()[start:stop], 300, out=d)
+        put(4, t.exponent, d)
+        for j in range(5, fixed_width):
+            np.copyto(cells[j].ravel()[start:stop], 0, where=mask)
     if texts:                                 # and so do the template's
         text = "".join(cell.ljust(4 * width, "\0") for cell in texts).encode()
-        cells[fallback[0], :, fallback[1]] = np.frombuffer(text, np.uint32).reshape(-1, width)
-    out[-1] = t.marks[4]
-    out = out[out.any(axis=1)]               # words blank in every row
-    return out.T.tobytes().translate(None, b"\0").decode("ascii")
+        words = np.frombuffer(text, np.uint32).reshape(-1, width)
+        for j in range(width):
+            cells[j].ravel()[fallback] = words[:, j]
+
+    # the words of each column but those blank in every row, then the row
+    # ends; transposed to rows and stripped of their NULs
+    used = (np.bitwise_or.reduce(cells, axis=2) != 0).T.tolist()
+    spans = [(u.index(True), width - u[::-1].index(True)) for u in used]
+    stack, = _buffers((sum(j1 - j0 for j0, j1 in spans) + 1, n), np.uint32, "stack")
+    k = 0
+    for c, (j0, j1) in enumerate(spans):
+        np.copyto(stack[k:k + j1 - j0], cells[j0:j1, c])
+        k += j1 - j0
+    stack[k] = t.marks[4]
+    return stack.T.tobytes().translate(None, b"\0")
 
 
 def write_json(path, payload: dict) -> None:

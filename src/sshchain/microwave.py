@@ -522,16 +522,16 @@ def _lorentzian(f, f0, hwhm, amp, base):
     return base + amp * hwhm ** 2 / ((f - f0) ** 2 + hwhm ** 2)
 
 
-def _lorentzian_jacobian_t(f, f0, hwhm, amp, base):
+def _lorentzian_jacobian_t(f, f0, hwhm, amp, base, out):
     """The derivatives of ``_lorentzian`` at every f by f0, hwhm, amp and
-    base, one row each."""
+    base, one row each, written over the first 4·f.size values of ``out``."""
+    rows = out[:4 * f.size].reshape(4, f.size)
     u = f - f0
     s = u * u + hwhm * hwhm
     w = 2.0 * amp * hwhm / (s * s)
-    rows = np.empty((4, f.size))
-    rows[0] = w * hwhm * u
-    rows[1] = w * u * u
-    rows[2] = hwhm * hwhm / s
+    np.multiply(w * hwhm, u, out=rows[0])
+    np.multiply(w * u, u, out=rows[1])
+    np.divide(hwhm * hwhm, s, out=rows[2])
     rows[3] = 1.0
     return rows
 
@@ -680,13 +680,19 @@ def extract_peaks(trace: S21Trace, prominence: float,
     min_width = float(np.min(np.diff(freqs)))
     fwhm_est = np.maximum(fwhm_est, min_width)
 
+    # each window holds the grid points with f0_est - half <= f <= f0_est + half
+    halves = 5.0 * fwhm_est
+    window_lo = np.searchsorted(freqs, freqs[chosen] - halves, side="left")
+    window_hi = np.searchsorted(freqs, freqs[chosen] + halves, side="right")
+    # one Jacobian buffer for every fit: the solver reads each Jacobian only
+    # until it asks for the next
+    jacobian = np.empty(4 * int(np.max(window_hi - window_lo)))
+
     peaks = []
     for n, i in enumerate(chosen):
         f0_est = freqs[i]
-        half = 5.0 * fwhm_est[n]
-        # the grid points with f0_est - half <= f <= f0_est + half
-        lo = np.searchsorted(freqs, f0_est - half, side="left")
-        hi = np.searchsorted(freqs, f0_est + half, side="right")
+        half = halves[n]
+        lo, hi = window_lo[n], window_hi[n]
         f_win = freqs[lo:hi]
         window = np.ones(f_win.size, dtype=bool)
         for m, j in enumerate(chosen):
@@ -704,7 +710,7 @@ def extract_peaks(trace: S21Trace, prominence: float,
             p0 = np.array([f0_est, fwhm_est[n] / 2, max(amp0, 1e-12), base0])
             fit = _levenberg_marquardt(
                 lambda p: _lorentzian(f_fit, *p) - m_fit,
-                lambda p: _lorentzian_jacobian_t(f_fit, *p), p0, -math.inf, math.inf,
+                lambda p: _lorentzian_jacobian_t(f_fit, *p, jacobian), p0, -math.inf, math.inf,
                 _PEAK_TOL, _PEAK_TOL, _PEAK_EVALUATIONS)
             if fit.status:  # 0: the evaluation cap was reached
                 fit_f0, fit_hwhm, fit_amp, fit_base = fit.x

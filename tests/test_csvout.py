@@ -9,6 +9,7 @@ vectorized float renderer.
 import json
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sshchain import csvout, default_circuit
+from sshchain import (GateModel, apply_gate_setting, csvout, default_circuit,
+                      joint_gate_settings, s21_trace)
 from sshchain.chain import CircuitSpec
 from sshchain.cli import main
 from sshchain.csvout import fmt, write_csv
 from sshchain.estimation import FitResult, write_fit_outputs
+from sshchain.microwave import write_trace_outputs
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -142,6 +145,49 @@ def test_long_mixed_table_stays_on_the_template(tmp_path, renderer_calls):
     assert renderer_calls == []
 
 
+def gate_trace_columns():
+    """The columns of the first trace of the benchmark's gate sweep.
+
+    The first setting of the joint sweep pinches every junction off, and
+    99% of its S21 cells are scientific; the shipped gate sweep config
+    writes none.
+    """
+    model = GateModel(5, v_p=0.4, v_o=1.8, l_min=9.0, i_star=1.0)
+    circuit = apply_gate_setting(default_circuit(), model, joint_gate_settings(model, 11)[0])
+    trace = s21_trace(circuit, np.linspace(5.5, 7.2, 4001))
+    re, im = trace.s21.real, trace.s21.imag
+    return trace, [trace.freqs, re, im, np.hypot(re, im)]
+
+
+def test_scientific_gate_trace_renders_like_the_template(tmp_path):
+    trace, columns = gate_trace_columns()
+    path = tmp_path / "trace.csv"
+    write_trace_outputs(trace, path, tmp_path / "trace.json")
+    lines = path.read_text().splitlines()
+    assert lines[1:] == template_rows(columns).splitlines()
+    s21_cells = [cell for line in lines[1:] for cell in line.split(",")[1:]]
+    assert sum("e" in cell for cell in s21_cells) >= 0.99 * len(s21_cells)
+
+
+def test_second_trace_write_allocates_only_its_block_bytes(tmp_path):
+    # Every pass of the renderer writes into its workspace. What a block
+    # still allocates is its rows of words as bytes and those bytes without
+    # their NULs, ~310 KB here; the renderer that made fresh temporaries for
+    # each pass peaked 1,875 KB above the base on this trace.
+    _, columns = gate_trace_columns()
+    header = ["freq_GHz", "re_s21", "im_s21", "abs_s21"]
+    write_csv(tmp_path / "first.csv", header, columns)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_csv(tmp_path / "second.csv", header, columns)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 1024
+    assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+
+
 def template_rows(columns):
     """The %-template rendering of float columns, one ``'%.12g' % float(x)`` per cell."""
     template = ",".join(["%.12g"] * len(columns)) + "\n"
@@ -150,7 +196,7 @@ def template_rows(columns):
 
 def assert_renders_like_template(columns):
     columns = [np.asarray(c) for c in columns]
-    assert csvout._render_floats(columns) == template_rows(columns)
+    assert csvout._render_floats(columns) == template_rows(columns).encode()
 
 
 def tables(elements):
@@ -196,7 +242,7 @@ class TestFloatRenderer:
         values += [-x for x in values]
         assert_renders_like_template([values, values[::-1]])
         assert csvout._render_floats([[9.99999999999e-5, 1e-4, 1e12]]) == \
-            "9.99999999999e-05\n0.0001\n1e+12\n"
+            b"9.99999999999e-05\n0.0001\n1e+12\n"
 
     def test_bulk_doubles_near_ties_and_powers_of_ten(self):
         rng = np.random.default_rng(12)
@@ -210,6 +256,19 @@ class TestFloatRenderer:
         for block in range(0, 100_000, 20_000):
             assert_renders_like_template([c[block:block + 20_000]
                                           for c in (bits, ties, -ties, powers)])
+
+    def test_short_blocks_after_the_workspace_grew(self):
+        rng = np.random.default_rng(23)
+        wide = rng.standard_normal((4, 20_000)) * 10.0 ** rng.integers(-12, 14, (4, 20_000))
+        assert_renders_like_template(wide)
+        for rows in range(1, 41):
+            for ncols in (1, 3):
+                # narrow fixed cells beside scientific ones and zeros, in
+                # buffers that hold the words of wider blocks
+                scale = 10.0 ** rng.choice([-9, 1, 3, 14], (ncols, rows))
+                values = rng.uniform(-10, 10, (ncols, rows)).round(2) * scale
+                values[:, ::7] = 0.0
+                assert_renders_like_template(values)
 
     def test_decade_table_brackets_every_rendered_exponent(self):
         # |x| in [2**(b-1023), 2**(b-1022)) lies in decade e_floor[b] or the next one

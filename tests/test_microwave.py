@@ -1,8 +1,6 @@
 import itertools
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -572,26 +570,6 @@ class TestPeakFinding:
         for name, oracle in SCIPY_PEAK_ROUTE.items():
             monkeypatch.setattr(mw_mod, name, oracle)
         assert extract_peaks(trace, prominence=0.05, max_peaks=12) == peaks
-
-    def test_extraction_loads_no_scipy_signal(self):
-        # scipy.signal imports scipy.stats, ~0.8 s of a cold start
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        probe = (
-            "import sys, numpy as np; from sshchain import microwave as mw, default_circuit\n"
-            "circuit = default_circuit(lv_nH=60.0)\n"
-            "modes = mw.circuit_mode_frequencies(circuit)\n"
-            "freqs = np.linspace(modes[0] - 0.15, modes[-1] + 0.15, 40001)\n"
-            "trace = mw.background_normalize(mw.s21_trace(circuit, freqs),\n"
-            "                                [(modes[0] - 0.05, modes[-1] + 0.05)])\n"
-            "assert len(mw.extract_peaks(trace, prominence=0.05, max_peaks=12)) == 9\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))\n")
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
 
 
 class TestPeakRefinement:
