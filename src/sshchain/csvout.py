@@ -16,14 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
-# A table with at least this many rows, all of whose columns are float, is
-# rendered by ``_render_floats``. The only all-float tables written are the
-# four-column S21 traces, and on those the two renderers break even at
-# 175-200 rows (a block costs the renderer at least ~0.2 ms). Blocks of 2048
-# rows are written without page faults. Longer blocks took up to 15% less
-# time on 4001-row traces, but each block's bytes then fault in afresh
-# (500-1,800 minor faults per 11 such traces), and the workspace grows
-# with the block.
+# A table with at least this many rows whose columns ``_renderable`` takes
+# (float columns, integer ones below 10**12 and ASCII text) is rendered by
+# ``_render``: trace CSVs, the sweep mode table and the spectrum, ipr and
+# disorder tables of 200 modes or samples and more. On the four-column S21
+# traces the two renderers break even at 175-200 rows (a block costs the
+# renderer at least ~0.2 ms). Blocks of 2048 rows are written without page
+# faults. Longer blocks took up to 15% less time on 4001-row traces, but
+# each block's bytes then fault in afresh (500-1,800 minor faults per 11
+# such traces), and the workspace grows with the block.
 _RENDER_MIN_ROWS = 200
 _BLOCK_ROWS = 2048
 
@@ -39,20 +40,20 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     A column is an array or a sequence of one kind of value. Float columns
     are rendered with ``%.12g`` (``inf``, ``-inf``, ``nan``, ``-0``),
     every other column (ints, bools, strings) with ``%s``. A long table of
-    float columns only is rendered in blocks by a vectorized renderer that
-    writes the same bytes.
+    float, integer and text columns is rendered in blocks by a vectorized
+    renderer that writes the same bytes (see ``_renderable``).
     """
     arrays = [np.asarray(column) for column in columns]
     if len({a.shape for a in arrays}) > 1:
         raise ValueError(f"column lengths differ: {[a.shape for a in arrays]}")
     rows = len(arrays[0]) if arrays else 0
-    if rows >= _RENDER_MIN_ROWS and all(
-            a.dtype.kind == "f" and a.dtype.itemsize <= 8 for a in arrays):
+    renderable = _renderable(arrays) if rows >= _RENDER_MIN_ROWS else None
+    if renderable is not None:
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
             with _workspace_lock:
                 for start in range(0, rows, _BLOCK_ROWS):
-                    fh.write(_render_floats([a[start:start + _BLOCK_ROWS] for a in arrays]))
+                    fh.write(_render([a[..., start:start + _BLOCK_ROWS] for a in renderable]))
         return
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -61,9 +62,43 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
         fh.writelines(map(template.__mod__, zip(*(a.tolist() for a in arrays))))
 
 
-# ------------------------------------------------------------ float renderer
+def _renderable(arrays):
+    """The columns of a table as ``_render`` takes them, or None when a column
+    must go through the template.
+
+    Float columns (up to float64) are kept, and so are integer columns whose
+    every |k| is below 10**12, where ``'%.12g' % float(k)`` is ``'%s' % k``.
+    A text column of ASCII values without NUL (the NULs of a word are
+    dropped) becomes its cells' words, (words, rows) uint32, looked up in a
+    table of its distinct values. Bools, wider ints, bytes and objects stay
+    on the template.
+    """
+    out = []
+    for c, a in enumerate(arrays):
+        kind = a.dtype.kind
+        if a.ndim != 1:
+            return None
+        elif kind == "f" and a.dtype.itemsize <= 8:
+            out.append(a)
+        elif kind in "iu" and -10**12 < int(a.min()) and int(a.max()) < 10**12:
+            out.append(a)
+        elif kind == "U":
+            values, codes = np.unique(a, return_inverse=True)
+            texts = [("," if c else "") + text for text in values.tolist()]
+            if not all(text.isascii() and "\0" not in text for text in texts):
+                return None
+            width = -(-max(map(len, texts)) // 4)
+            words = np.frombuffer("".join(text.ljust(4 * width, "\0") for text in texts)
+                                  .encode(), np.uint32).reshape(len(texts), width)
+            out.append(words.T[:, codes.ravel()])
+        else:
+            return None
+    return out
+
+
+# ------------------------------------------------------------ the renderer
 #
-# ``_render_floats`` writes ``'%.12g' % x`` for every cell, byte for byte.
+# ``_number_words`` writes ``'%.12g' % x`` for every cell, byte for byte.
 # Each finite |x| in [2**-963, 2**964) (about 1.3e-290 to 1.6e290) is split
 # into a decimal exponent e and a 12-digit mantissa m = round(|x|·10**(11-e))
 # in [1e11, 1e12):
@@ -85,8 +120,9 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
 # (blanked leading zeros, stripped trailing zeros, an absent sign) are
 # deleted when the block is joined. Word j of every cell of a block sits in
 # one (columns, rows) plane of a (words, columns, rows) uint32 array, so
-# each numpy pass writes one contiguous plane. At the end the words are
-# stacked column by column and transposed into rows once.
+# each numpy pass writes one contiguous plane. ``_render`` stacks the words
+# column by column, a text column's among them, and transposes them into
+# rows once.
 #
 #   fixed (-4 <= e < 12), K integer and F fraction words:
 #       [sep sign i i] [i i i i]*K [. f f f] [f f f f]*(F-1)
@@ -194,8 +230,26 @@ def _split(r, p, q, scratch) -> None:
     np.subtract(r, scratch, out=r)
 
 
-def _render_floats(columns) -> bytes:
-    """The ASCII rows of ``'%.12g' % float(x)`` cells for equal-length float columns."""
+def _render(columns) -> bytes:
+    """The ASCII rows of one block of ``_renderable`` columns: ``'%.12g' %
+    float(x)`` for each number and its words for each text cell (a text
+    column arrives as its (words, rows) plane, a number column as 1-D)."""
+    numbers = [a for a in columns if a.ndim == 1]
+    planes = iter(_number_words(numbers, columns[0].ndim == 1) if numbers else ())
+    planes = [next(planes) if a.ndim == 1 else a for a in columns]
+    stack, = _buffers((sum(map(len, planes)) + 1, columns[0].shape[-1]), np.uint32, "stack")
+    k = 0
+    for plane in planes:
+        np.copyto(stack[k:k + len(plane)], plane)
+        k += len(plane)
+    stack[k] = _tables().marks[4]
+    return stack.T.tobytes().translate(None, b"\0")
+
+
+def _number_words(columns, first) -> list:
+    """The words of the cells of equal-length number columns, a (words, rows)
+    plane per column, each cell opened by ',' unless it is in the row's
+    ``first`` column (``columns[0]`` if ``first``)."""
     t = _tables()
     ncols, n = len(columns), len(columns[0])
     x, a, frac, m = _buffers((ncols, n), np.float64, "x", "a", "frac", "m")
@@ -242,7 +296,7 @@ def _render_floats(columns) -> bytes:
     np.less(x, 0.0, out=flag)
     np.logical_and(flag, ok, out=flag)
     np.copyto(q, flag)
-    np.add(q[1:], 2, out=q[1:])
+    np.add(q[first:], 2, out=q[first:])
     np.take(t.marks, q, out=sep, mode="clip")
 
     # one word layout for the block, wide enough for its widest cell
@@ -259,7 +313,7 @@ def _render_floats(columns) -> bytes:
     if scientific:
         width = max(width, 5)
     fallback = np.flatnonzero(bad)
-    texts = [(",%.12g" if i >= n else "%.12g") % v
+    texts = [(",%.12g" if i >= first * n else "%.12g") % v
              for i, v in zip(fallback.tolist(), x.ravel()[fallback].tolist())]
     if texts:
         width = max(width, -(-max(map(len, texts)) // 4))
@@ -346,17 +400,9 @@ def _render_floats(columns) -> bytes:
         for j in range(width):
             cells[j].ravel()[fallback] = words[:, j]
 
-    # the words of each column but those blank in every row, then the row
-    # ends; transposed to rows and stripped of their NULs
+    # the words of each column but those blank in every row
     used = (np.bitwise_or.reduce(cells, axis=2) != 0).T.tolist()
-    spans = [(u.index(True), width - u[::-1].index(True)) for u in used]
-    stack, = _buffers((sum(j1 - j0 for j0, j1 in spans) + 1, n), np.uint32, "stack")
-    k = 0
-    for c, (j0, j1) in enumerate(spans):
-        np.copyto(stack[k:k + j1 - j0], cells[j0:j1, c])
-        k += j1 - j0
-    stack[k] = t.marks[4]
-    return stack.T.tobytes().translate(None, b"\0")
+    return [cells[u.index(True):width - u[::-1].index(True), c] for c, u in enumerate(used)]
 
 
 def write_json(path, payload: dict) -> None:

@@ -114,7 +114,8 @@ def _spectra(h: np.ndarray) -> tuple:
     scaled so its largest-magnitude component is positive (first such
     component on ties), and every point must pass both guards:
     max |V^T V - I| <= 1e-9 and max |H - V diag(lambda) V^T| <= 1e-8, else
-    NumericalError quotes the first point that fails. Returns the
+    NumericalError quotes the first point that fails (a NaN fails both, so
+    H, the eigenvalues and the eigenvectors are finite). Returns the
     eigenvalues (points, n) and eigenvectors (points, n, n).
     """
     try:
@@ -132,7 +133,8 @@ def _spectra(h: np.ndarray) -> tuple:
     ortho = np.max(np.abs(gram, out=gram), axis=(-2, -1))
     recon = np.matmul(evecs * evals[..., None, :], evecs.swapaxes(-1, -2), out=gram)
     recon = np.max(np.abs(np.subtract(h, recon, out=recon), out=recon), axis=(-2, -1))
-    bad = np.flatnonzero((ortho > _ORTHO_TOL) | (recon > _RECON_TOL))
+    # NaN-aware: a non-finite H, eigenvalue or eigenvector fails both
+    bad = np.flatnonzero(~((ortho <= _ORTHO_TOL) & (recon <= _RECON_TOL)))
     if bad.size:
         k = bad[0]
         raise NumericalError(
@@ -173,7 +175,7 @@ def _classify(evals: np.ndarray, eps_ref: np.ndarray) -> list:
     edge[rows, edge_idx] = True
     lower = ~edge & (evals < ref)
     upper = ~edge & ~lower
-    codes = np.where(edge, 1, np.where(lower, 0, 2))
+    labels = _LABELS[np.where(edge, 1, np.where(lower, 0, 2))].tolist()
 
     edge_lo, edge_hi = evals[rows, edge_idx].T
     top_lower = np.max(np.where(lower, evals, -np.inf), axis=-1)
@@ -192,7 +194,7 @@ def _classify(evals: np.ndarray, eps_ref: np.ndarray) -> list:
         else:
             phase = PHASE_NORMAL
         classes.append(ModeClassification(
-            labels=tuple(_LABELS[codes[k]]),
+            labels=tuple(labels[k]),
             fsr_edge_bulk=fsr_edge_bulk,
             fsr_edge_edge=fsr_edge[k],
             fsr_edge_bulk_lower=fsr_lower[k],
@@ -233,23 +235,36 @@ def _block_slices(points: int, n_sites: int):
     return (slice(k, min(k + size, points)) for k in range(0, points, size))
 
 
+def _frozen(cls, **fields):
+    """A ``cls`` with ``fields`` set as they are: no ``__post_init__`` reads
+    or copies them. Only for values that passed every check of ``cls``."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 def _classified_block(c0, l0, lv, cw) -> list:
     """Map, diagonalize and classify a block of circuits about their mean site
     energies; the arrays are (points, ...) stacks or broadcast against them.
 
     Returns one (chain, spectrum, classification) per point, each equal to
     what the per-circuit chain ``map_circuit_to_tb``, ``build_tb_hamiltonian``,
-    ``eigendecompose`` and ``classify_modes`` gives.
+    ``eigendecompose`` and ``classify_modes`` gives. The chains and spectra
+    hold read-only row views of the block's arrays: ``ChainSpec`` would find
+    them valid, as a checked circuit maps to eps > 0 and v, w >= 0, and
+    ``_spectra`` finds them finite.
     """
     eps, v, w = _map_arrays(c0, l0, lv, cw)
-    points, dim = eps.shape
+    dim = eps.shape[-1]
     _check_modes(dim)
     evals, evecs = _spectra(_assemble_hamiltonian(eps, v, w))
     classes = _classify(evals, np.mean(eps, axis=-1))
+    for block in (eps, v, w, evals, evecs):
+        block.flags.writeable = False
     n_cells = dim // 2
-    return [(ChainSpec(n_cells, eps[k], v[k], w[k]),
-             Spectrum(eigenvalues=evals[k], eigenvectors=evecs[k]), classes[k])
-            for k in range(points)]
+    return [(_frozen(ChainSpec, n_cells=n_cells, eps=e, v=vk, w=wk),
+             _frozen(Spectrum, eigenvalues=ev, eigenvectors=vec), classification)
+            for e, vk, wk, ev, vec, classification in zip(eps, v, w, evals, evecs, classes)]
 
 
 def _classified(circuits: Sequence[CircuitSpec]) -> list:
@@ -343,10 +358,11 @@ def write_sweep_csv(sweep: Sequence[SweepPoint], modes_path, summary_path) -> No
     """Emit the per-mode and summary CSV files for a coupling sweep."""
     lv = [p.lv_nH for p in sweep]
     classes = [p.classification for p in sweep]
-    n_modes = [len(c.labels) for c in classes]
+    n_modes = np.array([len(c.labels) for c in classes], dtype=int)
+    # per row, the row of its point's first mode
+    first_rows = np.repeat(np.cumsum(n_modes) - n_modes, n_modes)
     write_csv(modes_path, ["lv_nH", "mode_index", "freq_GHz", "label"],
-              [np.repeat(lv, n_modes),
-               [k for n in n_modes for k in range(n)],
-               [f for p in sweep for f in p.spectrum.eigenvalues.tolist()],
-               [label for c in classes for label in c.labels]])
+              [np.repeat(lv, n_modes), np.arange(first_rows.size) - first_rows,
+               np.concatenate([np.empty(0)] + [p.spectrum.eigenvalues for p in sweep]),
+               np.array([label for c in classes for label in c.labels], dtype=str)])
     write_csv(summary_path, ["lv_nH"] + _PHASE_HEADER, [lv] + _phase_columns(classes))

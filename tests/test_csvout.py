@@ -24,6 +24,7 @@ from sshchain.cli import main
 from sshchain.csvout import fmt, write_csv
 from sshchain.estimation import FitResult, write_fit_outputs
 from sshchain.microwave import write_trace_outputs
+from sshchain.spectral import sweep_coupling, write_sweep_csv
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -117,8 +118,8 @@ def renderer_calls(monkeypatch):
         calls.append(len(columns[0]))
         return render(columns)
 
-    render = csvout._render_floats
-    monkeypatch.setattr(csvout, "_render_floats", spy)
+    render = csvout._render
+    monkeypatch.setattr(csvout, "_render", spy)
     return calls
 
 
@@ -135,14 +136,41 @@ def test_long_float_tables_render_like_fmt(tmp_path, renderer_calls, rows):
     assert sum(renderer_calls) == rows and max(renderer_calls) <= csvout._BLOCK_ROWS
 
 
-def test_long_mixed_table_stays_on_the_template(tmp_path, renderer_calls):
+def test_long_mixed_table_renders_like_fmt(tmp_path, renderer_calls):
     rows = 2 * csvout._RENDER_MIN_ROWS
     values = np.linspace(0.0, 1.0, rows)
     path = tmp_path / "mixed.csv"
     write_csv(path, ["k", "x"], [range(rows), values])
     assert path.read_text().splitlines()[1:] == [f"{k},{fmt(x)}" for k, x in
                                                  enumerate(values.tolist())]
+    assert renderer_calls == [rows]
+
+
+@pytest.mark.parametrize("column", [
+    [True, False], [0, 10**12], [-10**12, 0], ["edge", "a\0b"], ["edge", "\u00e9"],
+    [b"edge", b"bulk"], [None, "edge"],
+], ids=["bool", "int 10**12", "int -10**12", "NUL", "non-ASCII", "bytes", "object"])
+def test_long_table_with_an_unrenderable_column_stays_on_the_template(
+        tmp_path, renderer_calls, column):
+    rows = 2 * csvout._RENDER_MIN_ROWS
+    values = np.linspace(0.0, 1.0, rows)
+    cells = np.resize(np.array(column, dtype=object), rows)
+    path = tmp_path / "mixed.csv"
+    write_csv(path, ["x", "c"], [values, cells.tolist()])
+    assert path.read_text() == "x,c\n" + template_rows([values, cells.tolist()])
     assert renderer_calls == []
+
+
+def test_integer_bound_of_the_renderer(tmp_path, renderer_calls):
+    rows = csvout._RENDER_MIN_ROWS
+    for top, calls in ((10**12 - 1, [rows]), (10**12, [])):
+        renderer_calls.clear()
+        column = np.arange(rows) * (top // (rows - 1))
+        column[-1], column[0] = top, -top
+        write_csv(tmp_path / "k.csv", ["k"], [column])
+        assert (tmp_path / "k.csv").read_text() == "k\n" + "".join(f"{k}\n" for k in
+                                                                 column.tolist())
+        assert renderer_calls == calls
 
 
 def gate_trace_columns():
@@ -189,14 +217,18 @@ def test_second_trace_write_allocates_only_its_block_bytes(tmp_path):
 
 
 def template_rows(columns):
-    """The %-template rendering of float columns, one ``'%.12g' % float(x)`` per cell."""
-    template = ",".join(["%.12g"] * len(columns)) + "\n"
-    return "".join(map(template.__mod__, zip(*(np.asarray(c).tolist() for c in columns))))
+    """``write_csv``'s %-template rendering: ``'%.12g' % float(x)`` for each
+    float cell, ``'%s' % x`` for every other cell."""
+    columns = [np.asarray(c) for c in columns]
+    template = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    return "".join(map(template.__mod__, zip(*(c.tolist() for c in columns))))
 
 
 def assert_renders_like_template(columns):
     columns = [np.asarray(c) for c in columns]
-    assert csvout._render_floats(columns) == template_rows(columns).encode()
+    renderable = csvout._renderable(columns)
+    assert renderable is not None
+    assert csvout._render(renderable) == template_rows(columns).encode()
 
 
 def tables(elements):
@@ -241,7 +273,7 @@ class TestFloatRenderer:
                    2.2250738585072014e-308]
         values += [-x for x in values]
         assert_renders_like_template([values, values[::-1]])
-        assert csvout._render_floats([[9.99999999999e-5, 1e-4, 1e12]]) == \
+        assert csvout._render([np.array([9.99999999999e-5, 1e-4, 1e12])]) == \
             b"9.99999999999e-05\n0.0001\n1e+12\n"
 
     def test_bulk_doubles_near_ties_and_powers_of_ten(self):
@@ -276,6 +308,40 @@ class TestFloatRenderer:
             e = int(csvout._tables().e_floor[b])
             assert Fraction(10) ** e <= Fraction(2) ** (b - 1023)
             assert Fraction(2) ** (b - 1022) <= Fraction(10) ** (e + 2)
+
+
+ASCII_TEXT = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=12)
+
+
+class TestIntegerAndTextColumns:
+    @given(tables(st.integers(-10**12 + 1, 10**12 - 1)))
+    def test_integers_below_10_to_the_12(self, columns):
+        assert_renders_like_template(columns)
+
+    @given(tables(ASCII_TEXT))
+    def test_ascii_text(self, columns):
+        assert_renders_like_template(columns)
+
+    @given(st.integers(1, 40).flatmap(lambda rows: st.lists(
+        st.sampled_from([st.floats(width=64), st.integers(-10**12 + 1, 10**12 - 1), ASCII_TEXT])
+        .flatmap(lambda cells: st.lists(cells, min_size=rows, max_size=rows)),
+        min_size=1, max_size=4)))
+    def test_mixed_columns(self, columns):
+        assert_renders_like_template(columns)
+
+    def test_empty_text_cells(self):
+        assert_renders_like_template([["", "", ""], [1, -2, 3]])
+        assert_renders_like_template([[0.5, 1.0], ["", ""], ["", "x"]])
+        assert_renders_like_template([["", ""], ["", ""]])
+
+    def test_sweep_mode_table(self, tmp_path, renderer_calls):
+        sweep = sweep_coupling(default_circuit(), np.arange(5.0, 100.01, 0.5))
+        write_sweep_csv(sweep, tmp_path / "modes.csv", tmp_path / "summary.csv")
+        lines = (tmp_path / "modes.csv").read_text().splitlines()
+        assert lines[1:] == [f"{fmt(p.lv_nH)},{k},{fmt(f)},{label}" for p in sweep
+                             for k, (f, label) in enumerate(zip(
+                                 p.spectrum.eigenvalues.tolist(), p.classification.labels))]
+        assert renderer_calls == [1910]
 
 
 def test_columns_of_python_scalars(tmp_path):

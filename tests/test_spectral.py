@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -29,9 +31,13 @@ from sshchain.spectral import (
     write_sweep_csv,
 )
 
+from sshchain import chain as chain_mod
 from sshchain import spectral as spec_mod
+from sshchain.cli import main
 
 from oracles import classify_point, dense_eigvals, normalized_spectrum, sweep_points
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 class TestEigendecompose:
@@ -260,6 +266,13 @@ def test_sweep_csv_layout(tmp_path):
     assert slines[1].startswith("30,")
 
 
+def test_empty_sweep_csv_has_headers_only(tmp_path):
+    write_sweep_csv([], tmp_path / "modes.csv", tmp_path / "summary.csv")
+    assert (tmp_path / "modes.csv").read_text() == "lv_nH,mode_index,freq_GHz,label\n"
+    assert (tmp_path / "summary.csv").read_text() == \
+        "lv_nH,fsr_edge_bulk_GHz,fsr_edge_edge_GHz,phase_tag\n"
+
+
 def assert_same_point(got, expected):
     """Two (chain, spectrum, classification) triples agree bit for bit."""
     (chain, spectrum, cls), (chain_x, spectrum_x, cls_x) = got, expected
@@ -330,6 +343,64 @@ class TestSweepBlocks:
         monkeypatch.setattr(np.linalg, "eigh", skewed)
         with pytest.raises(NumericalError, match="invariants: ortho=1.000e-06"):
             sweep_coupling(default_circuit(), grid)
+
+    def test_a_nan_eigenpair_fails_the_block(self, monkeypatch):
+        # sweep points are built from the solved block unchecked; a NaN must
+        # not slip through the guards, whose comparisons it makes false
+        eigh = np.linalg.eigh
+
+        def nan_pair(h):
+            evals, evecs = eigh(h)
+            evals[2, 0] = math.nan
+            return evals, evecs
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_pair)
+        with pytest.raises(NumericalError, match=r"invariants: ortho=\S+, recon=nan$"):
+            sweep_coupling(default_circuit(), np.linspace(10.0, 40.0, 8))
+
+    def test_mapped_overflow_is_numerical_error(self, capsys, tmp_path):
+        # c0 = l0 = cw = 1e-200: L_T C_T underflows, so eps is inf and v NaN,
+        # and the eigensolver refuses the block before any point is built
+        circuit = default_circuit(c0_fF=1e-200, l0_nH=1e-200, cw_fF=1e-200)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="did not converge"):
+                sweep_coupling(circuit, np.arange(5.0, 100.01, 0.5))
+            code = main(["sweep", "--config", CONFIG_DIR + "/sweep_default.json",
+                         "--set", f"circuit={json.dumps(circuit.to_dict())}",
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    def test_points_share_read_only_block_arrays(self):
+        sweep = sweep_coupling(default_circuit(), np.arange(5.0, 100.01, 0.5))
+        for point in sweep:
+            arrays = (point.chain.eps, point.chain.v, point.chain.w,
+                      point.spectrum.eigenvalues, point.spectrum.eigenvectors)
+            assert not any(a.flags.writeable for a in arrays)
+            with pytest.raises(ValueError, match="read-only"):
+                point.chain.v[0] = 1.0
+        # rows of one block: the points are not copied one by one
+        first, last = sweep[0].spectrum.eigenvectors, sweep[-1].spectrum.eigenvectors
+        assert first.base is not None and first.base is last.base
+
+    def test_point_count_does_not_grow_the_checks(self, monkeypatch):
+        # each point of a block is built without re-reading its arrays: the
+        # validating readers run as often for 191 points as for 2
+        calls = []
+        site_array = chain_mod._site_array
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return site_array(*args, **kwargs)
+
+        monkeypatch.setattr(chain_mod, "_site_array", counted)
+        counts = []
+        for grid in ([10.0, 30.0], np.arange(5.0, 100.01, 0.5)):
+            calls.clear()
+            sweep_coupling(default_circuit(), grid)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("run", [
         lambda: eigendecompose(build_tb_hamiltonian(ChainSpec(5, 6.5, 0.1, 0.5))),
