@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "ChainSpec",
@@ -107,6 +107,14 @@ def _matrix(h, even: bool = False) -> np.ndarray:
         what = "positive even" if even else "positive"
         raise ValidationError(f"H must be square with {what} dimension, got shape {h.shape}")
     return h
+
+
+def _frozen(cls, **fields):
+    """A ``cls`` with ``fields`` set as they are: no ``__post_init__`` reads
+    or copies them. Only for values that passed every check of ``cls``."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 def _site_array(values, length: int, name: str, allow_inf: bool = False,
@@ -318,10 +326,12 @@ def _map_arrays(c0: np.ndarray, l0: np.ndarray, lv: np.ndarray, cw: np.ndarray):
     c_t = c0 + cw_site
     lv_site = np.repeat(lv, 2, axis=-1)
     l_t = 1.0 / (1.0 / l0 + 1.0 / lv_site)
-    if np.any(c_t <= 0) or np.any(l_t <= 0):
-        raise ValidationError("effective L_T and C_T must be positive")
+    # a checked circuit has L_T, C_T > 0, but their product can underflow
+    lc = l_t * c_t
+    if not (lc > 0).all():
+        raise NumericalError("circuit mapping failed: L_T * C_T underflows to 0")
     # nH * fF = 1e-24 s^2, so f[GHz] = 1e3 / (2 pi sqrt(L[nH] C[fF]))
-    eps = 1e3 / (2.0 * np.pi * np.sqrt(l_t * c_t))
+    eps = 1e3 / (2.0 * np.pi * np.sqrt(lc))
 
     v_side = 0.5 * eps * (l_t / lv_site)
     v = 0.5 * (v_side[..., 0::2] + v_side[..., 1::2])

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import MAX_CELLS, MAX_POINTS, CircuitSpec, _number, _numbers, _site_array
+from .chain import MAX_CELLS, MAX_POINTS, CircuitSpec, _frozen, _number, _numbers, _site_array
 from .csvout import write_csv, write_json
 from .errors import ExtrapolationError, NumericalError, ValidationError
 from .estimation import _levenberg_marquardt
@@ -147,19 +147,9 @@ class S21Trace:
         if bad.size:
             raise ValidationError(
                 f"s21 must be finite, got {s21[bad[0]]} at index {bad[0]}", "s21")
-        _fill_trace(self, freqs, s21, self.power_dBm, self.metadata)
-
-
-def _fill_trace(trace, freqs: np.ndarray, s21: np.ndarray, power_dBm,
-                metadata: dict) -> S21Trace:
-    """Set ``trace``'s fields to a grid ``_increasing_grid`` returned and an
-    ``s21`` no caller holds, neither checked nor copied again; ``s21_trace``
-    and ``background_normalize`` pass a bare ``object.__new__(S21Trace)``."""
-    s21.flags.writeable = False
-    for name, value in zip(("freqs", "s21", "power_dBm", "metadata"),
-                           (freqs, s21, _power(power_dBm), dict(metadata))):
-        object.__setattr__(trace, name, value)
-    return trace
+        s21.flags.writeable = False
+        vars(self).update(freqs=freqs, s21=s21, power_dBm=_power(self.power_dBm),
+                          metadata=dict(self.metadata))
 
 
 def _power(power_dBm) -> Optional[float]:
@@ -481,7 +471,8 @@ def s21_trace(circuit: CircuitSpec, freqs: Sequence[float], z0: float = 50.0,
     }
     if metadata:
         meta.update(metadata)
-    return _fill_trace(object.__new__(S21Trace), freqs, s21, power_dBm, meta)
+    s21.flags.writeable = False
+    return _frozen(S21Trace, freqs=freqs, s21=s21, power_dBm=_power(power_dBm), metadata=meta)
 
 
 def background_normalize(trace: S21Trace,
@@ -514,8 +505,9 @@ def background_normalize(trace: S21Trace,
     meta = dict(trace.metadata)
     meta["normalized"] = True
     meta["exclusion_windows_GHz"] = windows
-    return _fill_trace(object.__new__(S21Trace), freqs, trace.s21 / background,
-                       trace.power_dBm, meta)
+    s21 = trace.s21 / background
+    s21.flags.writeable = False
+    return _frozen(S21Trace, freqs=freqs, s21=s21, power_dBm=trace.power_dBm, metadata=meta)
 
 
 def _lorentzian(f, f0, hwhm, amp, base):

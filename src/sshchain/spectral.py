@@ -11,6 +11,7 @@ from .chain import (
     ChainSpec,
     CircuitSpec,
     _assemble_hamiltonian,
+    _frozen,
     _map_arrays,
     _matrix,
     _number,
@@ -233,14 +234,6 @@ def _block_slices(points: int, n_sites: int):
     points as fit ``_BLOCK_ENTRIES`` matrix entries, and at least one."""
     size = max(1, _BLOCK_ENTRIES // (n_sites * n_sites))
     return (slice(k, min(k + size, points)) for k in range(0, points, size))
-
-
-def _frozen(cls, **fields):
-    """A ``cls`` with ``fields`` set as they are: no ``__post_init__`` reads
-    or copies them. Only for values that passed every check of ``cls``."""
-    obj = object.__new__(cls)
-    vars(obj).update(fields)
-    return obj
 
 
 def _classified_block(c0, l0, lv, cw) -> list:

@@ -60,7 +60,6 @@ ZERO_TOL = 1e-12          # GHz; eigenvalues closer to zero need chiral splittin
 # clean 12-cell chain at v/w = 0.3 (ratio 1.3e6) stays split by sign.
 PAIR_SEPARATION = 1e7
 AMPLITUDE_FLOOR = 1e-12   # |psi| below this is ignored by localization fits
-K_POINTS_MIN = 1024       # fewest Brillouin-zone points of the k-space winding
 RNG_NAME = "PCG64"
 
 
@@ -303,33 +302,20 @@ def _chain_winding(chain: ChainSpec, eps_ref: float) -> WindingResult:
 def winding_number_k_space(v: float, w: float) -> WindingResult:
     """Winding of h(k) = v + w e^{ik} around the Brillouin zone.
 
-    Midpoint quadrature of (1/2 pi i) Tr[h^-1 dh/dk] over at least
-    ``K_POINTS_MIN`` points, refined near the gap closing so the raw value
-    is always within 1e-6 of an integer; v = w raises GapClosingError and
-    a negative or non-finite hop raises ValidationError.
+    By the argument principle, (1/2 pi i) of the integral of h'/h over
+    |z| = 1, with z = e^{ik}, counts the zeros of h(z) = v + w z inside the
+    unit circle (h has no pole). Its zero z = -v/w (none if w = 0) lies
+    inside exactly when v < w, so nu = 1 there and 0 for v > w (Asboth,
+    Oroszlany and Palyi, A Short Course on Topological Insulators, LNP 919
+    (2016), ch. 1).
+    v = w raises GapClosingError and a negative or non-finite hop raises
+    ValidationError.
     """
     v, w = _bloch_hops(v, w)
     if v == w:
         raise GapClosingError(
             f"winding integrand is singular at v = w = {v}; the gap closes")
-    # Quadrature error decays like exp(-M |log(v/w)|); pad the point count
-    # accordingly when the gap is small.
-    if v > 0 and w > 0:
-        decay = abs(np.log(v / w))
-        points = max(K_POINTS_MIN, int(np.ceil(40.0 / decay)))
-    else:
-        points = K_POINTS_MIN
-    points = min(points, 1 << 22)
-    k = 2.0 * np.pi * (np.arange(points) + 0.5) / points
-    hk = v + w * np.exp(1j * k)
-    dh = 1j * w * np.exp(1j * k)
-    # midpoint rule for (1/2 pi i) * integral of h'/h over one period
-    nu_raw = float(np.mean((dh / hk).imag))
-    nu_int = round(nu_raw)
-    if abs(nu_raw - nu_int) > 1e-6:
-        raise NumericalError(
-            f"k-space winding did not quantize: raw value {nu_raw!r}")
-    return WindingResult(nu=float(nu_int), chain_length=0, method="k-space")
+    return WindingResult(nu=1.0 if v < w else 0.0, chain_length=0, method="k-space")
 
 
 def _bloch_hops(v, w) -> tuple:

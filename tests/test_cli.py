@@ -94,6 +94,12 @@ class TestWindingCommand:
         payload = json.loads((tmp_path / "winding_x.json").read_text())
         assert payload["nu"] == 1.0
 
+    def test_k_space_next_to_the_gap_closing(self, capsys, tmp_path):
+        code, out, err = run(capsys, "winding", "--set", "method=k-space",
+                             "--set", "v_GHz=0.5", "--set", "w_GHz=0.5000001",
+                             "--out-dir", str(tmp_path))
+        assert (code, out, err) == (0, "nu=1 method=k-space\n", "")
+
     def test_gap_closing_is_numerical_failure(self, capsys, tmp_path):
         code, _, err = run(capsys, "winding", "--set", "method=k-space",
                            "--set", "v_GHz=0.5", "--set", "w_GHz=0.5",
@@ -312,6 +318,21 @@ class TestConfigHandling:
         ("s21", "s21_topological", "freqs.points=1", "freqs.points must be >= 2"),
         ("gatesweep", "gatesweep_joint", ["sweep.kind=single", "sweep.junction=1",
                                           "sweep.start_V=true"], "sweep.start_V"),
+        # a sweep kind without its key, or an unknown kind
+        ("gatesweep", "gatesweep_joint", "sweep.kind=single",
+         "error: single gate sweep needs 'junction'"),
+        ("gatesweep", "gatesweep_joint", "sweep.kind=explicit",
+         "error: explicit gate sweep needs 'settings_V'"),
+        ("gatesweep", "gatesweep_joint", "sweep.kind=ramp",
+         "error: sweep.kind must be joint, single or explicit, got 'ramp'"),
+        # a chain command with neither a chain nor a circuit
+        ("spectrum", None, [], "error: 'spectrum' config needs 'chain' or 'circuit'"),
+        ("ipr", None, [], "error: 'ipr' config needs 'chain' or 'circuit'"),
+        ("disorder", None, ["seed=7"], "error: 'disorder' config needs 'chain' or 'circuit'"),
+        ("winding", None, ["method=real-space"],
+         "error: 'winding' config needs 'chain' or 'circuit'"),
+        # an override without a value
+        ("winding", None, [("--set", "v_GHz")], "error: --set needs key=value, got 'v_GHz'"),
     ])
     def test_malformed_value_is_validation_error(self, refused, tmp_path, monkeypatch,
                                                  command, config, override, key):

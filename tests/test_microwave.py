@@ -105,6 +105,23 @@ class TestGateModel:
             GateModel(1, 0.4, 1.8, 9.0, 1.0, mode="table",
                       tables=[[1.0, 10.0], ["x", 20.0]])
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"mode": "measured"}, "mode must be 'parametric' or 'table', got 'measured'"),
+        ({"mode": "table", "tables": [[[0.0, 20.0], [1.0, 9.0]]] * 3},
+         r"need one table per junction \(2\), got 3"),
+        ({"mode": "table", "tables": [[[0.0, 20.0]]] * 2},
+         r"table 0 must be \(M, 2\) samples with M >= 2"),
+        ({"mode": "table", "tables": [[0.0, 20.0, 1.0], [1.0, 9.0, 1.0]]},
+         r"table 0 must be \(M, 2\) samples with M >= 2"),
+        ({"mode": "table", "tables": [[0.0, 20.0], [1.0, 0.0]]},
+         "table 0 inductances must be > 0"),
+        ({"mode": "table", "tables": [[[0.0, 20.0], [1.0, 9.0]], [[0.0, 20.0], [1.0, -9.0]]]},
+         "table 1 inductances must be > 0"),
+    ])
+    def test_malformed_mode_or_tables_rejected(self, kwargs, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            GateModel(2, 0.4, 1.8, 9.0, 1.0, **kwargs)
+
 
 class TestNanowireInductance:
     def test_pinched_off_is_infinite(self):
@@ -233,6 +250,18 @@ class TestLadder:
             s21_trace(default_circuit(lv_nH=30.0), freqs)
         with pytest.raises(ValidationError, match="finite"):
             S21Trace(freqs=freqs, s21=[0.5, 0.5])
+
+    def test_empty_grid_rejected(self):
+        message = "^frequency grid must be a non-empty 1-D array$"
+        with pytest.raises(ValidationError, match=message):
+            s21_trace(default_circuit(lv_nH=30.0), [])
+        with pytest.raises(ValidationError, match=message):
+            S21Trace(freqs=[], s21=[])
+
+    def test_transmission_off_the_grid_rejected(self):
+        with pytest.raises(ValidationError,
+                           match=r"^s21 shape \(2,\) does not match grid \(3,\)$"):
+            S21Trace([5.0, 6.0, 7.0], [0.5, 0.5])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.5, math.nan),
                                        complex(-math.inf, 0.0)])
@@ -446,6 +475,24 @@ class TestBackgroundNormalize:
         trace = S21Trace(freqs, np.full(101, 0.5 + 0.0j))
         with pytest.raises(ValidationError):
             background_normalize(trace, [(4.0, 8.0)])
+
+    @pytest.mark.parametrize("windows,message", [
+        ([(5.8, 6.0, 6.2)], r"exclusion windows must be \(lo, hi\) pairs, got "),
+        ([5.8], r"exclusion windows must be \(lo, hi\) pairs, got "),
+        ([(5.8, 6.2), (6.4, 6.4)], r"bad exclusion window \(6.4, 6.4\)$"),
+        ([(6.2, 5.8)], r"bad exclusion window \(6.2, 5.8\)$"),
+    ])
+    def test_malformed_windows_rejected(self, windows, message):
+        trace = S21Trace(np.linspace(5.0, 7.0, 101), np.full(101, 0.5 + 0.0j))
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            background_normalize(trace, windows)
+
+    def test_vanishing_background_is_numerical_error(self):
+        s21 = np.full(101, 0.5 + 0.0j)
+        s21[:50] = 0.0  # the background interpolates to 0 below 6 GHz
+        trace = S21Trace(np.linspace(5.0, 7.0, 101), s21)
+        with pytest.raises(NumericalError, match="^background magnitude vanishes"):
+            background_normalize(trace, [(6.5, 6.6)])
 
 
 class TestExtractPeaks:
@@ -824,3 +871,10 @@ def test_trace_outputs_and_gate_table_round_trip(tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("volts,l\n1,2\n")
         read_gate_table_csv(bad)
+
+    for text, message in (("v_gate_V,l_nH\n0.5,120\n1.0,thirty\n", "has malformed rows"),
+                          ("v_gate_V,l_nH\n0.5,120,7\n", "has malformed rows"),
+                          ("v_gate_V,l_nH\n", "has no samples")):
+        bad.write_text(text)
+        with pytest.raises(ValidationError, match=f"^gate table .+ {message}"):
+            read_gate_table_csv(bad)

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -179,6 +181,19 @@ class TestSweep:
         crossing = find_fsr_crossing(sweep)
         assert crossing is not None
         assert abs(crossing - 22.0) <= 0.5
+
+    @pytest.mark.parametrize("diffs,expected", [
+        ([0.3, 0.0, -0.2, -0.4], 20.0),   # exactly 0 at an inner point
+        ([0.3, 0.2, 0.1, 0.0], 40.0),     # exactly 0 at the last point
+        ([0.0, 0.0, 0.1, 0.2], 10.0),     # the first zero wins
+        ([0.3, 0.2, 0.1, 0.05], None),
+    ])
+    def test_crossing_where_the_fsr_difference_is_zero(self, diffs, expected):
+        # find_fsr_crossing reads only lv_nH and the two FSRs of each point
+        sweep = [SimpleNamespace(lv_nH=lv, classification=SimpleNamespace(
+                     fsr_edge_bulk=1.0 + d, fsr_edge_edge=1.0))
+                 for lv, d in zip([10.0, 20.0, 30.0, 40.0], diffs)]
+        assert find_fsr_crossing(sweep) == expected
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
@@ -359,18 +374,18 @@ class TestSweepBlocks:
             sweep_coupling(default_circuit(), np.linspace(10.0, 40.0, 8))
 
     def test_mapped_overflow_is_numerical_error(self, capsys, tmp_path):
-        # c0 = l0 = cw = 1e-200: L_T C_T underflows, so eps is inf and v NaN,
-        # and the eigensolver refuses the block before any point is built
+        # c0 = l0 = cw = 1e-200: L_T C_T underflows to 0, which the mapping
+        # refuses before it divides by it (no divide-by-zero warning)
         circuit = default_circuit(c0_fF=1e-200, l0_nH=1e-200, cw_fF=1e-200)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="did not converge"):
-                sweep_coupling(circuit, np.arange(5.0, 100.01, 0.5))
-            code = main(["sweep", "--config", CONFIG_DIR + "/sweep_default.json",
-                         "--set", f"circuit={json.dumps(circuit.to_dict())}",
-                         "--out-dir", str(tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("numerical failure: ")
-        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+        message = "circuit mapping failed: L_T * C_T underflows to 0"
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            sweep_coupling(circuit, np.arange(5.0, 100.01, 0.5))
+        spec = f"circuit={json.dumps(circuit.to_dict())}"
+        for argv in (["sweep", "--config", CONFIG_DIR + "/sweep_default.json"], ["spectrum"]):
+            code = main([*argv, "--set", spec, "--out-dir", str(tmp_path / "out")])
+            assert code == 2
+            assert capsys.readouterr().err == f"numerical failure: {message}\n"
+            assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
     def test_points_share_read_only_block_arrays(self):
         sweep = sweep_coupling(default_circuit(), np.arange(5.0, 100.01, 0.5))

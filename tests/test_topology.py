@@ -289,6 +289,12 @@ class TestKSpaceWinding:
         (0.5, 0.25, 0.0),
         (0.0, 1.0, 1.0),
         (1.0, 0.0, 0.0),
+        # the zero -v/w of v + w z next to the unit circle: the count is
+        # exact however close to v = w
+        (0.5, 0.5000001, 1.0),
+        (0.5000001, 0.5, 0.0),
+        (0.5, 0.5 + 2.0 ** -53, 1.0),
+        (0.5 + 2.0 ** -52, 0.5, 0.0),
     ])
     def test_reference_points(self, v, w, expected):
         result = winding_number_k_space(v, w)
@@ -385,7 +391,8 @@ def test_ipr_rejects_malformed_state(state, message):
 
 
 @pytest.mark.parametrize("state,message", BAD_STATES + [
-    ([1.0, 0.0, 0.5j, 0.0, np.nan, 0.0, 0.125, 0.0], "state must be finite")])
+    ([1.0, 0.0, 0.5j, 0.0, np.nan, 0.0, 0.125, 0.0], "state must be finite"),
+    ([1.0, 0.5, 0.25], "^state length must be even, got 3$")])
 def test_localization_fit_rejects_malformed_state(state, message):
     with pytest.raises(ValidationError, match=message):
         localization_length_fit(state, "A")
