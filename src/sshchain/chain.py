@@ -323,13 +323,21 @@ def _map_arrays(c0: np.ndarray, l0: np.ndarray, lv: np.ndarray, cw: np.ndarray):
     cw_site = np.empty(cw.shape[:-1] + (2 * n,))
     cw_site[..., 0::2] = cw[..., :-1]
     cw_site[..., 1::2] = cw[..., 1:]
-    c_t = c0 + cw_site
     lv_site = np.repeat(lv, 2, axis=-1)
-    l_t = 1.0 / (1.0 / l0 + 1.0 / lv_site)
-    # a checked circuit has L_T, C_T > 0, but their product can underflow
-    lc = l_t * c_t
-    if not (lc > 0).all():
-        raise NumericalError("circuit mapping failed: L_T * C_T underflows to 0")
+    # A checked circuit has finite L, C > 0, yet at the ends of the double
+    # range 1/L0 + 1/Lv, L_T, C_T or their product can overflow, and the
+    # product can underflow. Each shows in L_T * C_T (a NaN only where
+    # L_T = 0 meets C_T = inf), which is refused here, before eps divides
+    # by it, rather than warned about.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c_t = c0 + cw_site
+        l_t = 1.0 / (1.0 / l0 + 1.0 / lv_site)
+        lc = l_t * c_t
+    if not (lc.min() > 0 and lc.max() < math.inf):
+        if l_t.min() == 0:
+            raise NumericalError("circuit mapping failed: 1/L0 + 1/Lv overflows")
+        what = "overflows" if lc.max() == math.inf else "underflows to 0"
+        raise NumericalError(f"circuit mapping failed: L_T * C_T {what}")
     # nH * fF = 1e-24 s^2, so f[GHz] = 1e3 / (2 pi sqrt(L[nH] C[fF]))
     eps = 1e3 / (2.0 * np.pi * np.sqrt(lc))
 

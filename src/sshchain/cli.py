@@ -270,11 +270,9 @@ def _run_sweep(config, stem):
     with _read_as({"lv grid": grid_key}):
         grid, cells = spec_mod._sweep_axes(circuit, grid, config.get("cells"))
     yield
-    sweep = spec_mod.sweep_coupling(circuit, grid, cells=cells)
-    spec_mod.write_sweep_csv(sweep, f"{stem}.csv", f"{stem}_summary.csv")
-    crossing = spec_mod.find_fsr_crossing(sweep)
+    crossing = spec_mod._sweep_outputs(circuit, grid, cells, f"{stem}.csv", f"{stem}_summary.csv")
     found = "crossing=none" if crossing is None else f"crossing_lv_nH={fmt(crossing)}"
-    yield f"points={len(sweep)} {found}"
+    yield f"points={grid.size} {found}"
 
 
 def _run_winding(config, stem):

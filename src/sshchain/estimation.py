@@ -84,9 +84,12 @@ _DIFF_STEP = math.sqrt(np.finfo(float).eps)
 _DEGENERACY_TOL = _DIFF_STEP
 
 
-def _eigenfrequency_jacobian(c0, l0, lv, cw):
+def _eigenfrequency_jacobian(c0, l0, lv, cw, eps, h):
     """d lambda_k / d ln p for every circuit parameter p, or None at a crossing.
 
+    ``eps`` and ``h`` are the site energies and the assembled Hamiltonian
+    the circuit (c0, l0, lv, cw) maps to (``_map_arrays``,
+    ``_assemble_hamiltonian``), as its residual evaluation built them.
     Columns follow the flat layout (c0 | l0 | cw | lv). Hellmann-Feynman gives
     d lambda_k / d eps_i = psi_ik^2 and d lambda_k / d t_j = 2 psi_jk psi_(j+1)k
     for a simple eigenvalue; the chain rule through the map is local to a site,
@@ -95,8 +98,7 @@ def _eigenfrequency_jacobian(c0, l0, lv, cw):
     a hop is the mean of its bond's two side values. A pinched lv column is 0.
     """
     n = lv.size
-    eps, v, w = _map_arrays(c0, l0, lv, cw)
-    lam, psi = np.linalg.eigh(_assemble_hamiltonian(eps, v, w))
+    lam, psi = np.linalg.eigh(h)
     if np.any(np.diff(lam) <= _DEGENERACY_TOL * np.max(np.abs(lam))):
         return None
     cw_site = np.repeat(cw, 2)[1:-1]  # site 2k touches cw[k], site 2k+1 cw[k+1]
@@ -159,9 +161,11 @@ class _Solution(NamedTuple):
 
 
 def _half_square(v: np.ndarray) -> float:
-    """0.5 |v|^2. ``einsum`` sums in its own loop: for more than ~10^4
-    entries BLAS's dot (like its matrix-vector product above ~9,000) starts
-    threads that stay busy after the call."""
+    """0.5 |v|^2. ``einsum`` sums in its own loop. BLAS's dot, which ``@``
+    calls on two vectors, starts threads that stay busy after the call from
+    10,001 entries (OpenBLAS 0.3.31: CPU/wall 1.99 against 1.12 at 10,000,
+    on 2 cores); the matrix-vector products ``@`` makes of the same sizes
+    measured single-threaded."""
     return 0.5 * float(np.einsum("k,k->", v, v))
 
 
@@ -406,14 +410,26 @@ def fit_circuit_params(problem: FitProblem,
             flat[free] = np.clip(flat[free], lo[free], hi[free])
         return flat[:2 * n], flat[2 * n:4 * n], flat[5 * n + 1:], flat[4 * n:5 * n + 1]
 
+    def model(x):
+        """x with its circuit arrays, site energies and Hamiltonian."""
+        arrays = circuit_arrays(x)
+        eps, v, w = _map_arrays(*arrays)
+        return x, arrays, eps, _assemble_hamiltonian(eps, v, w)
+
+    last = (None,)  # model() of the last residual evaluation
+
     def residuals(x):
-        nonlocal evaluations
+        nonlocal evaluations, last
         evaluations += 1
-        eps, v, w = _map_arrays(*circuit_arrays(x))
-        return np.linalg.eigvalsh(_assemble_hamiltonian(eps, v, w)) - problem.target_freqs
+        last = model(x)
+        return np.linalg.eigvalsh(last[3]) - problem.target_freqs
 
     def jacobian_t(x):
-        full = _eigenfrequency_jacobian(*circuit_arrays(x))
+        # The solver asks at the point it evaluated last, the same array
+        # object: its model is reused (matched by identity, as hashing x
+        # costs more than the rebuild it saves)
+        _, arrays, eps, h = last if last[0] is x else model(x)
+        full = _eigenfrequency_jacobian(*arrays, eps, h)
         if full is None:
             return _forward_differences(residuals, x, log_lo, log_hi).T
         return full.T[free]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -161,14 +161,28 @@ def eigendecompose(h: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=evals[0], eigenvectors=evecs[0])
 
 
-_LABELS = np.array([LABEL_BULK_LOWER, LABEL_EDGE, LABEL_BULK_UPPER], dtype=object)
+# the text of the label and phase codes 0, 1, 2 of ``_Classes``
+_LABELS = np.array([LABEL_BULK_LOWER, LABEL_EDGE, LABEL_BULK_UPPER])
+_PHASES = np.array([PHASE_TOPOLOGICAL, PHASE_NORMAL, PHASE_TRIVIAL])
 
 
-def _classify(evals: np.ndarray, eps_ref: np.ndarray) -> list:
+class _Classes(NamedTuple):
+    """``classify_modes`` of a block of points as arrays, one row per point:
+    ``ModeClassification``'s fields, with the labels (points, n) and the
+    phase tags as codes into ``_LABELS`` and ``_PHASES``."""
+
+    labels: np.ndarray
+    fsr_edge_bulk: np.ndarray
+    fsr_edge_edge: np.ndarray
+    fsr_edge_bulk_lower: np.ndarray
+    fsr_edge_bulk_upper: np.ndarray
+    phases: np.ndarray
+
+
+def _classify(evals: np.ndarray, eps_ref: np.ndarray) -> _Classes:
     """``classify_modes`` of each row of ``evals`` (points, n) about its
     ``eps_ref``, for n >= 4 and finite references."""
-    points = evals.shape[0]
-    rows = np.arange(points)[:, None]
+    rows = np.arange(evals.shape[0])[:, None]
     ref = eps_ref[:, None]
     order = np.argsort(np.abs(evals - ref), axis=-1, kind="stable")
     edge_idx = np.sort(order[:, :2], axis=-1)
@@ -176,33 +190,26 @@ def _classify(evals: np.ndarray, eps_ref: np.ndarray) -> list:
     edge[rows, edge_idx] = True
     lower = ~edge & (evals < ref)
     upper = ~edge & ~lower
-    labels = _LABELS[np.where(edge, 1, np.where(lower, 0, 2))].tolist()
 
     edge_lo, edge_hi = evals[rows, edge_idx].T
     top_lower = np.max(np.where(lower, evals, -np.inf), axis=-1)
     bottom_upper = np.min(np.where(upper, evals, np.inf), axis=-1)
-    fsr_lower = np.where(lower.any(axis=-1), edge_lo - top_lower, 0.0).tolist()
-    fsr_upper = np.where(upper.any(axis=-1), bottom_upper - edge_hi, 0.0).tolist()
-    fsr_edge = (edge_hi - edge_lo).tolist()
+    fsr_lower = np.where(lower.any(axis=-1), edge_lo - top_lower, 0.0)
+    fsr_upper = np.where(upper.any(axis=-1), bottom_upper - edge_hi, 0.0)
+    fsr_edge = edge_hi - edge_lo
+    # max(fsr_lower, fsr_upper), the first on ties as Python's max() takes it
+    fsr_edge_bulk = np.where(fsr_upper > fsr_lower, fsr_upper, fsr_lower)
+    phases = np.where(fsr_edge < PHASE_RATIO * fsr_edge_bulk, 0,
+                      np.where(fsr_edge_bulk < PHASE_RATIO * fsr_edge, 2, 1))
+    return _Classes(np.where(edge, 1, np.where(lower, 0, 2)), fsr_edge_bulk, fsr_edge,
+                    fsr_lower, fsr_upper, phases)
 
-    classes = []
-    for k in range(points):
-        fsr_edge_bulk = max(fsr_lower[k], fsr_upper[k])
-        if fsr_edge[k] < PHASE_RATIO * fsr_edge_bulk:
-            phase = PHASE_TOPOLOGICAL
-        elif fsr_edge_bulk < PHASE_RATIO * fsr_edge[k]:
-            phase = PHASE_TRIVIAL
-        else:
-            phase = PHASE_NORMAL
-        classes.append(ModeClassification(
-            labels=tuple(labels[k]),
-            fsr_edge_bulk=fsr_edge_bulk,
-            fsr_edge_edge=fsr_edge[k],
-            fsr_edge_bulk_lower=fsr_lower[k],
-            fsr_edge_bulk_upper=fsr_upper[k],
-            phase_tag=phase,
-        ))
-    return classes
+
+def _classifications(classes: _Classes) -> list:
+    """One ``ModeClassification`` per row of ``classes``."""
+    return [ModeClassification(tuple(labels), *fields) for labels, *fields in zip(
+        _LABELS[classes.labels].tolist(), *(column.tolist() for column in classes[1:5]),
+        _PHASES[classes.phases].tolist())]
 
 
 def _check_modes(dim: int) -> None:
@@ -221,7 +228,7 @@ def classify_modes(spectrum: Spectrum, eps_ref: float) -> ModeClassification:
     evals = spectrum.eigenvalues
     _check_modes(evals.size)
     eps_ref = _number(eps_ref, "eps_ref")
-    return _classify(evals[None], np.array([eps_ref]))[0]
+    return _classifications(_classify(evals[None], np.array([eps_ref])))[0]
 
 
 # Entries of one (points, n, n) stack of a block: the block's scratch is a
@@ -236,37 +243,44 @@ def _block_slices(points: int, n_sites: int):
     return (slice(k, min(k + size, points)) for k in range(0, points, size))
 
 
-def _classified_block(c0, l0, lv, cw) -> list:
+def _solved_block(c0, l0, lv, cw) -> tuple:
     """Map, diagonalize and classify a block of circuits about their mean site
     energies; the arrays are (points, ...) stacks or broadcast against them.
 
-    Returns one (chain, spectrum, classification) per point, each equal to
-    what the per-circuit chain ``map_circuit_to_tb``, ``build_tb_hamiltonian``,
-    ``eigendecompose`` and ``classify_modes`` gives. The chains and spectra
-    hold read-only row views of the block's arrays: ``ChainSpec`` would find
-    them valid, as a checked circuit maps to eps > 0 and v, w >= 0, and
-    ``_spectra`` finds them finite.
+    Returns the block's eps, v, w, eigenvalues and eigenvectors, read-only
+    with one row per point, and their ``_classify`` arrays.
     """
     eps, v, w = _map_arrays(c0, l0, lv, cw)
-    dim = eps.shape[-1]
-    _check_modes(dim)
+    _check_modes(eps.shape[-1])
     evals, evecs = _spectra(_assemble_hamiltonian(eps, v, w))
-    classes = _classify(evals, np.mean(eps, axis=-1))
     for block in (eps, v, w, evals, evecs):
         block.flags.writeable = False
-    n_cells = dim // 2
+    return eps, v, w, evals, evecs, _classify(evals, np.mean(eps, axis=-1))
+
+
+def _points(eps, v, w, evals, evecs, classes) -> list:
+    """A ``_solved_block`` as one (chain, spectrum, classification) per point.
+
+    Each equals what the per-circuit chain ``map_circuit_to_tb``,
+    ``build_tb_hamiltonian``, ``eigendecompose`` and ``classify_modes``
+    gives. The chains and spectra hold read-only row views of the block's
+    arrays: ``ChainSpec`` would find them valid, as a checked circuit maps to
+    eps > 0 and v, w >= 0, and ``_spectra`` finds them finite.
+    """
+    n_cells = eps.shape[-1] // 2
     return [(_frozen(ChainSpec, n_cells=n_cells, eps=e, v=vk, w=wk),
              _frozen(Spectrum, eigenvalues=ev, eigenvectors=vec), classification)
-            for e, vk, wk, ev, vec, classification in zip(eps, v, w, evals, evecs, classes)]
+            for e, vk, wk, ev, vec, classification
+            in zip(eps, v, w, evals, evecs, _classifications(classes))]
 
 
 def _classified(circuits: Sequence[CircuitSpec]) -> list:
-    """``_classified_block`` of circuits of one size, block by block."""
+    """``_points`` of circuits of one size, block by block."""
     out = []
     for block in _block_slices(len(circuits), circuits[0].n_sites):
         arrays = [np.array([getattr(c, name) for c in circuits[block]])
                   for name in ("c0", "l0", "lv", "cw")]
-        out += _classified_block(*arrays)
+        out += _points(*_solved_block(*arrays))
     return out
 
 
@@ -286,14 +300,35 @@ def sweep_coupling(circuit: CircuitSpec, lv_grid: Sequence[float],
     grid order. The points are mapped, diagonalized and classified in
     blocks (see ``_spectra``), each point as it would be alone.
     """
-    grid, cell_idx = _sweep_axes(circuit, lv_grid, cells)
     sweep = []
+    for values, solved in _sweep_blocks(circuit, *_sweep_axes(circuit, lv_grid, cells)):
+        sweep += [SweepPoint(lv_nH, *point)
+                  for lv_nH, point in zip(values.tolist(), _points(*solved))]
+    return sweep
+
+
+def _sweep_blocks(circuit: CircuitSpec, grid: np.ndarray, cell_idx: np.ndarray):
+    """Each block of a sweep with checked axes (``_sweep_axes``): its grid
+    values and ``_solved_block``."""
     for block in _block_slices(grid.size, circuit.n_sites):
         lv = np.tile(circuit.lv, (grid[block].size, 1))
         lv[:, cell_idx] = grid[block, None]
-        sweep += [SweepPoint(lv_nH, *point) for lv_nH, point in zip(
-            grid[block].tolist(), _classified_block(circuit.c0, circuit.l0, lv, circuit.cw))]
-    return sweep
+        yield grid[block], _solved_block(circuit.c0, circuit.l0, lv, circuit.cw)
+
+
+def _sweep_outputs(circuit: CircuitSpec, grid: np.ndarray, cell_idx: np.ndarray,
+                   modes_path, summary_path) -> Optional[float]:
+    """``write_sweep_csv`` and ``find_fsr_crossing`` of the ``sweep_coupling``
+    with checked axes ``grid`` and ``cell_idx``, straight from its blocks'
+    arrays: no per-point object is built. Returns the crossing."""
+    blocks = [(evals, classes) for _, (_, _, _, evals, _, classes)
+              in _sweep_blocks(circuit, grid, cell_idx)]  # eigenvectors freed block by block
+    evals = np.concatenate([evals for evals, _ in blocks])
+    classes = _Classes(*map(np.concatenate, zip(*(classes for _, classes in blocks))))
+    _write_sweep(modes_path, summary_path, grid, np.full(grid.size, evals.shape[1]),
+                 evals.ravel(), _LABELS[classes.labels].ravel(),
+                 [classes.fsr_edge_bulk, classes.fsr_edge_edge, _PHASES[classes.phases]])
+    return _crossing(grid, classes.fsr_edge_bulk - classes.fsr_edge_edge)
 
 
 def _sweep_axes(circuit: CircuitSpec, lv_grid, cells) -> tuple:
@@ -331,31 +366,43 @@ def find_fsr_crossing(sweep: Sequence[SweepPoint]) -> Optional[float]:
     fsr_edge_edge and interpolates linearly inside the bracketing interval,
     in 1/lv if an end is infinite. Returns None when no crossing exists.
     """
-    lv = np.array([p.lv_nH for p in sweep])
-    diff = np.array([p.classification.fsr_edge_bulk - p.classification.fsr_edge_edge
-                     for p in sweep])
-    for i in range(len(diff) - 1):
-        if diff[i] == 0.0:
-            return float(lv[i])
-        if diff[i] * diff[i + 1] < 0:
-            frac = diff[i] / (diff[i] - diff[i + 1])
-            if np.isinf(lv[i:i + 2]).any():
-                return float(1.0 / (1.0 / lv[i] + frac * (1.0 / lv[i + 1] - 1.0 / lv[i])))
-            return float(lv[i] + frac * (lv[i + 1] - lv[i]))
-    if len(diff) and diff[-1] == 0.0:
-        return float(lv[-1])
-    return None
+    return _crossing(np.array([p.lv_nH for p in sweep]),
+                     np.array([p.classification.fsr_edge_bulk - p.classification.fsr_edge_edge
+                               for p in sweep]))
+
+
+def _crossing(lv: np.ndarray, diff: np.ndarray) -> Optional[float]:
+    """``find_fsr_crossing`` of the grid ``lv`` and the fsr_edge_bulk -
+    fsr_edge_edge of its points: the first point where the difference is 0,
+    or the first interval where it changes sign."""
+    hits = np.flatnonzero((diff[:-1] == 0.0) | (diff[:-1] * diff[1:] < 0))
+    if hits.size == 0:
+        return float(lv[-1]) if diff.size and diff[-1] == 0.0 else None
+    i = hits[0]
+    if diff[i] == 0.0:
+        return float(lv[i])
+    frac = diff[i] / (diff[i] - diff[i + 1])
+    if np.isinf(lv[i:i + 2]).any():
+        return float(1.0 / (1.0 / lv[i] + frac * (1.0 / lv[i + 1] - 1.0 / lv[i])))
+    return float(lv[i] + frac * (lv[i + 1] - lv[i]))
 
 
 def write_sweep_csv(sweep: Sequence[SweepPoint], modes_path, summary_path) -> None:
     """Emit the per-mode and summary CSV files for a coupling sweep."""
-    lv = [p.lv_nH for p in sweep]
     classes = [p.classification for p in sweep]
-    n_modes = np.array([len(c.labels) for c in classes], dtype=int)
+    _write_sweep(modes_path, summary_path, [p.lv_nH for p in sweep],
+                 np.array([len(c.labels) for c in classes], dtype=int),
+                 np.concatenate([np.empty(0)] + [p.spectrum.eigenvalues for p in sweep]),
+                 np.array([label for c in classes for label in c.labels], dtype=str),
+                 _phase_columns(classes))
+
+
+def _write_sweep(modes_path, summary_path, lv, n_modes, freqs, labels, phase_columns) -> None:
+    """The sweep CSVs. Per point: ``lv``, the mode count ``n_modes`` and the
+    ``_PHASE_HEADER`` columns; per mode, point after point: ``freqs`` and
+    the ``labels`` text."""
     # per row, the row of its point's first mode
     first_rows = np.repeat(np.cumsum(n_modes) - n_modes, n_modes)
     write_csv(modes_path, ["lv_nH", "mode_index", "freq_GHz", "label"],
-              [np.repeat(lv, n_modes), np.arange(first_rows.size) - first_rows,
-               np.concatenate([np.empty(0)] + [p.spectrum.eigenvalues for p in sweep]),
-               np.array([label for c in classes for label in c.labels], dtype=str)])
-    write_csv(summary_path, ["lv_nH"] + _PHASE_HEADER, [lv] + _phase_columns(classes))
+              [np.repeat(lv, n_modes), np.arange(first_rows.size) - first_rows, freqs, labels])
+    write_csv(summary_path, ["lv_nH"] + _PHASE_HEADER, [lv] + phase_columns)

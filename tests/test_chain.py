@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from sshchain import (
     ChainSpec,
     CircuitSpec,
+    NumericalError,
     ValidationError,
     build_tb_hamiltonian,
     chiral_defect,
@@ -102,6 +104,11 @@ class TestCircuitSpec:
         data["lv_nH"] = lv
         with pytest.raises(ValidationError, match="expected a number or 'inf'"):
             CircuitSpec.from_dict(data)
+
+    def test_from_dict_names_missing_keys(self):
+        with pytest.raises(ValidationError,
+                           match=re.escape("missing CircuitSpec keys: ['cw_fF', 'l0_nH', 'lv_nH']")):
+            CircuitSpec.from_dict({"n_cells": 5, "c0_fF": 660.0})
 
     def test_json_round_trip_with_inf(self):
         spec = CircuitSpec(2, 660.0, 1.0, [math.inf, 25.0], 30.0)
@@ -198,6 +205,26 @@ class TestCircuitMapping:
         assert np.all(after.v <= before.v) and np.all(after.w <= before.w)
         # a junction that grew lowers its own hop strictly
         assert np.all(after.v[grown.lv > base.lv] < before.v[grown.lv > base.lv])
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"c0_fF": 1e200, "l0_nH": 1e200, "cw_fF": 1e200}, "L_T * C_T overflows"),
+        ({"l0_nH": np.finfo(float).max}, "L_T * C_T overflows"),  # L_T is inf
+        ({"c0_fF": 1e308, "cw_fF": 1e308}, "L_T * C_T overflows"),  # C_T is inf
+        ({"l0_nH": 1e-310}, "1/L0 + 1/Lv overflows"),
+        ({"lv_nH": 1e-310}, "1/L0 + 1/Lv overflows"),
+        ({"c0_fF": 1e308, "cw_fF": 1e308, "l0_nH": 1e-310},
+         "1/L0 + 1/Lv overflows"),  # L_T = 0 meets C_T = inf
+        ({"c0_fF": 1e-200, "l0_nH": 1e-200, "cw_fF": 1e-200}, "L_T * C_T underflows to 0"),
+    ])
+    def test_mapping_refuses_the_ends_of_the_double_range(self, overrides, message):
+        # tier-1 makes every warning an error: each refusal is made without one
+        with pytest.raises(NumericalError,
+                           match=f"^circuit mapping failed: {re.escape(message)}$"):
+            map_circuit_to_tb(default_circuit(**overrides))
+
+    def test_mapping_keeps_extreme_values_whose_products_are_finite(self):
+        chain = map_circuit_to_tb(default_circuit(c0_fF=1e-150, l0_nH=1e150, cw_fF=1e-150))
+        assert np.all(np.isfinite(chain.eps) & (chain.eps > 0))
 
     def test_uniform_circuit_spectrum_symmetric_about_site_frequency(self):
         chain = map_circuit_to_tb(default_circuit(lv_nH=35.0))

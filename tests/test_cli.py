@@ -507,6 +507,27 @@ class TestSweepCommand:
         assert (tmp_path / "sweep_v_summary.csv").read_bytes() == \
             (tmp_path / "lib_summary.csv").read_bytes()
 
+    def test_multi_block_masked_sweep_matches_the_library(self, capsys, tmp_path):
+        # 40 cells: 40 points per block, so these 100 points take three; every
+        # other cell is swept, and the crossing lies between inf and 100 nH
+        circuit = default_circuit(n_cells=40, lv_nH=30.0)
+        grid = [np.inf] + np.linspace(100.0, 5.0, 99).tolist()
+        cells = list(range(0, 40, 2))
+        assert len(list(spec_mod._block_slices(len(grid), circuit.n_sites))) == 3
+        code, out, err = run(capsys, "sweep", *section_sets("circuit", circuit),
+                             "--set", f"lv_grid={json.dumps({'values_nH': ['inf'] + grid[1:]})}",
+                             "--set", f"cells={json.dumps(cells)}",
+                             "--out-dir", str(tmp_path), "--label", "m")
+        assert (code, err) == (0, "")
+        sweep = spec_mod.sweep_coupling(circuit, grid, cells=cells)
+        spec_mod.write_sweep_csv(sweep, tmp_path / "lib.csv", tmp_path / "lib_summary.csv")
+        crossing = spec_mod.find_fsr_crossing(sweep)
+        assert 100.0 < crossing < np.inf
+        assert out == f"points=100 crossing_lv_nH={crossing:.12g}\n"
+        assert (tmp_path / "sweep_m.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+        assert (tmp_path / "sweep_m_summary.csv").read_bytes() == \
+            (tmp_path / "lib_summary.csv").read_bytes()
+
     def test_grid_without_crossing(self, capsys, tmp_path):
         code, out, _ = run(capsys, "sweep",
                            "--config", os.path.join(CONFIG_DIR, "sweep_default.json"),

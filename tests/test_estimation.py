@@ -13,6 +13,7 @@ from sshchain import (
     map_circuit_to_tb,
     model_eigenfrequencies,
 )
+from sshchain import chain as chain_mod
 from sshchain import estimation
 from sshchain.estimation import PARAM_FAMILIES, fit_problem_from_dict, write_fit_outputs
 
@@ -293,7 +294,10 @@ def _central_differences(spec, step=1e-5):
 
 
 def _analytic(spec):
-    return estimation._eigenfrequency_jacobian(spec.c0, spec.l0, spec.lv, spec.cw)
+    arrays = spec.c0, spec.l0, spec.lv, spec.cw
+    eps, v, w = chain_mod._map_arrays(*arrays)
+    return estimation._eigenfrequency_jacobian(
+        *arrays, eps, chain_mod._assemble_hamiltonian(eps, v, w))
 
 
 def _dimer_problem():
@@ -388,6 +392,26 @@ class TestJacobian:
         assert result.residual_rms_kHz < 1.0
         assert result.evaluations <= 40
 
+    # the bench's fit jobs: each Jacobian reuses the chain and the Hamiltonian
+    # that the residual evaluation at its point built
+    @pytest.mark.parametrize("lv_nH", [8.0, 12.0, 30.0, 60.0])
+    def test_bench_fit_maps_once_per_residual_evaluation(self, lv_nH, monkeypatch):
+        truth, start = _criterion7_start(lv_nH, 0)
+        problem = FitProblem(model_eigenfrequencies(truth), start,
+                             free={"c0": True, "l0": False, "cw": False, "lv": False})
+        calls = {"_map_arrays": 0, "_assemble_hamiltonian": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(estimation, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(estimation, name, counted)
+        result = fit_circuit_params(problem, max_restarts=5, target_rms_GHz=5e-7,
+                                    multi_start=8)
+        assert result.iterations > 0
+        assert calls == {"_map_arrays": result.evaluations,
+                         "_assemble_hamiltonian": result.evaluations}
+
 
 C0_FREE = {"c0": True, "l0": False, "cw": False, "lv": False}
 
@@ -423,6 +447,44 @@ class TestSolver:
                                                  1e-12, 1e-12, 500)
         assert solved.status > 0
         np.testing.assert_allclose(solved.x, [1.0, 1.0], atol=1e-6)
+
+    def test_singular_normal_matrix_raises_the_damping(self, monkeypatch):
+        # J = [1, 1] makes J^T J singular; at mu = 1e-20, 1 + mu rounds to 1,
+        # so the damped matrix is exactly singular and solve raises, until
+        # the raised damping makes it regular
+        monkeypatch.setattr(estimation, "_TAU", 1e-20)
+        solve, singular = np.linalg.solve, []
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(a.copy())
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        solved = estimation._levenberg_marquardt(
+            lambda x: np.array([x[0] + x[1] - 1.0]), lambda x: np.ones((2, 1)),
+            np.array([3.0, 5.0]), -np.inf, np.inf, 1e-12, 1e-12, 50)
+        assert len(singular) > 1
+        assert np.array_equal(singular[0], np.ones((2, 2)))
+        assert solved.status > 0
+        assert solved.x.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_finite_residuals_reject_the_step(self):
+        # the full first step lands at x = 2, where the residual is inf: it is
+        # refused, and the damping shortens the step until it stays below 1
+        trials = []
+
+        def fun(x):
+            trials.append(float(x[0]))
+            return np.array([x[0] - 2.0 if x[0] <= 1.0 else np.inf])
+
+        solved = estimation._levenberg_marquardt(fun, lambda x: np.ones((1, 1)), np.zeros(1),
+                                                 -np.inf, np.inf, 1e-12, 1e-12, 60)
+        assert trials[1] > 1.0  # the first trial point, refused
+        assert np.all(np.isfinite(solved.residuals)) and solved.x[0] <= 1.0
+        assert solved.x[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_bound_holds_the_minimum_outside_the_box(self):
         def fun(x):

@@ -224,6 +224,12 @@ class TestLadder:
         identity = np.broadcast_to(np.eye(2, dtype=complex), (11, 2, 2))
         assert np.allclose(abcd_to_s21(identity), 1.0)
 
+    def test_modes_below_the_charge_mode_cut_are_refused(self):
+        # at l0 = 1e20 nH the five lower modes fall below the omega^2 > 1e6
+        # cut that drops the two terminating sites' zero-frequency modes
+        with pytest.raises(NumericalError, match="^expected 10 finite circuit modes, found 5$"):
+            circuit_mode_frequencies(default_circuit(l0_nH=1e20))
+
     def test_single_shunt_resonator_closed_form(self):
         freqs = np.linspace(4.0, 14.0, 4001)
         omega = 2 * np.pi * freqs * 1e9
@@ -798,6 +804,10 @@ class TestGateSweep:
         assert all(b < a for a, b in zip(splittings, splittings[1:]))
         assert tags[0] == PHASE_TRIVIAL
         assert tags[-1] == PHASE_TOPOLOGICAL
+
+    def test_gate_model_must_match_the_junction_count(self):
+        with pytest.raises(ValidationError, match="^gate model has 5 junctions for 4 cells$"):
+            apply_gate_setting(default_circuit(n_cells=4), GATE, [1.0] * 4)
 
     def test_joint_and_single_setting_builders(self):
         joint = joint_gate_settings(GATE, 5)

@@ -387,6 +387,26 @@ class TestSweepBlocks:
             assert capsys.readouterr().err == f"numerical failure: {message}\n"
             assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("command", ["spectrum", "sweep"])
+    @pytest.mark.parametrize("overrides,message", [
+        ({"c0_fF": 1e200, "l0_nH": 1e200, "cw_fF": 1e200}, "L_T * C_T overflows"),
+        ({"l0_nH": 1e-310}, "1/L0 + 1/Lv overflows"),
+    ], ids=["1e200", "1e-310"])
+    def test_mapped_range_end_exits_2_without_a_warning(self, capsys, tmp_path, command,
+                                                        overrides, message):
+        # With c0 = l0 = cw = 1e200 at lv = inf, L_T * C_T overflows (the run
+        # printed eps = 0 and exited 0); with l0 = 1e-310, 1/l0 overflows. A
+        # numpy warning would be an error here (tier-1's filterwarnings)
+        argv = [command, "--set", f"circuit={json.dumps(default_circuit(**overrides).to_dict())}",
+                "--out-dir", str(tmp_path / "out")]
+        if command == "sweep":  # the 1e200 circuit overflows at lv = inf only
+            argv += ["--set", 'lv_grid={"values_nH": [10, "inf"]}']
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"numerical failure: circuit mapping failed: {message}\n")
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
     def test_points_share_read_only_block_arrays(self):
         sweep = sweep_coupling(default_circuit(), np.arange(5.0, 100.01, 0.5))
         for point in sweep:
@@ -398,6 +418,25 @@ class TestSweepBlocks:
         # rows of one block: the points are not copied one by one
         first, last = sweep[0].spectrum.eigenvectors, sweep[-1].spectrum.eigenvectors
         assert first.base is not None and first.base is last.base
+
+    def test_sweep_command_builds_no_point_objects(self, monkeypatch, capsys, tmp_path):
+        # the subcommand writes and finds its crossing from the block arrays;
+        # the library sweep builds a SweepPoint, a ModeClassification and,
+        # through _frozen, a ChainSpec and a Spectrum per point
+        built = dict.fromkeys(("SweepPoint", "ModeClassification", "_frozen"), 0)
+        for name in built:
+            def counted(*args, _real=getattr(spec_mod, name), _name=name, **kwargs):
+                built[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(spec_mod, name, counted)
+        sweep_coupling(default_circuit(), np.arange(5.0, 100.01, 0.5))
+        assert built == {"SweepPoint": 191, "ModeClassification": 191, "_frozen": 382}
+        built.update(dict.fromkeys(built, 0))
+        code = main(["sweep", "--config", CONFIG_DIR + "/sweep_default.json",
+                     "--out-dir", str(tmp_path), "--label", "count"])
+        assert code == 0 and capsys.readouterr().out.startswith("points=191 crossing_lv_nH=")
+        assert built == dict.fromkeys(built, 0)
 
     def test_point_count_does_not_grow_the_checks(self, monkeypatch):
         # each point of a block is built without re-reading its arrays: the
