@@ -11,7 +11,8 @@ accepted and validated (>= 1) but have no effect, so identical config and
 seed produce byte-identical CSVs whatever they are set to. Config values
 that cannot be converted to the number they stand for, or that fall outside
 their range, fail validation with exit code 1 and an error naming their
-dotted config key.
+dotted config key. Overflow, division by zero and invalid operations (not
+underflow) fail a run with exit code 2, as numerical failures do.
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ OUT_DIR_ENV = "SSHCHAIN_OUT_DIR"
 
 _CIRCUIT_KEYS = chain_mod.CircuitSpec._json_keys()
 _CHAIN_KEYS = chain_mod.ChainSpec._json_keys()
-_GATE_KEYS = {"mode", "v_p_V", "v_o_V", "l_min_nH", "i_star_uA", "table_csv", "table"}
+# (GateModel field, config key, default) triples
+_GATE_FIELDS = (("v_p", "v_p_V", 0.0), ("v_o", "v_o_V", 1.0), ("l_min", "l_min_nH", 9.0),
+                ("i_star", "i_star_uA", 1.0))
+_GATE_KEYS = {"mode", "table_csv", "table", *(key for _, key, _ in _GATE_FIELDS)}
 # (BoxMode field, config key) pairs; the defaults are BoxMode's own
 _BOX_FIELDS = (("f_box", "f_box_GHz"), ("q_box", "q_box"), ("coupling", "coupling"))
 _BOX_KEYS = {key for _, key in _BOX_FIELDS}
@@ -220,17 +224,11 @@ def _gate_from(config, command, n_junctions) -> mw_mod.GateModel:
         tables = mw_mod.read_gate_table_csv(path)
     elif "table" in gate:
         tables = gate["table"]
-    with _read_as({"v_p": "gate.v_p_V", "v_o": "gate.v_o_V", "l_min": "gate.l_min_nH",
-                   "i_star": "gate.i_star_uA", "v_p < v_o": "gate.v_p_V < gate.v_o_V"}):
+    with _read_as({**{name: f"gate.{key}" for name, key, _ in _GATE_FIELDS},
+                   "v_p < v_o": "gate.v_p_V < gate.v_o_V"}):
         return mw_mod.GateModel(
-            n_junctions=n_junctions,
-            v_p=gate.get("v_p_V", 0.0),
-            v_o=gate.get("v_o_V", 1.0),
-            l_min=gate.get("l_min_nH", 9.0),
-            i_star=gate.get("i_star_uA", 1.0),
-            mode=mode,
-            tables=tables,
-        )
+            n_junctions=n_junctions, mode=mode, tables=tables,
+            **{name: gate.get(key, default) for name, key, default in _GATE_FIELDS})
 
 
 def _run_spectrum(config, stem):
@@ -551,23 +549,27 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-        run = RUNNERS[args.command](
-            config, os.path.join(config["out_dir"], f"{args.command}_{config['label']}"))
-        next(run)  # the read step
-        if args.dry_run:
-            print(json.dumps(config, indent=2, sort_keys=True))
-            return 0
-        try:
-            os.makedirs(config["out_dir"], exist_ok=True)
-        except OSError as exc:
-            raise ValidationError(f"output directory not writable: {exc}") from None
-        summary = next(run)  # the compute step
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            config = _resolve_config(args)
+            run = RUNNERS[args.command](
+                config, os.path.join(config["out_dir"], f"{args.command}_{config['label']}"))
+            next(run)  # the read step
+            if args.dry_run:
+                print(json.dumps(config, indent=2, sort_keys=True))
+                return 0
+            try:
+                os.makedirs(config["out_dir"], exist_ok=True)
+            except OSError as exc:
+                raise ValidationError(f"output directory not writable: {exc}") from None
+            summary = next(run)  # the compute step
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"numerical failure: floating-point {exc}", file=sys.stderr)
         return 2
     print(summary)
     return 0

@@ -28,14 +28,11 @@ class NumericalError(RuntimeError):
 class DegenerateMidgapError(NumericalError):
     """Zero-energy subspace cannot be split into chiral partners."""
 
-    def __init__(self, indices, message=None):
+    def __init__(self, indices, message="ambiguous zero-energy eigenvalues at indices {}; "
+                                        "cannot assign spectral halves"):
+        """``message`` is formatted with the indices, as a tuple of ints."""
         self.indices = tuple(int(i) for i in indices)
-        if message is None:
-            message = (
-                "ambiguous zero-energy eigenvalues at indices "
-                f"{self.indices}; cannot assign spectral halves"
-            )
-        super().__init__(message)
+        super().__init__(message.format(self.indices))
 
 
 class GapClosingError(NumericalError):

@@ -5,7 +5,9 @@ circuit to a supplied frequency list with the package's own bounded
 Levenberg-Marquardt solver (``_levenberg_marquardt``, which peak
 refinement in ``microwave`` uses too). It works on the logarithms of the
 free parameters, so positivity is structural and relative steps mean the
-same thing for nanohenries and femtofarads. The solver's Jacobian is
+same thing for nanohenries and femtofarads. Each residual evaluation
+hands the solver its Jacobian too, formed from the circuit arrays, site
+energies and Hamiltonian it built, only if the solver takes its point. It is
 analytic: one eigendecomposition gives every eigenvalue's Hellmann-Feynman
 derivatives, chained through the closed-form derivative of the
 circuit-to-chain map. Only where two eigenvalues of the current model
@@ -123,12 +125,11 @@ def _eigenfrequency_jacobian(c0, l0, lv, cw, eps, h):
     return np.concatenate([d_ln_c0, d_ln_l0, d_ln_cw, d_ln_lv]).T
 
 
-def _forward_differences(fun, x, lo, hi):
+def _forward_differences(fun, x, f0, lo, hi):
     """Forward-difference Jacobian of ``fun`` at ``x``, steps as scipy's "2-point".
 
-    A step that would leave the box [lo, hi] is taken backwards instead.
+    ``f0`` is fun(x). A step that would leave the box [lo, hi] is taken backwards instead.
     """
-    f0 = fun(x)
     h = _DIFF_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
     h = np.where((x + h < lo) | (x + h > hi), -h, h)
     columns = []
@@ -169,12 +170,14 @@ def _half_square(v: np.ndarray) -> float:
     return 0.5 * float(np.einsum("k,k->", v, v))
 
 
-def _levenberg_marquardt(fun, jac_t, x, lo, hi, ftol, xtol, max_nfev) -> _Solution:
-    """Minimise 0.5 |fun(x)|^2 over the box lo <= x <= hi from ``x`` inside it.
+def _levenberg_marquardt(fun, x, lo, hi, ftol, xtol, max_nfev) -> _Solution:
+    """Minimise 0.5 |r(x)|^2 over the box lo <= x <= hi from ``x`` inside it.
 
-    ``jac_t(x)`` returns the transposed Jacobian J^T, row j the derivative of
+    ``fun(x)`` returns the residuals r(x) and a callable of no arguments
+    that returns the transposed Jacobian J^T at x, row j the derivative of
     every residual by x_j; row-major, its products over the residuals read
-    contiguous memory.
+    contiguous memory. The solver keeps that callable with the point and
+    calls it only for points it takes, except the last.
 
     Each step solves the damped normal equations (J^T J + mu D^2) h = -J^T r,
     with Moré's scaling D, the running maximum of J's column norms (Moré,
@@ -187,15 +190,14 @@ def _levenberg_marquardt(fun, jac_t, x, lo, hi, ftol, xtol, max_nfev) -> _Soluti
     algorithm 3.16). The stops are those of ``least_squares``: no free
     gradient component above ``_GTOL``, a step that lowers the cost by less
     than ``ftol`` of it with rho > 1/4, a step shorter than
-    ``xtol * (xtol + |x|)``, or ``max_nfev`` residual evaluations. ``jac_t``
-    is evaluated once per point taken, except the last. Every product over
-    the residuals is an ``einsum`` (see ``_half_square``): a peak window has
-    thousands of residuals.
+    ``xtol * (xtol + |x|)``, or ``max_nfev`` residual evaluations. Every
+    product over the residuals is an ``einsum`` (see ``_half_square``): a
+    peak window has thousands of residuals.
     """
-    f = fun(x)
+    f, jac_t = fun(x)
     cost = _half_square(f)
     evaluations = jacobians = 1
-    jacobian_t = jac_t(x)
+    jacobian_t = jac_t()
     scale = np.zeros(x.size)
     mu, grow = _TAU, 2.0
     status = 0
@@ -226,7 +228,7 @@ def _levenberg_marquardt(fun, jac_t, x, lo, hi, ftol, xtol, max_nfev) -> _Soluti
                 continue
             x_new = np.minimum(np.maximum(x + step, lo), hi)
             step = x_new - x
-            f_new = fun(x_new)
+            f_new, jac_new = fun(x_new)
             evaluations += 1
             cost_new = _half_square(f_new)
             if not math.isfinite(cost_new):
@@ -244,10 +246,10 @@ def _levenberg_marquardt(fun, jac_t, x, lo, hi, ftol, xtol, max_nfev) -> _Soluti
             elif math.sqrt(step @ step) < xtol * (xtol + x_norm):
                 status = 3
             if taken:
-                x, f, cost = x_new, f_new, cost_new
+                x, f, cost, jac_t = x_new, f_new, cost_new, jac_new
         if status or evaluations >= max_nfev:
             break
-        jacobian_t = jac_t(x)
+        jacobian_t = jac_t()
         jacobians += 1
     return _Solution(x, f, status, evaluations, jacobians)
 
@@ -410,33 +412,26 @@ def fit_circuit_params(problem: FitProblem,
             flat[free] = np.clip(flat[free], lo[free], hi[free])
         return flat[:2 * n], flat[2 * n:4 * n], flat[5 * n + 1:], flat[4 * n:5 * n + 1]
 
-    def model(x):
-        """x with its circuit arrays, site energies and Hamiltonian."""
+    def residuals(x):
+        """The residuals at x, and J^T there (see ``_levenberg_marquardt``)."""
+        nonlocal evaluations
+        evaluations += 1
         arrays = circuit_arrays(x)
         eps, v, w = _map_arrays(*arrays)
-        return x, arrays, eps, _assemble_hamiltonian(eps, v, w)
+        h = _assemble_hamiltonian(eps, v, w)
+        f = np.linalg.eigvalsh(h) - problem.target_freqs
 
-    last = (None,)  # model() of the last residual evaluation
+        def jacobian_t():
+            full = _eigenfrequency_jacobian(*arrays, eps, h)
+            if full is None:
+                return _forward_differences(lambda y: residuals(y)[0], x, f, log_lo, log_hi).T
+            return full.T[free]
 
-    def residuals(x):
-        nonlocal evaluations, last
-        evaluations += 1
-        last = model(x)
-        return np.linalg.eigvalsh(last[3]) - problem.target_freqs
-
-    def jacobian_t(x):
-        # The solver asks at the point it evaluated last, the same array
-        # object: its model is reused (matched by identity, as hashing x
-        # costs more than the rebuild it saves)
-        _, arrays, eps, h = last if last[0] is x else model(x)
-        full = _eigenfrequency_jacobian(*arrays, eps, h)
-        if full is None:
-            return _forward_differences(residuals, x, log_lo, log_hi).T
-        return full.T[free]
+        return f, jacobian_t
 
     def run(x_start):
         nonlocal iterations
-        result = _levenberg_marquardt(residuals, jacobian_t, x_start, log_lo, log_hi,
+        result = _levenberg_marquardt(residuals, x_start, log_lo, log_hi,
                                       opts.tol_f, opts.tol_x, opts.max_iter)
         iterations += result.jacobians
         return result, float(np.sqrt(np.mean(result.residuals ** 2)))

@@ -701,9 +701,9 @@ def extract_peaks(trace: S21Trace, prominence: float,
         if f_fit.size >= 4:  # the Lorentzian has four parameters
             p0 = np.array([f0_est, fwhm_est[n] / 2, max(amp0, 1e-12), base0])
             fit = _levenberg_marquardt(
-                lambda p: _lorentzian(f_fit, *p) - m_fit,
-                lambda p: _lorentzian_jacobian_t(f_fit, *p, jacobian), p0, -math.inf, math.inf,
-                _PEAK_TOL, _PEAK_TOL, _PEAK_EVALUATIONS)
+                lambda p: (_lorentzian(f_fit, *p) - m_fit,
+                           lambda: _lorentzian_jacobian_t(f_fit, *p, jacobian)),
+                p0, -math.inf, math.inf, _PEAK_TOL, _PEAK_TOL, _PEAK_EVALUATIONS)
             if fit.status:  # 0: the evaluation cap was reached
                 fit_f0, fit_hwhm, fit_amp, fit_base = fit.x
                 if (abs(fit_f0 - f0_est) <= half

@@ -128,7 +128,7 @@ def _lapack() -> tuple:
     """dstevd, dsyrk and dgemm: the one solver and the BLAS of every flatband product.
 
     Imported here, so that importing the package loads no scipy (~0.3 s).
-    An ensemble reads them once (``_SamplePlan``); a single winding or
+    An ensemble reads them once (``_samples``); a single winding or
     flatband once per call.
     """
     from scipy.linalg.blas import dgemm, dsyrk
@@ -197,8 +197,7 @@ def _flatband_basis(diag: np.ndarray, off: np.ndarray, lapack: tuple) -> tuple:
             raise DegenerateMidgapError(idx)
         states = _chiral_states(evecs[:, idx])
         if states is None:
-            raise DegenerateMidgapError(
-                idx, f"zero modes at indices {tuple(idx)} are not chiral partners")
+            raise DegenerateMidgapError(idx, "zero modes at indices {} are not chiral partners")
     return evals, evecs, evecs * (np.sign(evals) * ~zero), states
 
 
@@ -382,44 +381,35 @@ def _perturbed(values: np.ndarray, rng, delta: float) -> np.ndarray:
     return values * (1.0 + delta * rng.uniform(-1.0, 1.0, size=values.size))
 
 
-class _SamplePlan:
-    """What every sample of one ensemble shares, prepared once (see ``_draw_sample``).
+def _samples(base: ChainSpec, config: DisorderConfig, indices):
+    """Yield disorder realizations ``indices`` of the ensemble ``config`` of ``base``.
 
-    The solver routines; the cell geometry of the winding trace; one hop
-    buffer, whose untargeted half keeps the base hops; and, when eps is
-    not a target, the base diagonal already shifted by its mean.
+    What every sample shares is prepared once, before the first: the solver
+    routines (``_lapack``); the cell geometry of the winding trace; one hop
+    buffer, whose untargeted half keeps the base hops; and, when eps is not
+    a target, the base diagonal already shifted by its mean. The stream of
+    sample k is keyed by (seed, k) and consumed in the fixed order eps, v, w
+    for the targeted families, so samples are reproducible regardless of
+    evaluation order. Strength < 1 and non-negative base hops keep every
+    drawn hop non-negative, so no draw is ever rejected.
     """
-
-    def __init__(self, base: ChainSpec, config: DisorderConfig):
-        self.base = base
-        self.config = config
-        self.lapack = _lapack()
-        self.cells = _cells(base.n_cells)
-        self.hop = _hops(base.v, base.w)
-        self.diag = None if "eps" in config.targets else base.eps - float(np.mean(base.eps))
-
-
-def _draw_sample(plan: _SamplePlan, index: int) -> DisorderSample:
-    """Disorder realization ``index`` of the ensemble ``plan`` was prepared for.
-
-    The stream is keyed by (seed, index) and consumed in the fixed order
-    eps, v, w for the targeted families, so samples are reproducible
-    regardless of evaluation order. Strength < 1 and non-negative base
-    hops keep every drawn hop non-negative, so no draw is ever rejected.
-    """
-    base, config, hop = plan.base, plan.config, plan.hop
-    rng = np.random.default_rng([config.seed & 0xFFFFFFFFFFFFFFFF, index])
-    diag = plan.diag
-    if diag is None:
-        eps = _perturbed(base.eps, rng, config.strength)
-        diag = eps - float(np.mean(eps))
-    if "v" in config.targets:
-        hop[0::2] = _perturbed(base.v, rng, config.strength)
-    if "w" in config.targets:
-        hop[1::2] = _perturbed(base.w, rng, config.strength)
-    basis = _flatband_basis(diag, hop, plan.lapack)
-    return DisorderSample(index=index, nu=_winding(basis, plan.cells, plan.lapack[2]),
-                          min_gap_GHz=float(np.min(np.abs(basis[0]))))
+    lapack = _lapack()
+    cells = _cells(base.n_cells)
+    hop = _hops(base.v, base.w)
+    fixed = None if "eps" in config.targets else base.eps - float(np.mean(base.eps))
+    for index in indices:
+        rng = np.random.default_rng([config.seed & 0xFFFFFFFFFFFFFFFF, index])
+        diag = fixed
+        if diag is None:
+            eps = _perturbed(base.eps, rng, config.strength)
+            diag = eps - float(np.mean(eps))
+        if "v" in config.targets:
+            hop[0::2] = _perturbed(base.v, rng, config.strength)
+        if "w" in config.targets:
+            hop[1::2] = _perturbed(base.w, rng, config.strength)
+        basis = _flatband_basis(diag, hop, lapack)
+        yield DisorderSample(index=index, nu=_winding(basis, cells, lapack[2]),
+                             min_gap_GHz=float(np.min(np.abs(basis[0]))))
 
 
 def disorder_ensemble(base: ChainSpec, config: DisorderConfig) -> EnsembleResult:
@@ -432,12 +422,11 @@ def disorder_ensemble(base: ChainSpec, config: DisorderConfig) -> EnsembleResult
     sample's bands shifted by that mean (no 2N x 2N Hamiltonian is built):
     the winding from its flatband Q, the gap as the smallest |eigenvalue|
     of the shifted spectrum. What the samples share is prepared once
-    (``_SamplePlan``). With delta < 1 no hop can turn negative, so
+    (``_samples``). With delta < 1 no hop can turn negative, so
     ``rejections`` is always 0; it stays in the result and its JSON as
     part of the file format.
     """
-    plan = _SamplePlan(base, config)
-    samples = tuple(_draw_sample(plan, k) for k in range(config.samples))
+    samples = tuple(_samples(base, config, range(config.samples)))
     nus = np.array([s.nu for s in samples])
     return EnsembleResult(
         samples=samples,

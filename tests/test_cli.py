@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +319,17 @@ class TestConfigHandling:
         ("s21", "s21_topological", "freqs.points=1", "freqs.points must be >= 2"),
         ("gatesweep", "gatesweep_joint", ["sweep.kind=single", "sweep.junction=1",
                                           "sweep.start_V=true"], "sweep.start_V"),
+        # each gate value is named by its key
+        ("gatesweep", "gatesweep_joint", "gate.v_p_V=true",
+         "error: gate.v_p_V must be numeric, got True"),
+        ("gatesweep", "gatesweep_joint", "gate.v_o_V=true",
+         "error: gate.v_o_V must be numeric, got True"),
+        ("powersweep", "powersweep_trivial", "gate.l_min_nH=[1, 2]",
+         "error: gate.l_min_nH must have length 5, got shape (2,)"),
+        ("powersweep", "powersweep_trivial", "gate.i_star_uA=0",
+         "error: gate.i_star_uA entries must be > 0"),
+        ("gatesweep", "gatesweep_joint", "gate.v_p_V=2.0", "error: gate.v_p_V < gate.v_o_V "
+         "must hold at every junction, got 2.0 >= 1.8 at junction 0"),
         # a sweep kind without its key, or an unknown kind
         ("gatesweep", "gatesweep_joint", "sweep.kind=single",
          "error: single gate sweep needs 'junction'"),
@@ -443,6 +455,21 @@ class TestConfigHandling:
                       "--set", "w_GHz=0.5", "--out-dir", str(blocker / below))
         assert err == f"error: out_dir cannot be made: {blocker} is not a directory\n"
         assert blocker.read_text() == ""
+
+    def test_out_dir_that_cannot_be_made_after_the_read_step(self, capsys, tmp_path,
+                                                            monkeypatch):
+        out_dir = str(tmp_path / "out")
+
+        def refuse(path, exist_ok=False):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(os, "makedirs", refuse)
+        code, out, err = run(capsys, "winding", "--set", "method=k-space", "--set", "v_GHz=0.1",
+                             "--set", "w_GHz=0.5", "--out-dir", out_dir)
+        assert (code, out) == (1, "")
+        assert err == ("error: output directory not writable: "
+                       f"[Errno 13] Permission denied: {out_dir!r}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_flags_resolve_as_their_keys(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SSHCHAIN_OUT_DIR", str(tmp_path / "env"))
@@ -626,6 +653,44 @@ class TestSolverFailures:
         assert (code, out) == (2, "")
         assert err == ("numerical failure: eigendecomposition failed: "
                        "Eigenvalues did not converge\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+def _config(name):
+    return os.path.join(CONFIG_DIR, f"{name}.json")
+
+
+class TestFloatingPointFailures:
+    """An overflow, a division by zero or an invalid operation ends a run
+    with exit code 2 and one line naming it, with no numpy warning."""
+
+    @pytest.mark.parametrize("command,args,kind", [
+        ("fit", ["--config", _config("fit_roundtrip"),
+                 "--set", f"fit.targets_GHz={json.dumps([1e300] * 10)}"], "overflow"),
+        ("s21", ["--config", _config("s21_topological"), "--set", "box.q_box=1e300"],
+         "divide by zero"),
+        ("gatesweep", ["--config", _config("gatesweep_joint"), "--set", "i_s_uA=1e200"],
+         "overflow"),
+        ("powersweep", ["--config", _config("powersweep_trivial"),
+                        "--set", "i_s_grid.values_uA=[0, 1e160]"], "overflow"),
+        ("s21", ["--config", _config("s21_topological"), "--set", "circuit.c0_fF=1e200",
+                 "--set", "circuit.l0_nH=1e200", "--set", "circuit.cw_fF=1e200"], "overflow"),
+        ("s21", ["--config", _config("s21_topological"), "--set", "circuit.l0_nH=1e-310"],
+         "overflow"),
+        ("s21", ["--config", _config("s21_topological"), "--set", "freqs.stop_GHz=1e300"],
+         "overflow"),
+        ("s21", ["--config", _config("s21_topological"), "--set", "z0_ohm=1e-320"],
+         "overflow"),
+    ], ids=["fit-targets", "s21-q_box", "gatesweep-i_s", "powersweep-i_s", "s21-huge-circuit",
+            "s21-tiny-l0", "s21-stop", "s21-z0"])
+    def test_is_numerical_failure(self, capsys, tmp_path, command, args, kind):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, command, *args, "--out-dir", str(tmp_path))
+        assert caught == []
+        assert (code, out) == (2, "")
+        assert err.startswith(f"numerical failure: floating-point {kind} encountered in ")
+        assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
 
@@ -914,6 +979,24 @@ class TestPowerSweepCommand:
             gated = apply_gate_setting(circuit, model, voltages, float(row[0]))
             np.testing.assert_allclose([float(x) for x in row[1:6]], gated.lv, rtol=1e-11)
             assert row[-1] == classify_point(gated)[2].phase_tag
+
+    def test_gate_section_defaults(self, capsys, tmp_path):
+        # a gate section naming only its mode takes v_p = 0 V, v_o = 1 V,
+        # l_min = 9 nH and i_star = 1 uA
+        circuit, _, config = shipped("powersweep_trivial")
+        voltages = [0.25, 0.5, 0.75, 1.0, 0.6]
+        code, _, _ = run(capsys, "powersweep", "--config", config,
+                         "--set", 'gate={"mode": "parametric"}',
+                         "--set", f"setting_V={json.dumps(voltages)}",
+                         "--set", 'i_s_grid={"values_uA": [0.0, 0.5]}',
+                         "--out-dir", str(tmp_path), "--label", "d")
+        assert code == 0
+        model = mw_mod.GateModel(5, 0.0, 1.0, 9.0, 1.0)
+        rows = summary_rows(tmp_path / "powersweep_d.csv")
+        assert [float(row[0]) for row in rows] == [0.0, 0.5]
+        for row in rows:
+            gated = apply_gate_setting(circuit, model, voltages, float(row[0]))
+            np.testing.assert_allclose([float(x) for x in row[1:6]], gated.lv, rtol=1e-11)
 
     def test_unknown_setting_name_is_validation_error(self, refused):
         err = refused("powersweep",

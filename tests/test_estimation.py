@@ -364,6 +364,27 @@ class TestJacobian:
         for name in PARAM_FAMILIES:
             assert np.array_equal(getattr(a.best, name), getattr(b.best, name))
 
+    def test_differenced_jacobian_takes_the_residual_the_solver_holds(self, monkeypatch):
+        # each differenced Jacobian evaluates the residuals once per free
+        # parameter, never again at its own point
+        solve, differences = estimation._levenberg_marquardt, estimation._forward_differences
+        solver_evaluations, differenced = [], []
+
+        def counted_solve(*args):
+            result = solve(*args)
+            solver_evaluations.append(result.evaluations)
+            return result
+
+        def counted_differences(*args):
+            differenced.append(args[1].size)
+            return differences(*args)
+
+        monkeypatch.setattr(estimation, "_levenberg_marquardt", counted_solve)
+        monkeypatch.setattr(estimation, "_forward_differences", counted_differences)
+        result = fit_circuit_params(_dimer_problem(), multi_start=4)
+        assert differenced and set(differenced) == {26}  # c0, l0, cw; every lv is pinched
+        assert result.evaluations == sum(solver_evaluations) + 26 * len(differenced)
+
     def test_difference_steps_turn_back_at_the_upper_bound(self):
         x = np.array([0.0, 1.0])
         hi = np.array([1.0, 1.0])
@@ -373,7 +394,8 @@ class TestJacobian:
             steps.append(point - x)
             return np.array([point @ point])
 
-        jac = estimation._forward_differences(fun, x, -hi, hi)
+        jac = estimation._forward_differences(fun, x, fun(x), -hi, hi)
+        assert len(steps) == 3 and not steps[0].any()
         assert steps[1][0] > 0 and steps[2][1] < 0
         np.testing.assert_allclose(jac, [[0.0, 2.0]], atol=1e-7)
 
@@ -434,16 +456,13 @@ class TestSolver:
 
     def test_cap_stops_without_an_exception(self):
         def fun(x):
-            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])  # Rosenbrock
-
-        def jac_t(x):  # one row per parameter
-            return np.array([[-20.0 * x[0], -1.0], [10.0, 0.0]])
+            residuals = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])  # Rosenbrock
+            return residuals, lambda: np.array([[-20.0 * x[0], -1.0], [10.0, 0.0]])  # J^T
 
         start = np.array([-1.2, 1.0])
-        capped = estimation._levenberg_marquardt(fun, jac_t, start, -np.inf, np.inf,
-                                                 1e-12, 1e-12, 5)
+        capped = estimation._levenberg_marquardt(fun, start, -np.inf, np.inf, 1e-12, 1e-12, 5)
         assert (capped.status, capped.evaluations) == (0, 5)
-        solved = estimation._levenberg_marquardt(fun, jac_t, start, -np.inf, np.inf,
+        solved = estimation._levenberg_marquardt(fun, start, -np.inf, np.inf,
                                                  1e-12, 1e-12, 500)
         assert solved.status > 0
         np.testing.assert_allclose(solved.x, [1.0, 1.0], atol=1e-6)
@@ -464,7 +483,7 @@ class TestSolver:
 
         monkeypatch.setattr(np.linalg, "solve", spy)
         solved = estimation._levenberg_marquardt(
-            lambda x: np.array([x[0] + x[1] - 1.0]), lambda x: np.ones((2, 1)),
+            lambda x: (np.array([x[0] + x[1] - 1.0]), lambda: np.ones((2, 1))),
             np.array([3.0, 5.0]), -np.inf, np.inf, 1e-12, 1e-12, 50)
         assert len(singular) > 1
         assert np.array_equal(singular[0], np.ones((2, 2)))
@@ -474,23 +493,31 @@ class TestSolver:
     def test_non_finite_residuals_reject_the_step(self):
         # the full first step lands at x = 2, where the residual is inf: it is
         # refused, and the damping shortens the step until it stays below 1
-        trials = []
+        trials, formed = [], []
+
+        def jac_t_at(x):
+            formed.append(float(x[0]))
+            return np.ones((1, 1))
 
         def fun(x):
             trials.append(float(x[0]))
-            return np.array([x[0] - 2.0 if x[0] <= 1.0 else np.inf])
+            return (np.array([x[0] - 2.0 if x[0] <= 1.0 else np.inf]),
+                    lambda: jac_t_at(x))
 
-        solved = estimation._levenberg_marquardt(fun, lambda x: np.ones((1, 1)), np.zeros(1),
-                                                 -np.inf, np.inf, 1e-12, 1e-12, 60)
+        solved = estimation._levenberg_marquardt(fun, np.zeros(1), -np.inf, np.inf,
+                                                 1e-12, 1e-12, 60)
         assert trials[1] > 1.0  # the first trial point, refused
+        # J^T is formed only at points the solver takes, once each
+        assert len(formed) == solved.jacobians and trials[1] not in formed
+        assert len(set(formed)) == len(formed) and formed[0] == 0.0
         assert np.all(np.isfinite(solved.residuals)) and solved.x[0] <= 1.0
         assert solved.x[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_bound_holds_the_minimum_outside_the_box(self):
         def fun(x):
-            return x - np.array([2.0, -0.5])
+            return x - np.array([2.0, -0.5]), lambda: np.eye(2)
 
-        solved = estimation._levenberg_marquardt(fun, lambda x: np.eye(2), np.zeros(2),
+        solved = estimation._levenberg_marquardt(fun, np.zeros(2),
                                                  np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
                                                  1e-10, 1e-10, 100)
         assert solved.status > 0

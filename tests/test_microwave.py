@@ -541,9 +541,9 @@ class TestExtractPeaks:
         fitted = []
         solve = mw_mod._levenberg_marquardt
 
-        def counting_fit(fun, jac, p0, *args):
-            fitted.append(fun(p0).size)
-            return solve(fun, jac, p0, *args)
+        def counting_fit(fun, p0, *args):
+            fitted.append(fun(p0)[0].size)
+            return solve(fun, p0, *args)
 
         monkeypatch.setattr(mw_mod, "_levenberg_marquardt", counting_fit)
         freqs = np.linspace(5.9, 6.1, 2001)
@@ -656,14 +656,17 @@ class TestPeakRefinement:
         # never above curve_fit's. The bounds are those of the golden file.
         solve, windows = mw_mod._levenberg_marquardt, []
 
-        def compared(fun, jac, p0, *args):
+        def compared(fun, p0, *args):
             # compared here: the residuals close over the window being fitted
-            fit, want = solve(fun, jac, p0, *args), curve_fit_lm(fun, p0)
+            def residuals(p):
+                return fun(p)[0]
+
+            fit, want = solve(fun, p0, *args), curve_fit_lm(residuals, p0)
             windows.append(fit)
             assert fit.status > 0 and want is not None
             assert abs(fit.x[0] - want[0]) <= 1e-8
             assert fit.x[1:3] == pytest.approx(want[1:3], rel=1e-3)
-            assert np.sum(fun(fit.x) ** 2) <= np.sum(fun(want) ** 2) * (1 + 1e-9)
+            assert np.sum(residuals(fit.x) ** 2) <= np.sum(residuals(want) ** 2) * (1 + 1e-9)
             return fit
 
         monkeypatch.setattr(mw_mod, "_levenberg_marquardt", compared)
@@ -707,26 +710,26 @@ class TestPeakRefinement:
     def test_fit_outside_its_box_keeps_the_estimate(self, monkeypatch, param, value):
         trace = single_peak_trace()
 
-        def capped(fun, jac, p0, *args):  # in its box, but stopped by the cap
+        def capped(fun, p0, *args):  # in its box, but stopped by the cap
             x = p0 + [1.25e-5, 0.0, 0.0, 0.0]
-            return _Solution(x, fun(x), 0, 200, 40)
+            return _Solution(x, fun(x)[0], 0, 200, 40)
 
         monkeypatch.setattr(mw_mod, "_levenberg_marquardt", capped)
         estimate = extract_peaks(trace, prominence=0.1, max_peaks=3)
         assert estimate[0].f0_GHz == trace.freqs[np.argmax(np.abs(trace.s21))]
 
-        def escaping(fun, jac, p0, *args):
+        def escaping(fun, p0, *args):
             x = p0 + [1.25e-5, 0.0, 0.0, 0.0]  # kept if in its box
             x[param] = value
-            return _Solution(x, fun(x), 2, 10, 9)
+            return _Solution(x, fun(x)[0], 2, 10, 9)
 
         monkeypatch.setattr(mw_mod, "_levenberg_marquardt", escaping)
         assert extract_peaks(trace, prominence=0.1, max_peaks=3) == estimate
 
     def test_fit_inside_its_box_is_kept(self, monkeypatch):
-        def shifted(fun, jac, p0, *args):
+        def shifted(fun, p0, *args):
             x = p0 + [1.25e-5, 0.0, 0.0, 0.0]
-            return _Solution(x, fun(x), 2, 10, 9)
+            return _Solution(x, fun(x)[0], 2, 10, 9)
 
         monkeypatch.setattr(mw_mod, "_levenberg_marquardt", shifted)
         (peak,) = extract_peaks(single_peak_trace(), prominence=0.1, max_peaks=3)

@@ -26,7 +26,7 @@ from sshchain import (
     winding_number_real_space,
 )
 from sshchain import topology
-from sshchain.topology import _draw_sample, _SamplePlan, write_ensemble_outputs
+from sshchain.topology import _samples, write_ensemble_outputs
 
 from oracles import (
     dense_eigvals,
@@ -85,6 +85,13 @@ class TestFlatband:
             flatband(h, 6.5)
         assert len(err.value.indices) == 4
 
+    def test_zeros_on_one_sublattice_are_not_chiral_partners(self):
+        h = build_tb_hamiltonian(ChainSpec(2, [6.5, 9, 6.5, 9], 0.0, 0.0))
+        with pytest.raises(DegenerateMidgapError) as err:
+            flatband(h, 6.5)
+        assert err.value.indices == (0, 1)
+        assert str(err.value) == "zero modes at indices (0, 1) are not chiral partners"
+
     def test_single_zero_rejected(self):
         h = np.diag([6.5, 7.0, 6.0, 7.5])
         with pytest.raises(DegenerateMidgapError):
@@ -128,8 +135,8 @@ class TestFlatband:
     @pytest.mark.parametrize("run", [
         lambda: flatband(chain_h(5, 0.1, 0.5), 6.5),
         lambda: winding_number_real_space(chain_h(5, 0.1, 0.5), 6.5),
-        lambda: _draw_sample(_SamplePlan(ChainSpec(5, 6.5, 0.1, 0.5),
-                                         DisorderConfig(0.05, ("v", "w"), 1, 3)), 0),
+        lambda: next(_samples(ChainSpec(5, 6.5, 0.1, 0.5),
+                              DisorderConfig(0.05, ("v", "w"), 1, 3), [0])),
     ], ids=["flatband", "winding", "disorder-sample"])
     @pytest.mark.parametrize("defect", ["norms", "first-pair", "middle-pair", "last-pair"])
     def test_non_orthonormal_eigenvectors_rejected(self, monkeypatch, run, defect):
@@ -474,9 +481,7 @@ class TestDisorderEnsemble:
         config = DisorderConfig(strength=0.08, targets=("v", "w", "eps"),
                                 samples=16, seed=77)
         first = disorder_ensemble(base, config)
-        plan = _SamplePlan(base, config)
-        reverse = [_draw_sample(plan, k)
-                   for k in reversed(range(config.samples))]
+        reverse = list(_samples(base, config, reversed(range(config.samples))))
         assert first.samples == tuple(reversed(reverse))
         assert disorder_ensemble(base, config) == first
 
@@ -484,7 +489,7 @@ class TestDisorderEnsemble:
         base = ChainSpec(50, 6.5, 0.25, 0.5)
         config = DisorderConfig(strength=0.05, targets=("v", "w", "eps"),
                                 samples=1, seed=21)
-        sample = _draw_sample(_SamplePlan(base, config), 0)
+        (sample,) = _samples(base, config, [0])
         rng = np.random.default_rng([config.seed, 0])
         eps = base.eps * (1 + 0.05 * rng.uniform(-1, 1, 100))
         v = base.v * (1 + 0.05 * rng.uniform(-1, 1, 50))
@@ -518,7 +523,7 @@ class TestDisorderEnsemble:
         monkeypatch.setattr(scipy.linalg.blas, "dgemm", sized_dgemm)
         monkeypatch.setattr(scipy.linalg.blas, "dsyrk", counted_dsyrk)
         config = DisorderConfig(strength=0.1, targets=("v", "w"), samples=1, seed=5)
-        _draw_sample(_SamplePlan(ChainSpec(50, 6.5, v, 0.5), config), 0)
+        next(_samples(ChainSpec(50, 6.5, v, 0.5), config, [0]))
         assert grams == [(100, 100)]  # the orthonormality guard ran
         assert len(sizes) == 2 and max(sizes) <= 4 * 65536, sizes
 
@@ -526,7 +531,7 @@ class TestDisorderEnsemble:
     @pytest.mark.parametrize("v", [0.0, 0.01, 0.25, 1.0])
     @pytest.mark.parametrize("targets", [("v", "w"), ("v", "w", "eps"), ("w",), ("eps",)])
     def test_prepared_samples_match_fresh_composition(self, n_cells, v, targets):
-        # one plan serves every sample: its reused hop buffer and shifted
+        # one generator serves every sample: its reused hop buffer and shifted
         # base diagonal must leave each sample as it was when formed afresh
         base = ChainSpec(n_cells, 6.5, v, 0.5)
         config = DisorderConfig(strength=0.1, targets=targets, samples=4, seed=2024)
