@@ -219,6 +219,8 @@ def _gate_from(config, command, n_junctions) -> mw_mod.GateModel:
     tables = None
     if "table_csv" in gate:
         path = gate["table_csv"]
+        if not (isinstance(path, str) and path):  # 0 or 1 would open a standard stream
+            raise ValidationError(f"gate.table_csv must be a non-empty path string, got {path!r}")
         if not os.path.isfile(path):
             raise ValidationError(f"gate table file not found: {path}")
         tables = mw_mod.read_gate_table_csv(path)
@@ -266,9 +268,9 @@ def _run_sweep(config, stem):
                 maximum=MAX_POINTS)
         grid = np.arange(start, stop + step / 2, step)
     with _read_as({"lv grid": grid_key}):
-        grid, cells = spec_mod._sweep_axes(circuit, grid, config.get("cells"))
+        grid, swept = spec_mod._sweep_axes(circuit, grid, config.get("cells"))
     yield
-    crossing = spec_mod._sweep_outputs(circuit, grid, cells, f"{stem}.csv", f"{stem}_summary.csv")
+    crossing = spec_mod._sweep_outputs(circuit, grid, swept, f"{stem}.csv", f"{stem}_summary.csv")
     found = "crossing=none" if crossing is None else f"crossing_lv_nH={fmt(crossing)}"
     yield f"points={grid.size} {found}"
 
@@ -370,14 +372,15 @@ def _gated_sweep(config, stem, command, circuit, model, keys, points, emit_trace
     Each trace records its gate setting and signal current and the point's
     ``metadata``. With ``emit_traces`` every S21 trace is computed before the
     first is written, so a numerical failure leaves no partial trace files.
-    Returns the gated circuits and their classifications.
+    Returns the gated lv table (points, n_cells) and its ``_Classes``.
     """
     inputs = _trace_inputs(config, command)
     table_key = "gate.table_csv" if "table_csv" in config["gate"] else "gate.table"
     with _read_as({**keys, "gate table": table_key}):
         gated = [mw_mod.apply_gate_setting(circuit, model, v, i_s) for v, i_s, _ in points]
     yield
-    classes = [cls for _, _, cls in spec_mod._classified(gated)]
+    lv = np.array([g.lv for g in gated])
+    _, classes = spec_mod._sweep_table(circuit, lv)
     if emit_traces:
         traces = [mw_mod.s21_trace(g, **inputs, metadata={
             "gate_setting_V": [float(v) for v in voltages], "i_s_uA": float(i_s), **meta})
@@ -385,7 +388,7 @@ def _gated_sweep(config, stem, command, circuit, model, keys, points, emit_trace
         for k, trace in enumerate(traces):
             mw_mod.write_trace_outputs(
                 trace, f"{stem}_trace{k:03d}.csv", f"{stem}_trace{k:03d}.json")
-    return gated, classes
+    return lv, classes
 
 
 def _run_gatesweep(config, stem):
@@ -424,17 +427,16 @@ def _run_powersweep(config, stem):
                            {"start_uA": 0.0, "points": 9}, 1)
     if i_grid.ndim != 1 or i_grid.size == 0:
         raise ValidationError("i_s_grid holds no signal current (need a non-empty list)")
-    gated, classes = yield from _gated_sweep(
+    lv, classes = yield from _gated_sweep(
         config, stem, "powersweep", circuit, model,
         {"gate voltages": "setting_V", "signal current": grid_key},
         [(voltages, i_s, {}) for i_s in i_grid], _flag(config, "emit_traces", False))
     header = (["i_s_uA"] + [f"lv{j}_nH" for j in range(circuit.n_cells)]
               + spec_mod._PHASE_HEADER)
-    lv = np.array([g.lv for g in gated])
     write_csv(f"{stem}.csv", header,
               [i_grid] + list(lv.T) + spec_mod._phase_columns(classes))
-    yield (f"points={len(i_grid)} phase_first={classes[0].phase_tag} "
-           f"phase_last={classes[-1].phase_tag}")
+    first, last = spec_mod._PHASES[classes.phases[[0, -1]]]
+    yield f"points={len(i_grid)} phase_first={first} phase_last={last}"
 
 
 def _run_fit(config, stem):
@@ -500,10 +502,10 @@ def _resolve_config(args) -> dict:
     if args.config:
         if not os.path.isfile(args.config):
             raise ValidationError(f"config file not found: {args.config}")
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 config = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
                 raise ValidationError(f"config is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
             raise ValidationError("config document must be a JSON object")
@@ -517,9 +519,14 @@ def _resolve_config(args) -> dict:
     flags = {key: getattr(args, key) for key in _COMMON_KEYS if getattr(args, key) is not None}
     flags.update(_parse_set(f"{key}={flags[key]}") for key in ("threads", "seed") if key in flags)
     for values in (config, flags):  # a flag does not hide a malformed config value
-        for key in ("out_dir", "label"):
-            if key in values and not (isinstance(values[key], str) and values[key]):
-                raise ValidationError(f"{key} must be a non-empty string, got {values[key]!r}")
+        # no path holds a NUL byte, and the label names files inside out_dir
+        for key, barred in (("out_dir", "\0"), ("label", f"\0{os.sep}{os.altsep or ''}")):
+            value = values.get(key)
+            if key in values and not (isinstance(value, str) and value):
+                raise ValidationError(f"{key} must be a non-empty string, got {value!r}")
+            if key in values and any(c in value for c in barred):
+                raise ValidationError(
+                    f"{key} must not hold {' or '.join(map(repr, barred))}, got {value!r}")
         if "threads" in values:
             _number(values["threads"], "threads", integer=True, minimum=1)
         if "seed" in values:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .chain import CircuitSpec, _assemble_hamiltonian, _map_arrays, _number, _numbers
 from .csvout import fmt, write_csv, write_json
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "FitOptions",
@@ -192,10 +192,13 @@ def _levenberg_marquardt(fun, x, lo, hi, ftol, xtol, max_nfev) -> _Solution:
     than ``ftol`` of it with rho > 1/4, a step shorter than
     ``xtol * (xtol + |x|)``, or ``max_nfev`` residual evaluations. Every
     product over the residuals is an ``einsum`` (see ``_half_square``): a
-    peak window has thousands of residuals.
+    peak window has thousands of residuals. ``einsum`` raises no overflow,
+    so a start point whose cost is not finite raises NumericalError.
     """
     f, jac_t = fun(x)
     cost = _half_square(f)
+    if not math.isfinite(cost):
+        raise NumericalError(f"least-squares cost at the start point is not finite: {cost}")
     evaluations = jacobians = 1
     jacobian_t = jac_t()
     scale = np.zeros(x.size)
@@ -391,7 +394,8 @@ def fit_circuit_params(problem: FitProblem,
     analytic Jacobian costs none), ``iterations`` counts Jacobian
     evaluations of either kind, ``restarts`` counts jittered starts run,
     ``converged`` reports whether the kept run met a tolerance, and
-    ``clamped`` counts free parameters at a bound at the solution.
+    ``clamped`` counts free parameters at a bound at the solution. A start
+    whose cost overflows raises NumericalError.
     """
     target_rms_GHz, multi_start = _fit_settings(max_restarts, target_rms_GHz, multi_start)
     opts = options or FitOptions()

@@ -717,13 +717,16 @@ def extract_peaks(trace: S21Trace, prominence: float,
 
 
 def read_gate_table_csv(path) -> np.ndarray:
-    """Load (v_gate_V, l_nH) samples from a CSV with that header."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if [h.strip() for h in header] != ["v_gate_V", "l_nH"]:
-            raise ValidationError(
-                f"gate table {path} must have header 'v_gate_V,l_nH', got {header}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+    """Load (v_gate_V, l_nH) samples from a UTF-8 CSV with that header."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            header = fh.readline().strip().split(",")
+            if [h.strip() for h in header] != ["v_gate_V", "l_nH"]:
+                raise ValidationError(
+                    f"gate table {path} must have header 'v_gate_V,l_nH', got {header}")
+            rows = [line.strip().split(",") for line in fh if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"gate table {path} is not UTF-8 text: {exc}") from None
     try:
         table = np.array([[float(a), float(b)] for a, b in rows])
     except (TypeError, ValueError) as exc:

@@ -258,36 +258,9 @@ def _solved_block(c0, l0, lv, cw) -> tuple:
     return eps, v, w, evals, evecs, _classify(evals, np.mean(eps, axis=-1))
 
 
-def _points(eps, v, w, evals, evecs, classes) -> list:
-    """A ``_solved_block`` as one (chain, spectrum, classification) per point.
-
-    Each equals what the per-circuit chain ``map_circuit_to_tb``,
-    ``build_tb_hamiltonian``, ``eigendecompose`` and ``classify_modes``
-    gives. The chains and spectra hold read-only row views of the block's
-    arrays: ``ChainSpec`` would find them valid, as a checked circuit maps to
-    eps > 0 and v, w >= 0, and ``_spectra`` finds them finite.
-    """
-    n_cells = eps.shape[-1] // 2
-    return [(_frozen(ChainSpec, n_cells=n_cells, eps=e, v=vk, w=wk),
-             _frozen(Spectrum, eigenvalues=ev, eigenvectors=vec), classification)
-            for e, vk, wk, ev, vec, classification
-            in zip(eps, v, w, evals, evecs, _classifications(classes))]
-
-
-def _classified(circuits: Sequence[CircuitSpec]) -> list:
-    """``_points`` of circuits of one size, block by block."""
-    out = []
-    for block in _block_slices(len(circuits), circuits[0].n_sites):
-        arrays = [np.array([getattr(c, name) for c in circuits[block]])
-                  for name in ("c0", "l0", "lv", "cw")]
-        out += _points(*_solved_block(*arrays))
-    return out
-
-
-def _phase_columns(classes: Sequence[ModeClassification]) -> list:
-    """The ``_PHASE_HEADER`` columns of a run of classifications."""
-    return [[c.fsr_edge_bulk for c in classes], [c.fsr_edge_edge for c in classes],
-            [c.phase_tag for c in classes]]
+def _phase_columns(classes: _Classes) -> list:
+    """The ``_PHASE_HEADER`` columns of a run of points."""
+    return [classes.fsr_edge_bulk, classes.fsr_edge_edge, _PHASES[classes.phases]]
 
 
 def sweep_coupling(circuit: CircuitSpec, lv_grid: Sequence[float],
@@ -298,41 +271,49 @@ def sweep_coupling(circuit: CircuitSpec, lv_grid: Sequence[float],
     default); untouched cells keep the lv of the input circuit. The grid
     is a non-empty list of values > 0, infinity included. The output is in
     grid order. The points are mapped, diagonalized and classified in
-    blocks (see ``_spectra``), each point as it would be alone.
+    blocks (see ``_spectra``), each point as it would be alone; its chain
+    and spectrum are read-only row views of the block's arrays, valid and
+    finite as a checked circuit maps and ``_spectra`` solves.
     """
+    grid, swept = _sweep_axes(circuit, lv_grid, cells)
     sweep = []
-    for values, solved in _sweep_blocks(circuit, *_sweep_axes(circuit, lv_grid, cells)):
-        sweep += [SweepPoint(lv_nH, *point)
-                  for lv_nH, point in zip(values.tolist(), _points(*solved))]
+    for block, (eps, v, w, evals, evecs, classes) in _sweep_blocks(
+            circuit, np.where(swept, grid[:, None], circuit.lv)):
+        sweep += [SweepPoint(lv_nH, _frozen(ChainSpec, n_cells=circuit.n_cells, eps=e, v=vk, w=wk),
+                             _frozen(Spectrum, eigenvalues=ev, eigenvectors=vec), classification)
+                  for lv_nH, e, vk, wk, ev, vec, classification in zip(
+                      grid[block].tolist(), eps, v, w, evals, evecs, _classifications(classes))]
     return sweep
 
 
-def _sweep_blocks(circuit: CircuitSpec, grid: np.ndarray, cell_idx: np.ndarray):
-    """Each block of a sweep with checked axes (``_sweep_axes``): its grid
-    values and ``_solved_block``."""
-    for block in _block_slices(grid.size, circuit.n_sites):
-        lv = np.tile(circuit.lv, (grid[block].size, 1))
-        lv[:, cell_idx] = grid[block, None]
-        yield grid[block], _solved_block(circuit.c0, circuit.l0, lv, circuit.cw)
+def _sweep_blocks(circuit: CircuitSpec, lv: np.ndarray):
+    """Each block of ``circuit`` swept over the rows of the lv table ``lv``
+    (points, n_cells): its slice of the rows and its ``_solved_block``."""
+    for block in _block_slices(lv.shape[0], circuit.n_sites):
+        yield block, _solved_block(circuit.c0, circuit.l0, lv[block], circuit.cw)
 
 
-def _sweep_outputs(circuit: CircuitSpec, grid: np.ndarray, cell_idx: np.ndarray,
+def _sweep_table(circuit: CircuitSpec, lv: np.ndarray) -> tuple:
+    """The eigenvalues (points, n) and ``_Classes`` of ``_sweep_blocks``, with
+    no per-point object; each block's eigenvectors are freed before the next."""
+    blocks = [(evals, classes) for _, (_, _, _, evals, _, classes) in _sweep_blocks(circuit, lv)]
+    return (np.concatenate([evals for evals, _ in blocks]),
+            _Classes(*map(np.concatenate, zip(*(classes for _, classes in blocks)))))
+
+
+def _sweep_outputs(circuit: CircuitSpec, grid: np.ndarray, swept: np.ndarray,
                    modes_path, summary_path) -> Optional[float]:
     """``write_sweep_csv`` and ``find_fsr_crossing`` of the ``sweep_coupling``
-    with checked axes ``grid`` and ``cell_idx``, straight from its blocks'
-    arrays: no per-point object is built. Returns the crossing."""
-    blocks = [(evals, classes) for _, (_, _, _, evals, _, classes)
-              in _sweep_blocks(circuit, grid, cell_idx)]  # eigenvectors freed block by block
-    evals = np.concatenate([evals for evals, _ in blocks])
-    classes = _Classes(*map(np.concatenate, zip(*(classes for _, classes in blocks))))
+    with checked axes ``grid`` and ``swept``, from its ``_sweep_table``.
+    Returns the crossing."""
+    evals, classes = _sweep_table(circuit, np.where(swept, grid[:, None], circuit.lv))
     _write_sweep(modes_path, summary_path, grid, np.full(grid.size, evals.shape[1]),
-                 evals.ravel(), _LABELS[classes.labels].ravel(),
-                 [classes.fsr_edge_bulk, classes.fsr_edge_edge, _PHASES[classes.phases]])
+                 evals.ravel(), _LABELS[classes.labels].ravel(), _phase_columns(classes))
     return _crossing(grid, classes.fsr_edge_bulk - classes.fsr_edge_edge)
 
 
 def _sweep_axes(circuit: CircuitSpec, lv_grid, cells) -> tuple:
-    """``sweep_coupling``'s lv grid and swept cell indices, checked."""
+    """``sweep_coupling``'s lv grid and cells, checked; the cells as a mask."""
     grid = _numbers(lv_grid, "lv grid", allow_inf=True)
     if grid.size == 0:
         raise ValidationError("lv grid must not be empty", "lv grid")
@@ -356,7 +337,7 @@ def _sweep_axes(circuit: CircuitSpec, lv_grid, cells) -> tuple:
             raise ValidationError(
                 f"cells must be indices in 0..{circuit.n_cells - 1}, got {cell_idx.tolist()}",
                 "cells")
-    return grid, cell_idx
+    return grid, np.isin(np.arange(circuit.n_cells), cell_idx)
 
 
 def find_fsr_crossing(sweep: Sequence[SweepPoint]) -> Optional[float]:
@@ -394,7 +375,8 @@ def write_sweep_csv(sweep: Sequence[SweepPoint], modes_path, summary_path) -> No
                  np.array([len(c.labels) for c in classes], dtype=int),
                  np.concatenate([np.empty(0)] + [p.spectrum.eigenvalues for p in sweep]),
                  np.array([label for c in classes for label in c.labels], dtype=str),
-                 _phase_columns(classes))
+                 [[c.fsr_edge_bulk for c in classes], [c.fsr_edge_edge for c in classes],
+                  [c.phase_tag for c in classes]])
 
 
 def _write_sweep(modes_path, summary_path, lv, n_modes, freqs, labels, phase_columns) -> None:

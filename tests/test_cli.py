@@ -298,6 +298,24 @@ class TestConfigHandling:
          "label"),
         ("winding", None, ["method=k-space", "v_GHz=0.1", "w_GHz=0.5", 'label=""'],
          "label"),
+        # a label names files inside out_dir, and no path holds a NUL byte
+        ("winding", None, ["method=k-space", "v_GHz=0.1", "w_GHz=0.5", ("--label", "sub/x")],
+         "error: label must not hold '\\x00' or '/', got 'sub/x'"),
+        ("winding", None, ["method=k-space", "v_GHz=0.1", "w_GHz=0.5", 'label="a\\u0000b"'],
+         "error: label must not hold '\\x00' or '/', got 'a\\x00b'"),
+        ("winding", None, ["method=k-space", "v_GHz=0.1", "w_GHz=0.5", 'out_dir="a\\u0000b"'],
+         "error: out_dir must not hold '\\x00', got 'a\\x00b'"),
+        # a gate table file is named by a path (0 read stdin, 1 opened stdout)
+        ("powersweep", "powersweep_trivial", ["gate.mode=table", "gate.table_csv=0"],
+         "error: gate.table_csv must be a non-empty path string, got 0"),
+        ("powersweep", "powersweep_trivial", ["gate.mode=table", "gate.table_csv=1"],
+         "error: gate.table_csv must be a non-empty path string, got 1"),
+        ("powersweep", "powersweep_trivial", ["gate.mode=table", "gate.table_csv=true"],
+         "error: gate.table_csv must be a non-empty path string, got True"),
+        ("powersweep", "powersweep_trivial", ["gate.mode=table", "gate.table_csv=[1]"],
+         "error: gate.table_csv must be a non-empty path string, got [1]"),
+        ("gatesweep", "gatesweep_joint", ["gate.mode=table", 'gate.table_csv=""'],
+         "error: gate.table_csv must be a non-empty path string, got ''"),
         # a flag (a tuple here) is checked as its config key is
         ("winding", None, ["method=k-space", "v_GHz=0.1", "w_GHz=0.5", ("--out-dir", "")],
          "out_dir"),
@@ -422,12 +440,14 @@ class TestConfigHandling:
         assert err == f"error: --set {override.split('=')[0]}: {message}\n"
 
     @pytest.mark.parametrize("text,message", [
-        ('{"chain": ', "config is not valid JSON"),
-        ("[1, 2]", "config document must be a JSON object"),
+        (b'{"chain": ', "config is not valid JSON"),
+        (b"[1, 2]", "config document must be a JSON object"),
+        (b"\x89PNG\r\n\x1a\n", "config is not valid JSON: 'utf-8' codec can't decode byte "
+                                "0x89 in position 0: invalid start byte\n"),
     ])
     def test_malformed_config_file(self, refused, tmp_path, text, message):
         path = tmp_path / "conf.json"
-        path.write_text(text)
+        path.write_bytes(text)
         assert refused("spectrum", "--config", str(path)).startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
@@ -665,8 +685,6 @@ class TestFloatingPointFailures:
     with exit code 2 and one line naming it, with no numpy warning."""
 
     @pytest.mark.parametrize("command,args,kind", [
-        ("fit", ["--config", _config("fit_roundtrip"),
-                 "--set", f"fit.targets_GHz={json.dumps([1e300] * 10)}"], "overflow"),
         ("s21", ["--config", _config("s21_topological"), "--set", "box.q_box=1e300"],
          "divide by zero"),
         ("gatesweep", ["--config", _config("gatesweep_joint"), "--set", "i_s_uA=1e200"],
@@ -681,7 +699,7 @@ class TestFloatingPointFailures:
          "overflow"),
         ("s21", ["--config", _config("s21_topological"), "--set", "z0_ohm=1e-320"],
          "overflow"),
-    ], ids=["fit-targets", "s21-q_box", "gatesweep-i_s", "powersweep-i_s", "s21-huge-circuit",
+    ], ids=["s21-q_box", "gatesweep-i_s", "powersweep-i_s", "s21-huge-circuit",
             "s21-tiny-l0", "s21-stop", "s21-z0"])
     def test_is_numerical_failure(self, capsys, tmp_path, command, args, kind):
         with warnings.catch_warnings(record=True) as caught:
@@ -910,11 +928,18 @@ class TestGateSweepCommand:
                       "--set", "gate.mode=table", "--set", f"{key}={json.dumps(table)}")
         assert err == f"error: {key} of junction 0: v_g=0.4 outside sampled range [0.5, 2.0]\n"
 
-    def test_missing_gate_table_file(self, refused, tmp_path):
-        missing = tmp_path / "nope.csv"
+    @pytest.mark.parametrize("content,message", [
+        (None, "gate table file not found: {}"),
+        (b"\x89PNG\r\n\x1a\n", "gate table {} is not UTF-8 text: 'utf-8' codec can't decode "
+                                "byte 0x89 in position 0: invalid start byte"),
+    ], ids=["missing", "not-utf-8"])
+    def test_unreadable_gate_table_file(self, refused, tmp_path, content, message):
+        path = tmp_path / "table.csv"
+        if content is not None:
+            path.write_bytes(content)
         err = refused("gatesweep", "--config", os.path.join(CONFIG_DIR, "gatesweep_joint.json"),
-                      "--set", "gate.mode=table", "--set", f"gate.table_csv={missing}")
-        assert err == f"error: gate table file not found: {missing}\n"
+                      "--set", "gate.mode=table", "--set", f"gate.table_csv={path}")
+        assert err == f"error: {message.format(path)}\n"
 
     def test_single_sweep_junction_out_of_range(self, refused):
         err = refused("gatesweep", *circuit_sets(),
@@ -1020,6 +1045,20 @@ class TestPowerSweepCommand:
 
 
 class TestFitCommand:
+    def test_fit_with_an_overflowing_start_cost(self, capsys, tmp_path):
+        # the solver refuses the start itself: its sum of squares overflows
+        # without a floating-point flag
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "fit", "--config", _config("fit_roundtrip"),
+                                 "--set", f"fit.targets_GHz={json.dumps([1e300] * 10)}",
+                                 "--out-dir", str(tmp_path))
+        assert caught == []
+        assert (code, out) == (2, "")
+        assert err == ("numerical failure: least-squares cost at the start point "
+                       "is not finite: inf\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_roundtrip_fixture(self, capsys, tmp_path):
         code, out, _ = run(capsys, "fit",
                            "--config", os.path.join(CONFIG_DIR, "fit_roundtrip.json"),

@@ -15,6 +15,7 @@ from sshchain import (
 )
 from sshchain import chain as chain_mod
 from sshchain import estimation
+from sshchain.errors import NumericalError
 from sshchain.estimation import PARAM_FAMILIES, fit_problem_from_dict, write_fit_outputs
 
 from oracles import dense_eigvals, least_squares_c0
@@ -512,6 +513,18 @@ class TestSolver:
         assert len(set(formed)) == len(formed) and formed[0] == 0.0
         assert np.all(np.isfinite(solved.residuals)) and solved.x[0] <= 1.0
         assert solved.x[0] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("residual", [1e300, math.inf, math.nan])
+    def test_non_finite_start_cost_is_numerical_error(self, residual):
+        # einsum's 0.5 |r|^2 of [1e300, 1e300] overflows to inf and sets no
+        # floating-point flag: the solver ran on from there
+        def fun(x):
+            return np.full(2, residual), lambda: np.eye(2)
+
+        with pytest.raises(NumericalError, match=r"^least-squares cost at the start point "
+                                                 r"is not finite: (inf|nan)$"):
+            estimation._levenberg_marquardt(fun, np.zeros(2), -np.inf, np.inf,
+                                            1e-10, 1e-10, 100)
 
     def test_bound_holds_the_minimum_outside_the_box(self):
         def fun(x):

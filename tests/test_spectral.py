@@ -335,15 +335,21 @@ class TestSweepBlocks:
         with pytest.raises(ValidationError, match=str(err.value)):
             sweep_points(circuit, self.GRID)
 
-    def test_gated_circuits_match_per_point_chain(self):
+    @pytest.mark.parametrize("block_entries", [None, 250])
+    def test_gated_circuits_match_per_point_chain(self, monkeypatch, block_entries):
+        if block_entries is not None:
+            monkeypatch.setattr(spec_mod, "_BLOCK_ENTRIES", block_entries)
         circuit = disordered_circuit(5, 3)
         model = GateModel(5, v_p=0.4, v_o=1.8, l_min=9.0, i_star=1.0)
         settings = list(joint_gate_settings(model, 11)) + [
             [0.4, 1.8, 0.4, 1.8, 0.4], [1.8, 0.4, 1.8, 0.4, 1.8], [0.4, 1.0, 1.8, 1.0, 0.4]]
         gated = [apply_gate_setting(circuit, model, v) for v in settings]
         assert sum(math.isinf(x) for g in gated for x in g.lv) >= 10  # pinched junctions
-        for got, g in zip(spec_mod._classified(gated), gated):
-            assert_same_point(got, classify_point(g))
+        evals, classes = spec_mod._sweep_table(circuit, np.array([g.lv for g in gated]))
+        assert evals.shape == (len(gated), circuit.n_sites)
+        for ev, cls, g in zip(evals, spec_mod._classifications(classes), gated):
+            _, spectrum, expected = classify_point(g)
+            assert ev.tobytes() == spectrum.eigenvalues.tobytes() and cls == expected
 
     def test_one_skewed_point_fails_the_block(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -419,8 +425,14 @@ class TestSweepBlocks:
         first, last = sweep[0].spectrum.eigenvectors, sweep[-1].spectrum.eigenvectors
         assert first.base is not None and first.base is last.base
 
-    def test_sweep_command_builds_no_point_objects(self, monkeypatch, capsys, tmp_path):
-        # the subcommand writes and finds its crossing from the block arrays;
+    @pytest.mark.parametrize("command,config,summary", [
+        ("sweep", "sweep_default", "points=191 crossing_lv_nH="),
+        ("gatesweep", "gatesweep_joint", "settings=5 traces_written=5"),
+        ("powersweep", "powersweep_trivial", "points=9 phase_first="),
+    ], ids=["sweep", "gatesweep", "powersweep"])
+    def test_sweep_command_builds_no_point_objects(self, monkeypatch, capsys, tmp_path,
+                                                   command, config, summary):
+        # each subcommand writes its summary from its lv table's block arrays;
         # the library sweep builds a SweepPoint, a ModeClassification and,
         # through _frozen, a ChainSpec and a Spectrum per point
         built = dict.fromkeys(("SweepPoint", "ModeClassification", "_frozen"), 0)
@@ -433,9 +445,9 @@ class TestSweepBlocks:
         sweep_coupling(default_circuit(), np.arange(5.0, 100.01, 0.5))
         assert built == {"SweepPoint": 191, "ModeClassification": 191, "_frozen": 382}
         built.update(dict.fromkeys(built, 0))
-        code = main(["sweep", "--config", CONFIG_DIR + "/sweep_default.json",
+        code = main([command, "--config", f"{CONFIG_DIR}/{config}.json",
                      "--out-dir", str(tmp_path), "--label", "count"])
-        assert code == 0 and capsys.readouterr().out.startswith("points=191 crossing_lv_nH=")
+        assert code == 0 and capsys.readouterr().out.startswith(summary)
         assert built == dict.fromkeys(built, 0)
 
     def test_point_count_does_not_grow_the_checks(self, monkeypatch):
