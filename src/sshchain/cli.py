@@ -226,8 +226,10 @@ def _gate_from(config, command, n_junctions) -> mw_mod.GateModel:
         tables = mw_mod.read_gate_table_csv(path)
     elif "table" in gate:
         tables = gate["table"]
+    table_key = "gate.table_csv" if "table_csv" in gate else "gate.table"
     with _read_as({**{name: f"gate.{key}" for name, key, _ in _GATE_FIELDS},
-                   "v_p < v_o": "gate.v_p_V < gate.v_o_V"}):
+                   "v_p < v_o": "gate.v_p_V < gate.v_o_V",
+                   **{f"table {j}": f"{table_key} of junction {j}" for j in range(n_junctions)}}):
         return mw_mod.GateModel(
             n_junctions=n_junctions, mode=mode, tables=tables,
             **{name: gate.get(key, default) for name, key, default in _GATE_FIELDS})
@@ -316,8 +318,9 @@ def _run_disorder(config, stem):
     seed = cfg.get("seed", config.get("seed"))  # --seed has overwritten both
     if seed is None:
         raise ValidationError("disorder runs need a seed (config 'seed' or --seed)")
-    # a top-level seed was read as an integer, all DisorderConfig asks of it
-    with _read_as({name: f"disorder.{name}" for name in ("strength", "samples", "seed")}):
+    # a top-level seed was read as an integer; DisorderConfig checks its range
+    with _read_as({"strength": "disorder.strength", "samples": "disorder.samples",
+                   "seed": "disorder.seed" if "seed" in cfg else "seed"}):
         dconf = topo_mod.DisorderConfig(
             strength=cfg.get("strength", 0.1),
             targets=cfg.get("targets", ("v", "w")),
@@ -364,27 +367,29 @@ def _gate_settings_from(config, model):
         f"sweep.kind must be joint, single or explicit, got {kind!r}")
 
 
-def _gated_sweep(config, stem, command, circuit, model, keys, points, emit_traces):
-    """Gate ``circuit`` once per ``(voltages, i_s, metadata)`` point and classify it.
+def _gated_sweep(config, stem, command, circuit, model, keys, read, emit_traces,
+                 index_key=None):
+    """Map the gate voltages and signal currents that ``read()`` returns to one
+    lv table (points, n_cells) and classify it; return both.
 
-    Used with ``yield from``: before the yield the points are gated, the gate
-    model's errors named by the config ``keys``, and the trace inputs read.
-    Each trace records its gate setting and signal current and the point's
-    ``metadata``. With ``emit_traces`` every S21 trace is computed before the
-    first is written, so a numerical failure leaves no partial trace files.
-    Returns the gated lv table (points, n_cells) and its ``_Classes``.
+    Used with ``yield from``: the yield follows the trace inputs, ``read()``
+    and the map, their errors named by the config ``keys``. Each trace
+    records its setting, current and, under ``index_key``, point index; all
+    are computed before the first is written, so none is left partial.
     """
     inputs = _trace_inputs(config, command)
     table_key = "gate.table_csv" if "table_csv" in config["gate"] else "gate.table"
     with _read_as({**keys, "gate table": table_key}):
-        gated = [mw_mod.apply_gate_setting(circuit, model, v, i_s) for v, i_s, _ in points]
+        voltages, currents = read()
+        lv = mw_mod._gate_lv(model, voltages, currents)
     yield
-    lv = np.array([g.lv for g in gated])
     _, classes = spec_mod._sweep_table(circuit, lv)
     if emit_traces:
-        traces = [mw_mod.s21_trace(g, **inputs, metadata={
-            "gate_setting_V": [float(v) for v in voltages], "i_s_uA": float(i_s), **meta})
-            for g, (voltages, i_s, meta) in zip(gated, points)]
+        voltages, currents = np.broadcast_arrays(voltages, currents[:, None])
+        traces = [mw_mod.s21_trace(circuit.with_lv(row), **inputs, metadata={
+            "gate_setting_V": [float(v) for v in setting], "i_s_uA": float(i_s),
+            **({index_key: k} if index_key else {})})
+            for k, (row, setting, i_s) in enumerate(zip(lv, voltages, currents[:, 0]))]
         for k, trace in enumerate(traces):
             mw_mod.write_trace_outputs(
                 trace, f"{stem}_trace{k:03d}.csv", f"{stem}_trace{k:03d}.json")
@@ -400,7 +405,8 @@ def _run_gatesweep(config, stem):
     emit_traces = _flag(config, "emit_traces", True)
     _, classes = yield from _gated_sweep(
         config, stem, "gatesweep", circuit, model, {"signal current": "i_s_uA"},
-        [(v, i_s, {"setting_index": k}) for k, v in enumerate(settings)], emit_traces)
+        lambda: (settings, np.array([_number(i_s, "signal current")])), emit_traces,
+        "setting_index")
     header = (["setting_index"] + [f"v_g{j}_V" for j in range(circuit.n_cells)]
               + spec_mod._PHASE_HEADER)
     write_csv(f"{stem}_summary.csv", header, [range(len(settings))] + list(settings.T)
@@ -430,7 +436,8 @@ def _run_powersweep(config, stem):
     lv, classes = yield from _gated_sweep(
         config, stem, "powersweep", circuit, model,
         {"gate voltages": "setting_V", "signal current": grid_key},
-        [(voltages, i_s, {}) for i_s in i_grid], _flag(config, "emit_traces", False))
+        lambda: (mw_mod._gate_voltages(model, voltages), i_grid),
+        _flag(config, "emit_traces", False))
     header = (["i_s_uA"] + [f"lv{j}_nH" for j in range(circuit.n_cells)]
               + spec_mod._PHASE_HEADER)
     write_csv(f"{stem}.csv", header,

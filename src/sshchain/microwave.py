@@ -96,14 +96,14 @@ class GateModel:
                     f"need one table per junction ({n}), got {len(tables)}")
             frozen = []
             for j, tab in enumerate(tables):
-                arr = _numbers(tab, f"table {j}")
+                name = f"table {j}"
+                arr = _numbers(tab, name)
                 if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
-                    raise ValidationError(
-                        f"table {j} must be (M, 2) samples with M >= 2")
+                    raise ValidationError(f"{name} must be (M, 2) samples with M >= 2", name)
                 if np.any(np.diff(arr[:, 0]) <= 0):
-                    raise ValidationError(f"table {j} voltages must be strictly increasing")
+                    raise ValidationError(f"{name} voltages must be strictly increasing", name)
                 if np.any(arr[:, 1] <= 0):
-                    raise ValidationError(f"table {j} inductances must be > 0")
+                    raise ValidationError(f"{name} inductances must be > 0", name)
                 arr.flags.writeable = False
                 frozen.append(arr)
             object.__setattr__(self, "tables", tuple(frozen))
@@ -163,14 +163,6 @@ class Peak:
     amplitude: float
 
 
-def _smoothstep(u: float) -> float:
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    return u * u * (3.0 - 2.0 * u)
-
-
 def _junction_index(model: GateModel, junction) -> int:
     return _number(junction, "junction index", integer=True, minimum=0,
                    maximum=model.n_junctions - 1)
@@ -182,24 +174,51 @@ def nanowire_inductance(model: GateModel, junction: int, v_g: float,
 
     Returns ``inf`` for a parametric junction at or below pinch-off. Table
     mode queries outside the sampled voltage range raise
-    ExtrapolationError.
+    ExtrapolationError; a signal current that overflows the power factor
+    raises ValidationError.
     """
     j = _junction_index(model, junction)
     i_s = _number(i_s, "signal current", minimum=0)
     v_g = _number(v_g, "gate voltage")
-    power_factor = 1.0 + (i_s / model.i_star[j]) ** 2
-    if model.mode == "parametric":
-        u = (v_g - model.v_p[j]) / (model.v_o[j] - model.v_p[j])
-        ramp = _smoothstep(u)
-        if ramp == 0.0:
-            return math.inf
-        return float(model.l_min[j] / ramp * power_factor)
-    table = model.tables[j]
-    if v_g < table[0, 0] or v_g > table[-1, 0]:
+    return float(_gate_lv(model, np.array([[v_g]]), np.array([i_s]), slice(j, j + 1))[0, 0])
+
+
+def _gate_lv(model: GateModel, voltages: np.ndarray, i_s: np.ndarray,
+             junctions: slice = slice(None)) -> np.ndarray:
+    """The (points, junctions) inductances at read (points, junctions) gate
+    voltages and (points,) signal currents, either broadcasting along points,
+    each the scalar model's bit for bit (``float_power`` rounds as the scalar
+    ``** 2``, not as the array ``** 2``); refuses the entry a point-then-junction
+    loop would refuse first."""
+    index = range(model.n_junctions)[junctions]
+    with np.errstate(over="ignore"):
+        factor = 1.0 + np.float_power(i_s[:, None] / model.i_star[junctions], 2.0)
+    voltages, i_s, factor = np.broadcast_arrays(voltages, i_s[:, None], factor)
+    bad = (i_s < 0) | ~np.isfinite(factor)
+    if model.mode == "table":
+        knots = [model.tables[j][:, 0] for j in index]
+        bad |= (voltages < [x[0] for x in knots]) | (voltages > [x[-1] for x in knots])
+    if bad.any():
+        p, k = np.unravel_index(np.argmax(bad), bad.shape)
+        current = _number(i_s[p, k], "signal current", minimum=0)
+        if not np.isfinite(factor[p, k]):
+            raise ValidationError(f"signal current overflows the power factor 1 + (i_s/i_star)^2 "
+                                  f"of junction {index[k]}, got i_s={current}, "
+                                  f"i_star={model.i_star[index[k]]}", "signal current")
         raise ExtrapolationError(
-            f"gate table of junction {j}: v_g={v_g} outside sampled range "
-            f"[{table[0, 0]}, {table[-1, 0]}]", "gate table")
-    return _pchip(table[:, 0], table[:, 1], v_g) * power_factor
+            f"gate table of junction {index[k]}: v_g={float(voltages[p, k])} outside sampled "
+            f"range [{knots[k][0]}, {knots[k][-1]}]", "gate table")
+    if model.mode == "table":
+        lv = np.column_stack([_pchip(model.tables[j][:, 0], model.tables[j][:, 1],
+                                     voltages[:, k]) for k, j in enumerate(index)])
+    else:
+        v_p = model.v_p[junctions]
+        u = np.clip((voltages - v_p) / (model.v_o[junctions] - v_p), 0.0, 1.0)
+        ramp = u * u * (3.0 - 2.0 * u)  # smoothstep: exactly 0 at and below pinch-off
+        lv = np.divide(model.l_min[junctions], ramp, out=np.full(u.shape, math.inf),
+                       where=ramp != 0.0)
+    lv *= factor
+    return lv
 
 
 def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -229,16 +248,26 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
-def _pchip(x: np.ndarray, y: np.ndarray, at: float) -> float:
+def _pchip(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
     """The monotone cubic through (x, y) (``_pchip_slopes``) at x[0] <= at <= x[-1]."""
     d = _pchip_slopes(x, y)
-    i = min(int(np.searchsorted(x, at, side="right")) - 1, x.size - 2)
+    i = np.minimum(np.searchsorted(x, at, side="right") - 1, x.size - 2)
     h = x[i + 1] - x[i]
     m = (y[i + 1] - y[i]) / h
     # the Hermite cubic of interval i, its coefficients and sum as scipy's PPoly
     c3 = (d[i] + d[i + 1] - 2 * m) / h
     t = at - x[i]
-    return float(y[i] + d[i] * t + ((m - d[i]) / h - c3) * (t * t) + c3 / h * (t * t * t))
+    return y[i] + d[i] * t + ((m - d[i]) / h - c3) * (t * t) + c3 / h * (t * t * t)
+
+
+def _gate_voltages(model: GateModel, voltages) -> np.ndarray:
+    """``voltages`` read as one gate setting: a voltage per junction."""
+    voltages = _numbers(voltages, "gate voltages")
+    if voltages.shape != (model.n_junctions,):
+        raise ValidationError(f"gate voltages must hold one voltage per junction "
+                              f"({model.n_junctions}), got shape {voltages.shape}",
+                              "gate voltages")
+    return voltages
 
 
 def apply_gate_setting(circuit: CircuitSpec, model: GateModel,
@@ -248,13 +277,8 @@ def apply_gate_setting(circuit: CircuitSpec, model: GateModel,
         raise ValidationError(
             f"gate model has {model.n_junctions} junctions for "
             f"{circuit.n_cells} cells")
-    voltages = _numbers(voltages, "gate voltages")
-    if voltages.shape != (circuit.n_cells,):
-        raise ValidationError(f"gate voltages must hold one voltage per junction "
-                              f"({circuit.n_cells}), got shape {voltages.shape}", "gate voltages")
-    lv = [nanowire_inductance(model, j, voltages[j], i_s)
-          for j in range(circuit.n_cells)]
-    return circuit.with_lv(lv)
+    voltages = _gate_voltages(model, voltages)
+    return circuit.with_lv(_gate_lv(model, voltages, np.array([_number(i_s, "signal current")]))[0])
 
 
 def joint_gate_settings(model: GateModel, steps: int) -> np.ndarray:

@@ -76,7 +76,7 @@ class DisorderConfig:
 
     ``targets`` is any subset of {"v", "w", "eps"}. Sample k draws from an
     independent PCG64 stream keyed by (seed, k), so results do not depend
-    on evaluation order.
+    on evaluation order; ``seed`` is an int64, -2**63 <= seed < 2**63.
     """
 
     strength: float
@@ -104,7 +104,10 @@ class DisorderConfig:
         object.__setattr__(self, "strength", strength)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", _number(self.seed, "seed", integer=True))
+        # the sample streams key on the seed's 64 low bits, so a wider seed
+        # would share a stream with one inside the window
+        object.__setattr__(self, "seed", _number(self.seed, "seed", integer=True,
+                                                 minimum=-2**63, maximum=2**63 - 1))
 
 
 @dataclass(frozen=True)

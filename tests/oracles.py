@@ -8,10 +8,11 @@ of midpoint sums, complex ABCD matrices instead of their four real parts,
 scipy's least-squares solvers, generalized eigensolver and PCHIP instead
 of the package's Levenberg-Marquardt, Cholesky reduction and monotone
 cubic, 50-digit nodal analysis instead of the ladder cascade, and closed
-forms where they exist. Two references instead keep an older composition of
-the package's own steps, which the lean paths must equal bit for bit: a
-disorder sample formed afresh (``fresh_disorder_sample``) and one sweep
-point through the public per-point chain (``classify_point``).
+forms where they exist. Three references instead keep an older composition
+of the package's own steps, which the lean paths must equal bit for bit: a
+disorder sample formed afresh (``fresh_disorder_sample``), one sweep point
+through the public per-point chain (``classify_point``) and the gate model
+evaluated one junction at a time (``gate_inductance``, ``gated_lv``).
 """
 
 import math
@@ -162,6 +163,45 @@ def sweep_points(circuit, grid, cells=None):
         lv[cells] = value
         points.append((value, *classify_point(circuit.with_lv(lv))))
     return points
+
+
+def gate_inductance(model, junction, v_g, i_s=0.0):
+    """The junction inductance of ``model`` in nH, evaluated one scalar at a
+    time: the clamped smoothstep ramp or the table's Hermite cubic, times
+    the power factor formed by the float64 scalar ``** 2``. Out-of-table
+    voltages raise ValueError with the package's message."""
+    from sshchain.microwave import _pchip_slopes
+
+    j, v_g, i_s = junction, float(v_g), float(i_s)
+    power_factor = 1.0 + (i_s / model.i_star[j]) ** 2
+    if model.mode == "parametric":
+        u = (v_g - model.v_p[j]) / (model.v_o[j] - model.v_p[j])
+        ramp = 0.0 if u <= 0.0 else 1.0 if u >= 1.0 else u * u * (3.0 - 2.0 * u)
+        return math.inf if ramp == 0.0 else float(model.l_min[j] / ramp * power_factor)
+    x, y = model.tables[j][:, 0], model.tables[j][:, 1]
+    if v_g < x[0] or v_g > x[-1]:
+        raise ValueError(f"gate table of junction {j}: v_g={v_g} outside sampled range "
+                         f"[{x[0]}, {x[-1]}]")
+    d = _pchip_slopes(x, y)
+    i = min(int(np.searchsorted(x, v_g, side="right")) - 1, x.size - 2)
+    h = x[i + 1] - x[i]
+    m = (y[i + 1] - y[i]) / h
+    c3 = (d[i] + d[i + 1] - 2 * m) / h
+    t = v_g - x[i]
+    cubic = float(y[i] + d[i] * t + ((m - d[i]) / h - c3) * (t * t) + c3 / h * (t * t * t))
+    return cubic * power_factor
+
+
+def gated_lv(model, settings, currents):
+    """The (points, junctions) lv table of one ``gate_inductance`` per point and
+    junction, point by point; the first negative current or out-of-table
+    voltage met raises ValueError with the package's message."""
+    table = []
+    for voltages, i_s in zip(settings, currents):
+        if i_s < 0:
+            raise ValueError(f"signal current must be >= 0, got {float(i_s)}")
+        table.append([gate_inductance(model, j, v, i_s) for j, v in enumerate(voltages)])
+    return np.array(table)
 
 
 def open_chain_ipr(n_sites):

@@ -348,6 +348,24 @@ class TestConfigHandling:
          "error: gate.i_star_uA entries must be > 0"),
         ("gatesweep", "gatesweep_joint", "gate.v_p_V=2.0", "error: gate.v_p_V < gate.v_o_V "
          "must hold at every junction, got 2.0 >= 1.8 at junction 0"),
+        # each gate table is named by its key and junction
+        ("gatesweep", "gatesweep_joint", ["gate.mode=table", 'gate.table=[[0, 20], [1, "x"]]'],
+         "error: gate.table of junction 0 must be numeric, got 'x'"),
+        ("gatesweep", "gatesweep_joint", ["gate.mode=table", "gate.table=[[0, 20], [1, NaN]]"],
+         "error: gate.table of junction 0 must be finite, got nan"),
+        ("gatesweep", "gatesweep_joint", ["gate.mode=table", "gate.table=[[0, 20]]"],
+         "error: gate.table of junction 0 must be (M, 2) samples with M >= 2"),
+        ("gatesweep", "gatesweep_joint", ["gate.mode=table", "gate.table=[[1, 20], [0, 9]]"],
+         "error: gate.table of junction 0 voltages must be strictly increasing"),
+        ("powersweep", "powersweep_trivial",
+         ["gate.mode=table", "gate.table=" + json.dumps(
+             [[[0, 20], [2, 9]]] * 3 + [[[0, 20], [2, -9]], [[0, 20], [2, 9]]])],
+         "error: gate.table of junction 3 inductances must be > 0"),
+        # a disorder seed outside the int64 window would share a sample stream
+        ("disorder", "disorder_topological", [("--seed", str(2**64 + 5))],
+         "error: seed must be <= 9223372036854775807, got 18446744073709551621"),
+        ("disorder", "disorder_topological", f"disorder.seed={-2**63 - 1}",
+         "error: disorder.seed must be >= -9223372036854775808, got -9223372036854775809"),
         # a sweep kind without its key, or an unknown kind
         ("gatesweep", "gatesweep_joint", "sweep.kind=single",
          "error: single gate sweep needs 'junction'"),
@@ -687,10 +705,6 @@ class TestFloatingPointFailures:
     @pytest.mark.parametrize("command,args,kind", [
         ("s21", ["--config", _config("s21_topological"), "--set", "box.q_box=1e300"],
          "divide by zero"),
-        ("gatesweep", ["--config", _config("gatesweep_joint"), "--set", "i_s_uA=1e200"],
-         "overflow"),
-        ("powersweep", ["--config", _config("powersweep_trivial"),
-                        "--set", "i_s_grid.values_uA=[0, 1e160]"], "overflow"),
         ("s21", ["--config", _config("s21_topological"), "--set", "circuit.c0_fF=1e200",
                  "--set", "circuit.l0_nH=1e200", "--set", "circuit.cw_fF=1e200"], "overflow"),
         ("s21", ["--config", _config("s21_topological"), "--set", "circuit.l0_nH=1e-310"],
@@ -699,8 +713,7 @@ class TestFloatingPointFailures:
          "overflow"),
         ("s21", ["--config", _config("s21_topological"), "--set", "z0_ohm=1e-320"],
          "overflow"),
-    ], ids=["s21-q_box", "gatesweep-i_s", "powersweep-i_s", "s21-huge-circuit",
-            "s21-tiny-l0", "s21-stop", "s21-z0"])
+    ], ids=["s21-q_box", "s21-huge-circuit", "s21-tiny-l0", "s21-stop", "s21-z0"])
     def test_is_numerical_failure(self, capsys, tmp_path, command, args, kind):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -824,26 +837,85 @@ class TestGateSweepCommand:
         assert summary[1].endswith("topological")  # all gates at pinch-off
         assert summary[-1].endswith("trivial")     # all gates open
 
-    @pytest.mark.parametrize("command,config,points", [
-        ("gatesweep", "gatesweep_joint", 5), ("powersweep", "powersweep_trivial", 9)])
-    @pytest.mark.parametrize("emit_traces", [False, True])
-    def test_one_gated_circuit_per_setting(self, capsys, tmp_path, monkeypatch,
-                                           command, config, points, emit_traces):
-        calls = {"apply_gate_setting": 0, "s21_trace": 0}
-        for name in calls:
+    @staticmethod
+    def count_work(monkeypatch):
+        """Count gate maps, ``apply_gate_setting`` and ``s21_trace`` calls and
+        the ``CircuitSpec`` objects built, from now on."""
+        calls = dict.fromkeys(("_gate_lv", "apply_gate_setting", "s21_trace", "CircuitSpec"), 0)
+        for name in ("_gate_lv", "apply_gate_setting", "s21_trace"):
             def counting(*args, _name=name, _fn=getattr(mw_mod, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(mw_mod, name, counting)
+        post_init = CircuitSpec.__post_init__
+
+        def counted_post_init(self):
+            calls["CircuitSpec"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(CircuitSpec, "__post_init__", counted_post_init)
+        return calls
+
+    @pytest.mark.parametrize("command,config,points", [
+        ("gatesweep", "gatesweep_joint", 5), ("powersweep", "powersweep_trivial", 9)])
+    @pytest.mark.parametrize("emit_traces", [False, True])
+    def test_one_gate_map_per_sweep(self, capsys, tmp_path, monkeypatch,
+                                    command, config, points, emit_traces):
+        # the config's circuit, then one circuit per emitted trace and none per point
+        calls = self.count_work(monkeypatch)
         code, _, _ = run(capsys, command,
                          "--config", os.path.join(CONFIG_DIR, f"{config}.json"),
                          "--set", "freqs.points=11",
                          "--set", f"emit_traces={json.dumps(emit_traces)}",
                          "--out-dir", str(tmp_path), "--label", "n")
         assert code == 0
-        assert calls == {"apply_gate_setting": points,
-                         "s21_trace": points if emit_traces else 0}
-        assert len(list(tmp_path.glob("*_trace*"))) == (2 * points if emit_traces else 0)
+        traces = points if emit_traces else 0
+        assert calls == {"_gate_lv": 1, "apply_gate_setting": 0, "s21_trace": traces,
+                         "CircuitSpec": 1 + traces}
+        assert len(list(tmp_path.glob("*_trace*"))) == 2 * traces
+
+    def test_large_dry_run_builds_no_circuit(self, capsys, tmp_path, monkeypatch):
+        calls = self.count_work(monkeypatch)
+        code, _, _ = run(capsys, "gatesweep", "--config", _config("gatesweep_joint"),
+                         "--set", "sweep.steps=50000", "--set", "emit_traces=false",
+                         "--out-dir", str(tmp_path), "--dry-run")
+        assert code == 0
+        assert calls == {"_gate_lv": 1, "apply_gate_setting": 0, "s21_trace": 0,
+                         "CircuitSpec": 1}
+
+    @pytest.mark.parametrize("command,config,override,line", [
+        ("gatesweep", "gatesweep_joint", "i_s_uA=1e200",
+         "i_s_uA overflows the power factor 1 + (i_s/i_star)^2 of junction 0, "
+         "got i_s=1e+200, i_star=1.0"),
+        ("powersweep", "powersweep_trivial", "i_s_grid.values_uA=[0, 1e160]",
+         "i_s_grid.values_uA overflows the power factor 1 + (i_s/i_star)^2 of junction 0, "
+         "got i_s=1e+160, i_star=1.0"),
+        ("powersweep", "powersweep_trivial", "i_s_grid.values_uA=[0, -1, 1e160]",
+         "i_s_grid.values_uA must be >= 0, got -1.0"),
+        ("gatesweep", "gatesweep_joint", "i_s_uA=-0.5", "i_s_uA must be >= 0, got -0.5"),
+    ], ids=["gatesweep-overflow", "powersweep-overflow", "powersweep-negative-first",
+            "gatesweep-negative"])
+    def test_signal_current_refused_by_key(self, refused, command, config, override, line):
+        # an overflowing power factor read every junction as pinched off
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = refused(command, "--config", _config(config), "--set", override)
+        assert caught == []
+        assert err == f"error: {line}\n"
+
+    @pytest.mark.parametrize("rows,message", [
+        ("0.0,60\nnan,20\n", "must be finite, got nan"),
+        ("0.0,60\n2.0,inf\n", "must be finite, got inf"),
+        ("0.0,60\n", "must be (M, 2) samples with M >= 2"),
+        ("1.0,60\n0.0,20\n", "voltages must be strictly increasing"),
+        ("0.0,60\n2.0,0\n", "inductances must be > 0"),
+    ], ids=["nan", "inf", "one-row", "decreasing", "zero"])
+    def test_gate_table_csv_content_names_its_key(self, refused, tmp_path, rows, message):
+        path = tmp_path / "table.csv"
+        path.write_text("v_gate_V,l_nH\n" + rows)
+        err = refused("gatesweep", "--config", _config("gatesweep_joint"),
+                      "--set", "gate.mode=table", "--set", f"gate.table_csv={path}")
+        assert err == f"error: gate.table_csv of junction 0 {message}\n"
 
     @pytest.mark.parametrize("command,config", [
         ("gatesweep", "gatesweep_joint"), ("powersweep", "powersweep_trivial")])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -37,9 +38,9 @@ from sshchain.microwave import read_gate_table_csv, write_trace_outputs
 from sshchain.spectral import PHASE_TOPOLOGICAL, PHASE_TRIVIAL
 
 from oracles import (SCIPY_PEAK_ROUTE, abcd_to_s21, complex_ladder_abcd,
-                     complex_ladder_s21, curve_fit_lm, generalized_eigvals, lorentzian_mag,
-                     mode_linewidths, mp_ladder_s21, pchip, scipy_bases, scipy_find_peaks,
-                     scipy_half_height_crossings, shunt_lc_s21)
+                     complex_ladder_s21, curve_fit_lm, gate_inductance, gated_lv,
+                     generalized_eigvals, lorentzian_mag, mode_linewidths, mp_ladder_s21, pchip,
+                     scipy_bases, scipy_find_peaks, scipy_half_height_crossings, shunt_lc_s21)
 
 GATE = GateModel(5, v_p=0.4, v_o=1.8, l_min=9.0, i_star=1.0)
 GOLDEN_PEAKS = os.path.join(os.path.dirname(__file__), "golden",
@@ -217,6 +218,113 @@ class TestNanowireInductance:
             single_gate_settings(GATE, 2, [])
         with pytest.raises(ValidationError, match="steps must be an integer"):
             joint_gate_settings(GATE, 2.5)
+
+
+def random_gate_model(rng, mode):
+    """A GateModel of 1 to 6 junctions with random per-junction values; in
+    table mode each junction has its own 2- to 8-sample table."""
+    n = int(rng.integers(1, 7))
+    v_p = rng.uniform(-1.0, 1.0, n)
+    tables = None
+    if mode == "table":
+        tables = []
+        for _ in range(n):
+            size = int(rng.integers(2, 9))
+            volts = rng.uniform(-1.0, 0.5) + np.cumsum(rng.uniform(0.05, 0.5, size))
+            tables.append(np.column_stack([volts, rng.uniform(5.0, 200.0, size)]))
+    return GateModel(n, v_p, v_p + rng.uniform(0.05, 2.0, n), rng.uniform(1.0, 50.0, n),
+                     rng.uniform(0.1, 3.0, n), mode=mode, tables=tables)
+
+
+def random_gate_inputs(rng, model, points):
+    """(settings, currents) of ``points`` points: pinch-off, v_o, table knots
+    and voltages between them, and every other current zero."""
+    settings = np.empty((points, model.n_junctions))
+    for j in range(model.n_junctions):
+        if model.mode == "table":
+            knots = model.tables[j][:, 0]
+            special, low, high = knots, knots[0], knots[-1]
+        else:
+            special = [model.v_p[j], model.v_o[j]]
+            low, high = model.v_p[j] - 0.5, model.v_o[j] + 0.5
+        settings[:, j] = rng.uniform(low, high, points)
+        pick = rng.uniform(size=points) < 0.4
+        settings[pick, j] = rng.choice(special, pick.sum())
+    currents = rng.uniform(0.0, 5.0, points)
+    currents[::2] = 0.0
+    return settings, currents
+
+
+class TestGateMap:
+    """The array gate map equals the model evaluated one scalar at a time."""
+
+    @pytest.mark.parametrize("mode", ["parametric", "table"])
+    def test_matches_the_scalar_model_bit_for_bit(self, mode):
+        # the float64 scalar ** 2 rounds as libm pow, the array ** 2 as a
+        # correctly rounded square; they differ in about 1 of 1,500 ratios
+        rng = np.random.default_rng(["parametric", "table"].index(mode))
+        entries = 0
+        for _ in range(200):
+            model = random_gate_model(rng, mode)
+            settings, currents = random_gate_inputs(rng, model, int(rng.integers(1, 40)))
+            got = mw_mod._gate_lv(model, settings, currents)
+            expected = gated_lv(model, settings, currents)
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+            entries += got.size
+            j = int(rng.integers(model.n_junctions))
+            assert nanowire_inductance(model, j, settings[-1, j], currents[-1]) == \
+                gate_inductance(model, j, settings[-1, j], currents[-1])
+        assert entries > 10_000
+
+    def test_readers_match_the_scalar_model(self):
+        circuit = default_circuit()
+        for i_s in (0.0, 0.7, 2.5):
+            for voltages in (GATE.v_p, GATE.v_o, np.linspace(0.3, 2.0, 5)):
+                gated = apply_gate_setting(circuit, GATE, voltages, i_s)
+                expected = [gate_inductance(GATE, j, v, i_s) for j, v in enumerate(voltages)]
+                np.testing.assert_array_equal(gated.lv.view(np.int64),
+                                              np.array(expected).view(np.int64))
+
+    @pytest.mark.parametrize("mode", ["parametric", "table"])
+    def test_refuses_what_the_point_loop_meets_first(self, mode):
+        # several points may hold a negative current or an out-of-table
+        # voltage; the error is the one a point-then-junction loop meets first
+        rng = np.random.default_rng(10 + ["parametric", "table"].index(mode))
+        refused = 0
+        for _ in range(300):
+            model = random_gate_model(rng, mode)
+            settings, currents = random_gate_inputs(rng, model, int(rng.integers(1, 8)))
+            settings += rng.choice([0.0, -0.6, 0.6], settings.shape, p=[0.8, 0.1, 0.1])
+            negative = rng.uniform(size=currents.size) < 0.15
+            currents[negative] = -rng.uniform(0.1, 2.0, negative.sum())
+            try:
+                expected = gated_lv(model, settings, currents)
+            except ValueError as exc:
+                refused += 1
+                with pytest.raises(ValidationError) as info:
+                    mw_mod._gate_lv(model, settings, currents)
+                assert str(info.value) == str(exc)
+            else:
+                np.testing.assert_array_equal(mw_mod._gate_lv(model, settings, currents),
+                                              expected)
+        assert 100 < refused < 300
+
+    @pytest.mark.parametrize("model,i_s", [
+        (GATE, 1e200),
+        (GateModel(5, 0.4, 1.8, 9.0, 1e-300), 1e10),  # i_s / i_star overflows
+        (GateModel(5, 0.4, 1.8, 9.0, 1.0, mode="table", tables=[[0.0, 60.0], [2.0, 8.0]]),
+         1e160),
+    ], ids=["square", "ratio", "table"])
+    @pytest.mark.parametrize("v_g", [0.4, 1.2], ids=["pinched", "open"])
+    def test_overflowing_power_factor_is_refused(self, model, i_s, v_g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^signal current overflows the power "
+                               r"factor 1 \+ \(i_s/i_star\)\^2 of junction 3, got i_s=") as info:
+                nanowire_inductance(model, 3, v_g, i_s)
+            assert info.value.name == "signal current"
+            with pytest.raises(ValidationError, match="^signal current overflows"):
+                apply_gate_setting(default_circuit(), model, [v_g] * 5, i_s)
 
 
 class TestLadder:

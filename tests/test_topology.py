@@ -568,6 +568,22 @@ class TestDisorderEnsemble:
             with pytest.raises(ValidationError, match=next(iter(bad))):
                 DisorderConfig(**fields)
 
+    @pytest.mark.parametrize("seed,message", [
+        (2**63, "seed must be <= 9223372036854775807, got 9223372036854775808"),
+        (2**64 + 5, "seed must be <= 9223372036854775807, got 18446744073709551621"),
+        (-2**63 - 1, "seed must be >= -9223372036854775808, got -9223372036854775809"),
+    ])
+    def test_seed_is_an_int64(self, seed, message):
+        # the streams key on the seed's 64 low bits: 2**64 + 5 drew the samples
+        # of 5 while the result recorded another seed
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            DisorderConfig(0.1, ("v", "w"), 3, seed)
+        base = ChainSpec(10, 6.5, 0.1, 0.5)
+        edges = [disorder_ensemble(base, DisorderConfig(0.1, ("v", "w"), 3, s))
+                 for s in (-2**63, 2**63 - 1, -1)]
+        assert [result.seed for result in edges] == [-2**63, 2**63 - 1, -1]
+        assert edges[0].samples != edges[1].samples != edges[2].samples
+
     def test_outputs_layout(self, tmp_path):
         base = ChainSpec(8, 6.5, 0.1, 0.5)
         config = DisorderConfig(strength=0.05, targets=("v",), samples=4, seed=3)
