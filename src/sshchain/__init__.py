@@ -46,9 +46,9 @@ from .microwave import (
     single_gate_settings,
 )
 from .spectral import (
+    CouplingSweep,
     ModeClassification,
     Spectrum,
-    SweepPoint,
     classify_modes,
     eigendecompose,
     find_fsr_crossing,

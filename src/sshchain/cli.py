@@ -270,9 +270,11 @@ def _run_sweep(config, stem):
                 maximum=MAX_POINTS)
         grid = np.arange(start, stop + step / 2, step)
     with _read_as({"lv grid": grid_key}):
-        grid, swept = spec_mod._sweep_axes(circuit, grid, config.get("cells"))
+        grid, _ = spec_mod._sweep_axes(circuit, grid, config.get("cells"))
     yield
-    crossing = spec_mod._sweep_outputs(circuit, grid, swept, f"{stem}.csv", f"{stem}_summary.csv")
+    sweep = spec_mod.sweep_coupling(circuit, grid, config.get("cells"))
+    spec_mod.write_sweep_csv(sweep, f"{stem}.csv", f"{stem}_summary.csv")
+    crossing = spec_mod.find_fsr_crossing(sweep)
     found = "crossing=none" if crossing is None else f"crossing_lv_nH={fmt(crossing)}"
     yield f"points={grid.size} {found}"
 
@@ -442,7 +444,7 @@ def _run_powersweep(config, stem):
               + spec_mod._PHASE_HEADER)
     write_csv(f"{stem}.csv", header,
               [i_grid] + list(lv.T) + spec_mod._phase_columns(classes))
-    first, last = spec_mod._PHASES[classes.phases[[0, -1]]]
+    first, last = classes.phase_tag[[0, -1]]
     yield f"points={len(i_grid)} phase_first={first} phase_last={last}"
 
 

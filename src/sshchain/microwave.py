@@ -215,9 +215,11 @@ def _gate_lv(model: GateModel, voltages: np.ndarray, i_s: np.ndarray,
         v_p = model.v_p[junctions]
         u = np.clip((voltages - v_p) / (model.v_o[junctions] - v_p), 0.0, 1.0)
         ramp = u * u * (3.0 - 2.0 * u)  # smoothstep: exactly 0 at and below pinch-off
-        lv = np.divide(model.l_min[junctions], ramp, out=np.full(u.shape, math.inf),
-                       where=ramp != 0.0)
-    lv *= factor
+        with np.errstate(over="ignore"):  # an lv beyond the double range is pinch-off too
+            lv = np.divide(model.l_min[junctions], ramp, out=np.full(u.shape, math.inf),
+                           where=ramp != 0.0)
+    with np.errstate(over="ignore"):
+        lv *= factor
     return lv
 
 
@@ -316,10 +318,14 @@ def _increasing_grid(freqs, positive: bool = False) -> np.ndarray:
 
 
 def _port_inputs(freqs, z0) -> tuple:
-    """``s21_trace``'s grid (a positive ``_increasing_grid``) and port impedance z0 > 0."""
+    """``s21_trace``'s grid (a positive ``_increasing_grid``) and port impedance z0 > 0
+    with a finite 1/z0."""
     z0 = _number(z0, "port impedance")
     if z0 <= 0:
         raise ValidationError(f"port impedance must be > 0, got {z0}", "port impedance")
+    if not math.isfinite(1.0 / z0):
+        raise ValidationError(
+            f"port impedance must have a finite reciprocal, got {z0}", "port impedance")
     return _increasing_grid(freqs, positive=True), z0
 
 

@@ -7,23 +7,14 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .chain import (
-    ChainSpec,
-    CircuitSpec,
-    _assemble_hamiltonian,
-    _frozen,
-    _map_arrays,
-    _matrix,
-    _number,
-    _numbers,
-)
+from .chain import CircuitSpec, _assemble_hamiltonian, _map_arrays, _matrix, _number, _numbers
 from .csvout import write_csv
 from .errors import NumericalError, ValidationError
 
 __all__ = [
     "Spectrum",
     "ModeClassification",
-    "SweepPoint",
+    "CouplingSweep",
     "eigendecompose",
     "classify_modes",
     "sweep_coupling",
@@ -79,30 +70,33 @@ class Spectrum:
         return self.eigenvalues.size
 
 
-@dataclass(frozen=True)
-class ModeClassification:
-    """Per-mode bulk/edge labels plus the free-spectral-range summary.
+class ModeClassification(NamedTuple):
+    """Per-mode bulk/edge labels plus the free-spectral-range summary, as
+    arrays: one chain's from ``classify_modes`` (labels (n,), the rest 0-d),
+    or a sweep's with a leading points axis.
 
+    ``labels`` and ``phase_tag`` hold text (``LABEL_*``, ``PHASE_*``).
     ``fsr_edge_bulk`` is the larger of the two edge-to-bulk gaps; the
     per-side values are kept alongside because the two sides differ for
     disordered chains.
     """
 
-    labels: tuple
-    fsr_edge_bulk: float
-    fsr_edge_edge: float
-    fsr_edge_bulk_lower: float
-    fsr_edge_bulk_upper: float
-    phase_tag: str
+    labels: np.ndarray
+    fsr_edge_bulk: np.ndarray
+    fsr_edge_edge: np.ndarray
+    fsr_edge_bulk_lower: np.ndarray
+    fsr_edge_bulk_upper: np.ndarray
+    phase_tag: np.ndarray
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One coupling-sweep sample: applied lv, mapped chain and results."""
+class CouplingSweep:
+    """A coupling sweep in grid order, one row per point: the applied
+    ``lv_nH`` (points,), the ``eigenvalues`` (points, n) and their
+    ``classification``."""
 
-    lv_nH: float
-    chain: ChainSpec
-    spectrum: Spectrum
+    lv_nH: np.ndarray
+    eigenvalues: np.ndarray
     classification: ModeClassification
 
 
@@ -161,25 +155,12 @@ def eigendecompose(h: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=evals[0], eigenvectors=evecs[0])
 
 
-# the text of the label and phase codes 0, 1, 2 of ``_Classes``
+# the text of the label and phase codes 0, 1, 2 of ``_classify``
 _LABELS = np.array([LABEL_BULK_LOWER, LABEL_EDGE, LABEL_BULK_UPPER])
 _PHASES = np.array([PHASE_TOPOLOGICAL, PHASE_NORMAL, PHASE_TRIVIAL])
 
 
-class _Classes(NamedTuple):
-    """``classify_modes`` of a block of points as arrays, one row per point:
-    ``ModeClassification``'s fields, with the labels (points, n) and the
-    phase tags as codes into ``_LABELS`` and ``_PHASES``."""
-
-    labels: np.ndarray
-    fsr_edge_bulk: np.ndarray
-    fsr_edge_edge: np.ndarray
-    fsr_edge_bulk_lower: np.ndarray
-    fsr_edge_bulk_upper: np.ndarray
-    phases: np.ndarray
-
-
-def _classify(evals: np.ndarray, eps_ref: np.ndarray) -> _Classes:
+def _classify(evals: np.ndarray, eps_ref: np.ndarray) -> ModeClassification:
     """``classify_modes`` of each row of ``evals`` (points, n) about its
     ``eps_ref``, for n >= 4 and finite references."""
     rows = np.arange(evals.shape[0])[:, None]
@@ -201,15 +182,8 @@ def _classify(evals: np.ndarray, eps_ref: np.ndarray) -> _Classes:
     fsr_edge_bulk = np.where(fsr_upper > fsr_lower, fsr_upper, fsr_lower)
     phases = np.where(fsr_edge < PHASE_RATIO * fsr_edge_bulk, 0,
                       np.where(fsr_edge_bulk < PHASE_RATIO * fsr_edge, 2, 1))
-    return _Classes(np.where(edge, 1, np.where(lower, 0, 2)), fsr_edge_bulk, fsr_edge,
-                    fsr_lower, fsr_upper, phases)
-
-
-def _classifications(classes: _Classes) -> list:
-    """One ``ModeClassification`` per row of ``classes``."""
-    return [ModeClassification(tuple(labels), *fields) for labels, *fields in zip(
-        _LABELS[classes.labels].tolist(), *(column.tolist() for column in classes[1:5]),
-        _PHASES[classes.phases].tolist())]
+    return ModeClassification(_LABELS[np.where(edge, 1, np.where(lower, 0, 2))], fsr_edge_bulk,
+                              fsr_edge, fsr_lower, fsr_upper, _PHASES[phases])
 
 
 def _check_modes(dim: int) -> None:
@@ -228,7 +202,7 @@ def classify_modes(spectrum: Spectrum, eps_ref: float) -> ModeClassification:
     evals = spectrum.eigenvalues
     _check_modes(evals.size)
     eps_ref = _number(eps_ref, "eps_ref")
-    return _classifications(_classify(evals[None], np.array([eps_ref])))[0]
+    return ModeClassification(*(field[0] for field in _classify(evals[None], np.array([eps_ref]))))
 
 
 # Entries of one (points, n, n) stack of a block: the block's scratch is a
@@ -243,73 +217,40 @@ def _block_slices(points: int, n_sites: int):
     return (slice(k, min(k + size, points)) for k in range(0, points, size))
 
 
-def _solved_block(c0, l0, lv, cw) -> tuple:
-    """Map, diagonalize and classify a block of circuits about their mean site
-    energies; the arrays are (points, ...) stacks or broadcast against them.
-
-    Returns the block's eps, v, w, eigenvalues and eigenvectors, read-only
-    with one row per point, and their ``_classify`` arrays.
-    """
-    eps, v, w = _map_arrays(c0, l0, lv, cw)
-    _check_modes(eps.shape[-1])
-    evals, evecs = _spectra(_assemble_hamiltonian(eps, v, w))
-    for block in (eps, v, w, evals, evecs):
-        block.flags.writeable = False
-    return eps, v, w, evals, evecs, _classify(evals, np.mean(eps, axis=-1))
-
-
-def _phase_columns(classes: _Classes) -> list:
+def _phase_columns(classes: ModeClassification) -> list:
     """The ``_PHASE_HEADER`` columns of a run of points."""
-    return [classes.fsr_edge_bulk, classes.fsr_edge_edge, _PHASES[classes.phases]]
+    return [classes.fsr_edge_bulk, classes.fsr_edge_edge, classes.phase_tag]
 
 
 def sweep_coupling(circuit: CircuitSpec, lv_grid: Sequence[float],
-                   cells: Optional[Sequence[int]] = None) -> list:
+                   cells: Optional[Sequence[int]] = None) -> CouplingSweep:
     """Diagonalize the circuit for each coupling inductance on the grid.
 
     ``cells`` restricts which unit cells receive the swept value (all by
     default); untouched cells keep the lv of the input circuit. The grid
-    is a non-empty list of values > 0, infinity included. The output is in
-    grid order. The points are mapped, diagonalized and classified in
-    blocks (see ``_spectra``), each point as it would be alone; its chain
-    and spectrum are read-only row views of the block's arrays, valid and
-    finite as a checked circuit maps and ``_spectra`` solves.
+    is a non-empty list of values > 0, infinity included. The points are
+    mapped, diagonalized and classified in blocks (see ``_sweep_table``),
+    each point as it would be alone. The sweep holds no chains and no
+    eigenvectors; ``eigendecompose`` gives a point's vectors.
     """
     grid, swept = _sweep_axes(circuit, lv_grid, cells)
-    sweep = []
-    for block, (eps, v, w, evals, evecs, classes) in _sweep_blocks(
-            circuit, np.where(swept, grid[:, None], circuit.lv)):
-        sweep += [SweepPoint(lv_nH, _frozen(ChainSpec, n_cells=circuit.n_cells, eps=e, v=vk, w=wk),
-                             _frozen(Spectrum, eigenvalues=ev, eigenvectors=vec), classification)
-                  for lv_nH, e, vk, wk, ev, vec, classification in zip(
-                      grid[block].tolist(), eps, v, w, evals, evecs, _classifications(classes))]
-    return sweep
-
-
-def _sweep_blocks(circuit: CircuitSpec, lv: np.ndarray):
-    """Each block of ``circuit`` swept over the rows of the lv table ``lv``
-    (points, n_cells): its slice of the rows and its ``_solved_block``."""
-    for block in _block_slices(lv.shape[0], circuit.n_sites):
-        yield block, _solved_block(circuit.c0, circuit.l0, lv[block], circuit.cw)
+    return CouplingSweep(grid, *_sweep_table(circuit, np.where(swept, grid[:, None], circuit.lv)))
 
 
 def _sweep_table(circuit: CircuitSpec, lv: np.ndarray) -> tuple:
-    """The eigenvalues (points, n) and ``_Classes`` of ``_sweep_blocks``, with
-    no per-point object; each block's eigenvectors are freed before the next."""
-    blocks = [(evals, classes) for _, (_, _, _, evals, _, classes) in _sweep_blocks(circuit, lv)]
-    return (np.concatenate([evals for evals, _ in blocks]),
-            _Classes(*map(np.concatenate, zip(*(classes for _, classes in blocks)))))
-
-
-def _sweep_outputs(circuit: CircuitSpec, grid: np.ndarray, swept: np.ndarray,
-                   modes_path, summary_path) -> Optional[float]:
-    """``write_sweep_csv`` and ``find_fsr_crossing`` of the ``sweep_coupling``
-    with checked axes ``grid`` and ``swept``, from its ``_sweep_table``.
-    Returns the crossing."""
-    evals, classes = _sweep_table(circuit, np.where(swept, grid[:, None], circuit.lv))
-    _write_sweep(modes_path, summary_path, grid, np.full(grid.size, evals.shape[1]),
-                 evals.ravel(), _LABELS[classes.labels].ravel(), _phase_columns(classes))
-    return _crossing(grid, classes.fsr_edge_bulk - classes.fsr_edge_edge)
+    """The eigenvalues (points, n) and ``ModeClassification`` of ``circuit``
+    swept over the rows of the lv table ``lv`` (points, n_cells), each row
+    classified about its mean site energy. Each ``_block_slices`` block is
+    mapped in one pass and solved by one ``_spectra``, and its eigenvectors
+    are freed before the next."""
+    evals, classes = [], []
+    for block in _block_slices(lv.shape[0], circuit.n_sites):
+        eps, v, w = _map_arrays(circuit.c0, circuit.l0, lv[block], circuit.cw)
+        _check_modes(eps.shape[-1])
+        block_evals, _ = _spectra(_assemble_hamiltonian(eps, v, w))
+        evals.append(block_evals)
+        classes.append(_classify(block_evals, np.mean(eps, axis=-1)))
+    return np.concatenate(evals), ModeClassification(*map(np.concatenate, zip(*classes)))
 
 
 def _sweep_axes(circuit: CircuitSpec, lv_grid, cells) -> tuple:
@@ -340,22 +281,16 @@ def _sweep_axes(circuit: CircuitSpec, lv_grid, cells) -> tuple:
     return grid, np.isin(np.arange(circuit.n_cells), cell_idx)
 
 
-def find_fsr_crossing(sweep: Sequence[SweepPoint]) -> Optional[float]:
+def find_fsr_crossing(sweep: CouplingSweep) -> Optional[float]:
     """Locate the lv where the edge-edge and edge-bulk FSR curves cross.
 
-    Scans the sweep in grid order for a sign change of fsr_edge_bulk -
-    fsr_edge_edge and interpolates linearly inside the bracketing interval,
-    in 1/lv if an end is infinite. Returns None when no crossing exists.
+    Scans the sweep in grid order for the first point where fsr_edge_bulk -
+    fsr_edge_edge is 0, or the first interval where it changes sign, and
+    interpolates linearly inside that interval, in 1/lv if an end is
+    infinite. Returns None when no crossing exists.
     """
-    return _crossing(np.array([p.lv_nH for p in sweep]),
-                     np.array([p.classification.fsr_edge_bulk - p.classification.fsr_edge_edge
-                               for p in sweep]))
-
-
-def _crossing(lv: np.ndarray, diff: np.ndarray) -> Optional[float]:
-    """``find_fsr_crossing`` of the grid ``lv`` and the fsr_edge_bulk -
-    fsr_edge_edge of its points: the first point where the difference is 0,
-    or the first interval where it changes sign."""
+    lv = sweep.lv_nH
+    diff = sweep.classification.fsr_edge_bulk - sweep.classification.fsr_edge_edge
     hits = np.flatnonzero((diff[:-1] == 0.0) | (diff[:-1] * diff[1:] < 0))
     if hits.size == 0:
         return float(lv[-1]) if diff.size and diff[-1] == 0.0 else None
@@ -368,23 +303,11 @@ def _crossing(lv: np.ndarray, diff: np.ndarray) -> Optional[float]:
     return float(lv[i] + frac * (lv[i + 1] - lv[i]))
 
 
-def write_sweep_csv(sweep: Sequence[SweepPoint], modes_path, summary_path) -> None:
+def write_sweep_csv(sweep: CouplingSweep, modes_path, summary_path) -> None:
     """Emit the per-mode and summary CSV files for a coupling sweep."""
-    classes = [p.classification for p in sweep]
-    _write_sweep(modes_path, summary_path, [p.lv_nH for p in sweep],
-                 np.array([len(c.labels) for c in classes], dtype=int),
-                 np.concatenate([np.empty(0)] + [p.spectrum.eigenvalues for p in sweep]),
-                 np.array([label for c in classes for label in c.labels], dtype=str),
-                 [[c.fsr_edge_bulk for c in classes], [c.fsr_edge_edge for c in classes],
-                  [c.phase_tag for c in classes]])
-
-
-def _write_sweep(modes_path, summary_path, lv, n_modes, freqs, labels, phase_columns) -> None:
-    """The sweep CSVs. Per point: ``lv``, the mode count ``n_modes`` and the
-    ``_PHASE_HEADER`` columns; per mode, point after point: ``freqs`` and
-    the ``labels`` text."""
-    # per row, the row of its point's first mode
-    first_rows = np.repeat(np.cumsum(n_modes) - n_modes, n_modes)
+    points, n_modes = sweep.eigenvalues.shape
     write_csv(modes_path, ["lv_nH", "mode_index", "freq_GHz", "label"],
-              [np.repeat(lv, n_modes), np.arange(first_rows.size) - first_rows, freqs, labels])
-    write_csv(summary_path, ["lv_nH"] + _PHASE_HEADER, [lv] + phase_columns)
+              [np.repeat(sweep.lv_nH, n_modes), np.tile(np.arange(n_modes), points),
+               sweep.eigenvalues.ravel(), sweep.classification.labels.ravel()])
+    write_csv(summary_path, ["lv_nH"] + _PHASE_HEADER,
+              [sweep.lv_nH] + _phase_columns(sweep.classification))

@@ -295,11 +295,16 @@ def mode_linewidths(spectrum, kappa_port):
     return kappa_port * (vec[0, :] ** 2 + vec[-1, :] ** 2)
 
 
-def normalized_spectrum(sweep):
-    """``[(lv_nH, eigenvalues / mean on-site energy), ...]`` in sweep order;
-    uniform-parameter chains come out symmetric about 1."""
-    return [(point.lv_nH, point.spectrum.eigenvalues / float(np.mean(point.chain.eps)))
-            for point in sweep]
+def normalized_spectrum(circuit, sweep):
+    """``[(lv_nH, eigenvalues / mean on-site energy), ...]`` of a coupling sweep
+    of every cell of ``circuit``, in sweep order, each point's site energies
+    from ``map_circuit_to_tb``; uniform-parameter chains come out symmetric
+    about 1."""
+    from sshchain import map_circuit_to_tb
+
+    return [(lv, evals / float(np.mean(map_circuit_to_tb(
+                circuit.with_lv(np.full(circuit.n_cells, lv))).eps)))
+            for lv, evals in zip(sweep.lv_nH.tolist(), sweep.eigenvalues)]
 
 
 # scipy.signal's peak finding, which ``extract_peaks`` imported until the

@@ -711,9 +711,7 @@ class TestFloatingPointFailures:
          "overflow"),
         ("s21", ["--config", _config("s21_topological"), "--set", "freqs.stop_GHz=1e300"],
          "overflow"),
-        ("s21", ["--config", _config("s21_topological"), "--set", "z0_ohm=1e-320"],
-         "overflow"),
-    ], ids=["s21-q_box", "s21-huge-circuit", "s21-tiny-l0", "s21-stop", "s21-z0"])
+    ], ids=["s21-q_box", "s21-huge-circuit", "s21-tiny-l0", "s21-stop"])
     def test_is_numerical_failure(self, capsys, tmp_path, command, args, kind):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -987,6 +985,27 @@ class TestGateSweepCommand:
                                  parametric.i_star, mode="table", tables=np.array(GATE_TABLE))
         check_gatesweep(tmp_path / "inline", "t", model, settings, emit_traces=True)
         assert_same_files(tmp_path / "inline", tmp_path / "file")
+
+    def test_lv_beyond_the_double_range_is_pinch_off(self, capsys, tmp_path):
+        # 1e-160 V above pinch-off, l_min / ramp overflows; 1e-170 V gives a
+        # ramp of 0: both junctions read as pinched off, with no warning
+        gated = ["--config", _config("gatesweep_joint"), "--set", "gate.v_p_V=0",
+                 "--set", "sweep.kind=explicit"]
+        power = ["--config", _config("powersweep_trivial"), "--set", "gate.v_p_V=0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v_g in ("1e-160", "1e-170"):
+                code, _, err = run(capsys, "gatesweep", *gated, "--set",
+                                   f"sweep.settings_V=[[{v_g},1,1,1,1]]", "--dry-run")
+                assert (code, err) == (0, "")
+                code, _, err = run(capsys, "powersweep", *power, "--set",
+                                   f"setting_V=[{v_g},1,1,1,1]",
+                                   "--out-dir", str(tmp_path / v_g), "--label", "p")
+                assert (code, err) == (0, "")
+        rows = [(tmp_path / v_g / "powersweep_p.csv").read_text().splitlines()
+                for v_g in ("1e-160", "1e-170")]
+        assert rows[0] == rows[1]
+        assert all(row.split(",")[1] == "inf" for row in rows[0][1:])
 
     @pytest.mark.parametrize("key", ["gate.table", "gate.table_csv"])
     def test_gate_table_extrapolation_names_its_key(self, refused, tmp_path, key):

@@ -338,9 +338,10 @@ class TestIntegerAndTextColumns:
         sweep = sweep_coupling(default_circuit(), np.arange(5.0, 100.01, 0.5))
         write_sweep_csv(sweep, tmp_path / "modes.csv", tmp_path / "summary.csv")
         lines = (tmp_path / "modes.csv").read_text().splitlines()
-        assert lines[1:] == [f"{fmt(p.lv_nH)},{k},{fmt(f)},{label}" for p in sweep
-                             for k, (f, label) in enumerate(zip(
-                                 p.spectrum.eigenvalues.tolist(), p.classification.labels))]
+        assert lines[1:] == [f"{fmt(lv)},{k},{fmt(f)},{label}" for lv, freqs, labels in zip(
+                                 sweep.lv_nH.tolist(), sweep.eigenvalues.tolist(),
+                                 sweep.classification.labels.tolist())
+                             for k, (f, label) in enumerate(zip(freqs, labels))]
         assert renderer_calls == [1910]
 
 

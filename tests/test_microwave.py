@@ -309,6 +309,19 @@ class TestGateMap:
                                               expected)
         assert 100 < refused < 300
 
+    def test_lv_beyond_the_double_range_is_pinch_off(self):
+        # at v_g = 1e-160 V above v_p the smoothstep ramp is a subnormal and
+        # l_min / ramp overflows; at 1e-170 V the ramp is 0. Both are inf
+        model = GateModel(5, 0.0, 1.8, 9.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = [apply_gate_setting(default_circuit(), model, [v_g, 1, 1, 1, 1]).lv
+                    for v_g in (1e-160, 1e-170)]
+            assert nanowire_inductance(model, 0, 1e-160) == math.inf
+            assert nanowire_inductance(model, 0, 1e-170) == math.inf
+        assert rows[0][0] == math.inf
+        np.testing.assert_array_equal(rows[0], rows[1])
+
     @pytest.mark.parametrize("model,i_s", [
         (GATE, 1e200),
         (GateModel(5, 0.4, 1.8, 9.0, 1e-300), 1e10),  # i_s / i_star overflows
@@ -394,8 +407,9 @@ class TestLadder:
                 with pytest.raises(ValueError, match="read-only"):
                     ours[0] = 1.0
 
-    @pytest.mark.parametrize("z0", [math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("z0", [math.inf, math.nan, 0.0, 1e-320])
     def test_non_finite_port_impedance_rejected(self, z0):
+        # at z0 = 1e-320, 1/z0 overflows: |S21| read [0, 0] without a warning
         with pytest.raises(ValidationError, match="port impedance"):
             s21_trace(default_circuit(lv_nH=30.0), [5.0, 6.0], z0=z0)
 

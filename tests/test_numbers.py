@@ -251,6 +251,8 @@ def test_lv_grid_length_is_checked_before_the_grid_is_made(capsys, refused, tmp_
     (["s21", "--config", os.path.join(CONFIGS, "s21_topological.json"),
       "--set", "z0_ohm=-5"], "z0_ohm must be > 0, got -5.0"),
     (["s21", "--config", os.path.join(CONFIGS, "s21_topological.json"),
+      "--set", "z0_ohm=1e-320"], "z0_ohm must have a finite reciprocal, got 1e-320"),
+    (["s21", "--config", os.path.join(CONFIGS, "s21_topological.json"),
       "--set", "freqs.start_GHz=0"],
      "freqs must be > 0 (0 makes reactive elements singular), got 0.0"),
     (["s21", "--config", os.path.join(CONFIGS, "s21_topological.json"),

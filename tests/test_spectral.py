@@ -24,12 +24,14 @@ from sshchain import (
     sweep_coupling,
 )
 from sshchain.spectral import (
+    CouplingSweep,
     LABEL_BULK_LOWER,
     LABEL_BULK_UPPER,
     LABEL_EDGE,
     PHASE_NORMAL,
     PHASE_TOPOLOGICAL,
     PHASE_TRIVIAL,
+    ModeClassification,
     write_sweep_csv,
 )
 
@@ -114,9 +116,9 @@ class TestClassifyModes:
         assert cls.fsr_edge_edge == pytest.approx(0.0, abs=1e-12)
         assert cls.fsr_edge_bulk == pytest.approx(0.5, abs=1e-9)
         assert cls.phase_tag == PHASE_TOPOLOGICAL
-        assert cls.labels.count(LABEL_EDGE) == 2
-        assert cls.labels.count(LABEL_BULK_LOWER) == 4
-        assert cls.labels.count(LABEL_BULK_UPPER) == 4
+        assert cls.labels.tolist().count(LABEL_EDGE) == 2
+        assert cls.labels.tolist().count(LABEL_BULK_LOWER) == 4
+        assert cls.labels.tolist().count(LABEL_BULK_UPPER) == 4
 
     def test_uniform_chain_is_normal(self):
         spectrum = eigendecompose(build_tb_hamiltonian(ChainSpec(5, 6.5, 0.5, 0.5)))
@@ -148,7 +150,7 @@ class TestClassifyModes:
             build_tb_hamiltonian(ChainSpec(5, 8.2, 0.3, 0.5)))
         a = classify_modes(spectrum, 6.5)
         b = classify_modes(shifted, 8.2)
-        assert a.labels == b.labels
+        assert np.array_equal(a.labels, b.labels)
         assert a.fsr_edge_edge == pytest.approx(b.fsr_edge_edge, abs=1e-12)
         assert a.fsr_edge_bulk == pytest.approx(b.fsr_edge_bulk, abs=1e-12)
         assert a.phase_tag == b.phase_tag
@@ -165,15 +167,13 @@ class TestClassifyModes:
 class TestSweep:
     def test_single_infinite_point(self):
         sweep = sweep_coupling(default_circuit(), [math.inf])
-        assert len(sweep) == 1
-        point = sweep[0]
-        assert point.classification.fsr_edge_edge == pytest.approx(0.0, abs=1e-9)
-        assert point.classification.phase_tag == PHASE_TOPOLOGICAL
+        assert sweep.lv_nH.tolist() == [math.inf] and sweep.eigenvalues.shape == (1, 10)
+        assert sweep.classification.fsr_edge_edge[0] == pytest.approx(0.0, abs=1e-9)
+        assert sweep.classification.phase_tag.tolist() == [PHASE_TOPOLOGICAL]
 
     def test_mean_frequency_rises_as_lv_drops(self):
         sweep = sweep_coupling(default_circuit(), [80.0, 40.0, 20.0, 10.0])
-        means = [float(np.mean(p.spectrum.eigenvalues)) for p in sweep]
-        assert all(a < b for a, b in zip(means, means[1:]))
+        assert np.all(np.diff(np.mean(sweep.eigenvalues, axis=1)) > 0)
 
     def test_crossing_near_designed_balance_point(self):
         grid = np.arange(5.0, 100.0 + 1e-9, 0.5)
@@ -189,10 +189,10 @@ class TestSweep:
         ([0.3, 0.2, 0.1, 0.05], None),
     ])
     def test_crossing_where_the_fsr_difference_is_zero(self, diffs, expected):
-        # find_fsr_crossing reads only lv_nH and the two FSRs of each point
-        sweep = [SimpleNamespace(lv_nH=lv, classification=SimpleNamespace(
-                     fsr_edge_bulk=1.0 + d, fsr_edge_edge=1.0))
-                 for lv, d in zip([10.0, 20.0, 30.0, 40.0], diffs)]
+        # find_fsr_crossing reads only lv_nH and the two FSRs of the sweep
+        sweep = SimpleNamespace(lv_nH=np.array([10.0, 20.0, 30.0, 40.0]),
+                                classification=SimpleNamespace(
+                                    fsr_edge_bulk=1.0 + np.array(diffs), fsr_edge_edge=np.ones(4)))
         assert find_fsr_crossing(sweep) == expected
 
     def test_empty_grid_rejected(self):
@@ -206,9 +206,9 @@ class TestSweep:
     def test_cell_mask_applies_only_to_selected_cells(self):
         base = default_circuit(lv_nH=50.0)
         sweep = sweep_coupling(base, [10.0], cells=[2])
-        chain = sweep[0].chain
         full = map_circuit_to_tb(base.with_lv([50.0, 50.0, 10.0, 50.0, 50.0]))
-        assert np.allclose(chain.v, full.v)
+        expected = eigendecompose(build_tb_hamiltonian(full)).eigenvalues
+        assert np.allclose(sweep.eigenvalues[0], expected, rtol=0, atol=1e-12)
 
     def test_bad_cell_mask_rejected(self):
         with pytest.raises(ValidationError):
@@ -220,8 +220,7 @@ class TestSweep:
         def max_jump(step):
             grid = np.arange(10.0, 40.0 + 1e-9, step)
             sweep = sweep_coupling(default_circuit(), grid)
-            evals = np.array([p.spectrum.eigenvalues for p in sweep])
-            return float(np.max(np.abs(np.diff(evals, axis=0))))
+            return float(np.max(np.abs(np.diff(sweep.eigenvalues, axis=0))))
 
         coarse = max_jump(0.5)
         fine = max_jump(0.25)
@@ -232,22 +231,20 @@ class TestSweep:
         # decreasing lv grows the edge splitting and shrinks the edge-bulk gap
         grid = np.arange(8.0, 60.0 + 1e-9, 1.0)
         sweep = sweep_coupling(default_circuit(), grid)
-        ee = [p.classification.fsr_edge_edge for p in sweep]
-        eb = [p.classification.fsr_edge_bulk for p in sweep]
-        assert all(later <= earlier + 1e-12 for earlier, later in zip(ee, ee[1:]))
-        assert all(later >= earlier - 1e-12 for earlier, later in zip(eb, eb[1:]))
+        assert np.all(np.diff(sweep.classification.fsr_edge_edge) <= 1e-12)
+        assert np.all(np.diff(sweep.classification.fsr_edge_bulk) >= -1e-12)
 
 
 class TestNormalizedSpectrum:
     def test_uniform_chain_symmetric_about_one(self):
         sweep = sweep_coupling(default_circuit(), [60.0, 25.0, 10.0])
-        for _, scaled in normalized_spectrum(sweep):
+        for _, scaled in normalized_spectrum(default_circuit(), sweep):
             assert np.max(np.abs((scaled - 1.0) + (scaled[::-1] - 1.0))) < 1e-6
 
     def test_dimer_limit_values(self):
         sweep = sweep_coupling(default_circuit(), [math.inf])
-        _, scaled = normalized_spectrum(sweep)[0]
-        chain = sweep[0].chain
+        _, scaled = normalized_spectrum(default_circuit(), sweep)[0]
+        chain = map_circuit_to_tb(default_circuit(lv_nH=math.inf))
         ratio = chain.w[0] / chain.eps[0]
         expected = np.sort(np.concatenate([
             np.full(4, 1.0 - ratio), [1.0, 1.0], np.full(4, 1.0 + ratio)]))
@@ -282,20 +279,23 @@ def test_sweep_csv_layout(tmp_path):
 
 
 def test_empty_sweep_csv_has_headers_only(tmp_path):
-    write_sweep_csv([], tmp_path / "modes.csv", tmp_path / "summary.csv")
+    sweep = sweep_coupling(default_circuit(), [30.0])
+    empty = CouplingSweep(sweep.lv_nH[:0], sweep.eigenvalues[:0],
+                          ModeClassification(*(field[:0] for field in sweep.classification)))
+    write_sweep_csv(empty, tmp_path / "modes.csv", tmp_path / "summary.csv")
     assert (tmp_path / "modes.csv").read_text() == "lv_nH,mode_index,freq_GHz,label\n"
     assert (tmp_path / "summary.csv").read_text() == \
         "lv_nH,fsr_edge_bulk_GHz,fsr_edge_edge_GHz,phase_tag\n"
 
 
-def assert_same_point(got, expected):
-    """Two (chain, spectrum, classification) triples agree bit for bit."""
-    (chain, spectrum, cls), (chain_x, spectrum_x, cls_x) = got, expected
-    for a, b in ((chain.eps, chain_x.eps), (chain.v, chain_x.v), (chain.w, chain_x.w),
-                 (spectrum.eigenvalues, spectrum_x.eigenvalues),
-                 (spectrum.eigenvectors, spectrum_x.eigenvectors)):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert chain.n_cells == chain_x.n_cells and cls == cls_x
+def assert_same_row(evals, classes, k, spectrum, expected):
+    """Row ``k`` of a sweep's eigenvalues and classification agrees bit for
+    bit with one point's spectrum and ``classify_modes``, field by field."""
+    assert evals[k].shape == spectrum.eigenvalues.shape
+    assert evals[k].tobytes() == spectrum.eigenvalues.tobytes()
+    for name, column, value in zip(ModeClassification._fields, classes, expected):
+        got, want = np.asarray(column[k]), np.asarray(value)
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes()), name
 
 
 def disordered_circuit(n_cells, seed, pinched=()):
@@ -323,10 +323,10 @@ class TestSweepBlocks:
         circuit = disordered_circuit(n_cells, n_cells, pinched=[n_cells // 2])
         sweep = sweep_coupling(circuit, self.GRID, cells=cells)
         expected = sweep_points(circuit, self.GRID, cells)
-        assert [p.lv_nH for p in sweep] == [x[0] for x in expected]
-        for point, reference in zip(sweep, expected):
-            assert_same_point((point.chain, point.spectrum, point.classification),
-                              reference[1:])
+        assert sweep.lv_nH.tolist() == [x[0] for x in expected]
+        assert sweep.eigenvalues.shape == (len(self.GRID), circuit.n_sites)
+        for k, (_, _, spectrum, cls) in enumerate(expected):
+            assert_same_row(sweep.eigenvalues, sweep.classification, k, spectrum, cls)
 
     def test_one_cell_chain_has_too_few_modes(self):
         circuit = disordered_circuit(1, 1)
@@ -347,9 +347,8 @@ class TestSweepBlocks:
         assert sum(math.isinf(x) for g in gated for x in g.lv) >= 10  # pinched junctions
         evals, classes = spec_mod._sweep_table(circuit, np.array([g.lv for g in gated]))
         assert evals.shape == (len(gated), circuit.n_sites)
-        for ev, cls, g in zip(evals, spec_mod._classifications(classes), gated):
-            _, spectrum, expected = classify_point(g)
-            assert ev.tobytes() == spectrum.eigenvalues.tobytes() and cls == expected
+        for k, g in enumerate(gated):
+            assert_same_row(evals, classes, k, *classify_point(g)[1:])
 
     def test_one_skewed_point_fails_the_block(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -413,42 +412,29 @@ class TestSweepBlocks:
             "", f"numerical failure: circuit mapping failed: {message}\n")
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
-    def test_points_share_read_only_block_arrays(self):
-        sweep = sweep_coupling(default_circuit(), np.arange(5.0, 100.01, 0.5))
-        for point in sweep:
-            arrays = (point.chain.eps, point.chain.v, point.chain.w,
-                      point.spectrum.eigenvalues, point.spectrum.eigenvectors)
-            assert not any(a.flags.writeable for a in arrays)
-            with pytest.raises(ValueError, match="read-only"):
-                point.chain.v[0] = 1.0
-        # rows of one block: the points are not copied one by one
-        first, last = sweep[0].spectrum.eigenvectors, sweep[-1].spectrum.eigenvectors
-        assert first.base is not None and first.base is last.base
-
-    @pytest.mark.parametrize("command,config,summary", [
-        ("sweep", "sweep_default", "points=191 crossing_lv_nH="),
-        ("gatesweep", "gatesweep_joint", "settings=5 traces_written=5"),
-        ("powersweep", "powersweep_trivial", "points=9 phase_first="),
+    @pytest.mark.parametrize("command,config,points,summary", [
+        ("sweep", "sweep_default", 191, "points=191 crossing_lv_nH="),
+        ("gatesweep", "gatesweep_joint", 5, "settings=5 traces_written=5"),
+        ("powersweep", "powersweep_trivial", 9, "points=9 phase_first="),
     ], ids=["sweep", "gatesweep", "powersweep"])
-    def test_sweep_command_builds_no_point_objects(self, monkeypatch, capsys, tmp_path,
-                                                   command, config, summary):
-        # each subcommand writes its summary from its lv table's block arrays;
-        # the library sweep builds a SweepPoint, a ModeClassification and,
-        # through _frozen, a ChainSpec and a Spectrum per point
-        built = dict.fromkeys(("SweepPoint", "ModeClassification", "_frozen"), 0)
-        for name in built:
+    def test_sweep_command_work_count(self, monkeypatch, capsys, tmp_path, command, config,
+                                      points, summary):
+        # blocks of two points: sweep goes through the public sweep_coupling
+        # once, and every subcommand classifies its lv table with one
+        # _sweep_table, which solves each block with one _spectra
+        monkeypatch.setattr(spec_mod, "_BLOCK_ENTRIES", 250)
+        calls = dict.fromkeys(("sweep_coupling", "_sweep_table", "_spectra"), 0)
+        for name in calls:
             def counted(*args, _real=getattr(spec_mod, name), _name=name, **kwargs):
-                built[_name] += 1
+                calls[_name] += 1
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(spec_mod, name, counted)
-        sweep_coupling(default_circuit(), np.arange(5.0, 100.01, 0.5))
-        assert built == {"SweepPoint": 191, "ModeClassification": 191, "_frozen": 382}
-        built.update(dict.fromkeys(built, 0))
         code = main([command, "--config", f"{CONFIG_DIR}/{config}.json",
                      "--out-dir", str(tmp_path), "--label", "count"])
         assert code == 0 and capsys.readouterr().out.startswith(summary)
-        assert built == dict.fromkeys(built, 0)
+        assert calls == {"sweep_coupling": int(command == "sweep"), "_sweep_table": 1,
+                         "_spectra": len(list(spec_mod._block_slices(points, 10)))}
 
     def test_point_count_does_not_grow_the_checks(self, monkeypatch):
         # each point of a block is built without re-reading its arrays: the
