@@ -56,7 +56,6 @@ from .spectral import (
 )
 from .topology import (
     DisorderConfig,
-    DisorderSample,
     EnsembleResult,
     WindingResult,
     disorder_ensemble,

@@ -40,7 +40,6 @@ from .spectral import _ORTHO_TOL
 __all__ = [
     "WindingResult",
     "DisorderConfig",
-    "DisorderSample",
     "EnsembleResult",
     "flatband",
     "winding_number_real_space",
@@ -111,20 +110,16 @@ class DisorderConfig:
 
 
 @dataclass(frozen=True)
-class DisorderSample:
-    index: int
-    nu: float
-    min_gap_GHz: float
-
-
-@dataclass(frozen=True)
 class EnsembleResult:
-    samples: tuple
+    """An ensemble in sample order: the winding ``nu`` and ``min_gap_GHz``
+    of each sample (arrays of shape (samples,)), the mean and spread of
+    ``nu``, and the seed."""
+
+    nu: np.ndarray
+    min_gap_GHz: np.ndarray
     mean_nu: float
     std_nu: float
-    rejections: int
     seed: int
-    generator: str = RNG_NAME
 
 
 def _lapack() -> tuple:
@@ -345,11 +340,21 @@ def _state(state) -> np.ndarray:
 
 
 def ipr(state: Sequence[float]) -> float:
-    """Inverse participation ratio sum|psi|^4 / (sum|psi|^2)^2."""
+    """Inverse participation ratio sum|psi|^4 / (sum|psi|^2)^2.
+
+    The ratio does not change when psi is scaled. A state whose largest
+    real or imaginary part lies outside [1e-50, 1e50] is divided by that
+    part first, so that no power of |psi| under- or overflows; a state
+    inside the window (a unit-norm eigenvector among them) is summed as
+    given. Only the zero state raises ValidationError.
+    """
     psi = _state(state)
-    norm2 = float(np.sum(np.abs(psi) ** 2))
-    if norm2 == 0.0:
+    peak = max(np.max(np.abs(psi.real), initial=0.0), np.max(np.abs(psi.imag), initial=0.0))
+    if peak == 0.0:
         raise ValidationError("IPR of the zero vector is undefined")
+    if not 1e-50 <= peak <= 1e50:
+        psi = psi / peak
+    norm2 = float(np.sum(np.abs(psi) ** 2))
     return float(np.sum(np.abs(psi) ** 4) / norm2 ** 2)
 
 
@@ -385,7 +390,8 @@ def _perturbed(values: np.ndarray, rng, delta: float) -> np.ndarray:
 
 
 def _samples(base: ChainSpec, config: DisorderConfig, indices):
-    """Yield disorder realizations ``indices`` of the ensemble ``config`` of ``base``.
+    """Yield (nu, min_gap_GHz) of disorder realizations ``indices`` of the
+    ensemble ``config`` of ``base``.
 
     What every sample shares is prepared once, before the first: the solver
     routines (``_lapack``); the cell geometry of the winding trace; one hop
@@ -411,8 +417,7 @@ def _samples(base: ChainSpec, config: DisorderConfig, indices):
         if "w" in config.targets:
             hop[1::2] = _perturbed(base.w, rng, config.strength)
         basis = _flatband_basis(diag, hop, lapack)
-        yield DisorderSample(index=index, nu=_winding(basis, cells, lapack[2]),
-                             min_gap_GHz=float(np.min(np.abs(basis[0]))))
+        yield _winding(basis, cells, lapack[2]), float(np.min(np.abs(basis[0])))
 
 
 def disorder_ensemble(base: ChainSpec, config: DisorderConfig) -> EnsembleResult:
@@ -425,31 +430,26 @@ def disorder_ensemble(base: ChainSpec, config: DisorderConfig) -> EnsembleResult
     sample's bands shifted by that mean (no 2N x 2N Hamiltonian is built):
     the winding from its flatband Q, the gap as the smallest |eigenvalue|
     of the shifted spectrum. What the samples share is prepared once
-    (``_samples``). With delta < 1 no hop can turn negative, so
-    ``rejections`` is always 0; it stays in the result and its JSON as
-    part of the file format.
+    (``_samples``).
     """
-    samples = tuple(_samples(base, config, range(config.samples)))
-    nus = np.array([s.nu for s in samples])
-    return EnsembleResult(
-        samples=samples,
-        mean_nu=float(np.mean(nus)),
-        std_nu=float(np.std(nus)),
-        rejections=0,
-        seed=config.seed,
-    )
+    nu, gap = np.array(list(zip(*_samples(base, config, range(config.samples)))))
+    return EnsembleResult(nu=nu, min_gap_GHz=gap, mean_nu=float(np.mean(nu)),
+                          std_nu=float(np.std(nu)), seed=config.seed)
 
 
 def write_ensemble_outputs(result: EnsembleResult, csv_path, json_path) -> None:
-    """Emit the per-sample CSV and the JSON summary for an ensemble."""
-    samples = result.samples
+    """Emit the per-sample CSV and the JSON summary for an ensemble.
+
+    ``rejections`` and ``generator`` are constants of the file format:
+    with delta < 1 no hop can turn negative, so no draw is ever rejected,
+    and every sample stream is a PCG64.
+    """
     write_csv(csv_path, ["sample_index", "nu", "min_gap_GHz"],
-              [[s.index for s in samples], [s.nu for s in samples],
-               [s.min_gap_GHz for s in samples]])
+              [range(result.nu.size), result.nu, result.min_gap_GHz])
     write_json(json_path, {
         "mean_nu": result.mean_nu,
         "std_nu": result.std_nu,
-        "rejections": result.rejections,
+        "rejections": 0,
         "seed": result.seed,
-        "generator": result.generator,
+        "generator": RNG_NAME,
     })

@@ -85,6 +85,20 @@ def check_gatesweep(out_dir, label, model, settings, emit_traces):
             assert np.max(np.abs(values[:, 3] - np.abs(expected.s21))) <= 1e-12
 
 
+def counted_dstevd(monkeypatch):
+    """Patch LAPACK dstevd to record the size of every solve; returns the record."""
+    import scipy.linalg.lapack
+
+    solve, sizes = scipy.linalg.lapack.dstevd, []
+
+    def counted(diag, off, **kwargs):
+        sizes.append(diag.size)
+        return solve(diag, off, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", counted)
+    return sizes
+
+
 class TestWindingCommand:
     def test_k_space_prints_nu(self, capsys, tmp_path):
         code, out, _ = run(capsys, "winding", "--set", "method=k-space",
@@ -108,7 +122,8 @@ class TestWindingCommand:
         assert code == 2
         assert "numerical failure" in err
 
-    def test_real_space(self, capsys, tmp_path):
+    def test_real_space(self, capsys, tmp_path, monkeypatch):
+        solves = counted_dstevd(monkeypatch)
         code, out, _ = run(capsys, "winding", "--set", "method=real-space",
                            "--set", "chain.n_cells=100",
                            "--set", "chain.eps_GHz=6.5",
@@ -118,6 +133,7 @@ class TestWindingCommand:
         assert code == 0
         payload = json.loads((tmp_path / "winding_rs.json").read_text())
         assert abs(payload["nu"] - 1.0) < 0.05
+        assert solves == [200]
 
 
 class TestConfigHandling:
@@ -738,6 +754,14 @@ class TestSpectrumCommand:
 
 
 class TestDisorderCommand:
+    def test_one_solve_per_sample(self, capsys, tmp_path, monkeypatch):
+        solves = counted_dstevd(monkeypatch)
+        code, _, _ = run(capsys, "disorder", "--config", _config("disorder_topological"),
+                         "--out-dir", str(tmp_path))
+        assert code == 0
+        assert solves == [100] * 200
+        assert len(summary_rows(tmp_path / "disorder_topological.csv")) == 200
+
     def test_seed_required(self, refused):
         err = refused("disorder",
                       "--set", "chain.n_cells=10",

@@ -377,6 +377,13 @@ class TestIpr:
     def test_complex_state(self):
         assert ipr([1.0, 1j, -1.0, -1j]) == pytest.approx(0.25)
 
+    def test_scale_invariant(self):
+        # sum|psi|^4 and (sum|psi|^2)^2 of [3, 4] * 1e-100 both underflow;
+        # the ratio is 337 / 625 at every scale
+        for scale in 10.0 ** np.arange(-300, 301, 10):
+            for state in ([3.0 * scale, 4.0 * scale], [3j * scale, 4.0 * scale]):
+                assert ipr(state) == pytest.approx(337 / 625, rel=1e-12, abs=0), scale
+
 
 # states that are not finite numbers; complex amplitudes are allowed
 BAD_STATES = [
@@ -454,15 +461,22 @@ class TestLocalizationFit:
 
 
 class TestDisorderEnsemble:
-    def test_zero_strength_reproduces_base(self):
-        base = ChainSpec(10, 6.5, 0.1, 0.5)
-        config = DisorderConfig(strength=0.0, targets=("v", "w"), samples=5, seed=9)
-        result = disorder_ensemble(base, config)
-        reference = winding_number_real_space(build_tb_hamiltonian(base), 6.5).nu
-        for sample in result.samples:
-            assert sample.nu == pytest.approx(reference, abs=1e-12)
-        assert result.std_nu == pytest.approx(0.0, abs=1e-15)
-        assert result.rejections == 0
+    @pytest.mark.parametrize("n_cells", [5, 20, 50])
+    @pytest.mark.parametrize("targets", [("v", "w"), ("v", "w", "eps"), ("eps",)])
+    def test_zero_strength_reproduces_base(self, n_cells, targets):
+        # every sample is the clean chain, bit for bit: its winding at the mean
+        # on-site energy and the smallest |lambda| of its shifted bands
+        for v in (0.01, 0.1, 0.25, 1.0):
+            base = ChainSpec(n_cells, 6.53, v, 0.5)
+            config = DisorderConfig(strength=0.0, targets=targets, samples=5, seed=9)
+            result = disorder_ensemble(base, config)
+            eps_ref = float(np.mean(base.eps))
+            evals, _, _ = scipy.linalg.lapack.dstevd(base.eps - eps_ref,
+                                                     topology._hops(base.v, base.w))
+            clean_nu = topology._chain_winding(base, eps_ref).nu
+            assert result.nu.tobytes() == np.full(5, clean_nu).tobytes()
+            assert result.min_gap_GHz.tobytes() == np.full(5, np.min(np.abs(evals))).tobytes()
+            assert result.std_nu == pytest.approx(0.0, abs=1e-15)
 
     def test_topological_mean_survives_disorder(self):
         base = ChainSpec(25, 6.5, 0.05, 0.5)
@@ -482,14 +496,18 @@ class TestDisorderEnsemble:
                                 samples=16, seed=77)
         first = disorder_ensemble(base, config)
         reverse = list(_samples(base, config, reversed(range(config.samples))))
-        assert first.samples == tuple(reversed(reverse))
-        assert disorder_ensemble(base, config) == first
+        columns = np.array([first.nu, first.min_gap_GHz])
+        assert np.array(reverse[::-1]).tobytes() == columns.T.tobytes()
+        again = disorder_ensemble(base, config)
+        assert np.array([again.nu, again.min_gap_GHz]).tobytes() == columns.tobytes()
+        assert (again.mean_nu, again.std_nu, again.seed) == \
+            (first.mean_nu, first.std_nu, first.seed)
 
     def test_sample_matches_dense_oracles(self):
         base = ChainSpec(50, 6.5, 0.25, 0.5)
         config = DisorderConfig(strength=0.05, targets=("v", "w", "eps"),
                                 samples=1, seed=21)
-        (sample,) = _samples(base, config, [0])
+        ((nu, min_gap),) = _samples(base, config, [0])
         rng = np.random.default_rng([config.seed, 0])
         eps = base.eps * (1 + 0.05 * rng.uniform(-1, 1, 100))
         v = base.v * (1 + 0.05 * rng.uniform(-1, 1, 50))
@@ -498,8 +516,8 @@ class TestDisorderEnsemble:
         eps_ref = float(np.mean(eps))
         gap = float(np.min(np.abs(dense_eigvals(h) - eps_ref)))
         assert gap > 1e-3  # no zero modes: every state is split by sign
-        assert sample.min_gap_GHz == pytest.approx(gap, abs=1e-12)
-        assert sample.nu == pytest.approx(
+        assert min_gap == pytest.approx(gap, abs=1e-12)
+        assert nu == pytest.approx(
             rswn_from_q(flatband_sign(h, eps_ref)), abs=1e-9)
 
     @pytest.mark.parametrize("v", [0.01, 0.25, 1.0])
@@ -535,9 +553,10 @@ class TestDisorderEnsemble:
         # base diagonal must leave each sample as it was when formed afresh
         base = ChainSpec(n_cells, 6.5, v, 0.5)
         config = DisorderConfig(strength=0.1, targets=targets, samples=4, seed=2024)
-        got = [(s.nu, s.min_gap_GHz) for s in disorder_ensemble(base, config).samples]
+        result = disorder_ensemble(base, config)
         expected = [fresh_disorder_sample(base, config, k) for k in range(config.samples)]
-        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        got = np.column_stack([result.nu, result.min_gap_GHz])
+        assert got.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("info", [1, -2])
     def test_solver_failure_is_numerical_error(self, monkeypatch, info):
@@ -582,7 +601,7 @@ class TestDisorderEnsemble:
         edges = [disorder_ensemble(base, DisorderConfig(0.1, ("v", "w"), 3, s))
                  for s in (-2**63, 2**63 - 1, -1)]
         assert [result.seed for result in edges] == [-2**63, 2**63 - 1, -1]
-        assert edges[0].samples != edges[1].samples != edges[2].samples
+        assert len({e.min_gap_GHz.tobytes() for e in edges}) == 3
 
     def test_outputs_layout(self, tmp_path):
         base = ChainSpec(8, 6.5, 0.1, 0.5)
@@ -595,5 +614,6 @@ class TestDisorderEnsemble:
         assert lines[0] == "sample_index,nu,min_gap_GHz"
         assert len(lines) == 5
         payload = json_path.read_text()
+        assert '"rejections": 0' in payload
         assert '"generator": "PCG64"' in payload
         assert '"seed": 3' in payload
