@@ -307,11 +307,10 @@ def _run_ipr(config, stem):
     chain = _chain_from(config, "ipr")
     yield
     spectrum = spec_mod.eigendecompose(chain_mod.build_tb_hamiltonian(chain))
-    values = [topo_mod.ipr(spectrum.eigenvectors[:, k])
-              for k in range(spectrum.n_sites)]
+    values = topo_mod._column_iprs(spectrum.eigenvectors)
     write_csv(f"{stem}.csv", ["mode_index", "freq_GHz", "ipr"],
               [range(spectrum.n_sites), spectrum.eigenvalues, values])
-    yield f"modes={len(values)} ipr_min={fmt(min(values))} ipr_max={fmt(max(values))}"
+    yield f"modes={values.size} ipr_min={fmt(values.min())} ipr_max={fmt(values.max())}"
 
 
 def _run_disorder(config, stem):

@@ -11,16 +11,22 @@ tridiagonal bands (Cuppen, Numer. Math. 36, 177 (1981); LAPACK dstevd).
 ``flatband`` and the winding share that solve and its checks
 (``_flatband_basis``). The winding trace reads only Q_AB and Q_BA, so it
 forms only those two N x 2N by 2N x N products, and the orthonormality
-guard is one dsyrk (the upper triangle of V^T V). For chains of up to 50
-cells every dgemm of a winding or a disorder sample then stays below
-OpenBLAS's threading bound (m n k <= 4 * 65536) and runs on one thread.
-Full 2N x 2N products cross that bound from N = 33 and wake the BLAS
-thread pool, which at N = 50 doubled a sample's CPU time for no gain in
-wall time.
+guard is one dsyrk (the upper triangle of V^T V).
+
+The solve and the products call LAPACK and BLAS in the OpenBLAS that
+numpy's wheel bundles, bound with ctypes (``_lapack``) and prepared once
+per ensemble, winding or flatband (``_Plan``), so no scipy module is
+loaded. Each sample or call holds that OpenBLAS to one thread: unheld, it
+threads even an N = 50 sample's calls at twice the CPU for no wall time,
+and from N = 81 the bits of a product depend on the thread count.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -122,17 +128,132 @@ class EnsembleResult:
     seed: int
 
 
-def _lapack() -> tuple:
-    """dstevd, dsyrk and dgemm: the one solver and the BLAS of every flatband product.
+_Lapack = collections.namedtuple("_Lapack", "dstevd dsyrk dgemm threads")
 
-    Imported here, so that importing the package loads no scipy (~0.3 s).
-    An ensemble reads them once (``_samples``); a single winding or
-    flatband once per call.
+
+@functools.cache
+def _lapack() -> _Lapack:
+    """dstevd, dsyrk and dgemm, the one solver and the BLAS of every flatband
+    product, and OpenBLAS's thread-count setter, all from numpy's own OpenBLAS.
+
+    numpy's wheel bundles an ILP64 OpenBLAS (scipy-openblas, 0.3.31 for
+    numpy 2.4.6) that exports LAPACK and BLAS as ``scipy_<name>_64_``. The
+    handle of numpy's extension module resolves them through that library,
+    so no hashed file name is looked up, and no second BLAS library or
+    thread pool is loaded. Bound on first use; a numpy whose library lacks
+    a symbol raises ImportError naming it.
     """
-    from scipy.linalg.blas import dgemm, dsyrk
-    from scipy.linalg.lapack import dstevd
+    from numpy._core import _multiarray_umath
 
-    return dstevd, dsyrk, dgemm
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    names = ("scipy_dstevd_64_", "scipy_dsyrk_64_", "scipy_dgemm_64_",
+             "openblas_set_num_threads_local")
+    missing = [name for name in names if not hasattr(lib, name)]
+    if missing:
+        raise ImportError(f"numpy's BLAS library exports no {', '.join(missing)}; "
+                          "sshchain needs numpy >= 2.4.6 with its bundled OpenBLAS")
+    lapack = _Lapack(*(getattr(lib, name) for name in names))
+    # Fortran subroutines: every argument by reference, each character
+    # argument followed at the end by its hidden length
+    text, num, real, data, length = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64),
+                                     ctypes.POINTER(ctypes.c_double), ctypes.c_void_p,
+                                     ctypes.c_size_t)
+    lapack.dstevd.argtypes = [text, num, data, data, data, num, data, num, data, num, num,
+                              length]
+    lapack.dsyrk.argtypes = [text, text, num, num, real, data, num, real, data, num, length,
+                             length]
+    lapack.dgemm.argtypes = [text, text, num, num, num, real, data, num, data, num, real, data,
+                             num, length, length]
+    for routine in lapack[:3]:
+        routine.restype = None
+    lapack.threads.argtypes, lapack.threads.restype = [ctypes.c_int], ctypes.c_int
+    return lapack
+
+
+def _int(value: int):
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _double(value: float):
+    return ctypes.byref(ctypes.c_double(value))
+
+
+def _ptr(a: np.ndarray):
+    return a.ctypes.data_as(ctypes.c_void_p)  # keeps ``a`` alive
+
+
+def _gemm_args(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
+    """dgemm's arguments for c = a b^T, over column-major views: a (m x k) and
+    b (n x k) may be row blocks of a larger matrix; c is m x n and contiguous."""
+    (m, k), n = a.shape, b.shape[0]
+    return (b"N", b"T", _int(m), _int(n), _int(k), _double(1.0),
+            _ptr(a), _int(a.strides[1] // 8), _ptr(b), _int(b.strides[1] // 8),
+            _double(0.0), _ptr(c), _int(m), ctypes.c_size_t(1), ctypes.c_size_t(1))
+
+
+class _Plan:
+    """The LAPACK/BLAS calls of one chain length, prepared once per ensemble,
+    winding or flatband: column-major buffers, and argument tuples (ILP64
+    integers, the hidden string lengths) that point into them.
+
+    ``solve``, ``gram`` and ``gemm`` each make one call into numpy's
+    OpenBLAS and are only called under ``one_thread``. The eigensystem is
+    left in ``evals`` and ``evecs`` and overwritten by the next solve. The
+    winding's products read ``rows``, the eigenvectors with their rows in
+    sublattice order (A sites, then B), and ``signed``, the same rows scaled
+    by each state's weight (see ``_flatband_basis``); Q_AB and Q_BA are then
+    products of row blocks with leading dimension 2N, and no strided row
+    set is copied per product.
+    """
+
+    def __init__(self, n_cells: int):
+        self.lapack = _lapack()
+        n, half = 2 * n_cells, n_cells
+        self.evals, self.off = np.empty(n), np.empty(n - 1)
+        self.evecs, self.rows, self.signed = (np.empty((n, n), order="F") for _ in range(3))
+        self.grams = np.zeros((n, n), order="F")  # dsyrk leaves the lower triangle 0
+        self.q_ab, self.q_ba = np.empty((half, half), order="F"), np.empty((half, half), order="F")
+        work, iwork = np.empty(1 + 4 * n + n * n), np.empty(3 + 5 * n, dtype=np.int64)
+        self._info = ctypes.c_int64()
+        self._stevd = (b"V", _int(n), _ptr(self.evals), _ptr(self.off), _ptr(self.evecs),
+                       _int(n), _ptr(work), _int(work.size), _ptr(iwork), _int(iwork.size),
+                       ctypes.byref(self._info), ctypes.c_size_t(1))
+        self._syrk = (b"U", b"T", _int(n), _int(n), _double(1.0), _ptr(self.evecs), _int(n),
+                      _double(0.0), _ptr(self.grams), _int(n), ctypes.c_size_t(1),
+                      ctypes.c_size_t(1))
+        self.blocks = (_gemm_args(self.signed[:half], self.rows[half:], self.q_ab),
+                       _gemm_args(self.signed[half:], self.rows[:half], self.q_ba))
+
+    @contextlib.contextmanager
+    def one_thread(self):
+        """Hold OpenBLAS to one thread, then restore the caller's count.
+
+        Unheld, numpy's OpenBLAS threads even an N = 50 sample's calls, at
+        twice the CPU for no wall time. The count is process-wide on
+        numpy's pthreads build (measured), so a hold spans one sample or
+        call and never a yield.
+        """
+        previous = self.lapack.threads(1)
+        try:
+            yield
+        finally:
+            self.lapack.threads(previous)
+
+    def solve(self, diag: np.ndarray, off: np.ndarray) -> int:
+        """dstevd of the bands ``diag``, ``off`` into ``evals``, ``evecs``; returns info."""
+        self.evals[:] = diag
+        self.off[:] = off  # dstevd destroys it
+        self.lapack.dstevd(*self._stevd)
+        return self._info.value
+
+    def gram(self) -> np.ndarray:
+        """The upper triangle of evecs^T evecs, by one dsyrk, in ``grams``."""
+        self.lapack.dsyrk(*self._syrk)
+        return self.grams
+
+    def gemm(self, args: tuple) -> None:
+        """One dgemm, with arguments from ``_gemm_args``."""
+        self.lapack.dgemm(*args)
 
 
 def _bands_of(h, eps_ref) -> tuple:
@@ -147,32 +268,28 @@ def _bands_of(h, eps_ref) -> tuple:
     return diag - _number(eps_ref, "eps_ref"), off
 
 
-def _flatband_basis(diag: np.ndarray, off: np.ndarray, lapack: tuple) -> tuple:
+def _flatband_basis(diag: np.ndarray, off: np.ndarray, plan: _Plan) -> tuple:
     """The shared step of every flatband product, for the tridiagonal bands diag, off.
 
-    Returns (evals, evecs, signed, states): the eigensystem, the
-    eigenvectors scaled by sign(lambda) with the columns of a chirally
-    split pair zeroed, and that pair's chirality -1 and +1 states (columns;
-    None if no pair is split), so that
-    Q = signed evecs^T + s_+ s_+^T - s_- s_-^T (see ``_q_block``).
+    Returns (evals, evecs, weights, states): the eigensystem (``plan``'s
+    buffers), each state's weight sign(lambda), 0 for the columns of a
+    chirally split pair, and that pair's chirality -1 and +1 states
+    (columns; None if no pair is split), so that
+    Q = evecs diag(weights) evecs^T + s_+ s_+^T - s_- s_-^T.
 
-    One direct divide-and-conquer eigensolve (``lapack`` from ``_lapack``;
-    the MRRR routine dstemr stops with LAPACK info=22 on chains whose edge
-    pair is degenerate far below roundoff, e.g. v = 0.01, w = 0.5 at
-    N = 50); a nonzero info raises NumericalError. The orthonormality
-    guard reads the upper triangle of V^T V, formed by one dsyrk and
-    reduced in place: every pair (i, j) is checked as by the full Gram
-    dgemm, at half its flops, and on one thread up to N = 63 on OpenBLAS
-    0.3.31 (measured), where the 2N x 2N x 2N dgemm is threaded from
-    N = 33. The guard and Q run on scipy's BLAS, the library the solver
-    already runs on, so numpy's separate OpenBLAS thread pool is not woken
-    as well.
+    One direct divide-and-conquer eigensolve (``_Plan.solve``, LAPACK
+    dstevd from numpy's OpenBLAS; the MRRR routine dstemr stops with LAPACK
+    info=22 on chains whose edge pair is degenerate far below roundoff,
+    e.g. v = 0.01, w = 0.5 at N = 50); a nonzero info raises
+    NumericalError. The orthonormality guard reads the upper triangle of
+    V^T V, formed by one dsyrk and reduced in place: every pair (i, j) is
+    checked as by the full Gram dgemm, at half its flops. Callers run it
+    under ``_Plan.one_thread``.
     """
-    dstevd, dsyrk, _ = lapack
-    evals, evecs, info = dstevd(diag, off)
+    info = plan.solve(diag, off)
     if info:
         raise NumericalError(f"tridiagonal eigensolve failed: LAPACK dstevd info = {info}")
-    gram = dsyrk(1.0, evecs, trans=1)  # upper triangle; the lower one stays 0
+    gram = plan.gram()
     np.einsum("ii->i", gram)[:] -= 1.0  # a writeable view of the diagonal
     ortho = float(np.abs(gram, out=gram).max())
     if not ortho <= _ORTHO_TOL:
@@ -180,6 +297,7 @@ def _flatband_basis(diag: np.ndarray, off: np.ndarray, lapack: tuple) -> tuple:
             f"tridiagonal eigenvectors not orthonormal: max |V^T V - I| = "
             f"{ortho:.3e} exceeds {_ORTHO_TOL}")
 
+    evals, evecs = plan.evals, plan.evecs
     mags = np.abs(evals)
     zero = mags <= ZERO_TOL
     idx = np.flatnonzero(zero)
@@ -196,14 +314,12 @@ def _flatband_basis(diag: np.ndarray, off: np.ndarray, lapack: tuple) -> tuple:
         states = _chiral_states(evecs[:, idx])
         if states is None:
             raise DegenerateMidgapError(idx, "zero modes at indices {} are not chiral partners")
-    return evals, evecs, evecs * (np.sign(evals) * ~zero), states
+    return evals, evecs, np.sign(evals) * ~zero, states
 
 
-def _q_block(basis: tuple, rows: slice, cols: slice, dgemm) -> np.ndarray:
-    """Rows ``rows`` and columns ``cols`` of Q, from one dgemm over ``basis``
-    (see ``_flatband_basis``) plus the split pair's outer products."""
-    _, evecs, signed, states = basis
-    q = dgemm(1.0, signed[rows], evecs[cols], trans_b=1)
+def _with_pair(q: np.ndarray, states, rows: slice, cols: slice) -> np.ndarray:
+    """``q``, rows ``rows`` and columns ``cols`` of the weighted product, plus
+    the split pair's outer products (see ``_flatband_basis``)."""
     if states is not None:
         q += np.outer(states[rows, 1], states[cols, 1])
         q -= np.outer(states[rows, 0], states[cols, 0])
@@ -240,9 +356,14 @@ def flatband(h: np.ndarray, eps_ref: float) -> np.ndarray:
     the hybridized edge pair of a long chain, which a split by sign would
     mix into Q.
     """
-    lapack = _lapack()
+    diag, off = _bands_of(h, eps_ref)
+    plan = _Plan(diag.size // 2)
+    with plan.one_thread():
+        _, evecs, weights, states = _flatband_basis(diag, off, plan)
+        signed, q = np.multiply(evecs, weights, out=np.empty_like(evecs)), np.empty_like(evecs)
+        plan.gemm(_gemm_args(signed, evecs, q))
     every = slice(None)
-    return _q_block(_flatband_basis(*_bands_of(h, eps_ref), lapack), every, every, lapack[2])
+    return _with_pair(q, states, every, every)
 
 
 def _cells(n_cells: int) -> tuple:
@@ -252,25 +373,37 @@ def _cells(n_cells: int) -> tuple:
     return x[:, None] - x[None, :], slice(1, n_cells - 1) if n_cells > 2 else slice(0, n_cells)
 
 
-def _winding(basis: tuple, cells: tuple, dgemm) -> float:
+def _blocks(basis: tuple, plan: _Plan) -> tuple:
+    """Q_AB and Q_BA (A rows and B columns, and the reverse) over ``basis``:
+    two N x N x 2N products over row blocks of one sublattice-ordered copy
+    of the basis, each a quarter of the full product."""
+    _, evecs, weights, states = basis
+    half = evecs.shape[0] // 2
+    plan.rows[:half], plan.rows[half:] = evecs[0::2], evecs[1::2]
+    np.multiply(plan.rows, weights, out=plan.signed)
+    for args in plan.blocks:
+        plan.gemm(args)
+    a, b = slice(0, None, 2), slice(1, None, 2)
+    return _with_pair(plan.q_ab, states, a, b), _with_pair(plan.q_ba, states, b, a)
+
+
+def _winding(basis: tuple, cells: tuple, plan: _Plan) -> float:
     """Bulk trace of Q_BA [X, Q_AB] per unit cell, from the blocks alone.
 
     ``cells`` is ``_cells(N)``. The trace reads no other part of Q, so
-    only Q_AB and Q_BA are formed: two N x N x 2N products, each a quarter
-    of the full one, and below OpenBLAS's threading bound
-    (m n k <= 4 * 65536) up to N = 50.
+    only Q_AB and Q_BA are formed (``_blocks``).
     """
-    a, b = slice(0, None, 2), slice(1, None, 2)
+    q_ab, q_ba = _blocks(basis, plan)
     dx, bulk = cells
-    comm = dx * _q_block(basis, a, b, dgemm)
-    diag = np.einsum("ij,ji->i", _q_block(basis, b, a, dgemm), comm)
+    diag = np.einsum("ij,ji->i", q_ba, dx * q_ab)
     return float(np.sum(diag[bulk])) / dx.shape[0]
 
 
 def _winding_of_bands(diag: np.ndarray, off: np.ndarray) -> WindingResult:
-    lapack = _lapack()
     n_cells = diag.size // 2
-    nu = _winding(_flatband_basis(diag, off, lapack), _cells(n_cells), lapack[2])
+    plan = _Plan(n_cells)
+    with plan.one_thread():
+        nu = _winding(_flatband_basis(diag, off, plan), _cells(n_cells), plan)
     return WindingResult(nu=nu, chain_length=n_cells, method="real-space")
 
 
@@ -358,6 +491,15 @@ def ipr(state: Sequence[float]) -> float:
     return float(np.sum(np.abs(psi) ** 4) / norm2 ** 2)
 
 
+def _column_iprs(vectors: np.ndarray) -> np.ndarray:
+    """``ipr`` of every column of a real matrix of unit-norm eigenvectors, in
+    one array pass. Each row of the C-contiguous transpose is reduced as
+    ``ipr`` reduces its flat copy of the column, so every value equals
+    ``ipr``'s bit for bit (a unit-norm column needs no rescaling)."""
+    mags = np.abs(np.ascontiguousarray(vectors.T))
+    return np.sum(mags ** 4, axis=1) / np.sum(mags ** 2, axis=1) ** 2
+
+
 def localization_length_fit(state: Sequence[float], sublattice: str) -> float:
     """Exponential-decay length of a state on one sublattice, in unit cells.
 
@@ -393,16 +535,19 @@ def _samples(base: ChainSpec, config: DisorderConfig, indices):
     """Yield (nu, min_gap_GHz) of disorder realizations ``indices`` of the
     ensemble ``config`` of ``base``.
 
-    What every sample shares is prepared once, before the first: the solver
-    routines (``_lapack``); the cell geometry of the winding trace; one hop
+    What every sample shares is prepared once, before the first: the
+    LAPACK/BLAS calls and their buffers (``_Plan``); the cell geometry of
+    the winding trace; one hop
     buffer, whose untargeted half keeps the base hops; and, when eps is not
     a target, the base diagonal already shifted by its mean. The stream of
     sample k is keyed by (seed, k) and consumed in the fixed order eps, v, w
     for the targeted families, so samples are reproducible regardless of
     evaluation order. Strength < 1 and non-negative base hops keep every
-    drawn hop non-negative, so no draw is ever rejected.
+    drawn hop non-negative, so no draw is ever rejected. Each sample's
+    calls run on one OpenBLAS thread, and the caller's count is back before
+    the sample is yielded.
     """
-    lapack = _lapack()
+    plan = _Plan(base.n_cells)
     cells = _cells(base.n_cells)
     hop = _hops(base.v, base.w)
     fixed = None if "eps" in config.targets else base.eps - float(np.mean(base.eps))
@@ -416,8 +561,10 @@ def _samples(base: ChainSpec, config: DisorderConfig, indices):
             hop[0::2] = _perturbed(base.v, rng, config.strength)
         if "w" in config.targets:
             hop[1::2] = _perturbed(base.w, rng, config.strength)
-        basis = _flatband_basis(diag, hop, lapack)
-        yield _winding(basis, cells, lapack[2]), float(np.min(np.abs(basis[0])))
+        with plan.one_thread():
+            basis = _flatband_basis(diag, hop, plan)
+            sample = _winding(basis, cells, plan), float(np.min(np.abs(basis[0])))
+        yield sample
 
 
 def disorder_ensemble(base: ChainSpec, config: DisorderConfig) -> EnsembleResult:

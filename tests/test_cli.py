@@ -17,6 +17,7 @@ from sshchain import (
 )
 from sshchain import microwave as mw_mod
 from sshchain import spectral as spec_mod
+from sshchain import topology as topo_mod
 from sshchain.cli import main
 from sshchain.errors import NumericalError
 
@@ -86,16 +87,15 @@ def check_gatesweep(out_dir, label, model, settings, emit_traces):
 
 
 def counted_dstevd(monkeypatch):
-    """Patch LAPACK dstevd to record the size of every solve; returns the record."""
-    import scipy.linalg.lapack
+    """Patch the package's LAPACK dstevd call to record the size of every
+    solve; returns the record."""
+    solve, sizes = topo_mod._Plan.solve, []
 
-    solve, sizes = scipy.linalg.lapack.dstevd, []
-
-    def counted(diag, off, **kwargs):
+    def counted(plan, diag, off):
         sizes.append(diag.size)
-        return solve(diag, off, **kwargs)
+        return solve(plan, diag, off)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", counted)
+    monkeypatch.setattr(topo_mod._Plan, "solve", counted)
     return sizes
 
 
@@ -677,15 +677,13 @@ class TestSolverFailures:
                      "--set", "chain.w_GHz=0.5"]),
     ])
     def test_tridiagonal_solver_info(self, capsys, tmp_path, monkeypatch, command, args):
-        import scipy.linalg.lapack
+        solve = topo_mod._Plan.solve
 
-        solve = scipy.linalg.lapack.dstevd
+        def unconverged(plan, diag, off):
+            solve(plan, diag, off)
+            return 3
 
-        def unconverged(diag, off, **kwargs):
-            evals, evecs, _ = solve(diag, off, **kwargs)
-            return evals, evecs, 3
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", unconverged)
+        monkeypatch.setattr(topo_mod._Plan, "solve", unconverged)
         code, out, err = run(capsys, command, *args, "--out-dir", str(tmp_path))
         assert (code, out) == (2, "")
         assert err == ("numerical failure: tridiagonal eigensolve failed: "
@@ -1213,16 +1211,17 @@ class TestFitCommand:
 
 def test_cli_import_leaves_peak_finding_unloaded(tmp_path):
     # No scipy module at all, each in a fresh process: importing the CLI, the
-    # fit, s21 and table-mode gatesweep subcommands, and the criterion-8 peak
-    # pipeline. Only the flatband solve (disorder, real-space winding) needs
-    # scipy, for LAPACK's dstevd.
+    # fit, s21, table-mode gatesweep, disorder and real-space winding
+    # subcommands, and the criterion-8 peak pipeline. The flatband solve
+    # (disorder, real-space winding) calls LAPACK from numpy's own OpenBLAS.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def cli(command, config, *sets):
-        argv = [command, "--config", os.path.join(CONFIG_DIR, f"{config}.json"),
-                "--out-dir", str(tmp_path / command), "--label", "probe"]
+        argv = [command, "--out-dir", str(tmp_path / command), "--label", "probe"]
+        if config:
+            argv += ["--config", os.path.join(CONFIG_DIR, f"{config}.json")]
         for expr in sets:
             argv += ["--set", expr]
         return f"from sshchain.cli import main\nassert main({argv!r}) == 0\n"
@@ -1233,6 +1232,9 @@ def test_cli_import_leaves_peak_finding_unloaded(tmp_path):
         cli("s21", "s21_topological"),
         cli("gatesweep", "gatesweep_joint", "gate.mode=table",
             f"gate.table={json.dumps(GATE_TABLE)}", "freqs.points=41"),
+        cli("disorder", "disorder_topological"),
+        cli("winding", None, "method=real-space", "chain.n_cells=100", "chain.eps_GHz=6.5",
+            "chain.v_GHz=0.05", "chain.w_GHz=0.5"),
         "import numpy as np; from sshchain import microwave as mw, default_circuit\n"
         "circuit = default_circuit(lv_nH=60.0)\n"
         "modes = mw.circuit_mode_frequencies(circuit)\n"

@@ -1,12 +1,16 @@
+import contextlib
+import ctypes
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.linalg.blas
 import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy._core import _multiarray_umath
 
 from sshchain import (
     ChainSpec,
@@ -36,6 +40,24 @@ from oracles import (
     rswn_from_q,
     winding_integral,
 )
+
+OPENBLAS = ctypes.CDLL(_multiarray_umath.__file__)
+OPENBLAS.openblas_set_num_threads_local.argtypes = [ctypes.c_int]
+
+
+def blas_threads() -> int:
+    """The thread count of numpy's OpenBLAS, read from the library itself."""
+    return OPENBLAS.scipy_openblas_get_num_threads64_()
+
+
+@contextlib.contextmanager
+def caller_threads(count):
+    """Run the body with numpy's OpenBLAS set to ``count`` threads."""
+    previous = OPENBLAS.openblas_set_num_threads_local(count)
+    try:
+        yield
+    finally:
+        OPENBLAS.openblas_set_num_threads_local(previous)
 
 
 def chain_h(n_cells, v, w, eps=6.5):
@@ -143,19 +165,21 @@ class TestFlatband:
         # The guard reads one triangle of V^T V. A pair of columns skewed
         # toward each other keeps both norms to 1e-12, so only that pair's
         # off-diagonal entry can trip it; wherever the pair sits, it must.
-        solve = scipy.linalg.lapack.dstevd
+        solve = topology._Plan.solve
 
-        def skewed(diag, off, **kwargs):
-            evals, evecs, info = solve(diag, off, **kwargs)
+        def skewed(plan, diag, off):
+            info = solve(plan, diag, off)
+            evecs = plan.evecs
             if defect == "norms":
-                return evals, evecs * (1.0 + 1e-6), info
+                evecs *= 1.0 + 1e-6
+                return info
             half = evecs.shape[1] // 2
             i, j = {"first-pair": (0, 1), "middle-pair": (half - 1, half),
                     "last-pair": (-2, -1)}[defect]
             evecs[:, j] += 1e-6 * evecs[:, i]
-            return evals, evecs, info
+            return info
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", skewed)
+        monkeypatch.setattr(topology._Plan, "solve", skewed)
         with pytest.raises(NumericalError, match="orthonormal"):
             run()
 
@@ -219,18 +243,15 @@ def test_winding_blocks_match_flatband_and_loop_oracle(n_cells, v, w, spread, se
                                        w * (1 + 0.5 * u[3 * n_cells:])))
     eps_ref = float(np.mean(eps))
     q = flatband(h, eps_ref)
-    lapack = topology._lapack()
-    basis = topology._flatband_basis(*topology._bands_of(h, eps_ref), lapack)
+    plan = topology._Plan(n_cells)
+    with plan.one_thread():
+        blocks = topology._blocks(
+            topology._flatband_basis(*topology._bands_of(h, eps_ref), plan), plan)
+    # every product runs on one BLAS thread, so no entry depends on how a
+    # product was split across threads
     a, b = slice(0, None, 2), slice(1, None, 2)
-    for rows, cols in ((a, b), (b, a)):
-        block = topology._q_block(basis, rows, cols, lapack[2])
-        if n_cells <= 50:
-            assert np.array_equal(block, q[rows, cols])
-        else:
-            # How OpenBLAS splits the full product across threads can change
-            # the last bit of some entries: seen at N = 51-60 with two
-            # threads, never with one.
-            np.testing.assert_allclose(block, q[rows, cols], rtol=0, atol=1e-14)
+    for block, rows, cols in zip(blocks, (a, b), (b, a)):
+        assert np.array_equal(block, q[rows, cols])
     # The oracle takes the matrix sign, which a mode near zero energy does
     # not have (a pair split by chirality) or has only ill-conditioned.
     if np.min(np.abs(np.linalg.eigvalsh(h) - eps_ref)) > 1e-3:
@@ -338,6 +359,19 @@ class TestKSpaceWinding:
 
 
 class TestIpr:
+    @pytest.mark.parametrize("n_cells", [1, 5, 50, 200])
+    def test_column_pass_matches_per_column_ipr(self, n_cells):
+        # the ipr subcommand's one array pass, bit for bit against ipr()
+        rng = np.random.default_rng(n_cells)
+        for _ in range(3):
+            u = rng.uniform(-1.0, 1.0, 4 * n_cells - 1)
+            chain = ChainSpec(n_cells, 6.5 * (1 + 0.02 * u[:2 * n_cells]),
+                              rng.uniform(0.05, 1.0) * (1 + 0.3 * u[2 * n_cells:3 * n_cells]),
+                              0.5 * (1 + 0.3 * u[3 * n_cells:]))
+            vectors = eigendecompose(build_tb_hamiltonian(chain)).eigenvectors
+            each = [ipr(vectors[:, k]) for k in range(vectors.shape[1])]
+            assert topology._column_iprs(vectors).tobytes() == np.array(each).tobytes()
+
     def test_delta_state(self):
         psi = np.zeros(10)
         psi[3] = 1.0
@@ -522,28 +556,31 @@ class TestDisorderEnsemble:
 
     @pytest.mark.parametrize("v", [0.01, 0.25, 1.0])
     def test_sample_keeps_every_dgemm_on_one_thread(self, monkeypatch, v):
-        # OpenBLAS runs a dgemm on one thread when m n k <= SMP_THRESHOLD_MIN
-        # * GEMM_MULTITHREAD_THRESHOLD = 65536 * 4 (interface/gemm.c); a
-        # larger one wakes its thread pool, which costs CPU for no wall time
-        # at this size. The shapes decide it, so nothing is timed.
-        dgemm, dsyrk = scipy.linalg.blas.dgemm, scipy.linalg.blas.dsyrk
-        sizes, grams = [], []
+        # Unheld, numpy's OpenBLAS threads even an N = 50 sample's calls at
+        # twice the CPU for no wall time, and from N = 81 a product's bits
+        # depend on the thread count. So every call of a sample and of the
+        # N = 100 and 200 windings runs on one thread, and the caller's count
+        # comes back. The count is read from the library, so nothing is timed.
+        calls = []
 
-        def sized_dgemm(alpha, a, b, trans_a=0, trans_b=0):
-            m, k = a.shape[::-1] if trans_a else a.shape
-            sizes.append(m * k * (b.shape[0] if trans_b else b.shape[1]))
-            return dgemm(alpha, a, b, trans_a=trans_a, trans_b=trans_b)
+        def spied(name):
+            call = getattr(topology._Plan, name)
 
-        def counted_dsyrk(alpha, a, **kwargs):
-            grams.append(a.shape)
-            return dsyrk(alpha, a, **kwargs)
+            def counted(*args):
+                calls.append((name, blas_threads()))
+                return call(*args)
+            monkeypatch.setattr(topology._Plan, name, counted)
 
-        monkeypatch.setattr(scipy.linalg.blas, "dgemm", sized_dgemm)
-        monkeypatch.setattr(scipy.linalg.blas, "dsyrk", counted_dsyrk)
+        for name in ("solve", "gram", "gemm"):
+            spied(name)
         config = DisorderConfig(strength=0.1, targets=("v", "w"), samples=1, seed=5)
-        next(_samples(ChainSpec(50, 6.5, v, 0.5), config, [0]))
-        assert grams == [(100, 100)]  # the orthonormality guard ran
-        assert len(sizes) == 2 and max(sizes) <= 4 * 65536, sizes
+        with caller_threads(2):
+            next(_samples(ChainSpec(50, 6.5, v, 0.5), config, [0]))
+            assert blas_threads() == 2
+            for n_cells in (100, 200):
+                winding_number_real_space(chain_h(n_cells, v, 0.5), 6.5)
+                assert blas_threads() == 2
+        assert calls == [("solve", 1), ("gram", 1), ("gemm", 1), ("gemm", 1)] * 3
 
     @pytest.mark.parametrize("n_cells", [1, 2, 5, 50])
     @pytest.mark.parametrize("v", [0.0, 0.01, 0.25, 1.0])
@@ -560,16 +597,18 @@ class TestDisorderEnsemble:
 
     @pytest.mark.parametrize("info", [1, -2])
     def test_solver_failure_is_numerical_error(self, monkeypatch, info):
-        solve = scipy.linalg.lapack.dstevd
+        solve = topology._Plan.solve
 
-        def failing(diag, off, **kwargs):
-            evals, evecs, _ = solve(diag, off, **kwargs)
-            return evals, evecs, info
+        def failing(plan, diag, off):
+            solve(plan, diag, off)
+            return info
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing)
+        monkeypatch.setattr(topology._Plan, "solve", failing)
         config = DisorderConfig(strength=0.1, targets=("v", "w"), samples=3, seed=5)
-        with pytest.raises(NumericalError, match=f"dstevd info = {info}"):
-            disorder_ensemble(ChainSpec(5, 6.5, 0.1, 0.5), config)
+        with caller_threads(2):
+            with pytest.raises(NumericalError, match=f"dstevd info = {info}"):
+                disorder_ensemble(ChainSpec(5, 6.5, 0.1, 0.5), config)
+            assert blas_threads() == 2  # the one-thread hold is undone on error too
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -617,3 +656,54 @@ class TestDisorderEnsemble:
         assert '"rejections": 0' in payload
         assert '"generator": "PCG64"' in payload
         assert '"seed": 3' in payload
+
+
+def test_missing_blas_symbol_is_an_import_error(monkeypatch):
+    # a numpy built against another BLAS: no scipy fallback, an ImportError
+    # naming the symbol
+    real = ctypes.CDLL
+
+    class WithoutDgemm:
+        def __init__(self, path):
+            self.lib = real(path)
+
+        def __getattr__(self, name):
+            if name == "scipy_dgemm_64_":
+                raise AttributeError(name)
+            return getattr(self.lib, name)
+
+    monkeypatch.setattr(ctypes, "CDLL", WithoutDgemm)
+    with pytest.raises(ImportError, match="exports no scipy_dgemm_64_;"):
+        topology._lapack.__wrapped__()
+
+
+BLAS_THREAD_PROBE = """
+import numpy as np
+from sshchain import ChainSpec, DisorderConfig, build_tb_hamiltonian, disorder_ensemble
+from sshchain import winding_number_real_space
+
+result = disorder_ensemble(ChainSpec(100, 6.5, 0.25, 0.5),
+                           DisorderConfig(0.1, ("v", "w", "eps"), 20, 7))
+u = np.random.default_rng(3).uniform(-1.0, 1.0, 400)
+chain = ChainSpec(200, 6.5 * (1 + 0.01 * u), 0.9, 0.5)
+nu = winding_number_real_space(build_tb_hamiltonian(chain), float(np.mean(chain.eps))).nu
+print(result.nu.tobytes().hex(), result.min_gap_GHz.tobytes().hex(), float.hex(nu))
+"""
+
+
+def test_blas_thread_count_moves_no_bit():
+    # From N = 81 a product's bits depend on how OpenBLAS splits it across
+    # threads. Every call is held to one thread, so an N = 100 ensemble and
+    # an N = 200 winding give the same bits under any OPENBLAS_NUM_THREADS,
+    # not only after the CSV's 12-digit rounding. Each count runs in a fresh
+    # process, as the variable is read when the library loads.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", BLAS_THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
