@@ -10,15 +10,16 @@ tridiagonal bands (Cuppen, Numer. Math. 36, 177 (1981); LAPACK dstevd).
 
 ``flatband`` and the winding share that solve and its checks
 (``_flatband_basis``). The winding trace reads only Q_AB and Q_BA, so it
-forms only those two N x 2N by 2N x N products, and the orthonormality
-guard is one dsyrk (the upper triangle of V^T V).
+forms only those two N x 2N by 2N x N products.
 
-The solve and the products call LAPACK and BLAS in the OpenBLAS that
-numpy's wheel bundles, bound with ctypes (``_lapack``) and prepared once
-per ensemble, winding or flatband (``_Plan``), so no scipy module is
-loaded. Each sample or call holds that OpenBLAS to one thread: unheld, it
-threads even an N = 50 sample's calls at twice the CPU for no wall time,
-and from N = 81 the bits of a product depend on the thread count.
+The solve calls LAPACK dstevd in the OpenBLAS that numpy's wheel
+bundles, bound with ctypes (``_lapack``) and prepared once per ensemble,
+winding or flatband (``_Plan``), so no scipy module is loaded; the
+products and the orthonormality guard are numpy matmuls, which call the
+same OpenBLAS. Each sample or call holds that OpenBLAS to one thread:
+unheld, it threads even an N = 50 sample's calls at twice the CPU for no
+wall time, and from N = 81 the bits of a product depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ ZERO_TOL = 1e-12          # GHz; eigenvalues closer to zero need chiral splittin
 # with an edge-overlap margin >= ln 1e6 have ratios of 1.6e8 and up; a
 # clean 12-cell chain at v/w = 0.3 (ratio 1.3e6) stays split by sign.
 PAIR_SEPARATION = 1e7
-AMPLITUDE_FLOOR = 1e-12   # |psi| below this is ignored by localization fits
+AMPLITUDE_FLOOR = 1e-12   # localization fits ignore |psi| below this times its peak
 RNG_NAME = "PCG64"
 
 
@@ -128,44 +129,37 @@ class EnsembleResult:
     seed: int
 
 
-_Lapack = collections.namedtuple("_Lapack", "dstevd dsyrk dgemm threads")
+_Lapack = collections.namedtuple("_Lapack", "dstevd threads")
 
 
 @functools.cache
 def _lapack() -> _Lapack:
-    """dstevd, dsyrk and dgemm, the one solver and the BLAS of every flatband
-    product, and OpenBLAS's thread-count setter, all from numpy's own OpenBLAS.
+    """dstevd, the one solver of every flatband product, and OpenBLAS's
+    thread-count setter, both from numpy's own OpenBLAS.
 
     numpy's wheel bundles an ILP64 OpenBLAS (scipy-openblas, 0.3.31 for
-    numpy 2.4.6) that exports LAPACK and BLAS as ``scipy_<name>_64_``. The
-    handle of numpy's extension module resolves them through that library,
-    so no hashed file name is looked up, and no second BLAS library or
-    thread pool is loaded. Bound on first use; a numpy whose library lacks
-    a symbol raises ImportError naming it.
+    numpy 2.4.6) that exports LAPACK as ``scipy_<name>_64_``. The handle of
+    numpy's extension module resolves them through that library, so no
+    hashed file name is looked up, and no second BLAS library or thread
+    pool is loaded. numpy exposes neither, so only these two are bound,
+    on first use; a numpy whose library lacks one raises ImportError
+    naming it.
     """
     from numpy._core import _multiarray_umath
 
     lib = ctypes.CDLL(_multiarray_umath.__file__)
-    names = ("scipy_dstevd_64_", "scipy_dsyrk_64_", "scipy_dgemm_64_",
-             "openblas_set_num_threads_local")
+    names = ("scipy_dstevd_64_", "openblas_set_num_threads_local")
     missing = [name for name in names if not hasattr(lib, name)]
     if missing:
         raise ImportError(f"numpy's BLAS library exports no {', '.join(missing)}; "
                           "sshchain needs numpy >= 2.4.6 with its bundled OpenBLAS")
     lapack = _Lapack(*(getattr(lib, name) for name in names))
-    # Fortran subroutines: every argument by reference, each character
+    # a Fortran subroutine: every argument by reference, the character
     # argument followed at the end by its hidden length
-    text, num, real, data, length = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64),
-                                     ctypes.POINTER(ctypes.c_double), ctypes.c_void_p,
-                                     ctypes.c_size_t)
-    lapack.dstevd.argtypes = [text, num, data, data, data, num, data, num, data, num, num,
-                              length]
-    lapack.dsyrk.argtypes = [text, text, num, num, real, data, num, real, data, num, length,
-                             length]
-    lapack.dgemm.argtypes = [text, text, num, num, num, real, data, num, data, num, real, data,
-                             num, length, length]
-    for routine in lapack[:3]:
-        routine.restype = None
+    num, data = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    lapack.dstevd.argtypes = [ctypes.c_char_p, num, data, data, data, num, data, num, data,
+                              num, num, ctypes.c_size_t]
+    lapack.dstevd.restype = None
     lapack.threads.argtypes, lapack.threads.restype = [ctypes.c_int], ctypes.c_int
     return lapack
 
@@ -174,31 +168,18 @@ def _int(value: int):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-def _double(value: float):
-    return ctypes.byref(ctypes.c_double(value))
-
-
 def _ptr(a: np.ndarray):
     return a.ctypes.data_as(ctypes.c_void_p)  # keeps ``a`` alive
 
 
-def _gemm_args(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
-    """dgemm's arguments for c = a b^T, over column-major views: a (m x k) and
-    b (n x k) may be row blocks of a larger matrix; c is m x n and contiguous."""
-    (m, k), n = a.shape, b.shape[0]
-    return (b"N", b"T", _int(m), _int(n), _int(k), _double(1.0),
-            _ptr(a), _int(a.strides[1] // 8), _ptr(b), _int(b.strides[1] // 8),
-            _double(0.0), _ptr(c), _int(m), ctypes.c_size_t(1), ctypes.c_size_t(1))
-
-
 class _Plan:
-    """The LAPACK/BLAS calls of one chain length, prepared once per ensemble,
-    winding or flatband: column-major buffers, and argument tuples (ILP64
-    integers, the hidden string lengths) that point into them.
+    """The buffers of one chain length, prepared once per ensemble, winding
+    or flatband, and dstevd's argument tuple (ILP64 integers, the hidden
+    string length) that points into them.
 
-    ``solve``, ``gram`` and ``gemm`` each make one call into numpy's
-    OpenBLAS and are only called under ``one_thread``. The eigensystem is
-    left in ``evals`` and ``evecs`` and overwritten by the next solve. The
+    ``solve`` and the matmuls into these buffers call numpy's OpenBLAS and
+    run only under ``one_thread``. The eigensystem is left in ``evals`` and
+    ``evecs`` (column-major) and overwritten by the next solve. The
     winding's products read ``rows``, the eigenvectors with their rows in
     sublattice order (A sites, then B), and ``signed``, the same rows scaled
     by each state's weight (see ``_flatband_basis``); Q_AB and Q_BA are then
@@ -210,19 +191,14 @@ class _Plan:
         self.lapack = _lapack()
         n, half = 2 * n_cells, n_cells
         self.evals, self.off = np.empty(n), np.empty(n - 1)
-        self.evecs, self.rows, self.signed = (np.empty((n, n), order="F") for _ in range(3))
-        self.grams = np.zeros((n, n), order="F")  # dsyrk leaves the lower triangle 0
+        self.evecs, self.rows, self.signed, self.grams = (
+            np.empty((n, n), order="F") for _ in range(4))
         self.q_ab, self.q_ba = np.empty((half, half), order="F"), np.empty((half, half), order="F")
         work, iwork = np.empty(1 + 4 * n + n * n), np.empty(3 + 5 * n, dtype=np.int64)
         self._info = ctypes.c_int64()
         self._stevd = (b"V", _int(n), _ptr(self.evals), _ptr(self.off), _ptr(self.evecs),
                        _int(n), _ptr(work), _int(work.size), _ptr(iwork), _int(iwork.size),
                        ctypes.byref(self._info), ctypes.c_size_t(1))
-        self._syrk = (b"U", b"T", _int(n), _int(n), _double(1.0), _ptr(self.evecs), _int(n),
-                      _double(0.0), _ptr(self.grams), _int(n), ctypes.c_size_t(1),
-                      ctypes.c_size_t(1))
-        self.blocks = (_gemm_args(self.signed[:half], self.rows[half:], self.q_ab),
-                       _gemm_args(self.signed[half:], self.rows[:half], self.q_ba))
 
     @contextlib.contextmanager
     def one_thread(self):
@@ -245,15 +221,6 @@ class _Plan:
         self.off[:] = off  # dstevd destroys it
         self.lapack.dstevd(*self._stevd)
         return self._info.value
-
-    def gram(self) -> np.ndarray:
-        """The upper triangle of evecs^T evecs, by one dsyrk, in ``grams``."""
-        self.lapack.dsyrk(*self._syrk)
-        return self.grams
-
-    def gemm(self, args: tuple) -> None:
-        """One dgemm, with arguments from ``_gemm_args``."""
-        self.lapack.dgemm(*args)
 
 
 def _bands_of(h, eps_ref) -> tuple:
@@ -281,15 +248,14 @@ def _flatband_basis(diag: np.ndarray, off: np.ndarray, plan: _Plan) -> tuple:
     dstevd from numpy's OpenBLAS; the MRRR routine dstemr stops with LAPACK
     info=22 on chains whose edge pair is degenerate far below roundoff,
     e.g. v = 0.01, w = 0.5 at N = 50); a nonzero info raises
-    NumericalError. The orthonormality guard reads the upper triangle of
-    V^T V, formed by one dsyrk and reduced in place: every pair (i, j) is
-    checked as by the full Gram dgemm, at half its flops. Callers run it
-    under ``_Plan.one_thread``.
+    NumericalError. The orthonormality guard checks the full V^T V, one
+    matmul into ``plan.grams`` reduced in place. Callers run it under
+    ``_Plan.one_thread``.
     """
     info = plan.solve(diag, off)
     if info:
         raise NumericalError(f"tridiagonal eigensolve failed: LAPACK dstevd info = {info}")
-    gram = plan.gram()
+    gram = np.matmul(plan.evecs.T, plan.evecs, out=plan.grams)
     np.einsum("ii->i", gram)[:] -= 1.0  # a writeable view of the diagonal
     ortho = float(np.abs(gram, out=gram).max())
     if not ortho <= _ORTHO_TOL:
@@ -361,7 +327,7 @@ def flatband(h: np.ndarray, eps_ref: float) -> np.ndarray:
     with plan.one_thread():
         _, evecs, weights, states = _flatband_basis(diag, off, plan)
         signed, q = np.multiply(evecs, weights, out=np.empty_like(evecs)), np.empty_like(evecs)
-        plan.gemm(_gemm_args(signed, evecs, q))
+        np.matmul(signed, evecs.T, out=q)
     every = slice(None)
     return _with_pair(q, states, every, every)
 
@@ -381,8 +347,8 @@ def _blocks(basis: tuple, plan: _Plan) -> tuple:
     half = evecs.shape[0] // 2
     plan.rows[:half], plan.rows[half:] = evecs[0::2], evecs[1::2]
     np.multiply(plan.rows, weights, out=plan.signed)
-    for args in plan.blocks:
-        plan.gemm(args)
+    np.matmul(plan.signed[:half], plan.rows[half:].T, out=plan.q_ab)
+    np.matmul(plan.signed[half:], plan.rows[:half].T, out=plan.q_ba)
     a, b = slice(0, None, 2), slice(1, None, 2)
     return _with_pair(plan.q_ab, states, a, b), _with_pair(plan.q_ba, states, b, a)
 
@@ -487,15 +453,13 @@ def ipr(state: Sequence[float]) -> float:
         raise ValidationError("IPR of the zero vector is undefined")
     if not 1e-50 <= peak <= 1e50:
         psi = psi / peak
-    norm2 = float(np.sum(np.abs(psi) ** 2))
-    return float(np.sum(np.abs(psi) ** 4) / norm2 ** 2)
+    return float(_column_iprs(psi[:, None])[0])
 
 
 def _column_iprs(vectors: np.ndarray) -> np.ndarray:
-    """``ipr`` of every column of a real matrix of unit-norm eigenvectors, in
-    one array pass. Each row of the C-contiguous transpose is reduced as
-    ``ipr`` reduces its flat copy of the column, so every value equals
-    ``ipr``'s bit for bit (a unit-norm column needs no rescaling)."""
+    """``ipr`` of every column of a matrix, in one array pass and without
+    rescaling: the one IPR formula, which ``ipr`` applies to its one column
+    (a unit-norm eigenvector needs no rescaling)."""
     mags = np.abs(np.ascontiguousarray(vectors.T))
     return np.sum(mags ** 4, axis=1) / np.sum(mags ** 2, axis=1) ** 2
 
@@ -504,8 +468,10 @@ def localization_length_fit(state: Sequence[float], sublattice: str) -> float:
     """Exponential-decay length of a state on one sublattice, in unit cells.
 
     Least-squares slope of log|psi| against the cell index over amplitudes
-    above 1e-12; xi = -1/slope. Raises FitUnsupportedError when fewer than
-    three usable points remain or the profile does not decay.
+    above AMPLITUDE_FLOOR (1e-12) times the sublattice's largest amplitude,
+    so xi does not change when psi is scaled; xi = -1/slope. Raises
+    FitUnsupportedError when fewer than three usable points remain or the
+    profile does not decay.
     """
     psi = _state(state)
     if psi.size % 2 != 0:
@@ -515,7 +481,7 @@ def localization_length_fit(state: Sequence[float], sublattice: str) -> float:
     offset = 0 if sublattice == "A" else 1
     amp = np.abs(psi[offset::2])
     cells = np.arange(1, amp.size + 1, dtype=float)
-    usable = amp > AMPLITUDE_FLOOR
+    usable = amp > AMPLITUDE_FLOOR * np.max(amp, initial=0.0)
     if int(np.count_nonzero(usable)) < 3:
         raise FitUnsupportedError(
             f"only {int(np.count_nonzero(usable))} usable amplitudes on "
@@ -536,10 +502,10 @@ def _samples(base: ChainSpec, config: DisorderConfig, indices):
     ensemble ``config`` of ``base``.
 
     What every sample shares is prepared once, before the first: the
-    LAPACK/BLAS calls and their buffers (``_Plan``); the cell geometry of
-    the winding trace; one hop
-    buffer, whose untargeted half keeps the base hops; and, when eps is not
-    a target, the base diagonal already shifted by its mean. The stream of
+    eigensolve's arguments and the products' buffers (``_Plan``); the cell
+    geometry of the winding trace; one hop buffer, whose untargeted half
+    keeps the base hops; and, when eps is not a target, the base diagonal
+    already shifted by its mean. The stream of
     sample k is keyed by (seed, k) and consumed in the fixed order eps, v, w
     for the targeted families, so samples are reproducible regardless of
     evaluation order. Strength < 1 and non-negative base hops keep every

@@ -460,6 +460,17 @@ class TestLocalizationFit:
         limit = 1.0 / np.log(5.0)
         assert abs(xi - limit) / limit < 0.10
 
+    def test_edge_mode_length_does_not_depend_on_scale(self):
+        # the floor is relative to the peak: at scale 1e-20 an absolute
+        # 1e-12 floor left fewer than three amplitudes and raised
+        spectrum = eigendecompose(chain_h(20, 0.1, 0.5))
+        k = int(np.argmin(np.abs(spectrum.eigenvalues - 6.5)))
+        state = spectrum.eigenvectors[:, k]
+        xi = localization_length_fit(state, "A")
+        for scale in (1e-6, 1e-20, 1e20, 1e-200):
+            assert localization_length_fit(state * scale, "A") == pytest.approx(
+                xi, rel=1e-12), scale
+
     def test_critical_chain_unreliable(self):
         spectrum = eigendecompose(chain_h(20, 0.5, 0.5))
         k = int(np.argmin(np.abs(spectrum.eigenvalues - 6.5)))
@@ -555,24 +566,24 @@ class TestDisorderEnsemble:
             rswn_from_q(flatband_sign(h, eps_ref)), abs=1e-9)
 
     @pytest.mark.parametrize("v", [0.01, 0.25, 1.0])
-    def test_sample_keeps_every_dgemm_on_one_thread(self, monkeypatch, v):
+    def test_sample_keeps_every_blas_call_on_one_thread(self, monkeypatch, v):
         # Unheld, numpy's OpenBLAS threads even an N = 50 sample's calls at
         # twice the CPU for no wall time, and from N = 81 a product's bits
-        # depend on the thread count. So every call of a sample and of the
-        # N = 100 and 200 windings runs on one thread, and the caller's count
-        # comes back. The count is read from the library, so nothing is timed.
+        # depend on the thread count. So every call of a sample, of the
+        # N = 100 and 200 windings and of flatband runs on one thread, and
+        # the caller's count comes back. The count is read from the library,
+        # so nothing is timed.
         calls = []
+        solve, matmul = topology._Plan.solve, np.matmul
 
-        def spied(name):
-            call = getattr(topology._Plan, name)
-
-            def counted(*args):
+        def spied(name, call):
+            def counted(*args, **kwargs):
                 calls.append((name, blas_threads()))
-                return call(*args)
-            monkeypatch.setattr(topology._Plan, name, counted)
+                return call(*args, **kwargs)
+            return counted
 
-        for name in ("solve", "gram", "gemm"):
-            spied(name)
+        monkeypatch.setattr(topology._Plan, "solve", spied("solve", solve))
+        monkeypatch.setattr(np, "matmul", spied("matmul", matmul))
         config = DisorderConfig(strength=0.1, targets=("v", "w"), samples=1, seed=5)
         with caller_threads(2):
             next(_samples(ChainSpec(50, 6.5, v, 0.5), config, [0]))
@@ -580,7 +591,11 @@ class TestDisorderEnsemble:
             for n_cells in (100, 200):
                 winding_number_real_space(chain_h(n_cells, v, 0.5), 6.5)
                 assert blas_threads() == 2
-        assert calls == [("solve", 1), ("gram", 1), ("gemm", 1), ("gemm", 1)] * 3
+            flatband(chain_h(50, v, 0.5), 6.5)
+            assert blas_threads() == 2
+        # each: the solve, the orthonormality guard, then Q_AB and Q_BA or Q
+        winding = [("solve", 1), ("matmul", 1), ("matmul", 1), ("matmul", 1)]
+        assert calls == winding * 3 + winding[:3]
 
     @pytest.mark.parametrize("n_cells", [1, 2, 5, 50])
     @pytest.mark.parametrize("v", [0.0, 0.01, 0.25, 1.0])
@@ -663,17 +678,17 @@ def test_missing_blas_symbol_is_an_import_error(monkeypatch):
     # naming the symbol
     real = ctypes.CDLL
 
-    class WithoutDgemm:
+    class WithoutDstevd:
         def __init__(self, path):
             self.lib = real(path)
 
         def __getattr__(self, name):
-            if name == "scipy_dgemm_64_":
+            if name == "scipy_dstevd_64_":
                 raise AttributeError(name)
             return getattr(self.lib, name)
 
-    monkeypatch.setattr(ctypes, "CDLL", WithoutDgemm)
-    with pytest.raises(ImportError, match="exports no scipy_dgemm_64_;"):
+    monkeypatch.setattr(ctypes, "CDLL", WithoutDstevd)
+    with pytest.raises(ImportError, match="exports no scipy_dstevd_64_;"):
         topology._lapack.__wrapped__()
 
 
